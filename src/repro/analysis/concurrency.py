@@ -94,7 +94,8 @@ HUB_BLOCKING_METHODS = {
     "telemetry_dict",
     "chrome_trace",
     "merged_metrics",
-    "merged_telemetry",
+    "pause_shard",
+    "resume_shard",
     "stop",
 }
 

@@ -1,9 +1,9 @@
-"""Serving-scale benchmark: thread hub vs process hub across fleet sizes.
+"""Serving-scale benchmark: thread vs process shard workers across fleet sizes.
 
-``python -m repro.bench --suite serving_scale`` drives both hub flavours
-with the *same* deterministic synthetic fleet and reports, per sensor
-count, aggregate throughput, per-sensor scaling efficiency and pooled
-tail latency.  The committed ``BENCH_serving_scale.json`` artifact is the
+``python -m repro.bench --suite serving_scale`` drives the hub on both
+worker vehicles with the *same* deterministic synthetic fleet and reports,
+per sensor count, aggregate throughput, per-sensor scaling efficiency and
+pooled tail latency.  The committed ``BENCH_serving_scale.json`` artifact is the
 regression gate for the process-per-shard re-architecture: its headline
 ``speedup_vs_thread`` metric (process-hub aggregate fps over thread-hub
 aggregate fps at the 16-sensor cell) is a same-machine ratio, so the
@@ -19,9 +19,9 @@ Measurement methodology — the parts that tame single-box variance:
   batch sizes;
 * **fine batches** (default 500 us of stream time, ~tens of events) keep
   the workload in the regime the re-architecture targets — per-batch
-  overhead dominating per-event compute — which is where the thread
-  hub's GIL serialization hurts;
-* **warm-up + median-of-N**: each hub flavour gets one discarded warm-up
+  overhead dominating per-event compute — which is where thread workers'
+  GIL serialization hurts;
+* **warm-up + median-of-N**: each vehicle gets one discarded warm-up
   run (allocator, fork, and import effects), then every cell runs
   ``trials`` times and the median-throughput trial is reported.
 
@@ -55,10 +55,9 @@ class ServingScaleProfile:
     """Workload sizes for one serving-scale run.
 
     ``full`` is the committed-baseline configuration; ``quick`` trims the
-    fleet for CI smoke.  ``queue_capacity`` (thread hub) and ``ring_kib``
-    (process hub) are sized so neither transport stalls the feeder on the
-    largest cell — the cells measure the hubs' processing architecture,
-    not their buffer tuning.
+    fleet for CI smoke.  ``ring_kib`` is sized so no shard ring stalls the
+    feeder on the largest cell — the cells measure the workers' processing,
+    not buffer tuning.
     """
 
     name: str = "full"
@@ -69,7 +68,6 @@ class ServingScaleProfile:
     workers: int = 4
     trials: int = 3
     warmup_batches: int = 4_000
-    queue_capacity: int = 1_024
     ring_kib: int = 8_192
     parity_sensors: int = 4
     seed: int = 0
@@ -90,18 +88,12 @@ QUICK_SERVING_PROFILE = ServingScaleProfile(
 )
 
 
-def _hub_config(kind: str, profile: ServingScaleProfile) -> HubConfig:
-    """Per-flavour hub configuration for one cell.
+def _hub_config(profile: ServingScaleProfile) -> HubConfig:
+    """The hub configuration of every cell, on either vehicle.
 
-    Both hubs block on backpressure so no batch is ever shed — parity and
+    The hub blocks on backpressure so no batch is ever shed — parity and
     fairness require every cell to process the identical workload.
     """
-    if kind == "thread":
-        return HubConfig(
-            num_workers=profile.workers,
-            queue_capacity=profile.queue_capacity,
-            backpressure="block",
-        )
     return HubConfig(
         num_workers=profile.workers,
         backpressure="block",
@@ -161,7 +153,7 @@ def _run_cell(kind: str, profile, workload, merged) -> Dict[str, float]:
     every sensor — aggregate throughput counts the work until the last
     frame is actually produced, not until the feeder's queue empties.
     """
-    hub = make_hub(kind, _hub_config(kind, profile))
+    hub = make_hub(kind, _hub_config(profile))
     with hub:
         for sensor_id, _, _ in workload:
             hub.register(sensor_id)
@@ -196,7 +188,7 @@ def _assert_parity(kind: str, profile, recordings, scene_batches) -> int:
     sensors = min(profile.parity_sensors, max(profile.sensor_counts))
     workload = _workload_for(profile, recordings, scene_batches, sensors)
     merged = _merge_submissions(workload)
-    config = _hub_config(kind, profile)
+    config = _hub_config(profile)
 
     expected = {}
     for _, scene, _ in workload:
@@ -241,9 +233,9 @@ def _assert_parity(kind: str, profile, recordings, scene_batches) -> int:
 def run_suite(
     profile: ServingScaleProfile, log: Callable[[str], None] = lambda line: None
 ) -> Dict[str, Dict[str, float]]:
-    """Run every cell for both hub flavours; returns the scenario dict.
+    """Run every cell on both worker vehicles; returns the scenario dict.
 
-    The returned mapping has one scenario per hub flavour
+    The returned mapping has one scenario per vehicle
     (``thread_hub`` / ``process_hub``) so the harness gates each hub's
     absolute throughput independently, plus the machine-independent
     ``speedup_vs_thread`` ratio on the process scenario.

@@ -9,16 +9,18 @@ into IoVT infrastructure, tracked online.
 * :mod:`repro.serving.session` — :class:`SensorSession` wraps one
   incremental :class:`~repro.core.pipeline.EbbiotPipeline` per sensor with
   running statistics and snapshot/restore.
-* :mod:`repro.serving.hub` — :class:`TrackingHub` shards sessions across
-  worker threads with bounded queues and explicit backpressure.
-* :mod:`repro.serving.process_hub` — :class:`ProcessTrackingHub`, the
-  same scheduling surface with one worker *process* per shard, sidestepping
-  the GIL for CPU-bound fleets.
+* :mod:`repro.serving.hub` — :class:`TrackingHub`, the one hub
+  implementation: shards sessions across worker loops
+  (:mod:`repro.serving.shard`) fed by bounded rings with explicit
+  backpressure, run on worker threads.
+* :mod:`repro.serving.process_hub` — :class:`ProcessTrackingHub`, the same
+  hub with each worker loop in a forked *process*, sidestepping the GIL
+  for CPU-bound fleets.
 * :mod:`repro.serving.transport` — the shared-memory event ring
   (:class:`ShmRing`) feeding those workers, with a :class:`PipeRing`
   fallback selected by :func:`make_ring`.
 * :mod:`repro.serving.rebalance` — :func:`plan_rebalance` turns per-shard
-  load stats into session migrations, executed live by either hub's
+  load stats into session migrations, executed live by the hub's
   ``migrate_sensor`` using the session snapshot/restore envelopes.
 * :mod:`repro.serving.telemetry` — per-sensor event rates, frame latency
   percentiles, queue depth, per-shard load gauges and drop counts,
@@ -28,7 +30,7 @@ into IoVT infrastructure, tracked online.
   line-protocol TCP transport; :mod:`repro.serving.aioserver` is the
   asyncio front door speaking the identical wire protocol.
 * ``python -m repro.serving`` — live demo / standalone server across the
-  hub x front-door matrix; ``python -m repro.serving.loadgen`` replays
+  worker-vehicle x front-door matrix; ``python -m repro.serving.loadgen`` replays
   fleets at N x speed and reports throughput, tail latency and SLO
   verdicts.
 """

@@ -10,8 +10,8 @@ Two modes:
   clients connect with :class:`repro.serving.client.SensorClient`.
 
 Both modes pick the serving architecture with two axes: ``--hub``
-selects thread-sharded sessions (in-process, GIL-bound) or the
-process-per-shard hub (shared-memory transport, true parallelism), and
+selects what runs each shard's worker — a thread (no fork, shares the
+GIL) or a forked process (true parallelism) — and
 ``--front-door`` selects the asyncio connection handler (default; one
 coroutine per sensor) or the legacy thread-per-connection acceptor.  The
 wire protocol is identical on every combination.
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hub",
         choices=HUB_KINDS,
         default="thread",
-        help="shard sessions across worker threads or worker processes",
+        help="run shard workers on threads or forked processes",
     )
     parser.add_argument(
         "--front-door",
@@ -140,25 +140,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="hub worker shards"
     )
     parser.add_argument(
-        "--queue-capacity", type=int, default=64, help="batches buffered per shard"
-    )
-    parser.add_argument(
         "--transport",
         choices=("shm", "pipe", "auto"),
         default="auto",
-        help="process-hub event transport (shared-memory ring or pipes)",
+        help="shard event transport (shared-memory ring or pipes)",
     )
     parser.add_argument(
         "--ring-kib",
         type=int,
         default=1024,
-        help="shared-memory ring capacity per shard in KiB (process hub)",
+        help="event ring capacity per shard in KiB",
     )
     parser.add_argument(
         "--backpressure",
         choices=BACKPRESSURE_POLICIES,
         default="block",
-        help="what to do when a shard queue fills",
+        help="what to do when a shard ring fills",
     )
     parser.add_argument(
         "--slack-us",
@@ -237,7 +234,6 @@ def _instrumented(args: argparse.Namespace) -> bool:
 def _hub_config(args: argparse.Namespace) -> HubConfig:
     return HubConfig(
         num_workers=args.workers,
-        queue_capacity=args.queue_capacity,
         backpressure=args.backpressure,
         reorder_slack_us=args.slack_us,
         pipeline_config=EbbiotConfig(tracker=_trackers(args)[0]),

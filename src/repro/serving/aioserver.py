@@ -17,17 +17,17 @@ The event-loop thread must never block, which dictates the three seams:
   flowing — replacing the blocked thread of the threaded server).  Under
   ``"drop"`` the refusal is final and counted, exactly like the threaded
   server.  Rebalance evaluation never runs on the submit path either —
-  both hubs hand it to a dedicated rebalancer thread, so a submit can at
-  worst briefly contend a shard lock, never wait out a migration.
-* **slow calls** — ``close_sensor`` flushes, ``metrics`` scrapes worker
-  processes — run in the default executor via :func:`asyncio.to_thread`.
-* **frame pushes** arrive on hub worker/pump threads; the callback hops
+  the hub hands it to a dedicated rebalancer thread, so a submit can at
+  worst briefly contend a ring lock, never wait out a migration.
+* **slow calls** — ``close_sensor`` flushes, ``metrics`` scrapes the shard
+  workers — run in the default executor via :func:`asyncio.to_thread`.
+* **frame pushes** arrive on the hub's pump threads; the callback hops
   them onto the loop with ``call_soon_threadsafe`` into the connection's
   bounded queue, shedding frames when the client reads too slowly (control
   replies instead wait for room).  A dedicated writer task per connection
   drains the queue onto the socket in order.
 
-The server fronts either hub flavour (pass ``hub=ProcessTrackingHub(...)``)
+The server fronts either worker vehicle (pass ``hub=ProcessTrackingHub(...)``)
 and drives the loop on a background thread, so its lifecycle API stays
 synchronous and interchangeable with the threaded server's.
 """
@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.core.pipeline import FrameResult
 from repro.events.types import validate_packet
-from repro.serving.hub import HubConfig, TrackingHub
+from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.protocol import (
     ProtocolError,
     decode_message,
@@ -50,12 +49,12 @@ from repro.serving.protocol import (
     frame_message,
     metrics_message,
     packet_from_events_message,
+    parse_hello,
     stats_message,
     summary_message,
     trace_message,
     welcome_message,
 )
-from repro.trackers.registry import ensure_backend_name
 
 #: Outbound messages buffered per connection before frame pushes are shed.
 SEND_QUEUE_CAPACITY = 512
@@ -103,7 +102,7 @@ class _Connection:
             pass
 
     def on_frames(self, sensor_id: str, frames: List[FrameResult]) -> None:
-        """Hub worker/pump-thread callback: hop frames onto the event loop."""
+        """Hub pump-thread callback: hop frames onto the event loop."""
         for frame in frames:
             message = frame_message(sensor_id, frame)
             try:
@@ -182,31 +181,12 @@ class _Connection:
         hub = self.hub
         if self.sensor_id is not None:
             raise ProtocolError("duplicate hello on this connection")
-        sensor_id = message.get("sensor_id")
-        if not isinstance(sensor_id, str) or not sensor_id:
-            raise ProtocolError("hello must carry a non-empty string sensor_id")
-        self.width = int(message.get("width", 240))
-        self.height = int(message.get("height", 180))
-        if self.width <= 0 or self.height <= 0:
-            raise ProtocolError("hello width/height must be positive")
-        pipeline_config = hub.config.pipeline_config
-        if (self.width, self.height) != (pipeline_config.width, pipeline_config.height):
-            pipeline_config = replace(
-                pipeline_config, width=self.width, height=self.height
-            )
-        tracker = message.get("tracker")
-        if tracker is not None:
-            if not isinstance(tracker, str):
-                raise ProtocolError("hello tracker must be a string backend name")
-            try:
-                ensure_backend_name(tracker)
-            except ValueError as error:
-                raise ProtocolError(str(error)) from error
-            if tracker != pipeline_config.tracker:
-                pipeline_config = replace(pipeline_config, tracker=tracker)
+        sensor_id, (self.width, self.height), pipeline_config = parse_hello(
+            message, hub.config.pipeline_config
+        )
         try:
-            # register blocks on the hub's control path (the process hub
-            # does a ring put with a long timeout) — keep it off the loop.
+            # register blocks on the hub's control path (a ring put with a
+            # long timeout) — keep it off the loop.
             await asyncio.to_thread(
                 hub.register,
                 sensor_id,
@@ -247,7 +227,7 @@ class _Connection:
 
 
 class AsyncTrackingServer:
-    """Asyncio front door owning a tracking hub (thread or process flavour).
+    """Asyncio front door owning a tracking hub (thread or process vehicle).
 
     The public lifecycle mirrors :class:`~repro.serving.server.TrackingServer`
     (``start``/``stop``/``serve_forever``/``address``/context manager), so
@@ -301,7 +281,7 @@ class AsyncTrackingServer:
                 try:
                     if not await connection.dispatch(message):
                         break
-                except ProtocolError as error:
+                except (ProtocolError, ShardDown) as error:
                     await connection.send(
                         error_message(str(error), connection.sensor_id)
                     )

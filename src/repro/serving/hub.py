@@ -1,39 +1,50 @@
-"""The :class:`TrackingHub`: many live sensors, few worker threads.
+"""The tracking hub: many live sensors, one worker per shard.
 
-The hub is the serving layer's scheduler.  Each registered sensor is
-assigned — by a stable hash of its id — to exactly one worker shard; each
-shard is one worker thread draining one bounded queue.  That gives:
+Each registered sensor is assigned — by a stable hash of its id — to
+exactly one shard, and each shard is one worker running the loop of
+:mod:`repro.serving.shard`, fed through one bounded ring
+(:func:`~repro.serving.transport.make_ring`).  That gives per-sensor
+ordering for free, recording-level parallelism across shards, and bounded
+memory via ``ring_capacity_bytes`` with an explicit backpressure policy
+when a ring fills: ``"block"`` (lossless, slows producers — the default
+for replay/backfill) or ``"drop"`` (sheds the newest batch and counts it
+in telemetry — what a live deployment does when a sensor storms).
 
-* **per-sensor ordering** for free (a sensor's batches all pass through one
-  queue and one thread, so frames close in order);
-* **recording-level parallelism** across shards, the same property the
-  batch :class:`~repro.runtime.runner.StreamRunner` exploits (NumPy kernels
-  release the GIL);
-* **bounded memory** via the queue capacity, with an explicit backpressure
-  policy when a queue fills: ``"block"`` (lossless, slows producers — the
-  default for replay/backfill) or ``"drop"`` (sheds the newest batch and
-  counts it in telemetry — what a live deployment does when a sensor storms).
+:class:`TrackingHub` runs each worker loop on a ``threading.Thread``;
+:class:`~repro.serving.process_hub.ProcessTrackingHub` forks a process
+instead and is otherwise this same code.  Records that must stay ordered
+with a sensor's events (register, close, migrate out/in) ride the ring
+in-band; scrapes, trace dumps, migration envelopes and pause/resume use a
+command pipe per shard; frames and replies come back on a result pipe per
+shard, drained by a pump thread that also runs the ``on_frames``
+callbacks.  :attr:`TrackingHub.telemetry` counts the ingest side (batches,
+events, drops, queue depth); each worker counts the processing side in
+its own registry, and :meth:`TrackingHub.merged_metrics` merges them.
 
-Results leave the hub through per-sensor ``on_frames`` callbacks invoked on
-the worker thread (the TCP server pushes them straight onto the client
-socket), and through :meth:`close_sensor`, which flushes the session in
-queue order and returns its :class:`~repro.runtime.aggregate.RecordingResult`
-summary.
+A worker that ends without being stopped takes its shard down: pending
+requests on it fail at once with :class:`ShardDown`, later submits and
+closes for its sensors raise the same, scrapes skip it, and
+``repro_shard_worker_up`` reads 0.
 """
 
 from __future__ import annotations
 
-import queue
+import itertools
+import logging
+import pickle
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from multiprocessing import Pipe
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import EbbiotConfig
 from repro.core.pipeline import FrameResult
+from repro.events.types import normalize_packet
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.aggregate import BatchResult, RecordingResult
 from repro.serving.rebalance import (
     Move,
@@ -41,26 +52,41 @@ from repro.serving.rebalance import (
     ShardStats,
     plan_rebalance,
 )
-from repro.serving.session import SensorSession
+from repro.serving.shard import shard_worker_main
 from repro.serving.telemetry import TelemetryRegistry
+from repro.serving.transport import (
+    KIND_CLOSE,
+    KIND_EVENTS,
+    KIND_MIGRATE_IN,
+    KIND_MIGRATE_OUT,
+    KIND_REGISTER,
+    KIND_STOP,
+    RingFull,
+    make_ring,
+)
+
+logger = logging.getLogger(__name__)
 
 #: Backpressure policies understood by :class:`HubConfig`.
 BACKPRESSURE_POLICIES = ("block", "drop")
 
 FramesCallback = Callable[[str, List[FrameResult]], None]
 
+#: Accepted batches between refreshes of a sensor's queue-depth gauge.
+#: The gauge is a scrape-time approximation; reading the ring counters and
+#: taking the gauge lock on *every* submit measurably taxes the hot path.
+_DEPTH_GAUGE_STRIDE = 32
+
 
 @dataclass
 class HubConfig:
-    """Configuration of a :class:`TrackingHub`.
+    """Configuration of a :class:`TrackingHub` (either worker vehicle).
 
     Parameters
     ----------
     num_workers:
         Worker shards.  Sensors are hashed across shards, so more workers
         than distinct sensors buys nothing.
-    queue_capacity:
-        Maximum in-flight batches per shard before backpressure applies.
     backpressure:
         ``"block"`` (default) or ``"drop"`` — see the module docstring.
     pipeline_config:
@@ -68,13 +94,9 @@ class HubConfig:
         own (per-sensor configs carry e.g. a site's region of exclusion).
     reorder_slack_us:
         Out-of-order arrival tolerance for every sensor's online framer.
-    collect_frames:
-        Keep per-frame results inside each session (tests/demos only).
     instrument:
-        Give every session a per-sensor :class:`repro.obs.Instrumentation`
-        wired to one hub-wide tracer and the telemetry metrics registry:
-        per-stage seconds appear in the ``metrics`` exposition
-        (``repro_pipeline_stage_seconds_total{sensor,stage}``) and
+        Give every session a per-sensor :class:`repro.obs.Instrumentation`:
+        per-stage seconds appear in the ``metrics`` exposition and
         :meth:`TrackingHub.chrome_trace` returns a live flame graph.  Off
         by default — uninstrumented sessions run the untouched hot path.
     trace_sample_every:
@@ -82,31 +104,25 @@ class HubConfig:
         growth on long-lived hubs without affecting the stage metrics.
     rebalance:
         Optional :class:`~repro.serving.rebalance.RebalancePolicy`.  When
-        set, a dedicated rebalancer thread — woken every
-        ``rebalance_check_every`` submitted batches, never run on the
-        submit path itself — samples the shard loads and migrates sessions
-        off overloaded shards (drain → snapshot → restore, invisible in the
-        output).  ``None`` (default) keeps placement purely hash-based.
+        set, a rebalancer thread woken every ``rebalance_check_every``
+        submitted batches migrates sessions off overloaded shards (invisible
+        in the output).  ``None`` (default) keeps placement hash-based.
     rebalance_check_every:
         Submit-count stride between rebalancer wake-ups; keeps even the
         wake signal off the per-batch hot path.
     transport:
-        Event transport of the *process* hub: ``"shm"`` (shared-memory
-        ring, falls back to pipes when unavailable), ``"pipe"``, or
-        ``"auto"``.  Ignored by the thread hub.
+        Event transport of each shard: ``"shm"`` (shared-memory ring,
+        falls back to pipes when unavailable), ``"pipe"``, or ``"auto"``.
     ring_capacity_bytes:
-        Byte capacity of each shard's shared-memory ring (process hub
-        only).  This, rather than ``queue_capacity``, is what bounds
-        in-flight data per shard there; size it for the expected batch
-        size × desired queue depth.
+        Byte capacity of each shard's ring — what bounds in-flight data
+        per shard; size it for the expected batch size × desired queue
+        depth.
     """
 
     num_workers: int = 4
-    queue_capacity: int = 64
     backpressure: str = "block"
     pipeline_config: EbbiotConfig = field(default_factory=EbbiotConfig)
     reorder_slack_us: int = 5_000
-    collect_frames: bool = False
     instrument: bool = False
     trace_sample_every: int = 1
     rebalance: Optional[RebalancePolicy] = None
@@ -121,10 +137,6 @@ class HubConfig:
             )
         if self.num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {self.num_workers}")
-        if self.queue_capacity <= 0:
-            raise ValueError(
-                f"queue_capacity must be positive, got {self.queue_capacity}"
-            )
         if self.backpressure not in BACKPRESSURE_POLICIES:
             raise ValueError(
                 f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
@@ -148,78 +160,57 @@ class HubConfig:
             )
 
 
-@dataclass
-class _Ingest:
-    sensor_id: str
-    events: np.ndarray
-    enqueued_at: float
+class ShardDown(RuntimeError):
+    """The request touched a shard whose worker has died."""
 
 
-@dataclass
-class _Close:
-    sensor_id: str
-    done: threading.Event
-    result: Optional[RecordingResult] = None
-    error: Optional[BaseException] = None
+class _Waiter:
+    """One in-flight request/response round trip with the workers of ``shards``."""
 
+    __slots__ = ("done", "payload", "shards")
 
-class _Stop:
-    pass
-
-
-@dataclass
-class _Handoff:
-    """Shared state of one in-flight migration (source ↔ target shard)."""
-
-    sensor_id: str
-    target: int
-    ready: threading.Event = field(default_factory=threading.Event)
-    completed: threading.Event = field(default_factory=threading.Event)
-    envelope: Optional[object] = None
-    error: Optional[BaseException] = None
-
-
-@dataclass
-class _MigrateOut:
-    handoff: _Handoff
-
-
-@dataclass
-class _MigrateIn:
-    handoff: _Handoff
+    def __init__(self, shards) -> None:
+        self.done = threading.Event()
+        self.payload = None
+        self.shards = shards
 
 
 class TrackingHub:
-    """Shards live :class:`SensorSession` objects across worker threads."""
+    """Shards live :class:`~repro.serving.session.SensorSession` objects
+    across shard workers, each running on a worker thread.
+
+    Subclasses change only the worker vehicle (:meth:`_start_worker` and
+    :meth:`_join_worker`); see :class:`~repro.serving.process_hub.ProcessTrackingHub`.
+    """
 
     def __init__(self, config: Optional[HubConfig] = None) -> None:
         self.config = config or HubConfig()
         self.telemetry = TelemetryRegistry()
-        self.tracer = None
-        if self.config.instrument:
-            from repro.obs import Tracer
-
-            self.tracer = Tracer()
-        self._sessions: Dict[str, SensorSession] = {}
-        self._callbacks: Dict[str, Optional[FramesCallback]] = {}
-        self._shard_map: Dict[str, int] = {}
-        self._sessions_lock = threading.Lock()
-        self._queues: List[queue.Queue] = [
-            queue.Queue(maxsize=self.config.queue_capacity)
-            for _ in range(self.config.num_workers)
-        ]
-        # One lock per shard queue, held across the map-read + enqueue of
-        # every submit/close, and across the map-flip + marker enqueues of
-        # a migration — the interlock that keeps a concurrent submit from
-        # landing behind a migrate-out marker (see migrate_sensor).
-        self._queue_locks: List[threading.Lock] = [
+        self._rings: list = []
+        self._cmd_tx: list = []  # hub -> worker command pipes
+        self._workers: list = []
+        self._pumps: List[threading.Thread] = []
+        self._ring_locks = [
             threading.Lock() for _ in range(self.config.num_workers)
         ]
-        self._workers: List[threading.Thread] = []
-        self._started = False
+        self._map_lock = threading.Lock()
+        self._shard_map: Dict[str, int] = {}
+        # Submit-path fast route: sensor_id -> (shard, idx, telemetry
+        # record, ring lock, ring, depth-gauge countdown).  Replaced (never
+        # mutated) whenever the sensor's placement changes, and always
+        # while both affected ring locks are held, so a submitter that
+        # re-checks identity after acquiring the ring lock can trust it.
+        self._routes: Dict[str, tuple] = {}
+        self._callbacks: Dict[str, Optional[FramesCallback]] = {}
+        self._next_idx = itertools.count()
+        self._next_req = itertools.count(1)
+        self._waiters: Dict[int, _Waiter] = {}
+        self._waiters_lock = threading.Lock()
+        self._down: set = set()  # shards whose worker died (under _waiters_lock)
+        self._pending_migrations: Dict[int, int] = {}  # mig_id -> target shard
         self._closed_results: List[RecordingResult] = []
+        self._started = False
         self._started_at = 0.0
-        self._shard_busy_s = [0.0] * self.config.num_workers
         self._migrations = 0
         self._submits_until_rebalance = self.config.rebalance_check_every
         self._rebalance_lock = threading.Lock()
@@ -227,23 +218,51 @@ class TrackingHub:
         self._rebalance_stopping = False
         self._rebalance_thread: Optional[threading.Thread] = None
 
+    # -- worker vehicle ------------------------------------------------------------------
+
+    def _start_worker(self, shard: int, ring, cmd_rx, res_tx):
+        """Run one shard's worker loop on a thread; returns its handle.
+
+        The thread shares the pipe ends with the hub; the worker closes its
+        own ends when it exits.
+        """
+        worker = threading.Thread(
+            target=shard_worker_main,
+            args=(shard, ring, cmd_rx, res_tx, self.config),
+            name=f"tracking-shard-{shard}",
+            daemon=True,
+        )
+        worker.start()
+        return worker
+
+    def _join_worker(self, worker) -> None:
+        worker.join(timeout=10.0)
+
     # -- lifecycle -----------------------------------------------------------------------
 
     def start(self) -> "TrackingHub":
-        """Start the worker threads (idempotent)."""
+        """Start the shard workers and their pump threads (idempotent)."""
         if self._started:
             return self
         self._started = True
         self._started_at = time.perf_counter()
+        with self._waiters_lock:
+            self._down.clear()
         for shard in range(self.config.num_workers):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                args=(shard,),
-                name=f"tracking-hub-{shard}",
+            ring = make_ring(self.config.transport, self.config.ring_capacity_bytes)
+            cmd_rx, cmd_tx = Pipe(duplex=False)
+            res_rx, res_tx = Pipe(duplex=False)
+            self._rings.append(ring)
+            self._cmd_tx.append(cmd_tx)
+            self._workers.append(self._start_worker(shard, ring, cmd_rx, res_tx))
+            pump = threading.Thread(
+                target=self._pump_loop,
+                args=(shard, res_rx),
+                name=f"tracking-pump-{shard}",
                 daemon=True,
             )
-            worker.start()
-            self._workers.append(worker)
+            pump.start()
+            self._pumps.append(pump)
         if self.config.rebalance is not None:
             self._rebalance_stopping = False
             self._rebalance_wake.clear()
@@ -256,21 +275,42 @@ class TrackingHub:
         return self
 
     def stop(self) -> None:
-        """Stop all workers after their queues drain (idempotent)."""
+        """Stop the workers after their rings drain (idempotent)."""
         if not self._started:
             return
         # Retire the rebalancer first so no migration markers are enqueued
-        # behind a stop item (the workers would never reach them).
+        # behind a stop record (the workers would never reach them).
         if self._rebalance_thread is not None:
             self._rebalance_stopping = True
             self._rebalance_wake.set()
             self._rebalance_thread.join(timeout=90.0)
             self._rebalance_thread = None
-        for q in self._queues:
-            q.put(_Stop())
+        for shard, ring in enumerate(self._rings):
+            if shard in self._down:
+                continue  # nothing drains a dead shard's ring
+            try:
+                with self._ring_locks[shard]:
+                    ring.put(KIND_STOP, 0, b"", timeout=10.0)
+            except (RingFull, OSError):
+                try:
+                    self._cmd_tx[shard].send(("stop",))
+                except OSError:
+                    pass
         for worker in self._workers:
-            worker.join()
+            self._join_worker(worker)
+        for pump in self._pumps:
+            pump.join(timeout=5.0)
+        for tx in self._cmd_tx:
+            tx.close()
+        for ring in self._rings:
+            ring.close(unlink=True)
+        # Routes hold refs to the (now closed) rings; a restarted hub
+        # requires re-registration anyway, so drop them with the rings.
+        self._routes.clear()
+        self._rings.clear()
+        self._cmd_tx.clear()
         self._workers.clear()
+        self._pumps.clear()
         self._started = False
 
     def __enter__(self) -> "TrackingHub":
@@ -279,31 +319,120 @@ class TrackingHub:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    def _require_started(self) -> None:
+        if not self._started:
+            raise RuntimeError("hub is not started")
+
+    # -- result pump ---------------------------------------------------------------------
+
+    def _pump_loop(self, shard: int, res_rx) -> None:
+        """Drain one shard's result pipe: frames → callbacks, replies → waiters."""
+        reason = "worker exited without stopping"
+        try:
+            while True:
+                try:
+                    message = res_rx.recv()
+                except (EOFError, OSError):
+                    break
+                kind = message[0]
+                if kind == "frames":
+                    _, sensor_id, frames = message
+                    callback = self._callbacks.get(sensor_id)
+                    if callback is not None:
+                        try:
+                            callback(sensor_id, frames)
+                        except Exception:
+                            logger.exception("on_frames callback of %r failed", sensor_id)
+                elif kind == "migrated":
+                    self._forward_envelope(*message[1:])
+                elif kind == "stopped":
+                    return
+                elif kind == "fatal":
+                    reason = message[2]
+                    break
+                else:  # a reply: (kind, req_id, ...)
+                    self._resolve(message[1], message)
+        finally:
+            res_rx.close()
+        self._shard_died(shard, reason)
+
+    def _forward_envelope(self, mig_id: int, envelope, error) -> None:
+        """Hand a migrate-out envelope to the target worker's command pipe."""
+        with self._map_lock:
+            target = self._pending_migrations.get(mig_id)
+        if error is None and target is not None:
+            try:
+                self._cmd_tx[target].send(("envelope", mig_id, envelope))
+                return
+            except OSError:
+                error = f"target shard {target} pipe closed"
+        # Release the target worker's MIGRATE_IN barrier right away (it
+        # would otherwise sit out its full timeout, stalling that shard),
+        # then resolve the migrate waiter directly with the failure.
+        if target is not None:
+            try:
+                self._cmd_tx[target].send(("abort", mig_id))
+            except OSError:  # pragma: no cover - defensive
+                pass
+        self._resolve(mig_id, ("migrate_done", mig_id, error))
+
+    def _shard_died(self, shard: int, reason: str) -> None:
+        """Take a shard whose worker ended unasked out of service, failing fast."""
+        logger.error("shard %d worker died: %s", shard, reason)
+        with self._waiters_lock:
+            self._down.add(shard)
+            doomed = [req for req, w in self._waiters.items() if shard in w.shards]
+            waiters = [self._waiters.pop(req) for req in doomed]
+        # Unroute the shard's sensors before anyone learns of the death, so
+        # a caller woken below cannot submit into the dead ring.
+        with self._map_lock:
+            for sensor_id, assigned in self._shard_map.items():
+                if assigned == shard:
+                    self._routes.pop(sensor_id, None)
+        for waiter in waiters:
+            waiter.payload = ShardDown(f"shard {shard} worker is down: {reason}")
+            waiter.done.set()
+        # Nothing consumes the ring any more: empty it once so a producer
+        # blocked on a full ring returns; later submits find no route.
+        self._rings[shard].get_available()
+
+    def _check_up(self, shard: int) -> None:
+        if shard in self._down:
+            raise ShardDown(f"shard {shard} worker is down")
+
+    def _resolve(self, req_id: int, payload) -> None:
+        with self._waiters_lock:
+            waiter = self._waiters.pop(req_id, None)
+        if waiter is not None:
+            waiter.payload = payload
+            waiter.done.set()
+
+    def _new_waiter(self, *shards: int) -> "tuple[int, _Waiter]":
+        """Register a request on ``shards``; :class:`ShardDown` if one is down."""
+        req_id = next(self._next_req)
+        waiter = _Waiter(shards)
+        with self._waiters_lock:
+            for shard in shards:
+                self._check_up(shard)
+            self._waiters[req_id] = waiter
+        return req_id, waiter
+
+    def _await(self, req_id: int, waiter: _Waiter, timeout: Optional[float], what: str):
+        if not waiter.done.wait(timeout):
+            with self._waiters_lock:
+                self._waiters.pop(req_id, None)
+            raise TimeoutError(f"timed out waiting for {what}")
+        if isinstance(waiter.payload, ShardDown):
+            raise waiter.payload
+        return waiter.payload
+
+    def _send_command(self, shard: int, command: str) -> "tuple[int, _Waiter]":
+        """Send one request to a shard worker; its reply resolves the waiter."""
+        req_id, waiter = self._new_waiter(shard)
+        self._cmd_tx[shard].send((command, req_id))
+        return req_id, waiter
+
     # -- sensor management ---------------------------------------------------------------
-
-    def _build_session(
-        self, sensor_id: str, config: Optional[EbbiotConfig]
-    ) -> SensorSession:
-        instrumentation = None
-        if self.config.instrument:
-            from repro.obs import Instrumentation
-
-            instrumentation = Instrumentation(
-                tracer=self.tracer,
-                metrics=self.telemetry.metrics,
-                labels={"sensor": sensor_id},
-                sample_every=self.config.trace_sample_every,
-            )
-        return SensorSession(
-            sensor_id,
-            config=config or self.config.pipeline_config,
-            reorder_slack_us=self.config.reorder_slack_us,
-            collect_frames=self.config.collect_frames,
-            # Hub sessions may stream indefinitely; full per-observation
-            # history is only retained in the frame-collecting debug mode.
-            keep_history=self.config.collect_frames,
-            instrumentation=instrumentation,
-        )
 
     def register(
         self,
@@ -311,62 +440,82 @@ class TrackingHub:
         config: Optional[EbbiotConfig] = None,
         on_frames: Optional[FramesCallback] = None,
         shard: Optional[int] = None,
-    ) -> SensorSession:
-        """Create the session for a new sensor (error if it already exists).
+    ) -> None:
+        """Create the worker-side session for a new sensor (hub must be started).
 
         ``shard`` overrides the hash placement (used by tests and by
         restore-after-rebalance paths); the assignment may later change if
-        a rebalance policy is active.
+        a rebalance policy is active.  The session lives in its shard's
+        worker and is not returned.
         """
+        self._require_started()
         if shard is not None and not 0 <= shard < self.config.num_workers:
             raise ValueError(
                 f"shard must be in [0, {self.config.num_workers}), got {shard}"
             )
-        session = self._build_session(sensor_id, config)
-        with self._sessions_lock:
-            if sensor_id in self._sessions:
+        with self._map_lock:
+            if sensor_id in self._shard_map:
                 raise ValueError(f"sensor {sensor_id!r} is already registered")
-            self._sessions[sensor_id] = session
+            assigned = shard if shard is not None else self._hash_shard(sensor_id)
+            self._check_up(assigned)
+            idx = next(self._next_idx)
+            self._shard_map[sensor_id] = assigned
             self._callbacks[sensor_id] = on_frames
-            self._shard_map[sensor_id] = (
-                shard if shard is not None else self._hash_shard(sensor_id)
-            )
-        self.telemetry.sensor(sensor_id).set_tracker(session.backend_name)
-        return session
+            self._routes[sensor_id] = self._make_route(sensor_id, assigned, idx)
+        payload = pickle.dumps(
+            {
+                "sensor_idx": idx,
+                "sensor_id": sensor_id,
+                "pipeline_config": config,
+                "want_frames": on_frames is not None,
+            }
+        )
+        with self._ring_locks[assigned]:
+            self._rings[assigned].put(KIND_REGISTER, idx, payload, timeout=30.0)
+        tracker = (config or self.config.pipeline_config).tracker
+        self.telemetry.sensor(sensor_id).set_tracker(tracker)
+
+    def _make_route(self, sensor_id: str, shard: int, idx: int) -> tuple:
+        """Build the submit fast-path tuple for one sensor placement.
+
+        The countdown is a one-item list that concurrent submitters
+        decrement without a lock — races only jitter *when* the approximate
+        queue-depth gauge refreshes; the first accepted batch publishes one.
+        """
+        return (
+            shard,
+            idx,
+            self.telemetry.sensor(sensor_id),
+            self._ring_locks[shard],
+            self._rings[shard],
+            [1],
+        )
 
     def remove_sensor(self, sensor_id: str) -> None:
         """Forget a sensor so its id can be reused (e.g. on reconnect).
 
-        Call after :meth:`close_sensor`; the session and its callback are
-        released, while telemetry and the closed summary are retained.
-        A long-running server calls this on connection teardown so
-        short-lived sensors do not accumulate forever.
+        Call after :meth:`close_sensor`; telemetry and the closed summary
+        are retained.  Servers call this on connection teardown.
         """
-        with self._sessions_lock:
-            self._sessions.pop(sensor_id, None)
-            self._callbacks.pop(sensor_id, None)
+        with self._map_lock:
             self._shard_map.pop(sensor_id, None)
+            self._callbacks.pop(sensor_id, None)
+            self._routes.pop(sensor_id, None)
 
     def _hash_shard(self, sensor_id: str) -> int:
         return zlib.crc32(sensor_id.encode("utf-8")) % self.config.num_workers
 
     def shard_of(self, sensor_id: str) -> int:
-        """The worker shard a sensor is currently assigned to.
+        """The shard a sensor is currently assigned to.
 
         For a registered sensor this reflects migrations; for an unknown id
         it is the stable hash placement the sensor would initially get.
         """
-        with self._sessions_lock:
+        with self._map_lock:
             assigned = self._shard_map.get(sensor_id)
         if assigned is not None:
             return assigned
         return self._hash_shard(sensor_id)
-
-    @property
-    def num_sensors(self) -> int:
-        """Number of registered (possibly finished) sensors."""
-        with self._sessions_lock:
-            return len(self._sessions)
 
     # -- ingestion -----------------------------------------------------------------------
 
@@ -376,42 +525,46 @@ class TrackingHub:
         Returns ``True`` if the batch was accepted, ``False`` if it was shed
         by the ``"drop"`` backpressure policy (counted in telemetry).
         """
-        return self._submit(sensor_id, events, blocking=self.config.backpressure == "block")
+        return self._submit(
+            sensor_id, events, blocking=self.config.backpressure == "block"
+        )
 
     def try_submit(self, sensor_id: str, events: np.ndarray) -> bool:
         """Non-blocking :meth:`submit` regardless of the backpressure policy.
 
         The asyncio front door uses this: an event-loop thread must never
-        park on a full shard queue, so it attempts the enqueue and applies
+        park on a full shard ring, so it attempts the enqueue and applies
         its own asynchronous backoff when this returns ``False``.  Unlike a
         ``"drop"``-policy :meth:`submit`, a refused batch is *not* counted
         as dropped — the caller still owns it and may retry.
         """
         return self._submit(sensor_id, events, blocking=False, count_refusals=False)
 
-    def _acquire_queue(self, sensor_id: str):
-        """Lock the sensor's current shard queue, racing map flips safely.
+    def _lock_route(self, sensor_id: str) -> tuple:
+        """The sensor's route, with its ring lock held, racing flips safely.
 
-        A migration flips the shard map while holding both shard queue
-        locks, so re-checking the map after acquiring the queue lock
-        guarantees no item is enqueued on the source queue behind its
-        migrate-out marker (or on the target queue ahead of its
-        migrate-in barrier).
+        A migration replaces the route tuple while holding both ring locks,
+        so re-checking identity after acquiring the ring lock guarantees no
+        record is enqueued on the source ring behind its ``MIGRATE_OUT``.
         """
+        route = self._routes.get(sensor_id)
         while True:
-            with self._sessions_lock:
-                shard = self._shard_map.get(sensor_id)
-            if shard is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
-            lock = self._queue_locks[shard]
-            lock.acquire()
-            with self._sessions_lock:
-                current = self._shard_map.get(sensor_id)
-            if current == shard:
-                return shard, lock
-            lock.release()
-            if current is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
+            if route is None:
+                raise self._unroutable(sensor_id)
+            route[3].acquire()
+            current = self._routes.get(sensor_id)
+            if current is route:
+                return route
+            route[3].release()
+            route = current
+
+    def _unroutable(self, sensor_id: str) -> Exception:
+        """Why a sensor has no route: it is unknown, or its shard is down."""
+        with self._map_lock:
+            shard = self._shard_map.get(sensor_id)
+        if shard is not None and shard in self._down:
+            return ShardDown(f"sensor {sensor_id!r} is on shard {shard}, whose worker is down")
+        return KeyError(f"sensor {sensor_id!r} is not registered")
 
     def _submit(
         self,
@@ -422,55 +575,61 @@ class TrackingHub:
     ) -> bool:
         if not self._started:
             raise RuntimeError("hub is not started")
-        item = _Ingest(sensor_id, events, time.perf_counter())
-        record = self.telemetry.sensor(sensor_id)
-        shard, lock = self._acquire_queue(sensor_id)
-        shard_queue = self._queues[shard]
+        events = normalize_packet(events)
+        payload = events.tobytes()
+        _, idx, record, lock, ring, countdown = self._lock_route(sensor_id)
         try:
             if blocking:
-                shard_queue.put(item)
-            else:
-                try:
-                    shard_queue.put_nowait(item)
-                except queue.Full:
-                    if count_refusals:
-                        record.record_drop(len(events))
-                    return False
+                ring.put(KIND_EVENTS, idx, payload, timeout=None)
+            elif not ring.try_put(KIND_EVENTS, idx, payload):
+                if count_refusals:
+                    record.record_drop(len(events))
+                return False
         finally:
             lock.release()
         record.record_batch(len(events))
-        record.set_queue_depth(shard_queue.qsize())
+        countdown[0] -= 1
+        if countdown[0] <= 0:
+            countdown[0] = _DEPTH_GAUGE_STRIDE
+            record.set_queue_depth(ring.depth())
         if self.config.rebalance is not None:
             self._submits_until_rebalance -= 1
             if self._submits_until_rebalance <= 0:
                 self._submits_until_rebalance = self.config.rebalance_check_every
-                # Never evaluate on the submit path: a migration blocks on
-                # the worker hand-off, and submit may run on threads that
-                # must not stall (the asyncio front door's event loop).
+                # Signal the rebalancer thread rather than evaluating here:
+                # a migration blocks on the worker hand-off, and submit may
+                # run on threads that must not stall (the asyncio front
+                # door's event loop).
                 self._rebalance_wake.set()
         return True
 
-    def close_sensor(self, sensor_id: str, timeout: Optional[float] = None) -> RecordingResult:
-        """Flush a sensor's session (in queue order) and summarise it.
+    def close_sensor(
+        self, sensor_id: str, timeout: Optional[float] = None
+    ) -> RecordingResult:
+        """Flush a sensor in ring order and return its summary.
 
-        Blocks until every batch submitted before this call has been
-        processed, the framer has flushed its tail windows, and the final
-        frames have been delivered to the sensor's callback.
+        The close marker queues *behind* every batch submitted before this
+        call; the worker flushes them, finishes the session, ships any
+        remaining frames to the sensor's callback, and replies with the
+        :class:`~repro.runtime.aggregate.RecordingResult`.  Closing twice
+        returns the same summary without counting the sensor twice in
+        :meth:`batch_result`.
         """
-        if not self._started:
-            raise RuntimeError("hub is not started")
-        item = _Close(sensor_id, threading.Event())
-        shard, lock = self._acquire_queue(sensor_id)
+        self._require_started()
+        shard, idx, _, lock, ring, _ = self._lock_route(sensor_id)
         try:
-            self._queues[shard].put(item)
+            req_id, waiter = self._new_waiter(shard)
+            ring.put(KIND_CLOSE, idx, pickle.dumps((req_id,)), timeout=timeout)
         finally:
             lock.release()
-        if not item.done.wait(timeout):
-            raise TimeoutError(f"timed out closing sensor {sensor_id!r}")
-        if item.error is not None:
-            raise item.error
-        assert item.result is not None
-        return item.result
+        message = self._await(req_id, waiter, timeout, f"close of {sensor_id!r}")
+        _, _, summary, already_finished, error = message
+        if error is not None:
+            raise RuntimeError(f"closing sensor {sensor_id!r} failed: {error}")
+        if not already_finished:
+            with self._map_lock:
+                self._closed_results.append(summary)
+        return summary
 
     # -- migration / rebalance -----------------------------------------------------------
 
@@ -479,83 +638,110 @@ class TrackingHub:
     ) -> bool:
         """Move a live sensor to another shard (drain → snapshot → restore).
 
-        Both shard queue locks are held while the map flips and the two
-        markers are enqueued, and every submit/close re-checks the map
-        under its shard's queue lock, so each of the sensor's items either
-        precedes the migrate-out marker on the source queue or follows the
-        migrate-in barrier on the target queue — never the reverse.  The
-        target worker waits at the barrier until the source worker has
-        drained every batch enqueued before the flip, exported the
-        session's :class:`~repro.serving.session.MigrationEnvelope`, and
-        handed it over.  Per-sensor ordering is therefore preserved end to
-        end and the output stream is byte-identical to an unmigrated run,
-        even with submits racing the migration (which is normal operation
-        under a rebalance policy).
-
-        Returns ``True`` if a migration was performed, ``False`` if the
-        sensor was already on ``target_shard``.
+        Both ring locks are held while the route flips and the two markers
+        are enqueued, and every submit/close re-checks the route under its
+        ring lock, so each of the sensor's records either precedes
+        ``MIGRATE_OUT`` on the source ring or follows ``MIGRATE_IN`` on the
+        target ring.  The source worker exports the session at its marker,
+        the pump forwards the envelope, and the target worker restores it
+        at its barrier: output is byte-identical to an unmigrated run, even
+        with submits racing the move.  Returns ``False`` if the sensor was
+        already on ``target_shard``.
         """
-        if not self._started:
-            raise RuntimeError("hub is not started")
+        self._require_started()
         if not 0 <= target_shard < self.config.num_workers:
             raise ValueError(
                 f"target_shard must be in [0, {self.config.num_workers}), "
                 f"got {target_shard}"
             )
         while True:
-            with self._sessions_lock:
-                source = self._shard_map.get(sensor_id)
-            if source is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
+            route = self._routes.get(sensor_id)
+            if route is None:
+                raise self._unroutable(sensor_id)
+            source, idx = route[0], route[1]
             if source == target_shard:
                 return False
             first, second = sorted((source, target_shard))
-            with self._queue_locks[first], self._queue_locks[second]:
-                with self._sessions_lock:
-                    if self._shard_map.get(sensor_id) != source:
+            with self._ring_locks[first], self._ring_locks[second]:
+                with self._map_lock:
+                    if self._routes.get(sensor_id) is not route:
                         continue  # lost a race with another migration; retry
+                    mig_id, waiter = self._new_waiter(source, target_shard)
+                    self._pending_migrations[mig_id] = target_shard
+                    want_frames = self._callbacks.get(sensor_id) is not None
                     self._shard_map[sensor_id] = target_shard
-                handoff = _Handoff(sensor_id=sensor_id, target=target_shard)
-                self._queues[source].put(_MigrateOut(handoff))
-                self._queues[target_shard].put(_MigrateIn(handoff))
+                    self._routes[sensor_id] = self._make_route(
+                        sensor_id, target_shard, idx
+                    )
+                try:
+                    self._rings[source].put(
+                        KIND_MIGRATE_OUT, idx, pickle.dumps((mig_id,)), timeout=timeout
+                    )
+                    self._rings[target_shard].put(
+                        KIND_MIGRATE_IN,
+                        idx,
+                        pickle.dumps((mig_id, sensor_id, want_frames)),
+                        timeout=timeout,
+                    )
+                except RingFull:
+                    with self._map_lock:
+                        self._shard_map[sensor_id] = source
+                        self._routes[sensor_id] = self._make_route(
+                            sensor_id, source, idx
+                        )
+                        self._pending_migrations.pop(mig_id, None)
+                    raise
             break
-        if not handoff.completed.wait(timeout):
-            raise TimeoutError(f"timed out migrating sensor {sensor_id!r}")
-        if handoff.error is not None:
-            raise handoff.error
-        # Migrations may race (user call vs rebalancer thread); the counter
-        # increment must not lose updates.
-        with self._sessions_lock:
+        try:
+            message = self._await(
+                mig_id, waiter, timeout, f"migration of {sensor_id!r}"
+            )
+        finally:
+            with self._map_lock:
+                self._pending_migrations.pop(mig_id, None)
+        error = message[2]
+        if error is not None:
+            raise RuntimeError(f"migrating sensor {sensor_id!r} failed: {error}")
+        with self._map_lock:
             self._migrations += 1
         return True
 
     def shard_stats(self) -> List[ShardStats]:
-        """Per-shard load sample: sensor count, queue depth, busy fraction.
+        """Per-shard load: sensor count, ring depth, worker busy fraction.
 
         The busy fraction is cumulative time the shard's worker spent
-        handling items divided by the hub's uptime — the long-run
-        utilisation the ``repro_shard_busy_fraction`` gauge exports.
+        handling records divided by the hub's uptime — the long-run
+        utilisation the ``repro_shard_busy_fraction`` gauge exports.  A
+        dead shard reports zero depth and busy time and ``worker_up=False``
+        (its ring is never touched again).
         """
         uptime = time.perf_counter() - self._started_at if self._started_at else 0.0
-        with self._sessions_lock:
+        with self._map_lock:
             per_shard = [0] * self.config.num_workers
             for shard in self._shard_map.values():
                 per_shard[shard] += 1
-        return [
-            ShardStats(
-                shard=shard,
-                num_sensors=per_shard[shard],
-                queue_depth=self._queues[shard].qsize(),
-                busy_fraction=(
-                    min(1.0, self._shard_busy_s[shard] / uptime) if uptime > 0 else 0.0
-                ),
+        stats = []
+        for shard in range(self.config.num_workers):
+            up = self._started and shard not in self._down
+            ring = self._rings[shard] if up else None
+            stats.append(
+                ShardStats(
+                    shard=shard,
+                    num_sensors=per_shard[shard],
+                    queue_depth=ring.depth() if up else 0,
+                    busy_fraction=(
+                        min(1.0, ring.busy_seconds() / uptime)
+                        if up and uptime > 0
+                        else 0.0
+                    ),
+                    worker_up=up,
+                )
             )
-            for shard in range(self.config.num_workers)
-        ]
+        return stats
 
     def sensor_shards(self) -> Dict[str, int]:
         """Snapshot of the current sensor → shard assignment."""
-        with self._sessions_lock:
+        with self._map_lock:
             return dict(self._shard_map)
 
     @property
@@ -566,10 +752,8 @@ class TrackingHub:
     def _rebalance_loop(self) -> None:
         """Dedicated rebalancer thread: evaluates off the submit path.
 
-        Submits only *signal* this thread (an Event set, never a blocking
-        call), so a migration's drain/hand-off wait is paid here rather
-        than by whoever happened to submit the Nth batch — in particular
-        the asyncio front door's event-loop thread.
+        Submits only set an Event, so a migration's hand-off wait is paid
+        here, never by a submitter (such as the asyncio event loop).
         """
         while True:
             self._rebalance_wake.wait()
@@ -579,15 +763,14 @@ class TrackingHub:
             try:
                 self.maybe_rebalance()
             except Exception:  # pragma: no cover - defensive
-                import logging
-
-                logging.getLogger(__name__).exception("rebalance pass failed")
+                logger.exception("rebalance pass failed")
 
     def maybe_rebalance(self) -> List[Move]:
         """Apply the configured rebalance policy once; returns moves made.
 
         Safe to call from any thread; concurrent calls coalesce (only one
-        evaluates, the rest return immediately with no moves).
+        evaluates, the rest return immediately with no moves).  Dead shards
+        take no part in the plan.
         """
         policy = self.config.rebalance
         if policy is None:
@@ -595,14 +778,15 @@ class TrackingHub:
         if not self._rebalance_lock.acquire(blocking=False):
             return []
         try:
-            moves = plan_rebalance(self.shard_stats(), self.sensor_shards(), policy)
+            live = [stat for stat in self.shard_stats() if stat.worker_up]
+            moves = plan_rebalance(live, self.sensor_shards(), policy)
             performed = []
             for move in moves:
                 try:
                     if self.migrate_sensor(move.sensor_id, move.target):
                         performed.append(move)
-                except KeyError:
-                    continue  # sensor closed/removed since the plan was made
+                except (KeyError, ShardDown):
+                    continue  # sensor removed or a shard died since the plan
             return performed
         finally:
             self._rebalance_lock.release()
@@ -614,168 +798,94 @@ class TrackingHub:
         deterministic regardless of which sensor finished first.
         """
         wall = time.perf_counter() - self._started_at if self._started_at else 0.0
-        with self._sessions_lock:
+        with self._map_lock:
             results = sorted(self._closed_results, key=lambda r: r.name)
         return BatchResult(recordings=results, wall_time_s=wall)
 
-    # -- observability -------------------------------------------------------------------
+    # -- shard control and observability -------------------------------------------------
 
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the hub's full metrics registry.
+    def pause_shard(self, shard: int) -> None:
+        """Stop a shard's worker draining its ring, once it acknowledges.
 
-        Always available (the telemetry counters live there regardless of
-        instrumentation); with ``instrument`` it additionally carries the
-        per-sensor pipeline-stage seconds.  The per-shard load gauges are
-        refreshed on every call so a scrape always sees current queue
-        depths.  This is what the protocol's ``metrics`` command returns.
+        The worker keeps answering commands while batches accumulate in its
+        ring until :meth:`resume_shard` — a deterministic way to fill a
+        ring for overload tests and fault injection.
         """
+        self._await(*self._send_command(shard, "pause"), 10.0, f"pause of shard {shard}")
+
+    def resume_shard(self, shard: int) -> None:
+        """Undo :meth:`pause_shard` (acknowledged)."""
+        self._await(*self._send_command(shard, "resume"), 10.0, f"resume of shard {shard}")
+
+    def _collect(self, command: str, timeout: float = 10.0) -> List[tuple]:
+        """One request/response round trip with every live shard worker."""
+        pending = []
+        for shard in range(self.config.num_workers):
+            try:
+                pending.append((*self._send_command(shard, command), shard))
+            except (ShardDown, OSError):
+                continue
+        replies = []
+        for req_id, waiter, shard in pending:
+            try:
+                message = self._await(
+                    req_id, waiter, timeout, f"{command} from shard {shard}"
+                )
+            except (TimeoutError, ShardDown):
+                continue
+            replies.append((shard, message[2]))
+        return replies
+
+    def merged_metrics(self) -> MetricsRegistry:
+        """Hub + all worker registries merged into one fresh registry.
+
+        Counters add, gauges take the last writer, histogram buckets and
+        windows concatenate — the exposition equals what one shared
+        registry would have recorded.
+        """
+        merged = MetricsRegistry()
+        merged.merge_state(self.telemetry.metrics.state_dict())
         if self._started:
-            self.telemetry.set_shard_stats(self.shard_stats())
-        return self.telemetry.to_prometheus_text()
+            for _, state in self._collect("metrics"):
+                merged.merge_state(state)
+        return merged
 
     def telemetry_dict(self) -> dict:
-        """JSON telemetry snapshot (hub-agnostic accessor used by servers).
+        """JSON telemetry snapshot over the merged hub + worker registries.
 
-        The process hub's equivalent merges worker-side registries first;
-        front doors call this instead of ``hub.telemetry.to_dict()`` so
-        they behave identically over either hub.
+        :attr:`telemetry` alone holds only the ingest-side counters, and a
+        stopped hub's workers take theirs with them: scrape while running.
         """
-        return self.telemetry.to_dict()
+        registry = TelemetryRegistry(metrics=self.merged_metrics())
+        for sensor_id, ingest in self.telemetry.to_dict()["sensors"].items():
+            registry.sensor(sensor_id).set_tracker(ingest["tracker"])
+        return registry.to_dict()
 
-    def merged_metrics(self):
-        """The hub's full metrics registry (hub-agnostic accessor).
+    def metrics_text(self) -> str:
+        """Prometheus exposition of the merged hub + worker registries.
 
-        Everything already lives in one registry here; the process hub's
-        equivalent merges the worker-process registries first.
+        What the protocol's ``metrics`` command returns; the per-shard
+        gauges are refreshed on every call, so a scrape sees current ring
+        depths and which workers are up.
         """
-        return self.telemetry.metrics
+        merged = self.merged_metrics()
+        if self._started:
+            TelemetryRegistry(metrics=merged).set_shard_stats(self.shard_stats())
+        return merged.to_prometheus_text()
 
     def chrome_trace(self) -> Optional[dict]:
-        """The hub's live Chrome trace, or ``None`` when not instrumented.
+        """Merged Chrome trace of all shard workers (``None`` uninstrumented).
 
-        Spans accumulate from hub start; each worker thread gets its own
-        ``tid`` lane.  The tracer's buffer is bounded, so a long-lived hub
-        eventually stops adding spans rather than growing without limit
-        (re-arm with ``hub.tracer.clear()``).
+        Each worker gets its own ``tracking-shard-N`` track; worker tracer
+        buffers are bounded.
         """
-        if self.tracer is None:
+        if not self.config.instrument or not self._started:
             return None
-        return self.tracer.chrome_trace(process_name="tracking-hub")
+        from repro.obs.trace import merge_chrome_traces
 
-    # -- worker loop ---------------------------------------------------------------------
-
-    def _worker_loop(self, shard: int) -> None:
-        shard_queue = self._queues[shard]
-        while True:
-            item = shard_queue.get()
-            started = time.perf_counter()
-            try:
-                if isinstance(item, _Stop):
-                    return
-                if isinstance(item, _Close):
-                    try:
-                        self._handle_close(item)
-                    except Exception as error:
-                        # Never leave a close_sensor() caller hanging.
-                        item.error = error
-                        item.done.set()
-                elif isinstance(item, _MigrateOut):
-                    self._handle_migrate_out(item.handoff)
-                elif isinstance(item, _MigrateIn):
-                    self._handle_migrate_in(item.handoff)
-                else:
-                    try:
-                        self._handle_ingest(item, shard_queue)
-                    except Exception:
-                        # A poisoned batch (bad coordinates, finished
-                        # session) must not take down the shard's other
-                        # sensors; the batch is counted as dropped.
-                        self.telemetry.sensor(item.sensor_id).record_drop(
-                            len(item.events)
-                        )
-            finally:
-                self._shard_busy_s[shard] += time.perf_counter() - started
-                shard_queue.task_done()
-
-    def _handle_migrate_out(self, handoff: _Handoff) -> None:
-        """Source-shard half of a migration: drain done, export the state.
-
-        Runs after every batch enqueued before the shard-map flip (FIFO), so
-        the session is quiescent here.
-        """
-        try:
-            with self._sessions_lock:
-                session = self._sessions[handoff.sensor_id]
-            handoff.envelope = session.export_migration()
-        except BaseException as error:
-            handoff.error = error
-        finally:
-            handoff.ready.set()
-
-    def _handle_migrate_in(self, handoff: _Handoff) -> None:
-        """Target-shard half: wait for the envelope, restore, swap in.
-
-        This is the barrier that holds back batches already queued behind it
-        on the target shard until the hand-off completes.  The wait cannot
-        deadlock — the source worker always sets ``ready`` (even on error)
-        and never waits on the target — but is bounded anyway so a crashed
-        source thread cannot freeze the shard forever.
-        """
-        try:
-            if not handoff.ready.wait(timeout=60.0):
-                raise TimeoutError(
-                    f"migration of {handoff.sensor_id!r} timed out waiting "
-                    "for the source shard"
-                )
-            if handoff.error is not None:
-                return
-            envelope = handoff.envelope
-            session = self._build_session(handoff.sensor_id, envelope.pipeline_config)
-            session.restore_migration(envelope)
-            with self._sessions_lock:
-                self._sessions[handoff.sensor_id] = session
-        except BaseException as error:
-            handoff.error = error
-        finally:
-            handoff.completed.set()
-
-    def _handle_ingest(self, item: _Ingest, shard_queue: queue.Queue) -> None:
-        with self._sessions_lock:
-            session = self._sessions[item.sensor_id]
-            callback = self._callbacks[item.sensor_id]
-        frames = session.ingest(item.events)
-        record = self.telemetry.sensor(item.sensor_id)
-        record.record_frames(
-            num_frames=len(frames),
-            num_tracks=sum(len(f.tracks) for f in frames),
-            latency_s=time.perf_counter() - item.enqueued_at,
-            late_events=session.late_events,
-        )
-        record.set_queue_depth(shard_queue.qsize())
-        if frames and callback is not None:
-            callback(item.sensor_id, frames)
-
-    def _handle_close(self, item: _Close) -> None:
-        with self._sessions_lock:
-            session = self._sessions[item.sensor_id]
-            callback = self._callbacks[item.sensor_id]
-        already_finished = session.finished
-        started = time.perf_counter()
-        frames = session.finish()
-        record = self.telemetry.sensor(item.sensor_id)
-        record.record_frames(
-            num_frames=len(frames),
-            num_tracks=sum(len(f.tracks) for f in frames),
-            latency_s=time.perf_counter() - started,
-            late_events=session.late_events,
-        )
-        if frames and callback is not None:
-            callback(item.sensor_id, frames)
-        item.result = session.summary()
-        if not already_finished:
-            # A repeated finish (double close, connection-teardown close
-            # after an explicit one) must not double-count the sensor in
-            # the fleet statistics.
-            with self._sessions_lock:
-                self._closed_results.append(item.result)
-        item.done.set()
+        tracks = [
+            (f"tracking-shard-{shard}", events)
+            for shard, events in self._collect("trace")
+            if events is not None
+        ]
+        return merge_chrome_traces(tracks)

@@ -1,7 +1,7 @@
 """Fleet-scale load generator: ``python -m repro.serving.loadgen``.
 
 Replays synthetic or recorded datasets against a tracking hub — thread or
-process flavour — with one feeder thread per sensor, paced at an ``--speed``
+process workers — with one feeder thread per sensor, paced at an ``--speed``
 multiple of sensor time (0 = as fast as possible), and reports the numbers
 a capacity plan needs:
 
@@ -52,12 +52,12 @@ from repro.trackers.registry import available_backends, ensure_backend_name
 
 logger = logging.getLogger("repro.serving.loadgen")
 
-#: Hub flavours selectable with ``--hub``.
+#: Hub worker vehicles selectable with ``--hub``.
 HUB_KINDS = ("thread", "process")
 
 
 def make_hub(kind: str, config: HubConfig):
-    """Build a hub of the requested flavour (shared with the CLI demo)."""
+    """Build a hub with the requested worker vehicle (shared with the CLI demo)."""
     if kind == "thread":
         return TrackingHub(config)
     if kind == "process":
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--hub", choices=HUB_KINDS, default="process",
-        help="hub flavour under load (default: process)",
+        help="hub worker vehicle under load (default: process)",
     )
     parser.add_argument(
         "--sensors", type=int, default=16, help="fleet size (feeder threads)"
@@ -304,20 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workers", type=int, default=4, help="hub worker shards")
     parser.add_argument(
-        "--queue-capacity", type=int, default=64,
-        help="batches buffered per shard (thread hub)",
-    )
-    parser.add_argument(
         "--ring-kib", type=int, default=1024,
-        help="shared-memory ring capacity per shard in KiB (process hub)",
+        help="event ring capacity per shard in KiB",
     )
     parser.add_argument(
         "--transport", choices=("shm", "pipe", "auto"), default="auto",
-        help="process-hub event transport",
+        help="shard event transport (shared-memory ring or pipes)",
     )
     parser.add_argument(
         "--backpressure", choices=BACKPRESSURE_POLICIES, default="block",
-        help="what to do when a shard queue fills",
+        help="what to do when a shard ring fills",
     )
     parser.add_argument(
         "--tracker", default="overlap",
@@ -359,7 +355,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ensure_backend_name(args.tracker)
         config = HubConfig(
             num_workers=args.workers,
-            queue_capacity=args.queue_capacity,
             backpressure=args.backpressure,
             pipeline_config=EbbiotConfig(tracker=args.tracker),
             transport=args.transport,

@@ -1,41 +1,14 @@
-"""The :class:`ProcessTrackingHub`: shard workers as processes.
+"""The :class:`ProcessTrackingHub`: shard workers as forked processes.
 
-Same contract as the thread :class:`~repro.serving.hub.TrackingHub` —
-per-sensor ordering, bounded in-flight data, ``block``/``drop``
-backpressure, live migration — but each shard is a forked worker *process*
-owning its sessions, fed through a shared-memory ring
-(:class:`~repro.serving.transport.ShmRing`).  Two things change under the
-hood:
-
-* **transport**: event batches cross the process boundary as raw
-  ``EVENT_DTYPE`` bytes in the ring; anything that must stay ordered with
-  them (register, close, migrate in/out) rides the same ring in-band.
-  Out-of-band control — metric scrapes, trace dumps, migration envelopes —
-  uses one command pipe per shard, and results (frames, close summaries)
-  come back on one result pipe per shard, drained by a parent pump thread.
-* **ingest shape**: the worker drains the whole ring backlog per scan and
-  coalesces each sensor's run of batches into a single
-  :meth:`~repro.serving.session.SensorSession.ingest_many` call.  Under
-  load that amortises per-batch framing overhead instead of paying it per
-  item — the measured source of the process hub's throughput edge at
-  realistic (millisecond) batch granularity; see
-  ``BENCH_serving_scale.json``.
-
-Telemetry is split by ownership: the parent counts the ingest side
-(batches/events received, drops, queue depth), each worker counts the
-processing side (frames, tracks, latency, late events) in its own
-registry, and :meth:`ProcessTrackingHub.metrics_text` merges all of them
-through :meth:`~repro.obs.MetricsRegistry.merge_state` into one exposition
-that is shape-compatible with the thread hub's.
-
-Migration uses the exact protocol of the thread hub, expressed in
-transport terms: flip the shard map, enqueue ``MIGRATE_OUT`` on the source
-ring and ``MIGRATE_IN`` on the target ring; the source worker drains up to
-the marker, exports the :class:`~repro.serving.session.MigrationEnvelope`,
-and ships it to the parent, whose pump thread forwards it to the target's
-command pipe; the target worker parks at its ``MIGRATE_IN`` barrier until
-the envelope arrives, restores, and only then processes the batches queued
-behind it.  Output is byte-identical to an unmigrated run.
+This is :class:`~repro.serving.hub.TrackingHub` with one difference: each
+shard's worker loop (:mod:`repro.serving.shard`) runs in a forked worker
+*process* instead of a thread, so per-batch pipeline work leaves the
+parent's GIL and CPU-bound fleets scale across cores.  Batches reach a
+worker as raw ``EVENT_DTYPE`` bytes in a shared-memory ring
+(:class:`~repro.serving.transport.ShmRing`, falling back to pipes), and
+frames, replies and worker telemetry come back over the result pipe, so
+routing, migration, rebalancing, scrapes and worker-death handling are all
+the base class's code.
 
 Requires the ``fork`` start method (the workers inherit the ring mappings
 and the parent's imports); construction fails cleanly where only ``spawn``
@@ -44,698 +17,49 @@ exists.
 
 from __future__ import annotations
 
-import itertools
-import threading
-import time
-import pickle
-import zlib
-from typing import Dict, List, Optional
+import multiprocessing
+from typing import Optional
 
-import numpy as np
-
-from repro.core.config import EbbiotConfig
-from repro.events.types import normalize_packet
-from repro.obs.metrics import MetricsRegistry
-from repro.runtime.aggregate import BatchResult, RecordingResult
-from repro.serving.hub import FramesCallback, HubConfig
-from repro.serving.rebalance import Move, ShardStats, plan_rebalance
+from repro.serving.hub import HubConfig, TrackingHub
 from repro.serving.shard import shard_worker_main
-from repro.serving.telemetry import TelemetryRegistry
-from repro.serving.transport import (
-    KIND_CLOSE,
-    KIND_EVENTS,
-    KIND_MIGRATE_IN,
-    KIND_MIGRATE_OUT,
-    KIND_REGISTER,
-    KIND_STOP,
-    RingFull,
-    make_ring,
-)
 
 
-#: Accepted batches between refreshes of a sensor's queue-depth gauge.
-#: The gauge is a scrape-time approximation; reading the ring counters and
-#: taking the gauge lock on *every* submit measurably taxes the hot path.
-_DEPTH_GAUGE_STRIDE = 32
-
-
-class _Waiter:
-    """One in-flight request/response round trip with a worker."""
-
-    __slots__ = ("done", "payload")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.payload = None
-
-
-class ProcessTrackingHub:
+class ProcessTrackingHub(TrackingHub):
     """Shards live sensors across worker *processes* over shared memory.
 
-    Drop-in for :class:`~repro.serving.hub.TrackingHub`: same constructor
-    shape, same public methods, same telemetry export shape.  ``on_frames``
-    callbacks run on the parent's per-shard pump thread (the thread hub
-    runs them on the worker thread — same threading contract for callers:
-    one thread per shard, per-sensor order preserved).
+    Same constructor, methods and telemetry shape as the thread
+    :class:`~repro.serving.hub.TrackingHub`; ``on_frames`` callbacks run
+    on the parent's per-shard pump thread for both.
     """
 
     def __init__(self, config: Optional[HubConfig] = None) -> None:
-        self.config = config or HubConfig()
-        self.telemetry = TelemetryRegistry()
-        import multiprocessing
-
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError as error:  # pragma: no cover - platform dependent
             raise RuntimeError(
                 "ProcessTrackingHub requires the 'fork' start method"
             ) from error
-        self._rings = []
-        self._cmd_tx = []  # parent -> worker command pipes
-        self._res_rx = []  # worker -> parent result pipes
-        self._procs = []
-        self._pumps: List[threading.Thread] = []
-        self._ring_locks = [
-            threading.Lock() for _ in range(self.config.num_workers)
-        ]
-        self._map_lock = threading.Lock()
-        self._shard_map: Dict[str, int] = {}
-        self._sensor_idx: Dict[str, int] = {}
-        # Submit-path fast route: sensor_id -> (shard, idx, telemetry
-        # record, ring lock, ring, depth-gauge countdown).  Replaced (never
-        # mutated) whenever the sensor's placement changes, and always
-        # while both affected ring locks are held, so a submitter that
-        # re-checks identity after acquiring the ring lock can trust it.
-        self._routes: Dict[str, tuple] = {}
-        self._trackers: Dict[str, str] = {}
-        self._callbacks: Dict[str, Optional[FramesCallback]] = {}
-        self._next_idx = itertools.count()
-        self._next_req = itertools.count(1)
-        self._waiters: Dict[int, _Waiter] = {}
-        self._waiters_lock = threading.Lock()
-        self._pending_migrations: Dict[int, int] = {}  # mig_id -> target shard
-        self._closed_results: List[RecordingResult] = []
-        self._closed_lock = threading.Lock()
-        self._started = False
-        self._started_at = 0.0
-        self._migrations = 0
-        self._submits_until_rebalance = self.config.rebalance_check_every
-        self._rebalance_lock = threading.Lock()
-        self._rebalance_wake = threading.Event()
-        self._rebalance_stopping = False
-        self._rebalance_thread: Optional[threading.Thread] = None
+        super().__init__(config)
 
-    # -- lifecycle -----------------------------------------------------------------------
-
-    def start(self) -> "ProcessTrackingHub":
-        """Fork the shard workers and start their pump threads (idempotent)."""
-        if self._started:
-            return self
-        self._started = True
-        self._started_at = time.perf_counter()
-        for shard in range(self.config.num_workers):
-            ring = make_ring(
-                self.config.transport, self.config.ring_capacity_bytes
-            )
-            cmd_rx, cmd_tx = self._ctx.Pipe(duplex=False)
-            res_rx, res_tx = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=shard_worker_main,
-                args=(shard, ring, cmd_rx, res_tx, self.config),
-                name=f"tracking-shard-{shard}",
-                daemon=True,
-            )
-            proc.start()
-            # The worker inherited its ends over fork; close them here so a
-            # worker exit is observable as EOF on the result pipe.
-            cmd_rx.close()
-            res_tx.close()
-            pump = threading.Thread(
-                target=self._pump_loop,
-                args=(shard, res_rx),
-                name=f"tracking-pump-{shard}",
-                daemon=True,
-            )
-            pump.start()
-            self._rings.append(ring)
-            self._cmd_tx.append(cmd_tx)
-            self._res_rx.append(res_rx)
-            self._procs.append(proc)
-            self._pumps.append(pump)
-        if self.config.rebalance is not None:
-            self._rebalance_stopping = False
-            self._rebalance_wake.clear()
-            self._rebalance_thread = threading.Thread(
-                target=self._rebalance_loop,
-                name="tracking-hub-rebalancer",
-                daemon=True,
-            )
-            self._rebalance_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the workers after their rings drain (idempotent)."""
-        if not self._started:
-            return
-        # Retire the rebalancer first so no migration markers are enqueued
-        # behind a stop record (the workers would never reach them).
-        if self._rebalance_thread is not None:
-            self._rebalance_stopping = True
-            self._rebalance_wake.set()
-            self._rebalance_thread.join(timeout=90.0)
-            self._rebalance_thread = None
-        for shard in range(self.config.num_workers):
-            try:
-                with self._ring_locks[shard]:
-                    self._rings[shard].put(KIND_STOP, 0, b"", timeout=10.0)
-            except (RingFull, OSError):
-                try:
-                    self._cmd_tx[shard].send(("stop",))
-                except OSError:
-                    pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for pump in self._pumps:
-            pump.join(timeout=5.0)
-        for tx in self._cmd_tx:
-            try:
-                tx.close()
-            except OSError:
-                pass
-        for ring in self._rings:
-            ring.close(unlink=True)
-        # Routes hold refs to the (now closed) rings; a restarted hub
-        # requires re-registration anyway, so drop them with the rings.
-        self._routes.clear()
-        self._rings.clear()
-        self._cmd_tx.clear()
-        self._res_rx.clear()
-        self._procs.clear()
-        self._pumps.clear()
-        self._started = False
-
-    def __enter__(self) -> "ProcessTrackingHub":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- result pump ---------------------------------------------------------------------
-
-    def _pump_loop(self, shard: int, res_rx) -> None:
-        """Drain one shard's result pipe: frames → callbacks, replies → waiters."""
-        while True:
-            try:
-                message = res_rx.recv()
-            except (EOFError, OSError):
-                return
-            kind = message[0]
-            if kind == "frames":
-                _, sensor_id, frames = message
-                callback = self._callbacks.get(sensor_id)
-                if callback is not None:
-                    callback(sensor_id, frames)
-            elif kind in ("closed", "metrics", "trace", "migrate_done"):
-                self._resolve(message[1], message)
-            elif kind == "migrated":
-                _, mig_id, envelope, error = message
-                with self._map_lock:
-                    target = self._pending_migrations.get(mig_id)
-                if error is None and target is not None:
-                    try:
-                        self._cmd_tx[target].send(("envelope", mig_id, envelope))
-                    except OSError:
-                        error = f"target shard {target} pipe closed"
-                if error is not None:
-                    # Release the target worker's MIGRATE_IN barrier right
-                    # away (it would otherwise sit out its full timeout,
-                    # stalling that shard), then resolve the migrate waiter
-                    # directly with the failure.
-                    if target is not None:
-                        try:
-                            self._cmd_tx[target].send(("abort", mig_id))
-                        except OSError:  # pragma: no cover - defensive
-                            pass
-                    self._resolve(mig_id, ("migrate_done", mig_id, error))
-            elif kind == "stopped":
-                return
-            elif kind == "fatal":  # pragma: no cover - defensive
-                import logging
-
-                logging.getLogger(__name__).error(
-                    "shard worker %d died: %s", message[1], message[2]
-                )
-                return
-
-    def _resolve(self, req_id: int, payload) -> None:
-        with self._waiters_lock:
-            waiter = self._waiters.pop(req_id, None)
-        if waiter is not None:
-            waiter.payload = payload
-            waiter.done.set()
-
-    def _new_waiter(self) -> "tuple[int, _Waiter]":
-        req_id = next(self._next_req)
-        waiter = _Waiter()
-        with self._waiters_lock:
-            self._waiters[req_id] = waiter
-        return req_id, waiter
-
-    def _await(self, req_id: int, waiter: _Waiter, timeout: Optional[float], what: str):
-        if not waiter.done.wait(timeout):
-            with self._waiters_lock:
-                self._waiters.pop(req_id, None)
-            raise TimeoutError(f"timed out waiting for {what}")
-        return waiter.payload
-
-    # -- sensor management ---------------------------------------------------------------
-
-    def register(
-        self,
-        sensor_id: str,
-        config: Optional[EbbiotConfig] = None,
-        on_frames: Optional[FramesCallback] = None,
-        shard: Optional[int] = None,
-    ) -> None:
-        """Create the worker-side session for a new sensor.
-
-        Unlike the thread hub this returns ``None`` — the session object
-        lives in the worker process and is not reachable from the parent.
-        """
-        if not self._started:
-            raise RuntimeError("hub is not started")
-        if shard is not None and not 0 <= shard < self.config.num_workers:
-            raise ValueError(
-                f"shard must be in [0, {self.config.num_workers}), got {shard}"
-            )
-        want_frames = on_frames is not None or self.config.collect_frames
-        with self._map_lock:
-            if sensor_id in self._shard_map:
-                raise ValueError(f"sensor {sensor_id!r} is already registered")
-            idx = next(self._next_idx)
-            assigned = shard if shard is not None else self._hash_shard(sensor_id)
-            self._shard_map[sensor_id] = assigned
-            self._sensor_idx[sensor_id] = idx
-            self._callbacks[sensor_id] = on_frames
-            self._routes[sensor_id] = self._make_route(sensor_id, assigned, idx)
-        payload = pickle.dumps(
-            {
-                "sensor_idx": idx,
-                "sensor_id": sensor_id,
-                "pipeline_config": config,
-                "want_frames": want_frames,
-            }
+    def _start_worker(self, shard: int, ring, cmd_rx, res_tx):
+        """Fork one shard's worker process; returns its handle."""
+        proc = self._ctx.Process(
+            target=shard_worker_main,
+            args=(shard, ring, cmd_rx, res_tx, self.config),
+            name=f"tracking-shard-{shard}",
+            daemon=True,
         )
-        with self._ring_locks[assigned]:
-            self._rings[assigned].put(KIND_REGISTER, idx, payload, timeout=30.0)
-        tracker = (config or self.config.pipeline_config).tracker
-        # merged_telemetry reads _trackers under _map_lock from other
-        # threads; publish the entry under the same lock.
-        with self._map_lock:
-            self._trackers[sensor_id] = tracker
-        self.telemetry.sensor(sensor_id).set_tracker(tracker)
+        proc.start()
+        # The worker inherited its ends over fork; close them here so a
+        # worker exit (clean or killed) is observable as EOF on the result
+        # pipe.
+        cmd_rx.close()
+        res_tx.close()
+        return proc
 
-    def _make_route(self, sensor_id: str, shard: int, idx: int) -> tuple:
-        """Build the submit fast-path tuple for one sensor placement.
-
-        The countdown slot is a one-item list so concurrent submitters may
-        decrement it without a lock — the races only jitter *when* the
-        approximate queue-depth gauge refreshes.  The first accepted batch
-        always publishes a depth.
-        """
-        return (
-            shard,
-            idx,
-            self.telemetry.sensor(sensor_id),
-            self._ring_locks[shard],
-            self._rings[shard],
-            [1],
-        )
-
-    def remove_sensor(self, sensor_id: str) -> None:
-        """Forget a sensor so its id can be reused (call after close)."""
-        with self._map_lock:
-            self._shard_map.pop(sensor_id, None)
-            self._sensor_idx.pop(sensor_id, None)
-            self._callbacks.pop(sensor_id, None)
-            self._routes.pop(sensor_id, None)
-
-    def _hash_shard(self, sensor_id: str) -> int:
-        return zlib.crc32(sensor_id.encode("utf-8")) % self.config.num_workers
-
-    def shard_of(self, sensor_id: str) -> int:
-        """Current shard of a sensor (hash placement for unknown ids)."""
-        with self._map_lock:
-            assigned = self._shard_map.get(sensor_id)
-        if assigned is not None:
-            return assigned
-        return self._hash_shard(sensor_id)
-
-    @property
-    def num_sensors(self) -> int:
-        with self._map_lock:
-            return len(self._shard_map)
-
-    # -- ingestion -----------------------------------------------------------------------
-
-    def submit(self, sensor_id: str, events: np.ndarray) -> bool:
-        """Enqueue one event batch (``False`` = shed by the drop policy)."""
-        return self._submit(
-            sensor_id, events, blocking=self.config.backpressure == "block"
-        )
-
-    def try_submit(self, sensor_id: str, events: np.ndarray) -> bool:
-        """Non-blocking submit; a refusal is not counted as a drop."""
-        return self._submit(sensor_id, events, blocking=False, count_refusals=False)
-
-    def _acquire_ring(self, sensor_id: str):
-        """Lock the sensor's current shard ring, racing map flips safely.
-
-        A migration flips the shard map while holding both ring locks, so
-        re-checking the map after acquiring the ring lock guarantees no
-        batch is enqueued on the source ring behind its ``MIGRATE_OUT``
-        marker.
-        """
-        while True:
-            with self._map_lock:
-                shard = self._shard_map.get(sensor_id)
-            if shard is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
-            lock = self._ring_locks[shard]
-            lock.acquire()
-            with self._map_lock:
-                current = self._shard_map.get(sensor_id)
-            if current == shard:
-                return shard, lock
-            lock.release()
-            if current is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
-
-    def _submit(
-        self,
-        sensor_id: str,
-        events: np.ndarray,
-        blocking: bool,
-        count_refusals: bool = True,
-    ) -> bool:
-        if not self._started:
-            raise RuntimeError("hub is not started")
-        events = normalize_packet(events)
-        payload = events.tobytes()
-        # Route fast path: one dict read instead of two map-lock cycles
-        # plus a telemetry lookup.  A migration replaces the route tuple
-        # while holding both ring locks, so re-checking identity after
-        # acquiring the ring lock gives the same no-enqueue-behind-
-        # MIGRATE_OUT guarantee the map double-check did.
-        route = self._routes.get(sensor_id)
-        while True:
-            if route is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
-            _, idx, record, lock, ring, countdown = route
-            lock.acquire()
-            current = self._routes.get(sensor_id)
-            if current is route:
-                break
-            lock.release()
-            route = current
-        try:
-            if blocking:
-                ring.put(KIND_EVENTS, idx, payload, timeout=None)
-            elif not ring.try_put(KIND_EVENTS, idx, payload):
-                if count_refusals:
-                    record.record_drop(len(events))
-                return False
-        finally:
-            lock.release()
-        record.record_batch(len(events))
-        countdown[0] -= 1
-        if countdown[0] <= 0:
-            countdown[0] = _DEPTH_GAUGE_STRIDE
-            record.set_queue_depth(ring.depth())
-        if self.config.rebalance is not None:
-            self._submits_until_rebalance -= 1
-            if self._submits_until_rebalance <= 0:
-                self._submits_until_rebalance = self.config.rebalance_check_every
-                # Signal the rebalancer thread rather than evaluating here:
-                # a migration blocks on the worker hand-off, and submit may
-                # run on threads that must not stall (the asyncio front
-                # door's event loop).
-                self._rebalance_wake.set()
-        return True
-
-    def close_sensor(
-        self, sensor_id: str, timeout: Optional[float] = None
-    ) -> RecordingResult:
-        """Flush a sensor in ring order and return its summary.
-
-        The close marker queues *behind* every batch submitted before this
-        call; the worker flushes them, finishes the session, ships any
-        remaining frames, and replies with the
-        :class:`~repro.runtime.aggregate.RecordingResult`.
-        """
-        if not self._started:
-            raise RuntimeError("hub is not started")
-        req_id, waiter = self._new_waiter()
-        shard, lock = self._acquire_ring(sensor_id)
-        try:
-            idx = self._sensor_idx[sensor_id]
-            self._rings[shard].put(
-                KIND_CLOSE, idx, pickle.dumps((req_id,)), timeout=timeout
-            )
-        finally:
-            lock.release()
-        message = self._await(req_id, waiter, timeout, f"close of {sensor_id!r}")
-        _, _, summary, already_finished, error = message
-        if error is not None:
-            raise RuntimeError(f"closing sensor {sensor_id!r} failed: {error}")
-        if not already_finished:
-            with self._closed_lock:
-                self._closed_results.append(summary)
-        return summary
-
-    # -- migration / rebalance -----------------------------------------------------------
-
-    def migrate_sensor(
-        self, sensor_id: str, target_shard: int, timeout: Optional[float] = 60.0
-    ) -> bool:
-        """Move a live sensor to another shard (drain → snapshot → restore).
-
-        Same ordering guarantees as the thread hub: both ring locks are
-        held while the markers are enqueued and the map flips, so every
-        batch either precedes ``MIGRATE_OUT`` on the source ring or
-        follows ``MIGRATE_IN`` on the target ring.  Returns ``False`` when
-        the sensor is already on ``target_shard``.
-        """
-        if not self._started:
-            raise RuntimeError("hub is not started")
-        if not 0 <= target_shard < self.config.num_workers:
-            raise ValueError(
-                f"target_shard must be in [0, {self.config.num_workers}), "
-                f"got {target_shard}"
-            )
-        while True:
-            with self._map_lock:
-                source = self._shard_map.get(sensor_id)
-                idx = self._sensor_idx.get(sensor_id)
-            if source is None:
-                raise KeyError(f"sensor {sensor_id!r} is not registered")
-            if source == target_shard:
-                return False
-            first, second = sorted((source, target_shard))
-            with self._ring_locks[first], self._ring_locks[second]:
-                with self._map_lock:
-                    if self._shard_map.get(sensor_id) != source:
-                        continue  # lost a race with another migration; retry
-                    mig_id, waiter = self._new_waiter()
-                    self._pending_migrations[mig_id] = target_shard
-                    want_frames = (
-                        self._callbacks.get(sensor_id) is not None
-                        or self.config.collect_frames
-                    )
-                    self._shard_map[sensor_id] = target_shard
-                    self._routes[sensor_id] = self._make_route(
-                        sensor_id, target_shard, idx
-                    )
-                try:
-                    self._rings[source].put(
-                        KIND_MIGRATE_OUT, idx, pickle.dumps((mig_id,)), timeout=timeout
-                    )
-                    self._rings[target_shard].put(
-                        KIND_MIGRATE_IN,
-                        idx,
-                        pickle.dumps((mig_id, sensor_id, want_frames)),
-                        timeout=timeout,
-                    )
-                except RingFull:
-                    with self._map_lock:
-                        self._shard_map[sensor_id] = source
-                        self._routes[sensor_id] = self._make_route(
-                            sensor_id, source, idx
-                        )
-                        self._pending_migrations.pop(mig_id, None)
-                    raise
-            break
-        try:
-            message = self._await(
-                mig_id, waiter, timeout, f"migration of {sensor_id!r}"
-            )
-        finally:
-            with self._map_lock:
-                self._pending_migrations.pop(mig_id, None)
-        error = message[2]
-        if error is not None:
-            raise RuntimeError(f"migrating sensor {sensor_id!r} failed: {error}")
-        with self._map_lock:
-            self._migrations += 1
-        return True
-
-    def shard_stats(self) -> List[ShardStats]:
-        """Per-shard load: sensor count, ring depth, worker busy fraction."""
-        uptime = time.perf_counter() - self._started_at if self._started_at else 0.0
-        with self._map_lock:
-            per_shard = [0] * self.config.num_workers
-            for shard in self._shard_map.values():
-                per_shard[shard] += 1
-        return [
-            ShardStats(
-                shard=shard,
-                num_sensors=per_shard[shard],
-                queue_depth=self._rings[shard].depth() if self._started else 0,
-                busy_fraction=(
-                    min(1.0, self._rings[shard].busy_seconds() / uptime)
-                    if self._started and uptime > 0
-                    else 0.0
-                ),
-            )
-            for shard in range(self.config.num_workers)
-        ]
-
-    def sensor_shards(self) -> Dict[str, int]:
-        with self._map_lock:
-            return dict(self._shard_map)
-
-    @property
-    def migrations_performed(self) -> int:
-        return self._migrations
-
-    def _rebalance_loop(self) -> None:
-        """Dedicated rebalancer thread: evaluates off the submit path.
-
-        Same contract as the thread hub's: submits only set an Event, so
-        the migration hand-off wait is paid here, never by a submitter.
-        """
-        while True:
-            self._rebalance_wake.wait()
-            self._rebalance_wake.clear()
-            if self._rebalance_stopping:
-                return
-            try:
-                self.maybe_rebalance()
-            except Exception:  # pragma: no cover - defensive
-                import logging
-
-                logging.getLogger(__name__).exception("rebalance pass failed")
-
-    def maybe_rebalance(self) -> List[Move]:
-        """Apply the configured rebalance policy once; returns moves made."""
-        policy = self.config.rebalance
-        if policy is None:
-            return []
-        if not self._rebalance_lock.acquire(blocking=False):
-            return []
-        try:
-            moves = plan_rebalance(self.shard_stats(), self.sensor_shards(), policy)
-            performed = []
-            for move in moves:
-                try:
-                    if self.migrate_sensor(move.sensor_id, move.target):
-                        performed.append(move)
-                except KeyError:
-                    continue
-            return performed
-        finally:
-            self._rebalance_lock.release()
-
-    # -- results -------------------------------------------------------------------------
-
-    def batch_result(self) -> BatchResult:
-        """Fleet summary over all sensors closed so far."""
-        wall = time.perf_counter() - self._started_at if self._started_at else 0.0
-        with self._closed_lock:
-            results = sorted(self._closed_results, key=lambda r: r.name)
-        return BatchResult(recordings=results, wall_time_s=wall)
-
-    # -- observability -------------------------------------------------------------------
-
-    def _collect(self, command: str, timeout: float = 10.0) -> List[object]:
-        """One request/response round trip with every live shard worker."""
-        pending = []
-        for shard in range(self.config.num_workers):
-            req_id, waiter = self._new_waiter()
-            try:
-                self._cmd_tx[shard].send((command, req_id))
-            except OSError:
-                continue
-            pending.append((req_id, waiter, shard))
-        replies = []
-        for req_id, waiter, shard in pending:
-            try:
-                message = self._await(
-                    req_id, waiter, timeout, f"{command} from shard {shard}"
-                )
-            except TimeoutError:
-                continue
-            replies.append((shard, message[2]))
-        return replies
-
-    def merged_metrics(self) -> MetricsRegistry:
-        """Parent + all worker registries merged into one fresh registry.
-
-        Counters add, gauges take the last writer, histogram buckets and
-        windows concatenate — the exposition equals what one shared
-        registry would have recorded.
-        """
-        merged = MetricsRegistry()
-        merged.merge_state(self.telemetry.metrics.state_dict())
-        if self._started:
-            for _, state in self._collect("metrics"):
-                if state is not None:
-                    merged.merge_state(state)
-        return merged
-
-    def merged_telemetry(self) -> TelemetryRegistry:
-        """A telemetry view over the merged registry (for ``to_dict``)."""
-        registry = TelemetryRegistry(metrics=self.merged_metrics())
-        with self._map_lock:
-            trackers = dict(self._trackers)
-        for sensor_id, tracker in trackers.items():
-            registry.sensor(sensor_id).set_tracker(tracker)
-        return registry
-
-    def telemetry_dict(self) -> dict:
-        """JSON telemetry snapshot over the merged registries."""
-        return self.merged_telemetry().to_dict()
-
-    def metrics_text(self) -> str:
-        """Prometheus exposition of the merged parent + worker registries."""
-        merged = self.merged_metrics()
-        if self._started:
-            registry = TelemetryRegistry(metrics=merged)
-            registry.set_shard_stats(self.shard_stats())
-        return merged.to_prometheus_text()
-
-    def chrome_trace(self) -> Optional[dict]:
-        """Merged Chrome trace of all shard workers (``None`` uninstrumented)."""
-        if not self.config.instrument or not self._started:
-            return None
-        from repro.obs.trace import merge_chrome_traces
-
-        tracks = [
-            (f"tracking-shard-{shard}", events)
-            for shard, events in self._collect("trace")
-            if events is not None
-        ]
-        return merge_chrome_traces(tracks)
+    def _join_worker(self, proc) -> None:
+        """Reap a worker, terminating one that does not stop in time."""
+        proc.join(timeout=10.0)
+        if proc.is_alive():  # pragma: no cover - defensive
+            proc.terminate()
+            proc.join(timeout=5.0)

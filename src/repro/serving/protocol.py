@@ -3,8 +3,8 @@
 One message per line, each a JSON object with a ``"type"`` field.  JSONL is
 deliberately simple — debuggable with ``nc`` and greppable in logs — and
 fast enough for the event volumes of stationary-sensor surveillance (the
-binary-hungry path is the in-process :class:`~repro.serving.hub.TrackingHub`,
-which skips the transport entirely).
+binary-hungry path feeds a :class:`~repro.serving.hub.TrackingHub`
+in-process, skipping the wire entirely).
 
 Client → server::
 
@@ -34,13 +34,16 @@ sensor — so the server answers them before (or without) ``hello``.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from dataclasses import replace
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.config import EbbiotConfig
 from repro.core.pipeline import FrameResult
 from repro.events.types import make_packet
 from repro.runtime.aggregate import RecordingResult
+from repro.trackers.registry import ensure_backend_name
 
 #: Bumped on wire-format changes; the server advertises it in ``welcome``.
 PROTOCOL_VERSION = 1
@@ -124,7 +127,43 @@ def packet_from_events_message(message: dict) -> np.ndarray:
         raise ProtocolError(f"invalid events payload: {error}") from error
 
 
-# -- server-side constructors ----------------------------------------------------------
+# -- server side ------------------------------------------------------------------------
+
+
+def parse_hello(
+    message: dict, default: EbbiotConfig
+) -> Tuple[str, Tuple[int, int], EbbiotConfig]:
+    """Validate a ``hello``; returns ``(sensor_id, (width, height), config)``.
+
+    The declared resolution and tracker configure the sensor's pipeline,
+    starting from the server's ``default``: a non-DAVIS240 sensor gets
+    correctly sized EBBI frames and a sensor may request a baseline
+    backend.  Raises :class:`ProtocolError` on a malformed handshake.
+    """
+    sensor_id = message.get("sensor_id")
+    if not isinstance(sensor_id, str) or not sensor_id:
+        raise ProtocolError("hello must carry a non-empty string sensor_id")
+    try:
+        width = int(message.get("width", 240))
+        height = int(message.get("height", 180))
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"hello width/height must be integers: {error}") from error
+    if width <= 0 or height <= 0:
+        raise ProtocolError("hello width/height must be positive")
+    config = default
+    if (width, height) != (config.width, config.height):
+        config = replace(config, width=width, height=height)
+    tracker = message.get("tracker")
+    if tracker is not None:
+        if not isinstance(tracker, str):
+            raise ProtocolError("hello tracker must be a string backend name")
+        try:
+            ensure_backend_name(tracker)
+        except ValueError as error:
+            raise ProtocolError(str(error)) from error
+        if tracker != config.tracker:
+            config = replace(config, tracker=tracker)
+    return sensor_id, (width, height), config
 
 
 def welcome_message(

@@ -17,9 +17,8 @@ deliberately small and observable:
   → restore on the target shard, so a rebalance is invisible in the output
   stream (asserted by the migration parity tests).
 
-The planner is pure (shard stats in, moves out) so both the thread hub and
-the process hub share it, and tests can exercise policy corner cases
-without spinning up workers.
+The planner is pure (shard stats in, moves out), so tests can exercise
+policy corner cases without spinning up workers.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ class ShardStats:
     num_sensors: int
     queue_depth: int
     busy_fraction: float
+    worker_up: bool = True
 
     @property
     def load(self) -> float:

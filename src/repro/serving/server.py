@@ -3,7 +3,7 @@
 One TCP connection = one live sensor.  The handler thread reads protocol
 lines (``hello``, then ``events`` batches, finally ``finish``) and feeds the
 shared :class:`~repro.serving.hub.TrackingHub`.  Outbound traffic never
-touches a hub worker thread directly: every connection owns a bounded send
+touches a hub pump thread directly: every connection owns a bounded send
 queue drained by a dedicated writer thread, so a client that stops reading
 its socket cannot wedge a hub shard — its ``frame`` pushes are shed once the
 queue fills, while control replies (``welcome``/``summary``/``stats``/
@@ -23,13 +23,11 @@ from __future__ import annotations
 import queue
 import socketserver
 import threading
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.core.pipeline import FrameResult
 from repro.events.types import validate_packet
-from repro.serving.hub import HubConfig, TrackingHub
-from repro.trackers.registry import ensure_backend_name
+from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.protocol import (
     ProtocolError,
     decode_message,
@@ -38,6 +36,7 @@ from repro.serving.protocol import (
     frame_message,
     metrics_message,
     packet_from_events_message,
+    parse_hello,
     stats_message,
     summary_message,
     trace_message,
@@ -81,7 +80,7 @@ class _SensorConnectionHandler(socketserver.StreamRequestHandler):
                 try:
                     if not self._dispatch(hub, message):
                         return
-                except ProtocolError as error:
+                except (ProtocolError, ShardDown) as error:
                     self._send(error_message(str(error), self.sensor_id))
                 except KeyError as error:
                     # The hub raises KeyError for a sensor it no longer
@@ -146,31 +145,9 @@ class _SensorConnectionHandler(socketserver.StreamRequestHandler):
     def _on_hello(self, hub: TrackingHub, message: dict) -> bool:
         if self.sensor_id is not None:
             raise ProtocolError("duplicate hello on this connection")
-        sensor_id = message.get("sensor_id")
-        if not isinstance(sensor_id, str) or not sensor_id:
-            raise ProtocolError("hello must carry a non-empty string sensor_id")
-        self.width = int(message.get("width", 240))
-        self.height = int(message.get("height", 180))
-        if self.width <= 0 or self.height <= 0:
-            raise ProtocolError("hello width/height must be positive")
-        # The declared resolution and tracker configure the sensor's
-        # pipeline, so a non-DAVIS240 sensor gets correctly sized EBBI
-        # frames and a sensor may request a baseline backend.
-        pipeline_config = hub.config.pipeline_config
-        if (self.width, self.height) != (pipeline_config.width, pipeline_config.height):
-            pipeline_config = replace(
-                pipeline_config, width=self.width, height=self.height
-            )
-        tracker = message.get("tracker")
-        if tracker is not None:
-            if not isinstance(tracker, str):
-                raise ProtocolError("hello tracker must be a string backend name")
-            try:
-                ensure_backend_name(tracker)
-            except ValueError as error:
-                raise ProtocolError(str(error)) from error
-            if tracker != pipeline_config.tracker:
-                pipeline_config = replace(pipeline_config, tracker=tracker)
+        sensor_id, (self.width, self.height), pipeline_config = parse_hello(
+            message, hub.config.pipeline_config
+        )
         try:
             hub.register(sensor_id, config=pipeline_config, on_frames=self._on_frames)
         except ValueError as error:
@@ -189,7 +166,7 @@ class _SensorConnectionHandler(socketserver.StreamRequestHandler):
         return True
 
     def _on_frames(self, sensor_id: str, frames: List[FrameResult]) -> None:
-        """Hub worker-thread callback: enqueue closed frames for the writer."""
+        """Hub pump-thread callback: enqueue closed frames for the writer."""
         for frame in frames:
             self._send(frame_message(sensor_id, frame), drop_ok=True)
 
@@ -247,11 +224,10 @@ class TrackingServer:
     hub_config:
         Configuration for the owned hub (ignored when ``hub`` is given).
     hub:
-        An already-constructed hub to front — either a
+        An already-constructed hub to front — a
         :class:`~repro.serving.hub.TrackingHub` or a
-        :class:`~repro.serving.process_hub.ProcessTrackingHub`; both expose
-        the same scheduling surface.  The server owns its lifecycle either
-        way.
+        :class:`~repro.serving.process_hub.ProcessTrackingHub`.  The server
+        owns its lifecycle either way.
     """
 
     def __init__(
@@ -271,7 +247,7 @@ class TrackingServer:
         return self._tcp.server_address[:2]
 
     def start(self) -> "TrackingServer":
-        """Start the hub workers and the acceptor thread (idempotent)."""
+        """Start the hub and the acceptor thread (idempotent)."""
         if self._acceptor is None:
             self.hub.start()
             self._acceptor = threading.Thread(

@@ -1,16 +1,19 @@
-"""The shard worker process: sessions + coalesced ingest behind a ring.
+"""The shard worker: sessions + coalesced ingest behind a ring.
 
-One worker process owns every :class:`~repro.serving.session.SensorSession`
-assigned to its shard.  Its life is a single loop:
+One worker owns every :class:`~repro.serving.session.SensorSession`
+assigned to its shard.  It is the only worker loop of the serving layer:
+:class:`~repro.serving.hub.TrackingHub` runs it on a thread and
+:class:`~repro.serving.process_hub.ProcessTrackingHub` in a forked process,
+over the same ring and pipes.  Its life is a single loop:
 
 1. **bulk-drain** the shard's transport ring (all records currently
    available, bounded per cycle so command polls interleave);
-2. walk the records *in order*, grouping consecutive event batches per
-   sensor and flushing each group through
+2. walk the records *in order*, grouping each sensor's event batches and
+   flushing each group through
    :meth:`~repro.serving.session.SensorSession.ingest_many` — the coalesced
    fast path that amortises per-batch framing overhead under backlog;
 3. answer out-of-band commands (metric scrapes, trace dumps, migration
-   envelopes) from the hub's command pipe.
+   envelopes, pause/resume) from the hub's command pipe.
 
 Control records that must stay ordered with a sensor's event stream —
 register, close, migrate-out, migrate-in — travel **in-band** through the
@@ -21,11 +24,9 @@ The worker keeps its own :class:`~repro.serving.telemetry.TelemetryRegistry`
 for the processing-side counters (frames, tracks, latency, late events);
 the hub owns the ingest-side ones (batches/events received, drops, queue
 depth) and merges both on scrape via
-:meth:`~repro.obs.MetricsRegistry.merge_state`.
-
-Everything here runs in the child process (entered via ``fork`` from
-:class:`~repro.serving.process_hub.ProcessTrackingHub`); the module has no
-public API for direct use.
+:meth:`~repro.obs.MetricsRegistry.merge_state`.  Requests on the command
+pipe are answered on the result pipe as ``(command, req_id, payload)``.
+The module has no public API for direct use.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ MAX_RECORDS_PER_CYCLE = 4096
 IDLE_POLL_S = 0.002
 
 
+class _Sensor:
+    """One sensor's session and bookkeeping inside a shard worker."""
+
+    __slots__ = ("sensor_id", "session", "want_frames", "record", "last_late")
+
+    def __init__(self, sensor_id: str, session: SensorSession, want_frames: bool,
+                 record) -> None:
+        self.sensor_id = sensor_id
+        self.session = session
+        self.want_frames = want_frames
+        self.record = record  # the worker-side SensorTelemetry
+        self.last_late = session.late_events
+
+
 class _ShardWorker:
     def __init__(self, shard_id, ring, cmd_rx, result_tx, config) -> None:
         self.shard_id = shard_id
@@ -72,13 +87,10 @@ class _ShardWorker:
             from repro.obs import Tracer
 
             self.tracer = Tracer()
-        self.sessions: Dict[int, SensorSession] = {}
-        self.sensor_ids: Dict[int, str] = {}
-        self.want_frames: Dict[int, bool] = {}
-        self.records: Dict[int, object] = {}  # cached SensorTelemetry handles
-        self.last_late: Dict[int, int] = {}
+        self.sensors: Dict[int, _Sensor] = {}  # by the hub's sensor index
         self.envelopes: Dict[int, object] = {}
         self.running = True
+        self.paused = False
 
     # -- helpers -------------------------------------------------------------------------
 
@@ -88,7 +100,12 @@ class _ShardWorker:
         except (BrokenPipeError, OSError):
             self.running = False
 
-    def build_session(self, sensor_idx: int, sensor_id: str, config) -> SensorSession:
+    def adopt(self, sensor_idx: int, sensor_id: str, session, want_frames) -> None:
+        self.sensors[sensor_idx] = _Sensor(
+            sensor_id, session, want_frames, self.telemetry.sensor(sensor_id)
+        )
+
+    def build_session(self, sensor_id: str, config) -> SensorSession:
         instrumentation = None
         if self.config.instrument:
             from repro.obs import Instrumentation
@@ -103,26 +120,16 @@ class _ShardWorker:
             sensor_id,
             config=config or self.config.pipeline_config,
             reorder_slack_us=self.config.reorder_slack_us,
-            collect_frames=self.config.collect_frames,
-            keep_history=self.config.collect_frames,
+            # Hub sessions may stream indefinitely: keep no per-observation
+            # history (the summary counts are maintained separately).
+            keep_history=False,
             instrumentation=instrumentation,
         )
 
     # -- event flushing ------------------------------------------------------------------
 
-    def sensor_record(self, sensor_idx: int):
-        record = self.records.get(sensor_idx)
-        if record is None:
-            sensor_id = self.sensor_ids.get(sensor_idx, f"?{sensor_idx}")
-            record = self.telemetry.sensor(sensor_id)
-            self.records[sensor_idx] = record
-        return record
-
     def flush_events(self, sensor_idx: int, group: List[Record]) -> None:
-        if not group:
-            return
-        session = self.sessions.get(sensor_idx)
-        record = self.sensor_record(sensor_idx)
+        sensor = self.sensors.get(sensor_idx)
         # One byte join + one frombuffer for the whole coalesced group:
         # identical to np.concatenate of per-record decodes (raw
         # EVENT_DTYPE bytes are contiguous records), without paying numpy's
@@ -132,19 +139,22 @@ class _ShardWorker:
         else:
             raw = b"".join(rec.payload for rec in group)
         packet = np.frombuffer(raw, dtype=EVENT_DTYPE)
-        num_events = len(packet)
-        if session is None or session.finished:
-            record.record_drop(num_events)
+        if sensor is None:
+            self.telemetry.sensor(f"?{sensor_idx}").record_drop(len(packet))
+            return
+        session, record = sensor.session, sensor.record
+        if session.finished:
+            record.record_drop(len(packet))
             return
         try:
             frames = session.ingest_many([packet])
         except Exception:
             # A poisoned group must not take down the shard's other
-            # sensors; count it like the thread hub does.
-            record.record_drop(num_events)
+            # sensors; it is counted as one dropped batch.
+            record.record_drop(len(packet))
             return
         late = session.late_events
-        if frames or late != self.last_late.get(sensor_idx, 0):
+        if frames or late != sensor.last_late:
             # Latency from the *earliest* enqueue in the group: the honest
             # (worst-case) figure when a backlog is coalesced.
             latency = time.perf_counter() - min(rec.enqueued_at for rec in group)
@@ -154,22 +164,17 @@ class _ShardWorker:
                 latency_s=latency,
                 late_events=late,
             )
-            self.last_late[sensor_idx] = late
-            if frames and self.want_frames.get(sensor_idx):
-                self.send(("frames", self.sensor_ids[sensor_idx], frames))
+            sensor.last_late = late
+            if frames and sensor.want_frames:
+                self.send(("frames", sensor.sensor_id, frames))
 
     # -- control records -----------------------------------------------------------------
 
     def handle_control(self, rec: Record) -> None:
         if rec.kind == KIND_REGISTER:
             info = pickle.loads(rec.payload)
-            idx = info["sensor_idx"]
-            self.sensor_ids[idx] = info["sensor_id"]
-            self.want_frames[idx] = info["want_frames"]
-            self.records[idx] = self.telemetry.sensor(info["sensor_id"])
-            self.sessions[idx] = self.build_session(
-                idx, info["sensor_id"], info["pipeline_config"]
-            )
+            session = self.build_session(info["sensor_id"], info["pipeline_config"])
+            self.adopt(info["sensor_idx"], info["sensor_id"], session, info["want_frames"])
         elif rec.kind == KIND_CLOSE:
             req_id, = pickle.loads(rec.payload)
             self.handle_close(rec.sensor_idx, req_id)
@@ -183,49 +188,44 @@ class _ShardWorker:
             self.running = False
 
     def handle_close(self, sensor_idx: int, req_id: int) -> None:
-        session = self.sessions.get(sensor_idx)
-        if session is None:
+        sensor = self.sensors.get(sensor_idx)
+        if sensor is None:
             self.send(("closed", req_id, None, True,
                        f"sensor index {sensor_idx} unknown to shard {self.shard_id}"))
             return
-        sensor_id = self.sensor_ids[sensor_idx]
+        session = sensor.session
         already_finished = session.finished
-        record = self.sensor_record(sensor_idx)
         started = time.perf_counter()
         try:
             frames = session.finish()
         except Exception as error:
             self.send(("closed", req_id, None, already_finished, repr(error)))
             return
-        record.record_frames(
+        sensor.record.record_frames(
             num_frames=len(frames),
             num_tracks=sum(len(f.tracks) for f in frames),
             latency_s=time.perf_counter() - started,
             late_events=session.late_events,
         )
-        if frames and self.want_frames.get(sensor_idx):
-            self.send(("frames", sensor_id, frames))
+        if frames and sensor.want_frames:
+            self.send(("frames", sensor.sensor_id, frames))
         self.send(("closed", req_id, session.summary(), already_finished, None))
 
     def handle_migrate_out(self, sensor_idx: int, mig_id: int) -> None:
-        session = self.sessions.get(sensor_idx)
-        if session is None:
+        sensor = self.sensors.get(sensor_idx)
+        if sensor is None:
             self.send(("migrated", mig_id, None,
                        f"sensor index {sensor_idx} unknown to shard {self.shard_id}"))
             return
         try:
-            envelope = session.export_migration()
+            envelope = sensor.session.export_migration()
         except Exception as error:
             # Export failed (e.g. the session finished while the migration
             # was in flight): keep the session in place so the shard stays
             # consistent, and let the hub surface the error.
             self.send(("migrated", mig_id, None, repr(error)))
             return
-        self.sessions.pop(sensor_idx, None)
-        self.sensor_ids.pop(sensor_idx, None)
-        self.want_frames.pop(sensor_idx, None)
-        self.records.pop(sensor_idx, None)
-        self.last_late.pop(sensor_idx, None)
+        del self.sensors[sensor_idx]
         self.send(("migrated", mig_id, envelope, None))
 
     def handle_migrate_in(
@@ -233,10 +233,9 @@ class _ShardWorker:
     ) -> None:
         """The barrier half: block until the envelope arrives, then restore.
 
-        Batches behind this record in the ring wait here, exactly like the
-        thread hub's target-shard barrier, so per-sensor order holds across
-        the hand-off.  The wait services other commands (a scrape cannot
-        deadlock a migration) and is bounded.
+        Batches behind this record in the ring wait here, so per-sensor
+        order holds across the hand-off.  The wait services other commands
+        (a scrape cannot deadlock a migration) and is bounded.
         """
         deadline = time.perf_counter() + 60.0
         while mig_id not in self.envelopes and self.running:
@@ -249,18 +248,12 @@ class _ShardWorker:
         if envelope is None:
             return
         try:
-            session = self.build_session(
-                sensor_idx, sensor_id, envelope.pipeline_config
-            )
+            session = self.build_session(sensor_id, envelope.pipeline_config)
             session.restore_migration(envelope)
         except Exception as error:
             self.send(("migrate_done", mig_id, repr(error)))
             return
-        self.sessions[sensor_idx] = session
-        self.sensor_ids[sensor_idx] = sensor_id
-        self.want_frames[sensor_idx] = want_frames
-        self.records[sensor_idx] = self.telemetry.sensor(sensor_id)
-        self.last_late[sensor_idx] = session.late_events
+        self.adopt(sensor_idx, sensor_id, session, want_frames)
         self.send(("migrate_done", mig_id, None))
 
     # -- command pipe --------------------------------------------------------------------
@@ -272,12 +265,13 @@ class _ShardWorker:
                 command = self.cmd_rx.recv()
                 kind = command[0]
                 if kind == "metrics":
-                    self.send(
-                        ("metrics", command[1], self.telemetry.metrics.state_dict())
-                    )
+                    self.send((kind, command[1], self.telemetry.metrics.state_dict()))
                 elif kind == "trace":
                     events = self.tracer.events() if self.tracer else None
-                    self.send(("trace", command[1], events))
+                    self.send((kind, command[1], events))
+                elif kind in ("pause", "resume"):
+                    self.paused = kind == "pause"
+                    self.send((kind, command[1], None))
                 elif kind == "envelope":
                     self.envelopes[command[1]] = command[2]
                 elif kind == "abort":
@@ -293,7 +287,11 @@ class _ShardWorker:
 
     def run(self) -> None:
         while self.running:
-            records = self.ring.get_available(max_records=MAX_RECORDS_PER_CYCLE)
+            # A paused worker keeps serving commands but leaves its ring
+            # alone, so the ring fills deterministically.
+            records = [] if self.paused else self.ring.get_available(
+                max_records=MAX_RECORDS_PER_CYCLE
+            )
             if not records:
                 self.poll_commands(timeout=IDLE_POLL_S)
                 continue
@@ -333,14 +331,13 @@ class _ShardWorker:
 
 
 def shard_worker_main(shard_id, ring, cmd_rx, result_tx, config) -> None:
-    """Entry point of one shard worker process."""
+    """Entry point of one shard worker (thread target or forked process)."""
     worker = _ShardWorker(shard_id, ring, cmd_rx, result_tx, config)
     try:
         worker.run()
     except Exception as error:  # last-resort: tell the hub why we died
         worker.send(("fatal", shard_id, repr(error)))
     finally:
-        try:
-            result_tx.close()
-        except OSError:
-            pass
+        # Closing our ends is what the hub's pump sees as EOF.
+        result_tx.close()
+        cmd_rx.close()

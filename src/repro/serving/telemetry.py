@@ -8,7 +8,7 @@ exports two ways:
 
 * :meth:`TelemetryRegistry.to_dict` — the JSON document
   (``python -m repro.serving --telemetry-json``) an operator dashboard or
-  the latency benchmark scrapes; its shape is stable across releases;
+  ``loadgen`` reads; its shape is stable across releases;
 * :meth:`TelemetryRegistry.to_prometheus_text` — the same state as
   Prometheus text exposition (``repro_sensor_*`` metric families labelled
   by ``sensor``), which is what the serving protocol's ``metrics`` command
@@ -19,10 +19,12 @@ is a labelled child in a shared :class:`~repro.obs.MetricsRegistry`, so
 anything else that writes into the same registry (the hub's per-stage
 instrumentation, for example) appears in the same exposition for free.
 
-Counters are updated from the hub's worker threads and read from control
-threads; each record additionally guards its multi-field updates with its
-own lock, so a snapshot taken mid-``record_frames`` never shows a frame
-counted without its latency sample.
+Counters are updated from submitting and worker threads and read from
+control threads; each record additionally guards its multi-field updates
+with its own lock, so a snapshot taken mid-``record_frames`` never shows a
+frame counted without its latency sample.  The hub keeps one registry for
+the ingest side and each shard worker one for the processing side; they
+meet in :meth:`~repro.serving.hub.TrackingHub.merged_metrics`.
 """
 
 from __future__ import annotations
@@ -305,11 +307,11 @@ class TelemetryRegistry:
         """Refresh the per-shard gauges from a hub load sample.
 
         Exports ``repro_shard_queue_depth``, ``repro_shard_sensors`` and
-        ``repro_shard_busy_fraction``, each labelled by ``shard`` — the
-        exact numbers the rebalance policy ranks shards by, so a scrape
-        shows the imbalance the hub is reacting to.  Hubs call this right
-        before exposition; both the thread and the process hub export the
-        same families.
+        ``repro_shard_busy_fraction`` — the exact numbers the rebalance
+        policy ranks shards by, so a scrape shows the imbalance the hub is
+        reacting to — plus ``repro_shard_worker_up`` (1 while the shard's
+        worker runs, 0 once it died), each labelled by ``shard``.  The hub
+        calls this right before exposition.
         """
         depth = self.metrics.gauge(
             "repro_shard_queue_depth",
@@ -326,11 +328,17 @@ class TelemetryRegistry:
             "Fraction of hub uptime the shard worker spent processing",
             labelnames=("shard",),
         )
+        up = self.metrics.gauge(
+            "repro_shard_worker_up",
+            "1 while the shard's worker runs, 0 once it died",
+            labelnames=("shard",),
+        )
         for stat in stats:
             label = str(stat.shard)
             depth.labels(shard=label).set(float(stat.queue_depth))
             sensors.labels(shard=label).set(float(stat.num_sensors))
             busy.labels(shard=label).set(stat.busy_fraction)
+            up.labels(shard=label).set(1.0 if stat.worker_up else 0.0)
 
     def to_prometheus_text(self) -> str:
         """The whole registry in Prometheus text exposition format."""

@@ -1,13 +1,13 @@
-"""Shared-memory event transport between the hub and its shard processes.
+"""Shared-memory event transport between the hub and its shard workers.
 
-The process hub moves event batches to workers through a single-producer /
-single-consumer ring buffer in POSIX shared memory
-(:class:`multiprocessing.shared_memory.SharedMemory`): the parent packs each
-batch's raw ``EVENT_DTYPE`` bytes into the ring with a small record header,
-the worker drains **every** available record in one scan.  That bulk drain
-is the architectural point, not just a copy-avoidance trick: a busy shard
-naturally finds a backlog of records per scan, and handing the whole
-backlog to :meth:`~repro.serving.session.SensorSession.ingest_many`
+The hub moves event batches to its shard workers (threads or forked
+processes) through a single-producer / single-consumer ring buffer in POSIX
+shared memory (:class:`multiprocessing.shared_memory.SharedMemory`): the
+hub packs each batch's raw ``EVENT_DTYPE`` bytes into the ring with a small
+record header, the worker drains **every** available record in one scan.
+That bulk drain is the architectural point, not just a copy-avoidance
+trick: a busy shard naturally finds a backlog of records per scan, and
+handing the whole backlog to :meth:`~repro.serving.session.SensorSession.ingest_many`
 amortises the per-batch Python overhead a queue-per-item design pays — see
 ``BENCH_serving_scale.json``.
 
@@ -40,7 +40,7 @@ the lock once per record plus once per full-looking refresh.
 ``enqueued_at`` carries the producer's ``time.perf_counter()`` timestamp:
 on Linux that is ``CLOCK_MONOTONIC``, which is comparable across processes,
 so the worker's frame-latency histogram measures true queue+processing
-delay the same way the thread hub does.
+delay on either worker vehicle.
 
 :class:`PipeRing` is the plain-``multiprocessing.Pipe`` fallback for
 environments without usable shared memory (``/dev/shm`` mounted ``noexec``
@@ -434,6 +434,6 @@ def make_ring(transport: str = "shm", capacity_bytes: int = 1 << 20):
         import logging
 
         logging.getLogger(__name__).warning(
-            "shared memory unavailable; process hub falling back to pipe transport"
+            "shared memory unavailable; hub falling back to pipe transport"
         )
         return PipeRing(capacity_bytes=capacity_bytes)

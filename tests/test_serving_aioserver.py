@@ -116,6 +116,21 @@ class TestAsyncServer:
                     client.finish()
                 assert "repro_" in client.request_metrics()
 
+    def test_dead_shard_worker_turns_into_error_replies(self):
+        import os
+        import signal
+
+        from repro.serving import ProtocolError, SensorClient
+
+        hub = ProcessTrackingHub(HubConfig(num_workers=1))
+        with AsyncTrackingServer(hub=hub) as server:
+            host, port = server.address
+            with SensorClient(host, port, "cam") as client:
+                os.kill(hub._workers[0].pid, signal.SIGKILL)
+                with pytest.raises(ProtocolError, match="worker is down"):
+                    client.finish()
+                assert "repro_shard_worker_up" in client.request_metrics()
+
     def test_duplicate_sensor_id_rejected(self):
         from repro.serving import ProtocolError, SensorClient
 

@@ -1,4 +1,12 @@
-"""Tests for the sharded :class:`TrackingHub` and the telemetry registry."""
+"""Tests for the tracking hub: its configuration, telemetry and contract.
+
+One hub implementation runs its shard workers on threads
+(:class:`TrackingHub`) or forked processes (:class:`ProcessTrackingHub`).
+The contract mixins below hold every vehicle-independent behaviour once;
+the ``Test*`` classes here bind them to the thread vehicle, and
+``test_serving_process_hub.py`` binds the same mixins to the process
+vehicle and holds the scenarios parametrized over both.
+"""
 
 from __future__ import annotations
 
@@ -38,38 +46,55 @@ def _batches(stream: EventStream, batch_us: int = 22_000):
             yield events[i0:i1]
 
 
+def _assert_replay_parity(result, stream: EventStream) -> None:
+    """A live result equals a batch ``process_stream`` of its recording."""
+    expected = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
+    assert result.num_events == len(stream)
+    assert result.num_frames == expected.num_frames
+    assert result.num_track_observations == expected.total_track_observations()
+
+
 class TestHubConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             HubConfig(num_workers=0)
         with pytest.raises(ValueError):
-            HubConfig(queue_capacity=0)
+            HubConfig(ring_capacity_bytes=1024)
         with pytest.raises(ValueError):
             HubConfig(backpressure="retry")
         with pytest.raises(ValueError):
             HubConfig(reorder_slack_us=-1)
 
 
-class TestTrackingHub:
+# -- the hub contract (bound to a vehicle through ``hub_cls``) ---------------------------
+
+
+class ParityContract:
+    """Live results, callbacks, placement and fleet summaries."""
+
+    hub_cls = TrackingHub
+
     def test_multi_sensor_results_match_batch_pipeline(self):
         streams = {f"sensor-{i}": _moving_block_stream(seed=i) for i in range(6)}
-        with TrackingHub(HubConfig(num_workers=3)) as hub:
+        with self.hub_cls(HubConfig(num_workers=3)) as hub:
             for sensor_id in streams:
                 hub.register(sensor_id)
             for sensor_id, stream in streams.items():
                 for batch in _batches(stream):
                     assert hub.submit(sensor_id, batch)
-            results = {sid: hub.close_sensor(sid) for sid in streams}
-
+            results = {sid: hub.close_sensor(sid, timeout=60) for sid in streams}
         for sensor_id, stream in streams.items():
-            expected = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
-            result = results[sensor_id]
-            assert result.name == sensor_id
-            assert result.num_events == len(stream)
-            assert result.num_frames == expected.num_frames
-            assert result.num_track_observations == (
-                expected.total_track_observations()
-            )
+            assert results[sensor_id].name == sensor_id
+            _assert_replay_parity(results[sensor_id], stream)
+
+    def test_pipe_transport_matches_batch_pipeline(self):
+        stream = _moving_block_stream(seed=11)
+        with self.hub_cls(HubConfig(num_workers=2, transport="pipe")) as hub:
+            hub.register("cam")
+            for batch in _batches(stream):
+                assert hub.submit("cam", batch)
+            result = hub.close_sensor("cam", timeout=60)
+        _assert_replay_parity(result, stream)
 
     def test_frames_callback_delivers_all_frames_in_order(self):
         stream = _moving_block_stream(seed=1)
@@ -80,81 +105,144 @@ class TestTrackingHub:
             with lock:
                 received.extend(frames)
 
-        with TrackingHub(HubConfig(num_workers=2)) as hub:
+        with self.hub_cls(HubConfig(num_workers=2)) as hub:
             hub.register("cam", on_frames=on_frames)
             for batch in _batches(stream):
                 hub.submit("cam", batch)
-            result = hub.close_sensor("cam")
+            result = hub.close_sensor("cam", timeout=60)
 
         assert [f.frame_index for f in received] == list(range(result.num_frames))
-
-    def test_drop_policy_sheds_batches_and_counts_them(self):
-        # One shard with a one-slot queue.  The workers are deliberately not
-        # running (white-box: mark the hub started without spawning them) so
-        # the queue fills deterministically and the second submit must shed.
-        config = HubConfig(num_workers=1, queue_capacity=1, backpressure="drop")
-        stream = _moving_block_stream(seed=2)
-        batches = list(_batches(stream))
-        hub = TrackingHub(config)
-        hub._started = True
-        hub.register("cam")
-        assert hub.submit("cam", batches[0]) is True
-        assert hub.submit("cam", batches[1]) is False
-        telemetry = hub.telemetry.get("cam").to_dict()
-        assert telemetry["dropped_batches"] == 1
-        assert telemetry["dropped_events"] == len(batches[1])
-        assert telemetry["batches_received"] == 1
-
-    def test_duplicate_registration_rejected(self):
-        with TrackingHub() as hub:
-            hub.register("cam")
-            with pytest.raises(ValueError):
-                hub.register("cam")
-
-    def test_submit_to_unknown_sensor_raises(self):
-        with TrackingHub() as hub:
-            with pytest.raises(KeyError):
-                hub.submit("ghost", _moving_block_stream(0).events[:5])
-            with pytest.raises(KeyError):
-                hub.close_sensor("ghost")
-
-    def test_submit_requires_started_hub(self):
-        hub = TrackingHub()
-        hub.register("cam")
-        with pytest.raises(RuntimeError):
-            hub.submit("cam", _moving_block_stream(0).events[:5])
 
     def test_poisoned_batch_does_not_kill_shard(self):
         stream = _moving_block_stream(seed=4)
         bad = make_packet([500], [500], [1_000], [1])  # out of bounds coords
-        with TrackingHub(HubConfig(num_workers=1)) as hub:
+        with self.hub_cls(HubConfig(num_workers=1)) as hub:
             hub.register("cam")
             hub.submit("cam", bad)
             for batch in _batches(stream):
                 hub.submit("cam", batch)
             result = hub.close_sensor("cam", timeout=30)
+            telemetry = hub.telemetry_dict()["sensors"]["cam"]
         assert result.num_frames > 0
-        assert hub.telemetry.get("cam").to_dict()["dropped_batches"] >= 1
+        assert telemetry["dropped_batches"] >= 1
 
     def test_shard_assignment_is_stable(self):
-        hub = TrackingHub(HubConfig(num_workers=3))
+        hub = self.hub_cls(HubConfig(num_workers=3))
         assert hub.shard_of("cam-1") == hub.shard_of("cam-1")
         shards = {hub.shard_of(f"cam-{i}") for i in range(32)}
         assert shards.issubset(set(range(3)))
 
     def test_batch_result_aggregates_closed_sensors(self):
-        with TrackingHub(HubConfig(num_workers=2)) as hub:
+        with self.hub_cls(HubConfig(num_workers=2)) as hub:
             for i in range(3):
                 hub.register(f"s{i}")
             for i in range(3):
                 for batch in _batches(_moving_block_stream(seed=i)):
                     hub.submit(f"s{i}", batch)
             for i in range(3):
-                hub.close_sensor(f"s{i}")
+                hub.close_sensor(f"s{i}", timeout=60)
             batch_result = hub.batch_result()
         assert len(batch_result) == 3
         assert [r.name for r in batch_result.recordings] == ["s0", "s1", "s2"]
         assert batch_result.total_events > 0
+
+
+class RegistrationContract:
+    """Errors for duplicate, unknown and unstarted use."""
+
+    hub_cls = TrackingHub
+
+    def test_duplicate_registration_rejected(self):
+        with self.hub_cls(HubConfig(num_workers=1)) as hub:
+            hub.register("cam")
+            with pytest.raises(ValueError):
+                hub.register("cam")
+
+    def test_submit_to_unknown_sensor_raises(self):
+        with self.hub_cls(HubConfig(num_workers=1)) as hub:
+            with pytest.raises(KeyError):
+                hub.submit("ghost", _moving_block_stream(0).events[:5])
+            with pytest.raises(KeyError):
+                hub.close_sensor("ghost")
+
+    def test_submit_requires_started_hub(self):
+        hub = self.hub_cls(HubConfig(num_workers=1))
+        with pytest.raises(RuntimeError):
+            hub.register("cam")
+        with pytest.raises(RuntimeError):
+            hub.submit("cam", _moving_block_stream(0).events[:5])
+
+
+class CloseContract:
+    """Idempotent close and id reuse after removal."""
+
+    hub_cls = TrackingHub
+
+    def test_double_close_does_not_double_count_fleet(self):
+        stream = _moving_block_stream(seed=6)
+        with self.hub_cls(HubConfig(num_workers=1)) as hub:
+            hub.register("cam")
+            for batch in _batches(stream):
+                hub.submit("cam", batch)
+            first = hub.close_sensor("cam", timeout=60)
+            second = hub.close_sensor("cam", timeout=60)
+            assert second.num_frames == first.num_frames
+            assert second.num_events == first.num_events
+            assert len(hub.batch_result()) == 1
+
+    def test_remove_sensor_allows_id_reuse(self):
+        # Exercises the submit route cache across close -> remove ->
+        # re-register: the stale route must be evicted, not reused.
+        stream = _moving_block_stream(seed=7)
+        with self.hub_cls(HubConfig(num_workers=2)) as hub:
+            hub.register("cam")
+            for batch in _batches(stream):
+                hub.submit("cam", batch)
+            first = hub.close_sensor("cam", timeout=60)
+            hub.remove_sensor("cam")
+            with pytest.raises(KeyError):
+                hub.submit("cam", stream.events[:5])
+            # Same id registers again as a fresh session.
+            hub.register("cam")
+            for batch in _batches(stream):
+                hub.submit("cam", batch)
+            result = hub.close_sensor("cam", timeout=60)
+        assert result.num_frames == first.num_frames > 0
+
+
+class SheddingContract:
+    """The ``"drop"`` policy sheds batches a full ring refuses, and counts them."""
+
+    hub_cls = TrackingHub
+
+    def test_drop_policy_sheds_batches_and_counts_them(self):
+        # The one shard is paused, so its ring fills deterministically and
+        # nothing drains until the resume; the parent-side ingest counters
+        # must account for every shed batch at submit time, before any close.
+        batches = list(_batches(_moving_block_stream(seed=2, num_frames=30), 8_000))
+        config = HubConfig(num_workers=1, backpressure="drop", ring_capacity_bytes=4096)
+        with self.hub_cls(config) as hub:
+            hub.register("cam")
+            hub.pause_shard(0)
+            accepted = [hub.submit("cam", batch) for batch in batches]
+            telemetry = hub.telemetry.get("cam").to_dict()
+            hub.resume_shard(0)
+            result = hub.close_sensor("cam", timeout=60)
+        shed = [batch for batch, ok in zip(batches, accepted) if not ok]
+        kept = [batch for batch, ok in zip(batches, accepted) if ok]
+        assert shed and kept
+        assert telemetry["dropped_batches"] == len(shed)
+        assert telemetry["dropped_events"] == sum(len(batch) for batch in shed)
+        assert telemetry["batches_received"] == len(kept)
+        assert result.num_events == sum(len(batch) for batch in kept)
+
+
+class TestTrackingHub(ParityContract, RegistrationContract, SheddingContract):
+    """The contract on worker threads."""
+
+
+class TestCloseAndRemove(CloseContract):
+    """The close/remove contract on worker threads."""
 
 
 class TestTelemetry:
@@ -198,32 +286,3 @@ class TestTelemetry:
 
     def test_registry_get_unknown(self):
         assert TelemetryRegistry().get("nope") is None
-
-
-class TestCloseAndRemove:
-    def test_double_close_does_not_double_count_fleet(self):
-        stream = _moving_block_stream(seed=6)
-        with TrackingHub(HubConfig(num_workers=1)) as hub:
-            hub.register("cam")
-            for batch in _batches(stream):
-                hub.submit("cam", batch)
-            first = hub.close_sensor("cam")
-            second = hub.close_sensor("cam")
-            assert second.num_frames == first.num_frames
-            assert second.num_events == first.num_events
-            assert len(hub.batch_result()) == 1
-
-    def test_remove_sensor_allows_id_reuse(self):
-        stream = _moving_block_stream(seed=7)
-        with TrackingHub(HubConfig(num_workers=1)) as hub:
-            hub.register("cam")
-            for batch in _batches(stream):
-                hub.submit("cam", batch)
-            hub.close_sensor("cam")
-            hub.remove_sensor("cam")
-            # Same id registers again as a fresh session.
-            hub.register("cam")
-            for batch in _batches(stream):
-                hub.submit("cam", batch)
-            result = hub.close_sensor("cam")
-            assert result.num_frames > 0

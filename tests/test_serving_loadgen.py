@@ -106,7 +106,9 @@ class TestRunLoad:
             dataset=None, sensors=2, scenes=1, duration=0.4, seed=0, batch_us=2_000
         )
         workload = build_workload(args)
-        config = HubConfig(num_workers=1, queue_capacity=1, backpressure="drop")
+        config = HubConfig(
+            num_workers=1, backpressure="drop", ring_capacity_bytes=4096
+        )
         with TrackingHub(config) as hub:
             report = run_load(hub, workload)
         drop = report["drop_invariant"]

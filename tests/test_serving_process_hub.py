@@ -1,212 +1,96 @@
-"""Tests for the process-per-shard :class:`ProcessTrackingHub`.
+"""The hub contract on forked worker processes, and scenarios on both vehicles.
 
-The scheduling surface is deliberately identical to the thread hub's, so
-several tests run parametrized over both flavours — in particular the
-``"drop"`` backpressure contract under sustained overload and the
-per-shard gauge exposition, which the CI smoke job also gates.
+``TestProcessHubParity`` and ``TestRegistration`` bind the contract mixins
+of ``test_serving_hub.py`` to :class:`ProcessTrackingHub`.  The remaining
+classes are parametrized over both vehicles: deterministic overload
+(``"drop"`` and ``try_submit`` refusals against a paused shard worker),
+live migration, the rebalancer thread, the per-shard gauges, and a worker
+dying mid-stream (a killed process, or a thread whose loop raised).
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.core import EbbiotConfig, EbbiotPipeline
-from repro.events.stream import EventStream
-from repro.events.types import make_packet
 from repro.obs import parse_prometheus_text, sample_value
-from repro.serving.hub import HubConfig, TrackingHub
+from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
 from repro.serving.rebalance import RebalancePolicy
+from test_serving_hub import (
+    CloseContract,
+    ParityContract,
+    RegistrationContract,
+    SheddingContract,
+    _assert_replay_parity,
+    _batches,
+    _moving_block_stream,
+)
 
 HUBS = {"thread": TrackingHub, "process": ProcessTrackingHub}
 
 
-def _moving_block_stream(seed: int, num_frames: int = 10) -> EventStream:
-    rng = np.random.default_rng(seed)
-    xs, ys, ts = [], [], []
-    for frame_index in range(num_frames):
-        x0 = 20 + 3 * frame_index
-        y0 = 40 + (seed % 60)
-        t = frame_index * 66_000 + 10_000
-        for dy in range(6):
-            for dx in range(6):
-                xs.append(x0 + dx)
-                ys.append(y0 + dy)
-                ts.append(t + int(rng.integers(0, 40_000)))
-    packet = make_packet(xs, ys, ts, [1] * len(xs))
-    return EventStream(packet, 240, 180)
+class TestProcessHubParity(ParityContract, SheddingContract):
+    hub_cls = ProcessTrackingHub
 
 
-def _batches(stream: EventStream, batch_us: int = 22_000):
-    events = stream.events
-    for lo in range(0, int(events["t"][-1]) + 1, batch_us):
-        i0, i1 = np.searchsorted(events["t"], [lo, lo + batch_us])
-        if i1 > i0:
-            yield events[i0:i1]
-
-
-def _expected(stream: EventStream):
-    return EbbiotPipeline(EbbiotConfig()).process_stream(stream)
-
-
-class TestProcessHubParity:
-    def test_multi_sensor_results_match_batch_pipeline(self):
-        streams = {f"sensor-{i}": _moving_block_stream(seed=i) for i in range(6)}
-        with ProcessTrackingHub(HubConfig(num_workers=3)) as hub:
-            for sensor_id in streams:
-                hub.register(sensor_id)
-            for sensor_id, stream in streams.items():
-                for batch in _batches(stream):
-                    assert hub.submit(sensor_id, batch)
-            results = {sid: hub.close_sensor(sid, timeout=60) for sid in streams}
-
-        for sensor_id, stream in streams.items():
-            expected = _expected(stream)
-            result = results[sensor_id]
-            assert result.name == sensor_id
-            assert result.num_events == len(stream)
-            assert result.num_frames == expected.num_frames
-            assert result.num_track_observations == (
-                expected.total_track_observations()
-            )
-
-    def test_pipe_transport_matches_batch_pipeline(self):
-        stream = _moving_block_stream(seed=11)
-        config = HubConfig(num_workers=2, transport="pipe")
-        with ProcessTrackingHub(config) as hub:
-            hub.register("cam")
-            for batch in _batches(stream):
-                assert hub.submit("cam", batch)
-            result = hub.close_sensor("cam", timeout=60)
-        expected = _expected(stream)
-        assert result.num_frames == expected.num_frames
-        assert result.num_track_observations == expected.total_track_observations()
-
-    def test_frames_callback_delivers_all_frames_in_order(self):
-        stream = _moving_block_stream(seed=1)
-        received = []
-        lock = threading.Lock()
-
-        def on_frames(sensor_id, frames):
-            with lock:
-                received.extend(frames)
-
-        with ProcessTrackingHub(HubConfig(num_workers=2)) as hub:
-            hub.register("cam", on_frames=on_frames)
-            for batch in _batches(stream):
-                hub.submit("cam", batch)
-            result = hub.close_sensor("cam", timeout=60)
-
-        assert [f.frame_index for f in received] == list(range(result.num_frames))
-
-    def test_batch_result_aggregates_closed_sensors(self):
-        with ProcessTrackingHub(HubConfig(num_workers=2)) as hub:
-            for i in range(3):
-                hub.register(f"s{i}")
-            for i in range(3):
-                for batch in _batches(_moving_block_stream(seed=i)):
-                    hub.submit(f"s{i}", batch)
-            for i in range(3):
-                hub.close_sensor(f"s{i}", timeout=60)
-            batch_result = hub.batch_result()
-        assert len(batch_result) == 3
-        assert [r.name for r in batch_result.recordings] == ["s0", "s1", "s2"]
-        assert batch_result.total_events > 0
-
-
-class TestRegistration:
-    def test_duplicate_registration_rejected(self):
-        with ProcessTrackingHub(HubConfig(num_workers=1)) as hub:
-            hub.register("cam")
-            with pytest.raises(ValueError):
-                hub.register("cam")
-
-    def test_submit_to_unknown_sensor_raises(self):
-        with ProcessTrackingHub(HubConfig(num_workers=1)) as hub:
-            with pytest.raises(KeyError):
-                hub.submit("ghost", _moving_block_stream(0).events[:5])
-
-    def test_submit_requires_started_hub(self):
-        hub = ProcessTrackingHub(HubConfig(num_workers=1))
-        with pytest.raises(RuntimeError):
-            hub.submit("cam", _moving_block_stream(0).events[:5])
-
-    def test_remove_sensor_allows_id_reuse(self):
-        # Exercises the submit route cache across close -> remove ->
-        # re-register: the stale route must be evicted, not reused.
-        stream = _moving_block_stream(seed=7)
-        with ProcessTrackingHub(HubConfig(num_workers=2)) as hub:
-            hub.register("cam")
-            for batch in _batches(stream):
-                hub.submit("cam", batch)
-            first = hub.close_sensor("cam", timeout=60)
-            hub.remove_sensor("cam")
-            with pytest.raises(KeyError):
-                hub.submit("cam", stream.events[:5])
-            hub.register("cam")
-            for batch in _batches(stream):
-                hub.submit("cam", batch)
-            result = hub.close_sensor("cam", timeout=60)
-        assert result.num_frames == first.num_frames
+class TestRegistration(RegistrationContract, CloseContract):
+    hub_cls = ProcessTrackingHub
 
 
 class TestDropBackpressureUnderOverload:
-    """Satellite contract: sustained overload with ``"drop"`` on BOTH hubs.
-
-    Shed batches must be counted exactly (generator refusals == telemetry
-    drops, accepted == batches received) and ``close_sensor`` must drain
-    without deadlock even while the queue is saturated.
+    """Overload made deterministic: the shard worker is paused while the
+    ring fills, so the first refusal comes from a full ring, not a race
+    with the clock.  Shed batches must be counted exactly, and the close
+    after resuming must drain without deadlock.
     """
 
     @staticmethod
-    def _config(kind: str) -> HubConfig:
-        if kind == "thread":
-            return HubConfig(num_workers=1, queue_capacity=2, backpressure="drop")
-        # The smallest legal ring holds only a few ~2.4 KiB batches, so a
-        # full-speed burst overruns it just like the one-slot queue.
-        return HubConfig(
-            num_workers=1, backpressure="drop", ring_capacity_bytes=4096
-        )
+    def _fill_paused(hub, submit, batches):
+        """Submit to a paused shard until the first refusal; resume."""
+        hub.pause_shard(0)
+        accepted = 0
+        for batch in batches:
+            if not submit("cam", batch):
+                break
+            accepted += 1
+        else:
+            pytest.fail("the paused ring never refused a batch")
+        hub.resume_shard(0)
+        return accepted, batches[: accepted + 1]
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_drop_counts_match_telemetry_and_close_does_not_deadlock(self, kind):
-        stream = _moving_block_stream(seed=3, num_frames=30)
-        batches = list(_batches(stream, batch_us=8_000))
-        assert len(batches) >= 100
-        with HUBS[kind](self._config(kind)) as hub:
+        batches = list(_batches(_moving_block_stream(seed=3, num_frames=30), 8_000))
+        config = HubConfig(num_workers=1, backpressure="drop", ring_capacity_bytes=4096)
+        with HUBS[kind](config) as hub:
             hub.register("cam")
-            accepted = refused = 0
-            for _ in range(3):  # sustained: repeated full-speed bursts
-                for batch in batches:
-                    if hub.submit("cam", batch):
-                        accepted += 1
-                    else:
-                        refused += 1
+            accepted, offered = self._fill_paused(hub, hub.submit, batches)
             result = hub.close_sensor("cam", timeout=60)
             telemetry = hub.telemetry_dict()["sensors"]["cam"]
-        assert refused > 0, "overload never tripped the drop policy"
-        assert accepted + refused == 3 * len(batches)
-        assert telemetry["dropped_batches"] == refused
+        assert accepted > 0
+        assert telemetry["dropped_batches"] == 1
+        assert telemetry["dropped_events"] == len(offered[-1])
         assert telemetry["batches_received"] == accepted
         assert result.num_events == telemetry["events_received"]
+        assert result.num_events == sum(len(batch) for batch in offered[:-1])
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_try_submit_refusals_are_not_counted_as_drops(self, kind):
-        stream = _moving_block_stream(seed=5, num_frames=30)
-        batches = list(_batches(stream, batch_us=8_000))
-        with HUBS[kind](self._config(kind)) as hub:
+        batches = list(_batches(_moving_block_stream(seed=5, num_frames=30), 8_000))
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with HUBS[kind](config) as hub:
             hub.register("cam")
-            refused = sum(
-                0 if hub.try_submit("cam", batch) else 1 for batch in batches
-            )
-            hub.close_sensor("cam", timeout=60)
+            accepted, _ = self._fill_paused(hub, hub.try_submit, batches)
+            result = hub.close_sensor("cam", timeout=60)
             telemetry = hub.telemetry_dict()["sensors"]["cam"]
-        assert refused > 0
         assert telemetry["dropped_batches"] == 0
+        assert telemetry["batches_received"] == accepted
+        assert result.num_events == telemetry["events_received"]
 
 
 class TestMigration:
@@ -214,7 +98,6 @@ class TestMigration:
     def test_migration_mid_stream_preserves_output_exactly(self, kind):
         stream = _moving_block_stream(seed=9)
         batches = list(_batches(stream))
-        expected = _expected(stream)
         with HUBS[kind](HubConfig(num_workers=2)) as hub:
             hub.register("cam", shard=0)
             half = len(batches) // 2
@@ -226,22 +109,19 @@ class TestMigration:
                 assert hub.submit("cam", batch)
             result = hub.close_sensor("cam", timeout=60)
             assert hub.migrations_performed == 1
-        assert result.num_events == len(stream)
-        assert result.num_frames == expected.num_frames
-        assert result.num_track_observations == expected.total_track_observations()
+        _assert_replay_parity(result, stream)
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_migration_racing_submits_preserves_output_exactly(self, kind):
-        # Regression: the shard-map flip and the two marker enqueues must
-        # be atomic with respect to concurrent submits (both hubs hold the
-        # affected shard locks across them, and submits re-check the map
-        # under their shard's lock).  Without the interlock, a racing
-        # batch can land on the source queue *behind* the migrate-out
-        # marker — ingested into the abandoned session and lost from the
-        # migrated stream — or on the target queue ahead of the barrier.
+        # Regression: the route flip and the two marker enqueues must be
+        # atomic with respect to concurrent submits (the hub holds both
+        # ring locks across them, and submits re-check the route under
+        # their ring's lock).  Without the interlock, a racing batch can
+        # land on the source ring *behind* the migrate-out marker —
+        # ingested into the abandoned session and lost from the migrated
+        # stream — or on the target ring ahead of the barrier.
         stream = _moving_block_stream(seed=13, num_frames=40)
         batches = list(_batches(stream, batch_us=8_000))
-        expected = _expected(stream)
         with HUBS[kind](HubConfig(num_workers=2)) as hub:
             hub.register("cam", shard=0)
             errors = []
@@ -265,18 +145,18 @@ class TestMigration:
             result = hub.close_sensor("cam", timeout=60)
         assert not errors
         assert bounces >= 1, "producer finished before any migration landed"
-        assert result.num_events == len(stream)
-        assert result.num_frames == expected.num_frames
-        assert result.num_track_observations == expected.total_track_observations()
+        _assert_replay_parity(result, stream)
 
-    def test_migrate_to_same_shard_is_a_no_op(self):
-        with ProcessTrackingHub(HubConfig(num_workers=2)) as hub:
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_migrate_to_same_shard_is_a_no_op(self, kind):
+        with HUBS[kind](HubConfig(num_workers=2)) as hub:
             hub.register("cam", shard=1)
             assert hub.migrate_sensor("cam", 1) is False
             assert hub.migrations_performed == 0
 
-    def test_migrate_unknown_sensor_raises(self):
-        with ProcessTrackingHub(HubConfig(num_workers=2)) as hub:
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_migrate_unknown_sensor_raises(self, kind):
+        with HUBS[kind](HubConfig(num_workers=2)) as hub:
             with pytest.raises(KeyError):
                 hub.migrate_sensor("ghost", 1)
             with pytest.raises(ValueError):
@@ -293,7 +173,6 @@ class TestRebalanceThread:
         policy = RebalancePolicy(imbalance_ratio=1.0, min_queue_delta=0)
         config = HubConfig(num_workers=2, rebalance=policy, rebalance_check_every=4)
         stream = _moving_block_stream(seed=17, num_frames=20)
-        expected = _expected(stream)
         hub = HUBS[kind](config)
         with hub:
             assert hub._rebalance_thread is not None
@@ -305,13 +184,11 @@ class TestRebalanceThread:
             result = hub.close_sensor("cam", timeout=60)
             hub.close_sensor("decoy", timeout=60)
         assert hub._rebalance_thread is None
-        assert result.num_events == len(stream)
-        assert result.num_frames == expected.num_frames
-        assert result.num_track_observations == expected.total_track_observations()
+        _assert_replay_parity(result, stream)
 
 
 class TestShardGauges:
-    """Satellite contract: per-shard load gauges in the exposition."""
+    """Per-shard load gauges and worker counters in one exposition."""
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_per_shard_gauges_exposed_via_prometheus(self, kind):
@@ -331,6 +208,7 @@ class TestShardGauges:
             busy = sample_value(samples, "repro_shard_busy_fraction", shard=shard)
             assert depth is not None and depth >= 0.0
             assert busy is not None and 0.0 <= busy <= 1.0
+            assert sample_value(samples, "repro_shard_worker_up", shard=shard) == 1.0
         # The per-sensor queue-depth gauge is stride-refreshed but the
         # first accepted batch always publishes one.
         assert (
@@ -338,15 +216,16 @@ class TestShardGauges:
             is not None
         )
 
-    def test_process_hub_merges_worker_counters(self):
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_hub_merges_worker_counters(self, kind):
         stream = _moving_block_stream(seed=4)
-        with ProcessTrackingHub(HubConfig(num_workers=2)) as hub:
+        with HUBS[kind](HubConfig(num_workers=2)) as hub:
             hub.register("cam")
             for batch in _batches(stream):
                 hub.submit("cam", batch)
             hub.close_sensor("cam", timeout=60)
             samples = parse_prometheus_text(hub.metrics_text())
-        # Batches are counted parent-side, frames worker-side; both must
+        # Batches are counted hub-side, frames worker-side; both must
         # appear in one merged exposition.
         received = sample_value(
             samples, "repro_sensor_events_received_total", sensor="cam"
@@ -356,3 +235,42 @@ class TestShardGauges:
         )
         assert received == float(len(stream))
         assert frames and frames > 0.0
+
+
+class TestWorkerDeath:
+    @staticmethod
+    def _kill_worker(hub, shard: int) -> None:
+        if isinstance(hub, ProcessTrackingHub):
+            os.kill(hub._workers[shard].pid, signal.SIGKILL)
+        else:
+            # A request without its id makes the worker loop raise.
+            hub._cmd_tx[shard].send(("metrics",))
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_killed_worker_fails_fast_and_spares_the_other_shard(self, kind):
+        doomed = list(_batches(_moving_block_stream(seed=19)))
+        live_stream = _moving_block_stream(seed=20)
+        live = list(_batches(live_stream))
+        with HUBS[kind](HubConfig(num_workers=2)) as hub:
+            hub.register("doomed", shard=0)
+            hub.register("live", shard=1)
+            for batch in doomed[:3]:
+                hub.submit("doomed", batch)
+            for batch in live[:3]:
+                hub.submit("live", batch)
+            self._kill_worker(hub, 0)
+
+            started = time.monotonic()
+            with pytest.raises(ShardDown):
+                hub.close_sensor("doomed", timeout=60)
+            assert time.monotonic() - started < 5.0
+            with pytest.raises(ShardDown):
+                hub.submit("doomed", doomed[3])
+
+            for batch in live[3:]:
+                assert hub.submit("live", batch)
+            result = hub.close_sensor("live", timeout=60)
+            samples = parse_prometheus_text(hub.metrics_text())
+        _assert_replay_parity(result, live_stream)
+        assert sample_value(samples, "repro_shard_worker_up", shard="0") == 0.0
+        assert sample_value(samples, "repro_shard_worker_up", shard="1") == 1.0

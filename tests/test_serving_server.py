@@ -102,7 +102,7 @@ class TestTrackingServer:
                     for sensor_id, stream in streams.items()
                 }
                 outcomes = {sid: f.result(timeout=60) for sid, f in futures.items()}
-            telemetry = server.hub.telemetry.to_dict()
+            telemetry = server.hub.telemetry_dict()
 
         assert telemetry["totals"]["num_sensors"] == 8
         for sensor_id, stream in streams.items():
@@ -346,7 +346,7 @@ class TestBackendSelection:
                 assert client.welcome["tracker"] == "kalman"
                 client.send_events(stream.events)
                 summary = client.finish()
-            telemetry = server.hub.telemetry.to_dict()
+            telemetry = server.hub.telemetry_dict()
         assert summary["tracker"] == "kalman"
         assert summary["num_frames"] == expected.num_frames
         assert summary["num_track_observations"] == expected.total_track_observations()
