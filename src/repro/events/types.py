@@ -59,8 +59,10 @@ def make_packet(
     Raises
     ------
     ValueError
-        If the field arrays have mismatched lengths or polarity values are
-        not in ``{-1, +1}``.
+        If the field arrays have mismatched lengths, polarity values are
+        not in ``{-1, +1}``, or a value does not survive the cast to
+        :data:`EVENT_DTYPE` (an ``x`` of 65546 would wrap to 10, a ``t`` of
+        5.5 would truncate to 5).
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -72,13 +74,17 @@ def make_packet(
             f"event field arrays must have equal length, got lengths "
             f"x={len(x)} y={len(y)} t={len(t)} p={len(p)}"
         )
-    if len(p) and not np.all(np.isin(p, (ON_POLARITY, OFF_POLARITY))):
+    if len(p) and not ((p == ON_POLARITY) | (p == OFF_POLARITY)).all():
         raise ValueError("polarity values must be +1 (ON) or -1 (OFF)")
     packet = np.empty(len(x), dtype=EVENT_DTYPE)
-    packet["x"] = x
-    packet["y"] = y
-    packet["t"] = t
-    packet["p"] = p
+    for name, values in zip(EVENT_DTYPE.names, (x, y, t, p)):
+        packet[name] = values
+        # A source dtype that casts safely cannot wrap, and p is already +-1.
+        if name != "p" and not np.can_cast(values.dtype, EVENT_DTYPE[name]):
+            if not (packet[name] == values).all():
+                raise ValueError(
+                    f"event field {name!r} values do not fit {EVENT_DTYPE[name]}"
+                )
     return packet
 
 

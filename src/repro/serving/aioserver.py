@@ -39,13 +39,13 @@ import threading
 from typing import List, Optional, Tuple
 
 from repro.core.pipeline import FrameResult
-from repro.events.types import validate_packet
 from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.protocol import (
     ProtocolError,
     decode_message,
     encode_message,
     error_message,
+    error_reply,
     frame_message,
     metrics_message,
     packet_from_events_message,
@@ -149,12 +149,7 @@ class _Connection:
         if self.sensor_id is None:
             raise ProtocolError("first message must be 'hello'")
         if kind == "events":
-            packet = packet_from_events_message(message)
-            try:
-                validate_packet(packet, self.width, self.height)
-            except ValueError as error:
-                raise ProtocolError(str(error)) from error
-            await self._ingest(packet)
+            await self._ingest(packet_from_events_message(message, self.width, self.height))
             return True
         if kind == "stats":
             telemetry = await asyncio.to_thread(hub.telemetry_dict)
@@ -281,21 +276,8 @@ class AsyncTrackingServer:
                 try:
                     if not await connection.dispatch(message):
                         break
-                except (ProtocolError, ShardDown) as error:
-                    await connection.send(
-                        error_message(str(error), connection.sensor_id)
-                    )
-                except KeyError as error:
-                    # The hub raises KeyError for a sensor it no longer
-                    # knows (e.g. closed and removed by a racing path).
-                    # Reply with an error instead of unwinding the handler
-                    # and dropping the connection without explanation.
-                    await connection.send(
-                        error_message(
-                            f"sensor is not registered: {error}",
-                            connection.sensor_id,
-                        )
-                    )
+                except (ProtocolError, ShardDown, KeyError) as error:
+                    await connection.send(error_reply(error, connection.sensor_id))
         finally:
             try:
                 await connection.teardown()

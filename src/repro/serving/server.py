@@ -26,13 +26,13 @@ import threading
 from typing import List, Optional, Tuple
 
 from repro.core.pipeline import FrameResult
-from repro.events.types import validate_packet
 from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.protocol import (
     ProtocolError,
     decode_message,
     encode_message,
     error_message,
+    error_reply,
     frame_message,
     metrics_message,
     packet_from_events_message,
@@ -80,17 +80,8 @@ class _SensorConnectionHandler(socketserver.StreamRequestHandler):
                 try:
                     if not self._dispatch(hub, message):
                         return
-                except (ProtocolError, ShardDown) as error:
-                    self._send(error_message(str(error), self.sensor_id))
-                except KeyError as error:
-                    # The hub raises KeyError for a sensor it no longer
-                    # knows (e.g. closed and removed by a racing path);
-                    # reply instead of dropping the connection.
-                    self._send(
-                        error_message(
-                            f"sensor is not registered: {error}", self.sensor_id
-                        )
-                    )
+                except (ProtocolError, ShardDown, KeyError) as error:
+                    self._send(error_reply(error, self.sensor_id))
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         finally:
@@ -126,12 +117,7 @@ class _SensorConnectionHandler(socketserver.StreamRequestHandler):
         if self.sensor_id is None:
             raise ProtocolError("first message must be 'hello'")
         if kind == "events":
-            packet = packet_from_events_message(message)
-            try:
-                validate_packet(packet, self.width, self.height)
-            except ValueError as error:
-                raise ProtocolError(str(error)) from error
-            hub.submit(self.sensor_id, packet)
+            hub.submit(self.sensor_id, packet_from_events_message(message, self.width, self.height))
             return True
         if kind == "stats":
             self._send(stats_message(hub.telemetry_dict()))

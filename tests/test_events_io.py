@@ -148,6 +148,16 @@ class TestCsvHeaderDetection:
         with pytest.raises(ValueError):
             load_events_csv(path, width=240, height=180)
 
+    def test_coordinate_that_would_wrap_raises(self, tmp_path):
+        # Regression: rows are read as int64 and were cast to int16 unchecked,
+        # so x=65546 loaded as x=10 and passed the resolution check.
+        path = tmp_path / "wrap.csv"
+        path.write_text("65546,6,100,1\n")
+        with pytest.raises(ValueError, match="do not fit"):
+            load_events_csv(path, width=240, height=180)
+        with pytest.raises(ValueError, match="do not fit"):
+            list(iter_events_csv(path))
+
     def test_resolution_comment_split_across_lines(self, tmp_path):
         path = tmp_path / "split.csv"
         path.write_text("# width=240\n# height=180\nx,y,t,p\n1,2,3,1\n")

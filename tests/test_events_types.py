@@ -34,6 +34,37 @@ class TestMakePacket:
         with pytest.raises(ValueError, match="polarity"):
             make_packet([1], [2], [3], [0])
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ([65546], [1], [10], [1]),  # int64 x would wrap to 10
+            ([1], [-32769], [10], [1]),  # int64 y would wrap to 32767
+            ([5.5], [1], [10], [1]),  # float x would truncate to 5
+            ([1], [1], [2**63], [1]),  # uint64 t would wrap negative
+            ([1], [1], [10.5], [1]),  # float t would truncate to 10
+        ],
+    )
+    def test_values_that_do_not_survive_the_cast_raise(self, fields):
+        with pytest.raises(ValueError, match="do not fit"):
+            make_packet(*fields)
+
+    def test_polarity_that_would_wrap_to_one_raises(self):
+        # 257 casts to int8 as 1: the polarity check must see the source value.
+        with pytest.raises(ValueError, match="polarity"):
+            make_packet([1], [2], [3], [257])
+
+    def test_safe_dtypes_and_exact_values_are_kept(self):
+        packet = make_packet(
+            np.array([0, 32767], dtype=np.int16),
+            np.array([5.0, 6.0]),
+            np.array([-(2**63), 2**63 - 1]),
+            np.array([1, -1], dtype=np.int8),
+        )
+        assert packet["x"].tolist() == [0, 32767]
+        assert packet["y"].tolist() == [5, 6]
+        assert packet["t"].tolist() == [-(2**63), 2**63 - 1]
+        assert packet["p"].tolist() == [1, -1]
+
     def test_empty_packet(self):
         packet = empty_packet()
         assert len(packet) == 0

@@ -20,6 +20,7 @@ from repro.serving import HubConfig, scrape_metrics, stream_recording
 from repro.serving.aioserver import AsyncTrackingServer
 from repro.serving.hub import TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
+from test_serving_server import assert_bad_batches_refused
 
 HUBS = {"thread": TrackingHub, "process": ProcessTrackingHub}
 
@@ -115,6 +116,12 @@ class TestAsyncServer:
                 with pytest.raises(ProtocolError, match="not registered"):
                     client.finish()
                 assert "repro_" in client.request_metrics()
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_bad_batches_get_error_replies_and_the_connection_survives(self, kind):
+        hub = HUBS[kind](HubConfig(num_workers=1))
+        with AsyncTrackingServer(hub=hub) as server:
+            assert_bad_batches_refused(*server.address)
 
     def test_dead_shard_worker_turns_into_error_replies(self):
         import os

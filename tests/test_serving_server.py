@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
-from repro.events.types import make_packet
+from repro.events.types import EVENT_DTYPE, make_packet, validate_packet
 from repro.serving import (
     HubConfig,
     ProtocolError,
@@ -24,6 +26,61 @@ from repro.serving.protocol import (
     hello_message,
     packet_from_events_message,
 )
+
+
+#: ``events`` payloads the decoder must refuse on a 240x180 sensor.  A cast
+#: into EVENT_DTYPE alone would turn the wrap and float cases into
+#: corrupt-but-valid events (x=65546 into x=10, 5.5 into 5), and t=2**70
+#: into an OverflowError that is not a ProtocolError.
+BAD_EVENTS = {
+    "x_wraps": {"x": [65546], "y": [1], "t": [1_000], "p": [1]},
+    "y_negative": {"x": [1], "y": [-1], "t": [1_000], "p": [1]},
+    "float": {"x": [5.5], "y": [1], "t": [1_000], "p": [1]},
+    "string": {"x": ["a"], "y": [1], "t": [1_000], "p": [1]},
+    "ragged": {"x": [1, 2], "y": [1], "t": [1_000], "p": [1]},
+    "p_zero": {"x": [1], "y": [1], "t": [1_000], "p": [0]},
+    "t_overflows": {"x": [1], "y": [1], "t": [2**70], "p": [1]},
+    "missing_p": {"x": [1], "y": [1], "t": [1_000]},
+}
+
+
+def assert_bad_batches_refused(host: str, port: int) -> None:
+    """Every BAD_EVENTS line gets an ``error`` reply, and the connection then
+    still accepts a valid batch (the ``stats`` reply follows with no second
+    error, and ``finish`` counts exactly the valid events)."""
+    valid = make_packet([5, 6], [7, 8], [1_000, 2_000], [1, -1])
+    with socket.create_connection((host, port), timeout=30) as raw, raw.makefile("rwb") as wire:
+
+        def exchange(*messages: dict) -> dict:
+            wire.write(b"".join(encode_message(message) for message in messages))
+            wire.flush()
+            return decode_message(wire.readline())
+
+        assert exchange(hello_message("cam"))["type"] == "welcome"
+        for name, fields in BAD_EVENTS.items():
+            bad = {"type": "events", **fields}
+            reply = exchange(bad, events_message(valid), {"type": "stats"})
+            assert reply["type"] == "error", name
+            assert decode_message(wire.readline())["type"] == "stats", name
+        reply = exchange({"type": "finish"})
+        while reply["type"] == "frame":
+            reply = decode_message(wire.readline())
+        assert reply["type"] == "summary"
+        assert reply["recording"]["num_events"] == len(BAD_EVENTS) * len(valid)
+
+
+@st.composite
+def _valid_batches(draw):
+    """(width, height, x, y, t, p) of a batch every check accepts."""
+    width, height = draw(st.integers(1, 1 << 15)), draw(st.integers(1, 1 << 15))
+    size = draw(st.integers(0, 64))
+
+    def column(values):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    x, y = column(st.integers(0, width - 1)), column(st.integers(0, height - 1))
+    t = column(st.integers(-(2**63), 2**63 - 1))
+    return width, height, x, y, t, column(st.sampled_from([-1, 1]))
 
 
 def _moving_block_stream(seed: int, num_frames: int = 10) -> EventStream:
@@ -48,7 +105,7 @@ class TestProtocol:
 
     def test_events_round_trip(self):
         packet = _moving_block_stream(0).events[:100]
-        decoded = packet_from_events_message(events_message(packet))
+        decoded = packet_from_events_message(events_message(packet), 240, 180)
         assert np.array_equal(decoded, packet)
 
     def test_decode_rejects_junk(self):
@@ -61,7 +118,51 @@ class TestProtocol:
 
     def test_events_message_requires_fields(self):
         with pytest.raises(ProtocolError):
-            packet_from_events_message({"type": "events", "x": [1]})
+            packet_from_events_message({"type": "events", "x": [1]}, 240, 180)
+
+    @pytest.mark.parametrize("name", sorted(BAD_EVENTS))
+    def test_events_decode_refuses_bad_payloads(self, name):
+        line = encode_message({"type": "events", **BAD_EVENTS[name]})
+        with pytest.raises(ProtocolError):
+            packet_from_events_message(decode_message(line), 240, 180)
+
+    def test_events_decode_refuses_coordinates_past_int16(self):
+        # A hello may declare more than 32768 columns, but EVENT_DTYPE's
+        # int16 cannot hold such an x: 65546 must not wrap to a valid 10.
+        message = events_message(make_packet([0], [0], [0], [1]))
+        message["x"] = [65546]
+        with pytest.raises(ProtocolError):
+            packet_from_events_message(message, 70_000, 180)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_batches())
+    def test_events_decode_matches_make_packet(self, batch):
+        width, height, x, y, t, p = batch
+        expected = make_packet(x, y, t, p)
+        validate_packet(expected, width, height)
+        line = encode_message(events_message(expected))
+        decoded = packet_from_events_message(decode_message(line), width, height)
+        assert decoded.dtype == EVENT_DTYPE
+        assert decoded.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_batches(), st.sampled_from("xytp"), st.data())
+    def test_events_decode_refuses_any_field_out_of_range(self, batch, field, data):
+        width, height, x, y, t, p = batch
+        if not x:
+            x, y, t, p = [0], [0], [0], [1]
+        message = {"type": "events", "x": x, "y": y, "t": t, "p": p}
+        out_of_range = {
+            "x": st.integers(max_value=-1) | st.integers(min_value=width),
+            "y": st.integers(max_value=-1) | st.integers(min_value=height),
+            "t": st.integers(max_value=-(2**63) - 1) | st.integers(min_value=2**63),
+            "p": st.integers().filter(lambda value: value not in (-1, 1)),
+        }[field]
+        index = data.draw(st.integers(0, len(x) - 1))
+        message[field][index] = data.draw(out_of_range)
+        line = encode_message(message)
+        with pytest.raises(ProtocolError):
+            packet_from_events_message(decode_message(line), width, height)
 
     def test_hello_message_shape(self):
         message = hello_message("cam", 240, 180)
@@ -244,6 +345,10 @@ class TestTrackingServer:
                 with pytest.raises(ProtocolError, match="not registered"):
                     client.finish()
                 assert "repro_" in client.request_metrics()
+
+    def test_bad_batches_get_error_replies_and_the_connection_survives(self):
+        with TrackingServer() as server:
+            assert_bad_batches_refused(*server.address)
 
     def test_out_of_bounds_events_reported_as_error(self):
         with TrackingServer() as server:
