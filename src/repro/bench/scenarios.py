@@ -168,38 +168,65 @@ def scenario_overlap_pipeline(profile: BenchProfile) -> Dict[str, float]:
     }
 
 
+#: Interleaved trials per leg of ``stage_breakdown``; the median trial is reported.
+STAGE_BREAKDOWN_TRIALS = 3
+
+
+def _run_per_window_fleet(recordings, instrumented: bool) -> Dict[str, object]:
+    """Replay every recording one window at a time through an overlap pipeline.
+
+    This is the path an instrumented ``process_stream`` takes (EBBI built
+    per window, so the ``ebbi``/``median`` spans are each window's own cost),
+    run with or without instrumentation so the two legs differ in nothing
+    else.
+    """
+    from repro.obs import Instrumentation
+
+    stage_seconds: Dict[str, float] = {}
+    total_frames = 0
+    wall_s = 0.0
+    for recording in recordings:
+        instrumentation = Instrumentation() if instrumented else None
+        pipeline = EbbiotPipeline(
+            EbbiotConfig(tracker="overlap"), instrumentation=instrumentation
+        )
+        started = time.perf_counter()
+        total_frames += sum(1 for _ in pipeline.iter_stream(recording.stream))
+        wall_s += time.perf_counter() - started
+        if instrumentation is not None:
+            for stage, seconds in instrumentation.stage_seconds.items():
+                stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+    return {"frames": total_frames, "wall_s": wall_s, "stage_seconds": stage_seconds}
+
+
 def scenario_stage_breakdown(profile: BenchProfile) -> Dict[str, float]:
     """Instrumented pipeline run: where the wall clock actually goes.
 
     Runs the standard fleet through an *instrumented* overlap pipeline
     (metrics accumulation only, no tracer) and reports each stage's share
     of the total stage time plus the instrumented throughput.  The
-    ``overhead_vs_plain`` ratio — instrumented wall time over a back-to-
-    back uninstrumented run — guards the "zero cost when disabled, cheap
-    when enabled" contract; the per-stage shares make hot-spot drift
-    visible in bench artifacts over time.
+    ``overhead_vs_plain`` ratio — instrumented wall time over an
+    uninstrumented run of the same per-window path, each the median of
+    :data:`STAGE_BREAKDOWN_TRIALS` interleaved trials — guards the "zero
+    cost when disabled, cheap when enabled" contract; the per-stage shares
+    make hot-spot drift visible in bench artifacts over time.
     """
-    from repro.obs import Instrumentation
-
     recordings = _fleet(profile)
-    plain = _run_pipeline_fleet(recordings, "overlap")
-
-    stage_seconds: Dict[str, float] = {}
-    instrumented_wall_s = 0.0
-    total_frames = 0
-    total_events = 0
-    for recording in recordings:
-        instrumentation = Instrumentation()
-        pipeline = EbbiotPipeline(
-            EbbiotConfig(tracker="overlap"), instrumentation=instrumentation
+    pairs = [
+        (
+            _run_per_window_fleet(recordings, instrumented=False),
+            _run_per_window_fleet(recordings, instrumented=True),
         )
-        started = time.perf_counter()
-        result = pipeline.process_stream(recording.stream, collect_frames=False)
-        instrumented_wall_s += time.perf_counter() - started
-        total_frames += result.num_frames
-        total_events += len(recording.stream)
-        for stage, seconds in instrumentation.stage_seconds.items():
-            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+        for _ in range(STAGE_BREAKDOWN_TRIALS)
+    ]
+    plain, instrumented = (
+        sorted(leg, key=lambda trial: trial["wall_s"])[len(leg) // 2]
+        for leg in zip(*pairs)
+    )
+    instrumented_wall_s = instrumented["wall_s"]
+    stage_seconds = instrumented["stage_seconds"]
+    total_events = sum(len(recording.stream) for recording in recordings)
+    total_frames = instrumented["frames"]
 
     total_stage_s = sum(stage_seconds.values())
     metrics: Dict[str, float] = {

@@ -296,7 +296,7 @@ class EbbiBuilder:
             with instrumentation.stage("median"):
                 filtered = self._filter_window(raw)
         self._frames_built += 1
-        self._total_active_fraction += raw.sum() / raw.size
+        self._total_active_fraction += np.count_nonzero(raw) / raw.size
         return EbbiFrames(
             raw=raw,
             filtered=filtered,
@@ -361,9 +361,9 @@ class EbbiBuilder:
         counts = np.diff(np.asarray(splits, dtype=np.int64))
         num_frames = len(starts)
         self._frames_built += num_frames
-        self._total_active_fraction += float(
-            raw_stack.sum(dtype=np.int64)
-        ) / (self.width * self.height)
+        self._total_active_fraction += np.count_nonzero(raw_stack) / (
+            self.width * self.height
+        )
         return [
             EbbiFrames(
                 raw=raw_stack[i],

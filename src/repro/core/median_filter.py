@@ -3,14 +3,15 @@
 Spurious sensor events appear in the EBBI as salt-and-pepper noise; for a
 binary image a median filter reduces to a majority vote over the ``p x p``
 patch: the output pixel is 1 when more than ``floor(p^2 / 2)`` of the patch
-pixels are 1 (Section II-A).  The implementation below computes patch sums
-with a separable box filter (via cumulative sums), so it is fast enough for
-the laptop-scale benchmarks while remaining an exact majority filter.
+pixels are 1 (Section II-A).  The patch counts are separable sums: ``p``
+row-shifted views of the zero-padded frames are added, then ``p``
+column-shifted views of those row sums.  They are held in the narrowest
+unsigned dtype that holds ``p^2`` (uint8 up to ``p = 15``), so the filter
+is exact and costs ``2 (p - 1)`` in-place adds per pixel.
 
-On the steady-state pipeline path every intermediate — the zero-padded
-copy, the integral image, the box sums and the output stack — can live in
-a reusable :class:`MedianScratch`, so filtering a chunk of frames performs
-no allocations at all after warm-up.
+On the steady-state pipeline path the padded copy, the row sums and the
+patch sums live in a reusable :class:`MedianScratch`, so filtering a chunk
+of frames performs no allocations at all after warm-up.
 """
 
 from __future__ import annotations
@@ -23,46 +24,37 @@ import numpy as np
 class MedianScratch:
     """Reusable work buffers for :func:`binary_median_filter_stack`.
 
-    The stack filter needs a zero-padded copy of the input, an integral
-    image one row/column larger, and an int32 box-sum array; on a
-    steady-state pipeline those are the only per-chunk allocations left, so
-    callers that filter chunk after chunk (``EbbiBuilder`` with buffer
-    reuse) pass one scratch and the buffers are grown once and recycled.
-    Buffers are grown on demand and never shrink.
+    Three stacks in the patch-count dtype: the input binarised into the
+    interior of a ``p // 2`` zero border, its ``p``-row sums and the
+    ``p x p`` patch sums.  Only the interior of the padded stack is ever
+    written, so its border stays zero across reuse.  Callers that filter
+    chunk after chunk (``EbbiBuilder`` with buffer reuse) pass one scratch;
+    the buffers are regrown when the frame shape or patch size changes or a
+    longer stack arrives (capacity doubles), and never shrink.
     """
 
     def __init__(self) -> None:
-        self._padded: Optional[np.ndarray] = None
-        self._integral: Optional[np.ndarray] = None
-        self._sums: Optional[np.ndarray] = None
+        self._key: Optional[Tuple[int, int, int]] = None
+        self._buffers: Tuple[np.ndarray, ...] = ()
 
     def buffers(
-        self, num_frames: int, frame_shape: Tuple[int, int], half: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded, integral and box-sum buffers for one filter pass."""
+        self, num_frames: int, frame_shape: Tuple[int, int], patch_size: int
+    ) -> Tuple[np.ndarray, ...]:
+        """Padded, row-sum and patch-sum stacks for one filter pass."""
         height, width = frame_shape
-        padded_shape = (height + 2 * half, width + 2 * half)
-        if (
-            self._padded is None
-            or self._padded.shape[0] < num_frames
-            or self._padded.shape[1:] != padded_shape
-        ):
-            capacity = num_frames
-            if (
-                self._padded is not None
-                and self._padded.shape[1:] == padded_shape
-            ):
-                capacity = max(num_frames, 2 * self._padded.shape[0])
-            self._padded = np.zeros((capacity,) + padded_shape, dtype=np.uint8)
-            self._integral = np.zeros(
-                (capacity, padded_shape[0] + 1, padded_shape[1] + 1), dtype=np.int32
+        key = (height, width, patch_size)
+        capacity = self._buffers[0].shape[0] if self._buffers else 0
+        if key != self._key or capacity < num_frames:
+            capacity = max(num_frames, 2 * capacity) if key == self._key else num_frames
+            pad = 2 * (patch_size // 2)
+            dtype = np.min_scalar_type(patch_size * patch_size)
+            self._buffers = (
+                np.zeros((capacity, height + pad, width + pad), dtype=dtype),
+                np.empty((capacity, height, width + pad), dtype=dtype),
+                np.empty((capacity, height, width), dtype=dtype),
             )
-            self._sums = np.zeros((capacity, height, width), dtype=np.int32)
-        return (
-            self._padded[:num_frames],
-            self._integral[:num_frames],
-            self._sums[:num_frames],
-        )
+            self._key = key
+        return tuple(buffer[:num_frames] for buffer in self._buffers)
 
 
 def binary_median_filter(frame: np.ndarray, patch_size: int = 3) -> np.ndarray:
@@ -90,54 +82,25 @@ def binary_median_filter(frame: np.ndarray, patch_size: int = 3) -> np.ndarray:
 def _box_sum_stack(
     frames: np.ndarray, patch_size: int, scratch: Optional[MedianScratch] = None
 ) -> np.ndarray:
-    """Per-frame patch sums for a ``(n, height, width)`` stack of frames.
+    """Per-frame ``p x p`` patch sums of ``frames > 0`` (zero padded).
 
-    Zero-padded integral images with the cumulative sums and a 4-corner
-    *slice* combination broadcast over the leading (frame) axis, so a whole
-    chunk of EBBI frames is filtered in one pass and the cost is
-    independent of the patch size.  With a :class:`MedianScratch` every
-    work array is reused and the cumsums/subtractions run in place.
+    Separable over the whole ``(n, height, width)`` stack: ``p - 1``
+    in-place adds of row-shifted views, then ``p - 1`` of column-shifted
+    views.  Every shifted operand is a slice view, so nothing is gathered.
     """
+    height, width = frames.shape[1:]
     half = patch_size // 2
-    num_frames, height, width = frames.shape
     if scratch is None:
-        padded = np.pad(
-            frames > 0,
-            ((0, 0), (half, half), (half, half)),
-            mode="constant",
-            constant_values=False,
-        )
-        # int32 is ample: integral values are bounded by the padded frame area.
-        integral = np.zeros(
-            (num_frames, padded.shape[1] + 1, padded.shape[2] + 1), dtype=np.int32
-        )
-        sums_out = None
-    else:
-        padded, integral, sums_out = scratch.buffers(
-            num_frames, (height, width), half
-        )
-        padded[:] = 0
-        np.greater(frames, 0, out=padded[:, half : half + height, half : half + width])
-        integral[:, 0, :] = 0
-        integral[:, :, 0] = 0
-    body = integral[:, 1:, 1:]
-    np.cumsum(padded, axis=1, dtype=np.int32, out=body)
-    np.cumsum(body, axis=2, out=body)
-    # The four patch corners are contiguous ranges, so they are views —
-    # no fancy-indexing gathers.
-    bottom_right = integral[:, patch_size : patch_size + height, patch_size : patch_size + width]
-    top_right = integral[:, 0:height, patch_size : patch_size + width]
-    bottom_left = integral[:, patch_size : patch_size + height, 0:width]
-    top_left = integral[:, 0:height, 0:width]
-    if sums_out is None:
-        sums = bottom_right - top_right
-        np.subtract(sums, bottom_left, out=sums)
-        np.add(sums, top_left, out=sums)
-        return sums
-    np.subtract(bottom_right, top_right, out=sums_out)
-    np.subtract(sums_out, bottom_left, out=sums_out)
-    np.add(sums_out, top_left, out=sums_out)
-    return sums_out
+        scratch = MedianScratch()
+    padded, rows, sums = scratch.buffers(frames.shape[0], (height, width), patch_size)
+    np.greater(frames, 0, out=padded[:, half : half + height, half : half + width])
+    np.add(padded[:, :height], padded[:, 1 : 1 + height], out=rows)
+    for shift in range(2, patch_size):
+        np.add(rows, padded[:, shift : shift + height], out=rows)
+    np.add(rows[:, :, :width], rows[:, :, 1 : 1 + width], out=sums)
+    for shift in range(2, patch_size):
+        np.add(sums, rows[:, :, shift : shift + width], out=sums)
+    return sums
 
 
 def binary_median_filter_stack(

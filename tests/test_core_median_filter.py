@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.median_filter import binary_median_filter, count_salt_and_pepper
+from repro.core.median_filter import (
+    MedianScratch,
+    binary_median_filter,
+    binary_median_filter_stack,
+    count_salt_and_pepper,
+)
 
 
 def _naive_majority_filter(frame: np.ndarray, patch: int) -> np.ndarray:
@@ -48,11 +53,19 @@ class TestBinaryMedianFilter:
         frame = (np.arange(25).reshape(5, 5) % 2).astype(np.uint8)
         np.testing.assert_array_equal(binary_median_filter(frame, 1), frame)
 
-    def test_non_binary_input_thresholded(self):
+    def test_non_binary_input_thresholded(self, rng):
         frame = np.zeros((10, 10), dtype=np.int32)
         frame[3:8, 3:8] = 7
         filtered = binary_median_filter(frame)
         assert filtered.max() == 1
+        # The stack path with a caller buffer sees only ``value > 0`` too.
+        frames = rng.choice(np.array([0, 1, 7, 255], dtype=np.uint8), size=(3, 12, 17))
+        out = np.full(frames.shape, 9, dtype=np.uint8)
+        assert binary_median_filter_stack(frames, 3, out=out) is out
+        for got, frame in zip(out, frames):
+            np.testing.assert_array_equal(
+                got, _naive_majority_filter((frame > 0).astype(np.uint8), 3)
+            )
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -74,6 +87,20 @@ class TestBinaryMedianFilter:
         np.testing.assert_array_equal(
             binary_median_filter(frame, 5), _naive_majority_filter(frame, 5)
         )
+
+    @pytest.mark.parametrize(
+        "height, width, patch",
+        [(1, 1, 3), (2, 7, 3), (3, 3, 5), (30, 41, 17)],
+        ids=["1x1-p3", "2x7-p3", "3x3-p5", "p17"],
+    )
+    def test_matches_naive_on_edge_shapes(self, rng, height, width, patch):
+        # Frames smaller than the patch, and p = 17, whose p^2 = 289 patch
+        # counts do not fit the uint8 that suffices up to p = 15.
+        for density in (0.3, 0.7, 1.0):
+            frame = (rng.random((height, width)) < density).astype(np.uint8)
+            np.testing.assert_array_equal(
+                binary_median_filter(frame, patch), _naive_majority_filter(frame, patch)
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -123,8 +150,6 @@ class TestSaltAndPepperCounter:
 
 class TestBinaryMedianFilterStack:
     def test_stack_matches_per_frame_filter(self):
-        from repro.core.median_filter import binary_median_filter_stack
-
         rng = np.random.default_rng(3)
         frames = (rng.random((5, 40, 60)) < 0.2).astype(np.uint8)
         for patch in (1, 3, 5):
@@ -134,20 +159,35 @@ class TestBinaryMedianFilterStack:
                     stacked[i], binary_median_filter(frames[i], patch)
                 )
 
-    def test_stack_empty(self):
-        from repro.core.median_filter import binary_median_filter_stack
+    @pytest.mark.parametrize(
+        "passes",
+        [
+            # (frames, height, width, patch) per call on one scratch.
+            [(1, 9, 11, 3), (5, 9, 11, 3), (300, 9, 11, 3), (2, 9, 11, 3)],
+            [(3, 40, 60, 3), (3, 7, 5, 3), (3, 40, 60, 3)],
+            [(3, 20, 24, 3), (3, 20, 24, 5), (3, 20, 24, 3)],
+            # Same padded extent, different border: 40x60 at p=3, 38x58 at p=5.
+            [(2, 40, 60, 3), (2, 38, 58, 5), (2, 40, 60, 3)],
+        ],
+        ids=["frame-count", "frame-shape", "patch-size", "same-padded-shape"],
+    )
+    def test_scratch_reuse_matches_naive(self, rng, passes):
+        scratch = MedianScratch()
+        for num_frames, height, width, patch in passes:
+            frames = (rng.random((num_frames, height, width)) < 0.45).astype(np.uint8)
+            out = np.full(frames.shape, 9, dtype=np.uint8)
+            binary_median_filter_stack(frames, patch, out=out, scratch=scratch)
+            for got, frame in zip(out, frames):
+                np.testing.assert_array_equal(got, _naive_majority_filter(frame, patch))
 
+    def test_stack_empty(self):
         out = binary_median_filter_stack(np.zeros((0, 8, 8), dtype=np.uint8), 3)
         assert out.shape == (0, 8, 8)
 
     def test_stack_rejects_2d_input(self):
-        from repro.core.median_filter import binary_median_filter_stack
-
         with pytest.raises(ValueError):
             binary_median_filter_stack(np.zeros((8, 8), dtype=np.uint8), 3)
 
     def test_stack_rejects_even_patch(self):
-        from repro.core.median_filter import binary_median_filter_stack
-
         with pytest.raises(ValueError):
             binary_median_filter_stack(np.zeros((1, 8, 8), dtype=np.uint8), 2)
