@@ -26,13 +26,12 @@ into IoVT infrastructure, tracked online.
   percentiles, queue depth, per-shard load gauges and drop counts,
   exportable as JSON or Prometheus text exposition (built on
   :mod:`repro.obs`).
-* :mod:`repro.serving.protocol` / ``server`` / ``client`` — a JSONL
-  line-protocol TCP transport; :mod:`repro.serving.aioserver` is the
-  asyncio front door speaking the identical wire protocol.
-* ``python -m repro.serving`` — live demo / standalone server across the
-  worker-vehicle x front-door matrix; ``python -m repro.serving.loadgen`` replays
-  fleets at N x speed and reports throughput, tail latency and SLO
-  verdicts.
+* :mod:`repro.serving.protocol` / ``aioserver`` / ``client`` — a JSONL
+  line-protocol TCP transport: :class:`AsyncTrackingServer` is the front
+  door, serving every connection on one asyncio event loop.
+* ``python -m repro.serving`` — live demo / standalone server on either
+  worker vehicle; ``python -m repro.serving.loadgen`` replays fleets at
+  N x speed and reports throughput, tail latency and SLO verdicts.
 """
 
 from repro.serving.aioserver import AsyncTrackingServer
@@ -59,7 +58,6 @@ from repro.serving.rebalance import (
     ShardStats,
     plan_rebalance,
 )
-from repro.serving.server import TrackingServer
 from repro.serving.session import SensorSession, SessionSnapshot
 from repro.serving.telemetry import LatencyWindow, SensorTelemetry, TelemetryRegistry
 from repro.serving.transport import PipeRing, RingFull, ShmRing, make_ring
@@ -113,7 +111,6 @@ __all__ = [
     "TelemetryRegistry",
     "SensorTelemetry",
     "LatencyWindow",
-    "TrackingServer",
     "AsyncTrackingServer",
     "SensorClient",
     "stream_recording",

@@ -9,12 +9,10 @@ Two modes:
 * **--serve** — run a standalone server until interrupted; remote sensor
   clients connect with :class:`repro.serving.client.SensorClient`.
 
-Both modes pick the serving architecture with two axes: ``--hub``
-selects what runs each shard's worker — a thread (no fork, shares the
-GIL) or a forked process (true parallelism) — and
-``--front-door`` selects the asyncio connection handler (default; one
-coroutine per sensor) or the legacy thread-per-connection acceptor.  The
-wire protocol is identical on every combination.
+Both modes serve connections on one asyncio event loop
+(:class:`~repro.serving.aioserver.AsyncTrackingServer`, one coroutine per
+sensor); ``--hub`` selects what runs each shard's worker — a thread (no
+fork, shares the GIL) or a forked process (true parallelism).
 
 Examples
 --------
@@ -53,13 +51,9 @@ from repro.serving.aioserver import AsyncTrackingServer
 from repro.serving.client import stream_recording
 from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig
 from repro.serving.loadgen import HUB_KINDS, make_hub
-from repro.serving.server import TrackingServer
 from repro.trackers.registry import available_backends, parse_backend_list
 
 logger = logging.getLogger("repro.serving")
-
-#: ``--front-door`` choices: connection-handling architectures.
-FRONT_DOORS = ("asyncio", "threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=HUB_KINDS,
         default="thread",
         help="run shard workers on threads or forked processes",
-    )
-    parser.add_argument(
-        "--front-door",
-        choices=FRONT_DOORS,
-        default="asyncio",
-        help="connection handling: one coroutine per sensor on a shared "
-        "event loop (default), or the legacy thread-per-connection acceptor",
     )
     parser.add_argument(
         "--workers", type=int, default=4, help="hub worker shards"
@@ -244,13 +231,10 @@ def _hub_config(args: argparse.Namespace) -> HubConfig:
     )
 
 
-def _make_server(args: argparse.Namespace):
-    """A started-ready server from the ``--hub`` x ``--front-door`` matrix."""
+def _make_server(args: argparse.Namespace) -> AsyncTrackingServer:
+    """The (not yet started) server fronting a ``--hub`` vehicle."""
     hub = make_hub(args.hub, _hub_config(args))
-    server_cls = (
-        AsyncTrackingServer if args.front_door == "asyncio" else TrackingServer
-    )
-    return server_cls(args.host, args.port, hub=hub)
+    return AsyncTrackingServer(args.host, args.port, hub=hub)
 
 
 def _demo_recordings(args: argparse.Namespace) -> List[tuple]:
@@ -290,8 +274,7 @@ def run_demo(args: argparse.Namespace) -> int:
         host, port = server.address
         print(
             f"tracking server listening on {host}:{port} "
-            f"({args.hub} hub, {args.front_door} front door, "
-            f"tracker(s): {', '.join(trackers)})"
+            f"({args.hub} hub, tracker(s): {', '.join(trackers)})"
         )
         with ThreadPoolExecutor(max_workers=max(1, len(recordings))) as pool:
             futures = [
@@ -359,21 +342,15 @@ def run_demo(args: argparse.Namespace) -> int:
 
 def run_server(args: argparse.Namespace) -> int:
     """Standalone server mode (blocks until KeyboardInterrupt)."""
-    server = _make_server(args)
-    if args.front_door == "asyncio":
-        # The asyncio server binds lazily; start it to learn the port.
-        server.start()
-    host, port = server.address
-    print(
-        f"tracking server listening on {host}:{port} "
-        f"({args.hub} hub, {args.front_door} front door; Ctrl-C to stop)",
-        flush=True,
-    )
-    try:
+    with _make_server(args) as server:
+        host, port = server.address
+        print(
+            f"tracking server listening on {host}:{port} "
+            f"({args.hub} hub; Ctrl-C to stop)",
+            flush=True,
+        )
         server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down ...")
-        server.stop()
+    print("server stopped")
     return 0
 
 

@@ -1,24 +1,22 @@
 """Asyncio JSONL-over-TCP front door for the tracking hubs.
 
-Byte-compatible with the threaded :class:`~repro.serving.server.TrackingServer`
-— same :mod:`~repro.serving.protocol` lines, same handshake, same replies —
-but connections are coroutines on one event loop instead of two threads
-each.  At fleet scale that changes the front door's cost model: accepting
-sensor number 500 adds a reader task and a bounded send queue, not two OS
-threads, and a stalled client parks a coroutine rather than blocking a
-stack.
+One TCP connection is one live sensor (or a monitoring scraper), served by
+a reader coroutine and a writer task on one event loop: it speaks the
+:mod:`~repro.serving.protocol` lines (``hello``, then ``events`` batches,
+finally ``finish``) and feeds the shared hub.  Accepting sensor number 500
+adds a coroutine and a bounded send queue, not OS threads, and a stalled
+client parks a coroutine rather than blocking a stack.
 
 The event-loop thread must never block, which dictates the three seams:
 
 * **ingest** goes through :meth:`hub.try_submit`, which refuses instead of
   parking when the shard is saturated; under the ``"block"`` policy the
-  handler then backs off with ``await asyncio.sleep`` (applying
+  handler then backs off with ``await asyncio.sleep``, applying
   backpressure to this sensor's TCP stream while other connections keep
-  flowing — replacing the blocked thread of the threaded server).  Under
-  ``"drop"`` the refusal is final and counted, exactly like the threaded
-  server.  Rebalance evaluation never runs on the submit path either —
-  the hub hands it to a dedicated rebalancer thread, so a submit can at
-  worst briefly contend a ring lock, never wait out a migration.
+  flowing.  Under ``"drop"`` the refusal is final and counted.  Rebalance
+  evaluation never runs on the submit path either — the hub hands it to a
+  dedicated rebalancer thread, so a submit can at worst briefly contend a
+  ring lock, never wait out a migration.
 * **slow calls** — ``close_sensor`` flushes, ``metrics`` scrapes the shard
   workers — run in the default executor via :func:`asyncio.to_thread`.
 * **frame pushes** arrive on the hub's pump threads; the callback hops
@@ -27,9 +25,21 @@ The event-loop thread must never block, which dictates the three seams:
   replies instead wait for room).  A dedicated writer task per connection
   drains the queue onto the socket in order.
 
-The server fronts either worker vehicle (pass ``hub=ProcessTrackingHub(...)``)
-and drives the loop on a background thread, so its lifecycle API stays
-synchronous and interchangeable with the threaded server's.
+A line may be as long as the ring it feeds (``HubConfig.ring_capacity_bytes``,
+1 MiB by default).  A longer line gets an ``error`` reply naming the limit,
+and the connection then ends through the normal teardown, since the line
+framing is lost.  Each connection buffers up to twice the limit of unread
+input before its reads pause.
+
+On teardown (clean ``finish`` or an abrupt disconnect) the sensor's session
+is flushed and deregistered from the hub, so sensor ids are reusable and a
+long-running server does not accumulate dead sessions.
+
+The server owns the hub (either worker vehicle: pass
+``hub=ProcessTrackingHub(...)``) and drives the loop on a background
+thread, so its lifecycle API stays synchronous: ``with
+AsyncTrackingServer() as server`` starts the hub and the loop, and tears
+both down on exit.  Port 0 requests an ephemeral port.
 """
 
 from __future__ import annotations
@@ -137,7 +147,8 @@ class _Connection:
         kind = message["type"]
         if kind == "hello":
             return await self._on_hello(message)
-        # Monitoring commands skip the handshake, same as the threaded server.
+        # Monitoring commands are exempt from the hello handshake: a
+        # scraper is not a sensor and must not have to register as one.
         if kind == "metrics":
             text = await asyncio.to_thread(hub.metrics_text)
             await self.send(metrics_message(text))
@@ -224,10 +235,21 @@ class _Connection:
 class AsyncTrackingServer:
     """Asyncio front door owning a tracking hub (thread or process vehicle).
 
-    The public lifecycle mirrors :class:`~repro.serving.server.TrackingServer`
-    (``start``/``stop``/``serve_forever``/``address``/context manager), so
-    existing clients and tests drive either server unchanged.  The event
-    loop runs on a background thread; the calling thread stays synchronous.
+    Parameters
+    ----------
+    host, port:
+        Bind address; port 0 picks an ephemeral port (see :attr:`address`).
+    hub_config:
+        Configuration for the owned hub (ignored when ``hub`` is given).
+    hub:
+        An already-constructed hub to front — a
+        :class:`~repro.serving.hub.TrackingHub` or a
+        :class:`~repro.serving.process_hub.ProcessTrackingHub`.  The server
+        owns its lifecycle either way.
+
+    The event loop runs on a background thread; ``start``/``stop``/
+    ``serve_forever`` and the context manager keep the calling thread
+    synchronous.
     """
 
     def __init__(
@@ -266,6 +288,13 @@ class AsyncTrackingServer:
                     raw_line = await reader.readline()
                 except (ConnectionError, OSError):
                     break
+                except ValueError:  # over the limit: the framing is lost
+                    limit = self.hub.config.ring_capacity_bytes
+                    await connection.send(error_message(
+                        f"line exceeds the {limit}-byte limit; closing the connection",
+                        connection.sensor_id,
+                    ))
+                    break
                 if not raw_line:
                     break
                 try:
@@ -288,7 +317,8 @@ class AsyncTrackingServer:
         self._stop_event = asyncio.Event()
         try:
             server = await asyncio.start_server(
-                self._handle, self._host, self._port
+                self._handle, self._host, self._port,
+                limit=self.hub.config.ring_capacity_bytes,
             )
         except OSError as error:
             self._startup_error = error

@@ -33,7 +33,7 @@ from repro.serving.protocol import (
 
 
 class SensorClient:
-    """One sensor's connection to a :class:`~repro.serving.server.TrackingServer`.
+    """One sensor's connection to an :class:`~repro.serving.aioserver.AsyncTrackingServer`.
 
     Parameters
     ----------

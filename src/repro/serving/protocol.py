@@ -1,10 +1,13 @@
 """JSONL line protocol spoken between sensor clients and the tracking server.
 
 One message per line, each a JSON object with a ``"type"`` field.  JSONL is
-deliberately simple — debuggable with ``nc`` and greppable in logs.  Both
-front doors decode an ``events`` line with the same two calls:
+deliberately simple — debuggable with ``nc`` and greppable in logs.  The
+front door decodes an ``events`` line with two calls:
 :func:`decode_message` parses its bytes, then :func:`packet_from_events_message`
-validates the batch against the ``hello`` geometry in one pass.
+validates the batch against the ``hello`` geometry in one pass.  A line may
+be at most the hub's ring capacity long (``HubConfig.ring_capacity_bytes``,
+1 MiB by default); a longer one gets an ``error`` reply and the connection
+is closed.
 
 Client → server::
 

@@ -1,12 +1,14 @@
 """Tests for the asyncio JSONL front door, fronting both hub flavours.
 
-The asyncio server promises byte-compatibility with the threaded one:
-every test here drives it through the unchanged :mod:`repro.serving.client`
-helpers, which speak the same protocol as production sensors.
+Every test here drives the server through the :mod:`repro.serving.client`
+helpers or a raw socket, speaking the same protocol as production sensors;
+``tests/test_serving_server.py`` covers the rest of its wire behaviour.
 """
 
 from __future__ import annotations
 
+import logging
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,10 +18,22 @@ from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
 from repro.obs import parse_prometheus_text, sample_value
-from repro.serving import HubConfig, scrape_metrics, stream_recording
+from repro.serving import (
+    HubConfig,
+    ProtocolError,
+    SensorClient,
+    scrape_metrics,
+    stream_recording,
+)
 from repro.serving.aioserver import AsyncTrackingServer
 from repro.serving.hub import TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
+from repro.serving.protocol import (
+    decode_message,
+    encode_message,
+    events_message,
+    hello_message,
+)
 from test_serving_server import assert_bad_batches_refused
 
 HUBS = {"thread": TrackingHub, "process": ProcessTrackingHub}
@@ -38,6 +52,17 @@ def _moving_block_stream(seed: int, num_frames: int = 10) -> EventStream:
                 ts.append(t + int(rng.integers(0, 40_000)))
     packet = make_packet(xs, ys, ts, [1] * len(xs))
     return EventStream(packet, 240, 180)
+
+
+def _random_batch(size: int, seed: int = 0) -> np.ndarray:
+    """``size`` events spread over one EBBI window of a 240x180 sensor."""
+    rng = np.random.default_rng(seed)
+    return make_packet(
+        rng.integers(0, 240, size),
+        rng.integers(0, 180, size),
+        np.sort(rng.integers(0, 66_000, size)),
+        rng.choice([-1, 1], size),
+    )
 
 
 class TestAsyncServer:
@@ -101,8 +126,6 @@ class TestAsyncServer:
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_finish_after_hub_side_removal_replies_error(self, kind):
-        from repro.serving import ProtocolError, SensorClient
-
         hub = HUBS[kind](HubConfig(num_workers=1))
         with AsyncTrackingServer(hub=hub) as server:
             host, port = server.address
@@ -123,11 +146,46 @@ class TestAsyncServer:
         with AsyncTrackingServer(hub=hub) as server:
             assert_bad_batches_refused(*server.address)
 
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_line_over_64_kib_is_served(self, kind):
+        """asyncio's default 64 KiB line limit does not apply: the limit is
+        the hub's ring capacity (1 MiB by default)."""
+        batch = _random_batch(6000)
+        assert len(encode_message(events_message(batch))) > 1 << 16
+        hub = HUBS[kind](HubConfig(num_workers=1))
+        with AsyncTrackingServer(hub=hub) as server:
+            with SensorClient(*server.address, "cam") as client:
+                client.send_events(batch)
+                assert client.finish()["num_events"] == len(batch)
+
+    def test_line_over_the_limit_gets_error_then_eof(self, caplog):
+        """A line longer than the ring is refused by name, the connection then
+        closes cleanly, and the sensor id is free again."""
+        batch = _random_batch(350)
+        line = encode_message(events_message(batch))
+        assert 4096 < len(line) < 8192
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub_config=config) as server:
+                with socket.create_connection(server.address, timeout=30) as raw, \
+                        raw.makefile("rwb") as wire:
+                    wire.write(encode_message(hello_message("cam")))
+                    wire.flush()
+                    assert decode_message(wire.readline())["type"] == "welcome"
+                    wire.write(line)
+                    wire.flush()
+                    reply = decode_message(wire.readline())
+                    assert reply["type"] == "error"
+                    assert "4096-byte limit" in reply["message"]
+                    assert wire.readline() == b""
+                with SensorClient(*server.address, "cam") as client:
+                    client.send_events(batch[:10])
+                    assert client.finish()["num_events"] == 10
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_dead_shard_worker_turns_into_error_replies(self):
         import os
         import signal
-
-        from repro.serving import ProtocolError, SensorClient
 
         hub = ProcessTrackingHub(HubConfig(num_workers=1))
         with AsyncTrackingServer(hub=hub) as server:
@@ -139,8 +197,6 @@ class TestAsyncServer:
                 assert "repro_shard_worker_up" in client.request_metrics()
 
     def test_duplicate_sensor_id_rejected(self):
-        from repro.serving import ProtocolError, SensorClient
-
         with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
             host, port = server.address
             with SensorClient(host, port, "cam"):
@@ -158,8 +214,8 @@ class TestServingCliMatrix:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--hub", "process", "--front-door", "asyncio"],
-            ["--hub", "thread", "--front-door", "threaded"],
+            ["--hub", "process"],
+            ["--hub", "thread"],
         ],
     )
     def test_demo_runs_on_hub_and_front_door(self, extra, capsys):

@@ -16,9 +16,9 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.serving import (
+    AsyncTrackingServer,
     HubConfig,
     TrackingHub,
-    TrackingServer,
     fetch_trace,
     scrape_metrics,
     stream_recording,
@@ -130,7 +130,7 @@ class TestTelemetryConcurrency:
 class TestLiveScraping:
     def test_metrics_and_trace_answered_without_hello(self):
         """Monitoring commands are exempt from the sensor handshake."""
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             text = scrape_metrics(host, port)
             parse_prometheus_text(text)  # must parse even when empty-ish
@@ -141,7 +141,7 @@ class TestLiveScraping:
         config = HubConfig(
             instrument=True, pipeline_config=EbbiotConfig(tracker="overlap")
         )
-        with TrackingServer(hub_config=config) as server:
+        with AsyncTrackingServer(hub_config=config) as server:
             host, port = server.address
             frames, summary = stream_recording(host, port, "cam-0", stream)
             assert summary["num_frames"] > 0
@@ -169,7 +169,7 @@ class TestLiveScraping:
 
         stream = _moving_block_stream(seed=4)
         config = HubConfig(instrument=True)
-        with TrackingServer(hub_config=config) as server:
+        with AsyncTrackingServer(hub_config=config) as server:
             host, port = server.address
             with SensorClient(host, port, "cam-0") as client:
                 client.send_events(stream.events)

@@ -13,10 +13,10 @@ from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
 from repro.events.types import EVENT_DTYPE, make_packet, validate_packet
 from repro.serving import (
+    AsyncTrackingServer,
     HubConfig,
     ProtocolError,
     SensorClient,
-    TrackingServer,
     decode_message,
     encode_message,
     stream_recording,
@@ -174,7 +174,7 @@ class TestTrackingServer:
     def test_single_sensor_round_trip_matches_batch(self):
         stream = _moving_block_stream(seed=1)
         expected = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             frames, summary = stream_recording(host, port, "cam", stream)
         assert summary["name"] == "cam"
@@ -193,7 +193,7 @@ class TestTrackingServer:
         from concurrent.futures import ThreadPoolExecutor
 
         streams = {f"cam-{i}": _moving_block_stream(seed=i) for i in range(8)}
-        with TrackingServer(hub_config=HubConfig(num_workers=4)) as server:
+        with AsyncTrackingServer(hub_config=HubConfig(num_workers=4)) as server:
             host, port = server.address
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = {
@@ -219,7 +219,7 @@ class TestTrackingServer:
 
         stream = _moving_block_stream(seed=4, num_frames=8)  # ~0.5 s of stream time
         span_s = (stream.t_end + 1) * 1e-6
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             started = time.monotonic()
             frames, summary = stream_recording(
@@ -234,7 +234,7 @@ class TestTrackingServer:
 
     def test_paced_replay_output_matches_unpaced(self):
         stream = _moving_block_stream(seed=5, num_frames=4)
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             paced_frames, paced = stream_recording(
                 host, port, "paced", stream, speed=50.0
@@ -269,7 +269,7 @@ class TestTrackingServer:
             240,
             180,
         )
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             started = time.monotonic()
             frames, summary = stream_recording(
@@ -293,7 +293,7 @@ class TestTrackingServer:
 
         stream = _moving_block_stream(seed=8, num_frames=3)  # ~0.2 s span
         span_s = (stream.t_end + 1) * 1e-6
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             started = time.monotonic()
             _, summary = stream_recording(host, port, "rt", stream, realtime=True)
@@ -304,7 +304,7 @@ class TestTrackingServer:
 
     def test_duplicate_sensor_id_rejected(self):
         stream = _moving_block_stream(seed=2)
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             with SensorClient(host, port, "cam") as first:
                 first.send_events(stream.events[:100])
@@ -314,7 +314,7 @@ class TestTrackingServer:
 
     def test_stats_request(self):
         stream = _moving_block_stream(seed=3)
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             with SensorClient(host, port, "cam") as client:
                 client.send_events(stream.events)
@@ -325,7 +325,7 @@ class TestTrackingServer:
     def test_events_before_hello_rejected(self):
         import socket
 
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as raw:
                 raw.sendall(encode_message({"type": "events", "x": [], "y": [], "t": [], "p": []}))
@@ -334,7 +334,7 @@ class TestTrackingServer:
                 assert "hello" in reply["message"]
 
     def test_finish_after_hub_side_removal_replies_error(self):
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             with SensorClient(host, port, "cam") as client:
                 # The hub forgets the sensor while the client still believes
@@ -347,11 +347,11 @@ class TestTrackingServer:
                 assert "repro_" in client.request_metrics()
 
     def test_bad_batches_get_error_replies_and_the_connection_survives(self):
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             assert_bad_batches_refused(*server.address)
 
     def test_out_of_bounds_events_reported_as_error(self):
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             client = SensorClient(host, port, "cam", width=240, height=180)
             bad = make_packet([1000], [10], [5_000], [1])
@@ -411,7 +411,7 @@ class TestNonDefaultResolution:
                     ts.append(t + int(rng.integers(0, 40_000)))
         stream = EventStream(make_packet(xs, ys, ts, [1] * len(xs)), 346, 260)
 
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             frames, summary = stream_recording(host, port, "davis346", stream)
         assert summary["num_events"] == len(stream)
@@ -420,7 +420,7 @@ class TestNonDefaultResolution:
 
     def test_disconnect_without_finish_frees_sensor_id(self):
         stream = _moving_block_stream(seed=9)
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             client = SensorClient(host, port, "cam")
             client.send_events(stream.events)
@@ -445,7 +445,7 @@ class TestBackendSelection:
         """A sensor requesting "kalman" gets the EBBI+KF pipeline end to end."""
         stream = _moving_block_stream(seed=11)
         expected = EbbiotPipeline(EbbiotConfig(tracker="kalman")).process_stream(stream)
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             with SensorClient(host, port, "cam", tracker="kalman") as client:
                 assert client.welcome["tracker"] == "kalman"
@@ -461,7 +461,7 @@ class TestBackendSelection:
     def test_hello_without_tracker_uses_server_default(self):
         stream = _moving_block_stream(seed=12)
         hub_config = HubConfig(pipeline_config=EbbiotConfig(tracker="ebms"))
-        with TrackingServer(hub_config=hub_config) as server:
+        with AsyncTrackingServer(hub_config=hub_config) as server:
             host, port = server.address
             with SensorClient(host, port, "cam") as client:
                 assert client.welcome["tracker"] == "ebms"
@@ -470,7 +470,7 @@ class TestBackendSelection:
         assert summary["tracker"] == "ebms"
 
     def test_hello_unknown_tracker_rejected(self):
-        with TrackingServer() as server:
+        with AsyncTrackingServer() as server:
             host, port = server.address
             with pytest.raises((ProtocolError, ConnectionError, TimeoutError)):
                 SensorClient(host, port, "cam", tracker="made-up")
