@@ -11,39 +11,41 @@ harness compares it raw across machines.
 
 Measurement methodology — the parts that tame single-box variance:
 
-* **merged single-feeder submission**: every sensor's batches are merged
-  into one stream-time-sorted list and submitted from the bench thread,
-  the way a gateway would multiplex a fleet onto the hub.  One feeder
-  thread per sensor (what ``loadgen`` does for pacing realism) adds
-  GIL/scheduler churn that swamps the hub-architecture signal at small
-  batch sizes;
+* **one submitting thread**: each cell is one
+  :func:`repro.serving.loadgen.run_load`, which feeds every sensor's
+  batches from the bench thread in one merged order — the traffic shape
+  of the asyncio front door, whose single event-loop thread submits for
+  every connection.  A feeder thread per sensor would add GIL/scheduler
+  churn that swamps the hub-architecture signal at small batch sizes;
 * **fine batches** (default 500 us of stream time, ~tens of events) keep
   the workload in the regime the re-architecture targets — per-batch
   overhead dominating per-event compute — which is where thread workers'
   GIL serialization hurts;
 * **warm-up + median-of-N**: each vehicle gets one discarded warm-up
-  run (allocator, fork, and import effects), then every cell runs
-  ``trials`` times and the median-throughput trial is reported.
+  run on a truncated workload (allocator, fork, and import effects), then
+  every cell runs ``trials`` times and the median-throughput trial is
+  reported.
 
-Live-vs-batch parity is asserted on every run: a small fleet is replayed
-through each hub with the same merged driver and every sensor's closing
-``RecordingResult`` must match a batch ``process_stream`` of its source
-recording frame-for-frame (frames *and* track observations).  A mismatch
-raises — a fast wrong hub must never look like a speedup.
+Live-vs-batch parity is asserted on every timed cell: every sensor's
+closing ``RecordingResult`` must match a batch ``process_stream`` of its
+source recording on event count, frame count and track observations.
+A mismatch raises — a fast wrong hub must never look like a speedup.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Tuple
 
 from repro.core.pipeline import EbbiotPipeline
-from repro.runtime.scenes import build_scene_recordings
 from repro.serving.hub import HubConfig
-from repro.serving.loadgen import HUB_KINDS, _pooled_latency_ms, make_hub, split_batches
+from repro.serving.loadgen import (
+    HUB_KINDS,
+    build_workload,
+    load_recordings,
+    make_hub,
+    run_load,
+)
 
 #: Close-side drain allowance per cell; generous because the 64-sensor
 #: thread cell legitimately queues seconds of work behind the GIL.
@@ -69,7 +71,6 @@ class ServingScaleProfile:
     trials: int = 3
     warmup_batches: int = 4_000
     ring_kib: int = 8_192
-    parity_sensors: int = 4
     seed: int = 0
 
     #: The cell the headline thread-vs-process ratio is taken at (falls
@@ -101,133 +102,39 @@ def _hub_config(profile: ServingScaleProfile) -> HubConfig:
     )
 
 
-def _build_fleet(profile: ServingScaleProfile):
-    """Render the scene fleet once and pre-split every scene's batches.
-
-    Sensors cycle the distinct scenes (as :func:`repro.serving.loadgen.
-    build_workload` does), so the per-scene batch lists are shared across
-    sensors — batches are read-only views and ``submit`` copies on the
-    way in, making the sharing safe and the workload build O(scenes).
-    """
-    recordings = build_scene_recordings(
-        profile.scenes, duration_s=profile.duration_s, base_seed=profile.seed
-    )
-    scene_batches = [
-        split_batches(recording.stream.events, profile.batch_us)
-        for recording in recordings
-    ]
-    return recordings, scene_batches
-
-
-def _workload_for(profile, recordings, scene_batches, sensors: int):
-    """``(sensor_id, scene_index, batches)`` rows for a ``sensors``-wide cell."""
-    workload = []
-    for index in range(sensors):
-        scene = index % len(recordings)
-        workload.append(
-            (f"{recordings[scene].name}#{index:03d}", scene, scene_batches[scene])
-        )
-    return workload
-
-
-def _merge_submissions(workload) -> List[Tuple[str, np.ndarray]]:
-    """Interleave every sensor's batches into one stream-time-sorted feed.
-
-    The sort is stable, so batches sharing a start time keep sensor
-    registration order — per-sensor batch order (the only order the hubs
-    guarantee) is preserved exactly.
-    """
-    merged = [
-        (t_start_us, sensor_id, batch)
-        for sensor_id, _, batches in workload
-        for t_start_us, batch in batches
-    ]
-    merged.sort(key=lambda item: item[0])
-    return [(sensor_id, batch) for _, sensor_id, batch in merged]
-
-
-def _run_cell(kind: str, profile, workload, merged) -> Dict[str, float]:
-    """One timed replay of a cell through a fresh hub.
+def _replay(kind: str, profile: ServingScaleProfile, workload) -> dict:
+    """One :func:`run_load` of ``workload`` through a fresh hub; its report.
 
     The timed window covers the submit loop plus the close-side drain of
     every sensor — aggregate throughput counts the work until the last
     frame is actually produced, not until the feeder's queue empties.
     """
-    hub = make_hub(kind, _hub_config(profile))
-    with hub:
-        for sensor_id, _, _ in workload:
-            hub.register(sensor_id)
-        started = time.perf_counter()
-        for sensor_id, batch in merged:
-            hub.submit(sensor_id, batch)
-        for sensor_id, _, _ in workload:
-            hub.close_sensor(sensor_id, timeout=CLOSE_TIMEOUT_S)
-        wall_s = time.perf_counter() - started
-        totals = hub.telemetry_dict()["totals"]
-        latency = _pooled_latency_ms(hub.merged_metrics().state_dict())
-    return {
-        "wall_s": wall_s,
-        "frames": float(totals["frames_emitted"]),
-        "events": float(totals["events_received"]),
-        "frames_per_s": totals["frames_emitted"] / wall_s if wall_s > 0 else 0.0,
-        "events_per_s": totals["events_received"] / wall_s if wall_s > 0 else 0.0,
-        "p50_ms": latency["p50_ms"],
-        "p99_ms": latency["p99_ms"],
-    }
+    with make_hub(kind, _hub_config(profile)) as hub:
+        return run_load(hub, workload, close_timeout=CLOSE_TIMEOUT_S)
 
 
-def _assert_parity(kind: str, profile, recordings, scene_batches) -> int:
-    """Replay a small fleet and require frame-for-frame batch parity.
+def _check_parity(
+    kind: str, summaries: Dict[str, dict], references: Dict[str, tuple]
+) -> None:
+    """Require every closing summary to match batch replay of its recording.
 
-    Every sensor's closing :class:`RecordingResult` must match a batch
-    ``process_stream`` of its source recording on event count, frame
-    count and track observations — the live path may coalesce batches
-    but must never change the output.  Raises ``RuntimeError`` on any
-    divergence so a broken hub can never post a benchmark number.
+    ``references`` maps a recording name to its batch ``process_stream``
+    (events, frames, track observations); the live path may coalesce
+    batches but must never change the output.  Raises ``RuntimeError``
+    on any divergence so a broken hub can never post a benchmark number.
     """
-    sensors = min(profile.parity_sensors, max(profile.sensor_counts))
-    workload = _workload_for(profile, recordings, scene_batches, sensors)
-    merged = _merge_submissions(workload)
-    config = _hub_config(profile)
-
-    expected = {}
-    for _, scene, _ in workload:
-        if scene not in expected:
-            expected[scene] = EbbiotPipeline(config.pipeline_config).process_stream(
-                recordings[scene].stream, collect_frames=False
-            )
-
-    hub = make_hub(kind, config)
-    with hub:
-        for sensor_id, _, _ in workload:
-            hub.register(sensor_id)
-        for sensor_id, batch in merged:
-            hub.submit(sensor_id, batch)
-        results = {
-            sensor_id: hub.close_sensor(sensor_id, timeout=CLOSE_TIMEOUT_S)
-            for sensor_id, _, _ in workload
-        }
-
-    for sensor_id, scene, _ in workload:
-        result = results[sensor_id]
-        reference = expected[scene]
-        stream = recordings[scene].stream
+    for sensor_id, summary in summaries.items():
         live = (
-            result.num_events,
-            result.num_frames,
-            result.num_track_observations,
+            summary["num_events"],
+            summary["num_frames"],
+            summary["num_track_observations"],
         )
-        batch = (
-            len(stream),
-            reference.num_frames,
-            reference.total_track_observations(),
-        )
+        batch = references[sensor_id.rpartition("#")[0]]
         if live != batch:
             raise RuntimeError(
                 f"{kind} hub diverged from batch replay for {sensor_id!r}: "
                 f"live (events, frames, observations) = {live}, batch = {batch}"
             )
-    return sensors
 
 
 def run_suite(
@@ -240,47 +147,53 @@ def run_suite(
     absolute throughput independently, plus the machine-independent
     ``speedup_vs_thread`` ratio on the process scenario.
     """
-    recordings, scene_batches = _build_fleet(profile)
     counts = sorted(set(profile.sensor_counts))
     max_n = counts[-1]
     speedup_cell = (
         profile.speedup_cell if profile.speedup_cell in counts else max_n
     )
+    recordings = load_recordings(None, profile.scenes, profile.duration_s, profile.seed)
+    pipeline_config = _hub_config(profile).pipeline_config
+    references = {}
+    for name, stream in recordings:
+        batch = EbbiotPipeline(pipeline_config).process_stream(stream, collect_frames=False)
+        references[name] = (len(stream), batch.num_frames, batch.total_track_observations())
+    # Every cell's fleet is a prefix of the largest (sensors cycle scenes).
+    fleet = build_workload(recordings, max_n, profile.batch_us)
+    per_sensor = max(1, profile.warmup_batches // max_n)
+    warm_up = [(sensor_id, batches[:per_sensor]) for sensor_id, batches in fleet]
 
-    cells: Dict[str, Dict[int, Dict[str, float]]] = {}
+    cells: Dict[str, Dict[int, dict]] = {}
     for kind in HUB_KINDS:
-        warm_workload = _workload_for(profile, recordings, scene_batches, max_n)
-        warm_merged = _merge_submissions(warm_workload)[: profile.warmup_batches]
-        log(f"  {kind} hub: warm-up ({len(warm_merged)} batches)")
-        _run_cell(kind, profile, warm_workload, warm_merged)
+        log(f"  {kind} hub: warm-up ({sum(len(b) for _, b in warm_up)} batches)")
+        _replay(kind, profile, warm_up)
 
         cells[kind] = {}
         for sensors in counts:
-            workload = _workload_for(profile, recordings, scene_batches, sensors)
-            merged = _merge_submissions(workload)
-            trials = [
-                _run_cell(kind, profile, workload, merged)
-                for _ in range(profile.trials)
-            ]
+            trials = []
+            for _ in range(profile.trials):
+                report = _replay(kind, profile, fleet[:sensors])
+                _check_parity(kind, report["summaries"], references)
+                trials.append(report["aggregate"])
             trials.sort(key=lambda trial: trial["frames_per_s"])
             median = trials[len(trials) // 2]
             cells[kind][sensors] = median
             log(
                 f"  {kind} hub, {sensors:>2} sensor(s): "
                 f"{median['frames_per_s']:8.1f} fps aggregate "
-                f"(p99 {median['p99_ms']:.1f} ms, "
-                f"{profile.trials} trial(s))"
+                f"(p99 {median['latency_ms']['p99_ms']:.1f} ms, "
+                f"{profile.trials} trial(s), parity ok)"
             )
 
     scenarios: Dict[str, Dict[str, float]] = {}
     for kind in HUB_KINDS:
-        parity_sensors = _assert_parity(kind, profile, recordings, scene_batches)
         metrics: Dict[str, float] = {
             "primary": f"frames_per_s_{max_n}",
             "workers": float(profile.workers),
             "batch_us": float(profile.batch_us),
             "trials": float(profile.trials),
-            "parity_sensors": float(parity_sensors),
+            # Every timed cell is parity-checked; this is the widest one.
+            "parity_sensors": float(max_n),
             "parity_ok": 1.0,
         }
         fps_1 = cells[kind][counts[0]]["frames_per_s"] if counts[0] == 1 else 0.0
@@ -288,7 +201,7 @@ def run_suite(
             cell = cells[kind][sensors]
             metrics[f"frames_per_s_{sensors}"] = cell["frames_per_s"]
             metrics[f"events_per_s_{sensors}"] = cell["events_per_s"]
-            metrics[f"p99_ms_{sensors}"] = cell["p99_ms"]
+            metrics[f"p99_ms_{sensors}"] = cell["latency_ms"]["p99_ms"]
             if sensors > 1 and fps_1 > 0:
                 metrics[f"scaling_efficiency_{sensors}"] = cell[
                     "frames_per_s"

@@ -70,6 +70,7 @@ _LOADGEN_EXPORTS = frozenset(
         "HUB_KINDS",
         "make_hub",
         "split_batches",
+        "load_recordings",
         "build_workload",
         "run_load",
         "check_slos",
@@ -97,6 +98,7 @@ __all__ = [
     "HUB_KINDS",
     "make_hub",
     "split_batches",
+    "load_recordings",
     "build_workload",
     "run_load",
     "check_slos",

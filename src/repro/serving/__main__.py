@@ -46,11 +46,11 @@ from typing import List, Optional
 
 from repro.core.config import EbbiotConfig
 from repro.obs import add_log_level_argument, logging_setup
-from repro.runtime.scenes import build_scene_recordings
 from repro.serving.aioserver import AsyncTrackingServer
 from repro.serving.client import stream_recording
 from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig
-from repro.serving.loadgen import HUB_KINDS, make_hub
+from repro.serving.loadgen import HUB_KINDS, load_recordings, make_hub
+from repro.serving.transport import TRANSPORTS
 from repro.trackers.registry import available_backends, parse_backend_list
 
 logger = logging.getLogger("repro.serving")
@@ -93,18 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="demo: stream-time span of each client batch in microseconds",
     )
     parser.add_argument(
-        "--realtime",
-        action="store_true",
-        help="demo: throttle clients to sensor real time",
-    )
-    parser.add_argument(
         "--speed",
         type=float,
         default=None,
         metavar="FACTOR",
         help=(
             "demo: paced replay speed factor (1.0 = sensor real time, "
-            "2.0 = twice as fast; overrides --realtime)"
+            "2.0 = twice as fast; default: as fast as possible)"
         ),
     )
     parser.add_argument(
@@ -128,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--transport",
-        choices=("shm", "pipe", "auto"),
-        default="auto",
+        choices=TRANSPORTS,
+        default="shm",
         help="shard event transport (shared-memory ring or pipes)",
     )
     parser.add_argument(
@@ -237,35 +232,12 @@ def _make_server(args: argparse.Namespace) -> AsyncTrackingServer:
     return AsyncTrackingServer(args.host, args.port, hub=hub)
 
 
-def _demo_recordings(args: argparse.Namespace) -> List[tuple]:
-    """The demo's ``(name, stream)`` pairs: rendered, or replayed from disk."""
-    if args.dataset is not None:
-        from repro.datasets.recorded import DatasetManifest
-
-        manifest = DatasetManifest.load(args.dataset)
-        loaded = [
-            manifest.load_entry(entry)
-            for entry in manifest.recordings[: args.sensors]
-        ]
-        print(
-            f"loaded {len(loaded)} of {len(manifest)} recording(s) from "
-            f"{args.dataset}"
-        )
-        return [(recording.name, recording.stream) for recording in loaded]
-    print(
-        f"rendering {args.sensors} synthetic sensor(s) of {args.duration:.1f} s each ...",
-        flush=True,
-    )
-    rendered = build_scene_recordings(
-        args.sensors, duration_s=args.duration, base_seed=args.seed
-    )
-    return [(recording.name, recording.stream) for recording in rendered]
-
-
 def run_demo(args: argparse.Namespace) -> int:
     """In-process server + N concurrent sensor clients (rendered or replayed)."""
+    source = args.dataset or f"{args.duration:.1f} s synthetic scenes"
+    print(f"loading up to {args.sensors} recording(s) from {source} ...", flush=True)
     try:
-        recordings = _demo_recordings(args)
+        recordings = load_recordings(args.dataset, args.sensors, args.duration, args.seed)
     except (FileNotFoundError, ValueError) as error:
         logger.error("error: %s", error)
         return 2
@@ -285,7 +257,6 @@ def run_demo(args: argparse.Namespace) -> int:
                     name,
                     stream,
                     batch_duration_us=args.batch_us,
-                    realtime=args.realtime,
                     speed=args.speed,
                     tracker=trackers[index % len(trackers)],
                 )

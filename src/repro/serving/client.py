@@ -8,7 +8,7 @@ server blocked on a full socket buffer).
 
 :func:`stream_recording` is the convenience used by the demo, tests and CI
 smoke job: replay one :class:`~repro.events.stream.EventStream` as
-timestamped batches — optionally throttled to sensor real time — and return
+timestamped batches — optionally paced at a multiple of sensor time — and return
 the frames and the server's summary.
 """
 
@@ -192,7 +192,6 @@ def stream_recording(
     sensor_id: str,
     stream: EventStream,
     batch_duration_us: int = 16_500,
-    realtime: bool = False,
     speed: Optional[float] = None,
     tracker: Optional[str] = None,
 ) -> Tuple[List[dict], dict]:
@@ -208,16 +207,13 @@ def stream_recording(
         Stream-time span of each batch; the default sends four batches per
         66 ms EBBI window, matching a sensor driver that drains its FIFO a
         few times per frame.
-    realtime:
-        When ``True`` the replay is paced to sensor real time (shorthand
-        for ``speed=1.0``); ``False`` sends as fast as possible (tests,
-        benchmarks).
     speed:
-        Replay speed factor for paced replay of disk recordings: ``1.0``
-        is sensor real time, ``2.0`` twice as fast, ``0.5`` half speed.
-        Overrides ``realtime``.  Pacing is drift-corrected — each batch is
-        released when its *stream-time* end is due on the wall clock, so
-        slow sends do not accumulate lag the way per-batch sleeps would.
+        Replay speed factor for paced replay: ``1.0`` is sensor real time,
+        ``2.0`` twice as fast, ``0.5`` half speed; ``None`` (the default)
+        sends as fast as possible (tests, benchmarks).  Pacing is
+        drift-corrected — each batch is released when its *stream-time*
+        end is due on the wall clock, so slow sends do not accumulate lag
+        the way per-batch sleeps would.
     tracker:
         Optional tracker backend requested for this sensor (see
         :class:`SensorClient`).
@@ -229,8 +225,6 @@ def stream_recording(
     """
     if batch_duration_us <= 0:
         raise ValueError(f"batch_duration_us must be positive, got {batch_duration_us}")
-    if speed is None and realtime:
-        speed = 1.0
     if speed is not None and speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
     with SensorClient(

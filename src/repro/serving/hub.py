@@ -46,6 +46,7 @@ from repro.core.pipeline import FrameResult
 from repro.events.types import normalize_packet
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.aggregate import BatchResult, RecordingResult
+from repro.serving.protocol import ProtocolError
 from repro.serving.rebalance import (
     Move,
     RebalancePolicy,
@@ -61,8 +62,10 @@ from repro.serving.transport import (
     KIND_MIGRATE_OUT,
     KIND_REGISTER,
     KIND_STOP,
+    TRANSPORTS,
     RingFull,
     make_ring,
+    max_payload_bytes,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,11 +115,12 @@ class HubConfig:
         wake signal off the per-batch hot path.
     transport:
         Event transport of each shard: ``"shm"`` (shared-memory ring,
-        falls back to pipes when unavailable), ``"pipe"``, or ``"auto"``.
+        falls back to pipes when unavailable) or ``"pipe"``.
     ring_capacity_bytes:
         Byte capacity of each shard's ring — what bounds in-flight data
         per shard; size it for the expected batch size × desired queue
-        depth.
+        depth.  A batch too big for one ring record is refused with a
+        :class:`~repro.serving.protocol.ProtocolError` on either transport.
     """
 
     num_workers: int = 4
@@ -127,7 +131,7 @@ class HubConfig:
     trace_sample_every: int = 1
     rebalance: Optional[RebalancePolicy] = None
     rebalance_check_every: int = 64
-    transport: str = "auto"
+    transport: str = "shm"
     ring_capacity_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
@@ -150,9 +154,9 @@ class HubConfig:
             raise ValueError(
                 f"rebalance_check_every must be >= 1, got {self.rebalance_check_every}"
             )
-        if self.transport not in ("shm", "pipe", "auto"):
+        if self.transport not in TRANSPORTS:
             raise ValueError(
-                f"transport must be 'shm', 'pipe' or 'auto', got {self.transport!r}"
+                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
             )
         if self.ring_capacity_bytes < 4096:
             raise ValueError(
@@ -193,6 +197,7 @@ class TrackingHub:
         self._ring_locks = [
             threading.Lock() for _ in range(self.config.num_workers)
         ]
+        self._max_payload = max_payload_bytes(self.config.ring_capacity_bytes)
         self._map_lock = threading.Lock()
         self._shard_map: Dict[str, int] = {}
         # Submit-path fast route: sensor_id -> (shard, idx, telemetry
@@ -524,6 +529,8 @@ class TrackingHub:
 
         Returns ``True`` if the batch was accepted, ``False`` if it was shed
         by the ``"drop"`` backpressure policy (counted in telemetry).
+        Raises :class:`~repro.serving.protocol.ProtocolError` for a batch
+        that can never fit one ring record.
         """
         return self._submit(
             sensor_id, events, blocking=self.config.backpressure == "block"
@@ -577,6 +584,11 @@ class TrackingHub:
             raise RuntimeError("hub is not started")
         events = normalize_packet(events)
         payload = events.tobytes()
+        if len(payload) > self._max_payload:
+            raise ProtocolError(
+                f"a batch of {len(events)} events can never fit one record of the "
+                f"{self.config.ring_capacity_bytes}-byte shard ring; send smaller batches"
+            )
         _, idx, record, lock, ring, countdown = self._lock_route(sensor_id)
         try:
             if blocking:

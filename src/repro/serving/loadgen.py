@@ -1,7 +1,7 @@
 """Fleet-scale load generator: ``python -m repro.serving.loadgen``.
 
 Replays synthetic or recorded datasets against a tracking hub — thread or
-process workers — with one feeder thread per sensor, paced at an ``--speed``
+process workers — from one submitting thread, paced at an ``--speed``
 multiple of sensor time (0 = as fast as possible), and reports the numbers
 a capacity plan needs:
 
@@ -12,13 +12,18 @@ a capacity plan needs:
   policy, cross-checked against hub telemetry (the generator's own
   accepted/refused tally must equal what the hub counted — the invariant
   the CI smoke job gates on);
+* **per-sensor summaries** — each sensor's closing ``RecordingResult``
+  (``summaries`` in the ``--json`` report);
 * **SLO verdicts** — optional ``--slo-*`` thresholds turn the report into
   an exit code, so the load test doubles as a regression gate.
 
 The generator drives the hub in process rather than through TCP: the JSONL
 codec costs more than the pipeline at fleet scale and would measure the
 wire format, not the serving architecture.  (For a TCP soak, point the
-``python -m repro.serving`` demo at ``--serve``.)
+``python -m repro.serving`` demo at ``--serve``.)  One thread submits for
+the whole fleet, as the asyncio front door's event loop does; the
+``serving_scale`` bench suite times its cells with the same
+:func:`run_load`, and :func:`load_recordings` also feeds the demo.
 
 Examples
 --------
@@ -39,15 +44,16 @@ import argparse
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import EbbiotConfig
+from repro.events.stream import EventStream
 from repro.obs import add_log_level_argument, logging_setup
 from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig, TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
+from repro.serving.transport import TRANSPORTS
 from repro.trackers.registry import available_backends, ensure_backend_name
 
 logger = logging.getLogger("repro.serving.loadgen")
@@ -85,64 +91,44 @@ def split_batches(
     return out
 
 
-def build_workload(args: argparse.Namespace) -> List[Tuple[str, List[Tuple[int, np.ndarray]]]]:
-    """The fleet's ``(sensor_id, batches)`` list from the selected source.
+def load_recordings(
+    dataset: Optional[str], count: int, duration_s: float = 2.0, seed: int = 0
+) -> List[Tuple[str, EventStream]]:
+    """Up to ``count`` distinct ``(name, stream)`` recordings for a fleet.
 
-    Distinct recordings (``--scenes`` rendered scenes, or the dataset's
-    entries) are cycled across ``--sensors`` sensors, so fleet size scales
-    independently of how much unique footage exists.
+    The first ``count`` entries of the manifest-backed ``dataset``
+    directory, or, when ``dataset`` is ``None``, ``count`` rendered
+    synthetic scenes of ``duration_s`` seconds from base seed ``seed``.
     """
-    if args.dataset is not None:
+    if dataset is not None:
         from repro.datasets.recorded import DatasetManifest
 
-        manifest = DatasetManifest.load(args.dataset)
-        sources = [
-            (loaded.name, loaded.stream.events)
-            for loaded in (
-                manifest.load_entry(entry) for entry in manifest.recordings
-            )
-        ]
+        manifest = DatasetManifest.load(dataset)
+        loaded = [manifest.load_entry(entry) for entry in manifest.recordings[:count]]
     else:
         from repro.runtime.scenes import build_scene_recordings
 
-        num_scenes = args.scenes or min(args.sensors, 4)
-        recordings = build_scene_recordings(
-            num_scenes, duration_s=args.duration, base_seed=args.seed
-        )
-        sources = [(rec.name, rec.stream.events) for rec in recordings]
-    if not sources:
+        loaded = build_scene_recordings(count, duration_s=duration_s, base_seed=seed)
+    if not loaded:
         raise ValueError("the workload source produced no recordings")
-    workload = []
-    for index in range(args.sensors):
-        name, events = sources[index % len(sources)]
-        workload.append(
-            (f"{name}#{index:03d}", split_batches(events, args.batch_us))
-        )
-    return workload
+    return [(recording.name, recording.stream) for recording in loaded]
 
 
-def _replay_sensor(hub, sensor_id, batches, speed: float) -> Tuple[int, int]:
-    """Feed one sensor's batches, pacing to ``speed``x sensor time.
+def build_workload(
+    recordings: List[Tuple[str, EventStream]], sensors: int, batch_us: int
+) -> List[Tuple[str, List[Tuple[int, np.ndarray]]]]:
+    """The fleet's ``(sensor_id, batches)`` list: ``recordings`` cycled across ``sensors``.
 
-    Returns ``(accepted, refused)`` as counted from :meth:`hub.submit`'s
-    return value — the generator-side half of the drop invariant.
+    Fleet size scales independently of how much unique footage exists.
+    Each distinct recording is split once; its sensors share the read-only
+    batch views (``submit`` copies on the way in).
     """
-    accepted = refused = 0
-    if not batches:
-        return 0, 0
-    wall_start = time.perf_counter()
-    t_origin_us = batches[0][0]
-    for t_start_us, batch in batches:
-        if speed > 0:
-            target = wall_start + (t_start_us - t_origin_us) * 1e-6 / speed
-            delay = target - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-        if hub.submit(sensor_id, batch):
-            accepted += 1
-        else:
-            refused += 1
-    return accepted, refused
+    split = [(name, split_batches(stream.events, batch_us)) for name, stream in recordings]
+    workload = []
+    for index in range(sensors):
+        name, batches = split[index % len(split)]
+        workload.append((f"{name}#{index:03d}", batches))
+    return workload
 
 
 def _pooled_latency_ms(metrics_state: dict) -> Dict[str, float]:
@@ -166,34 +152,49 @@ def _pooled_latency_ms(metrics_state: dict) -> Dict[str, float]:
 
 
 def run_load(hub, workload, speed: float = 0.0, close_timeout: float = 120.0) -> dict:
-    """Drive one started hub with the workload; returns the full report.
+    """Replay the workload into one started hub from the calling thread; returns the report.
 
-    The hub must be started and empty; the caller owns its lifecycle (the
-    CLI builds and stops it, the bench suite reuses this entry point).
+    Every batch goes out in one stable order keyed by its offset from its
+    own sensor's first batch, so per-sensor order holds and a recording's
+    epoch offset neither stalls the feed nor reorders it.  With
+    ``speed > 0`` a batch waits until its offset is due at ``speed``x
+    sensor time.  The report's ``summaries`` maps each sensor to its
+    closing :class:`~repro.runtime.aggregate.RecordingResult` as a dict.
+
+    The hub must be started and empty; the caller owns its lifecycle.
     """
     for sensor_id, _ in workload:
         hub.register(sensor_id)
-    total_submitted = sum(len(batches) for _, batches in workload)
-    started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, len(workload))) as pool:
-        futures = [
-            pool.submit(_replay_sensor, hub, sensor_id, batches, speed)
+    feed = sorted(
+        (
+            (t_start_us - batches[0][0], sensor_id, batch)
             for sensor_id, batches in workload
-        ]
-        tallies = [future.result() for future in futures]
-    for sensor_id, _ in workload:
-        hub.close_sensor(sensor_id, timeout=close_timeout)
+            for t_start_us, batch in batches
+        ),
+        key=lambda item: item[0],
+    )
+    accepted = 0
+    started = time.perf_counter()
+    for offset_us, sensor_id, batch in feed:
+        if speed > 0:
+            delay = started + offset_us * 1e-6 / speed - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+        accepted += hub.submit(sensor_id, batch)
+    summaries = {
+        sensor_id: hub.close_sensor(sensor_id, timeout=close_timeout).to_dict()
+        for sensor_id, _ in workload
+    }
     wall_s = time.perf_counter() - started
 
-    accepted = sum(a for a, _ in tallies)
-    refused = sum(r for _, r in tallies)
+    refused = len(feed) - accepted
     telemetry = hub.telemetry_dict()
     totals = telemetry["totals"]
     latency = _pooled_latency_ms(hub.merged_metrics().state_dict())
     events_in = totals["events_received"]
     frames_out = totals["frames_emitted"]
     drop_invariant = {
-        "submitted": total_submitted,
+        "submitted": len(feed),
         "accepted": accepted,
         "refused": refused,
         "hub_batches_received": sum(
@@ -202,8 +203,7 @@ def run_load(hub, workload, speed: float = 0.0, close_timeout: float = 120.0) ->
         "hub_dropped_batches": totals["dropped_batches"],
     }
     drop_invariant["ok"] = (
-        accepted + refused == total_submitted
-        and drop_invariant["hub_batches_received"] == accepted
+        drop_invariant["hub_batches_received"] == accepted
         and drop_invariant["hub_dropped_batches"] == refused
     )
     return {
@@ -230,6 +230,7 @@ def run_load(hub, workload, speed: float = 0.0, close_timeout: float = 120.0) ->
             for stat in hub.shard_stats()
         ],
         "migrations": hub.migrations_performed,
+        "summaries": summaries,
     }
 
 
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hub worker vehicle under load (default: process)",
     )
     parser.add_argument(
-        "--sensors", type=int, default=16, help="fleet size (feeder threads)"
+        "--sensors", type=int, default=16, help="fleet size"
     )
     parser.add_argument(
         "--scenes", type=int, default=None,
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="event ring capacity per shard in KiB",
     )
     parser.add_argument(
-        "--transport", choices=("shm", "pipe", "auto"), default="auto",
+        "--transport", choices=TRANSPORTS, default="shm",
         help="shard event transport (shared-memory ring or pipes)",
     )
     parser.add_argument(
@@ -360,7 +361,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             transport=args.transport,
             ring_capacity_bytes=args.ring_kib * 1024,
         )
-        workload = build_workload(args)
+        count = args.sensors if args.dataset else (args.scenes or min(args.sensors, 4))
+        recordings = load_recordings(args.dataset, count, args.duration, args.seed)
+        workload = build_workload(recordings, args.sensors, args.batch_us)
     except (FileNotFoundError, ValueError) as error:
         logger.error("error: %s", error)
         return 2
@@ -374,8 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"({args.workers} shards, {args.backpressure}), {pace}",
         flush=True,
     )
-    hub = make_hub(args.hub, config)
-    with hub:
+    with make_hub(args.hub, config) as hub:
         report = run_load(hub, workload, speed=args.speed)
     report["config"] = {
         "hub": args.hub,

@@ -78,6 +78,19 @@ KIND_MIGRATE_IN = 4
 KIND_STOP = 5
 
 
+#: Event transports understood by :func:`make_ring`.
+TRANSPORTS = ("shm", "pipe")
+
+
+def max_payload_bytes(capacity_bytes: int) -> int:
+    """The largest record payload a ``capacity_bytes`` ring can ever hold.
+
+    A record needs its header, plus one header of slack so a full ring's
+    tail never catches its head (full vs empty ambiguity).
+    """
+    return capacity_bytes - 2 * _HDR.size
+
+
 class Record(NamedTuple):
     """One dequeued transport record.
 
@@ -115,6 +128,7 @@ class ShmRing:
                 f"capacity_bytes must be >= 4096, got {capacity_bytes}"
             )
         self._capacity = int(capacity_bytes)
+        self._max_payload = max_payload_bytes(self._capacity)
         # The cursor-publication lock (see the module docstring).  A fork
         # context so the worker inherits the same semaphore; platforms
         # without fork cannot run the process hub anyway, and make_ring
@@ -186,7 +200,7 @@ class ShmRing:
     ) -> bool:
         """Enqueue one record; ``False`` (without blocking) if it cannot fit."""
         need = _HDR.size + len(payload)
-        if need + _HDR.size > self._capacity:
+        if len(payload) > self._max_payload:
             raise ValueError(
                 f"record of {need} bytes can never fit a "
                 f"{self._capacity}-byte ring"
@@ -421,10 +435,9 @@ def make_ring(transport: str = "shm", capacity_bytes: int = 1 << 20):
     """Build the configured transport, falling back to pipes when needed.
 
     ``transport`` is ``"shm"`` (shared memory; falls back to ``"pipe"``
-    with a warning if the segment cannot be created), ``"pipe"``, or
-    ``"auto"`` (same as ``"shm"``).
+    with a warning if the segment cannot be created) or ``"pipe"``.
     """
-    if transport not in ("shm", "pipe", "auto"):
+    if transport not in TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}")
     if transport == "pipe":
         return PipeRing(capacity_bytes=capacity_bytes)

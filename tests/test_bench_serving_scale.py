@@ -16,6 +16,7 @@ from repro.bench import (
 )
 from repro.bench.__main__ import SUITES, format_scenarios
 from repro.bench.__main__ import main as bench_main
+from repro.serving.loadgen import run_load
 
 #: Smallest meaningful grid: two cells per hub, one trial, one scene.
 TINY_SERVING = ServingScaleProfile(
@@ -27,7 +28,6 @@ TINY_SERVING = ServingScaleProfile(
     workers=2,
     trials=1,
     warmup_batches=20,
-    parity_sensors=1,
     speedup_cell=16,  # absent from the grid -> falls back to the 2-cell
 )
 
@@ -48,7 +48,7 @@ class TestRunSuite:
                 assert metrics[f"events_per_s_{sensors}"] > 0
                 assert metrics[f"p99_ms_{sensors}"] >= 0
             assert metrics["parity_ok"] == 1.0
-            assert metrics["parity_sensors"] == 1.0
+            assert metrics["parity_sensors"] == 2.0  # the widest checked cell
 
     def test_scaling_efficiency_reported_per_hub(self, tiny_results):
         for metrics in tiny_results.values():
@@ -67,6 +67,24 @@ class TestRunSuite:
         for sensors in (1, 2):
             assert process[f"ratio_vs_thread_{sensors}"] > 0
         assert "speedup_vs_thread" not in tiny_results["thread_hub"]
+
+    def test_a_corrupt_summary_in_any_cell_raises(self, monkeypatch):
+        import repro.bench.serving_scale as suite
+
+        replays = []
+
+        def corrupting_run_load(hub, workload, **kwargs):
+            report = run_load(hub, workload, **kwargs)
+            replays.append(len(workload))
+            if len(replays) == 3:  # thread hub, second timed cell
+                summary = next(iter(report["summaries"].values()))
+                summary["num_frames"] += 1
+            return report
+
+        monkeypatch.setattr(suite, "run_load", corrupting_run_load)
+        with pytest.raises(RuntimeError, match="thread hub diverged"):
+            run_suite(TINY_SERVING)
+        assert replays == [2, 1, 2]  # warm-up, 1-sensor cell, 2-sensor cell
 
     def test_committed_profiles_target_the_16_sensor_cell(self):
         for profile in (FULL_SERVING_PROFILE, QUICK_SERVING_PROFILE):

@@ -183,6 +183,25 @@ class TestAsyncServer:
                     assert client.finish()["num_events"] == 10
         assert not [r for r in caplog.records if r.name == "asyncio"]
 
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_batch_too_big_for_one_ring_record_gets_error_reply(self, kind, caplog):
+        """A line under the limit can carry more events than one ring record
+        holds (an event takes as little as 8 bytes of JSON but always 13 ring
+        bytes): the batch is refused by name and the connection lives on."""
+        n = 400
+        too_big = make_packet(np.arange(n) % 10, np.arange(n) // 10 % 10, [7] * n, [1] * n)
+        assert len(encode_message(events_message(too_big))) < 4096 < too_big.nbytes
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub=HUBS[kind](config)) as server:
+                with SensorClient(*server.address, "cam") as client:
+                    client.send_events(too_big)
+                    with pytest.raises(ProtocolError, match="can never fit"):
+                        client.request_stats()  # the error reply comes first
+                    client.send_events(too_big[:10])
+                    assert client.finish()["num_events"] == 10
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_dead_shard_worker_turns_into_error_replies(self):
         import os
         import signal

@@ -10,6 +10,7 @@ vehicle and holds the scenarios parametrized over both.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
-from repro.serving import HubConfig, TrackingHub
+from repro.serving import HubConfig, ProtocolError, TrackingHub
 from repro.serving.telemetry import LatencyWindow, TelemetryRegistry
 
 
@@ -64,6 +65,8 @@ class TestHubConfig:
             HubConfig(backpressure="retry")
         with pytest.raises(ValueError):
             HubConfig(reorder_slack_us=-1)
+        with pytest.raises(ValueError):
+            HubConfig(transport="auto")
 
 
 # -- the hub contract (bound to a vehicle through ``hub_cls``) ---------------------------
@@ -86,6 +89,47 @@ class ParityContract:
         for sensor_id, stream in streams.items():
             assert results[sensor_id].name == sensor_id
             _assert_replay_parity(results[sensor_id], stream)
+
+    def test_concurrent_submitters_match_batch_pipeline(self):
+        """Eight threads each register, stream and close their own sensor at
+        once, with a tiny switch interval forcing interleavings inside the
+        hub's routing and ring locks (as ``asyncio.to_thread`` closes run
+        beside the event loop's submits)."""
+        streams = {f"sensor-{i}": _moving_block_stream(seed=i) for i in range(8)}
+        batches = {sid: list(_batches(stream)) for sid, stream in streams.items()}
+        results, errors = {}, []
+
+        def stream_one(hub, sensor_id):
+            try:
+                hub.register(sensor_id)
+                for batch in batches[sensor_id]:
+                    assert hub.submit(sensor_id, batch)
+                results[sensor_id] = hub.close_sensor(sensor_id, timeout=60)
+            except Exception as error:  # surfaced by the main thread
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self.hub_cls(HubConfig(num_workers=3)) as hub:
+                threads = [
+                    threading.Thread(target=stream_one, args=(hub, sid), daemon=True)
+                    for sid in streams
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), f"{thread.name} is stuck"
+                received = hub.telemetry_dict()["sensors"]
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        for sensor_id, stream in streams.items():
+            _assert_replay_parity(results[sensor_id], stream)
+        assert sum(s["batches_received"] for s in received.values()) == sum(
+            len(b) for b in batches.values()
+        )
 
     def test_pipe_transport_matches_batch_pipeline(self):
         stream = _moving_block_stream(seed=11)
@@ -164,6 +208,26 @@ class RegistrationContract:
                 hub.submit("ghost", _moving_block_stream(0).events[:5])
             with pytest.raises(KeyError):
                 hub.close_sensor("ghost")
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_batch_too_big_for_one_ring_record_is_refused(self, transport):
+        # 400 events take 5,200 payload bytes: more than a 4096-byte ring
+        # can ever hold in one record, so no amount of draining would help.
+        stream = _moving_block_stream(seed=3)
+        config = HubConfig(num_workers=1, transport=transport, ring_capacity_bytes=4096)
+        with self.hub_cls(config) as hub:
+            hub.register("cam")
+            too_big = np.concatenate([stream.events] * 2)[:400]
+            with pytest.raises(ProtocolError, match="can never fit"):
+                hub.submit("cam", too_big)
+            with pytest.raises(ProtocolError, match="can never fit"):
+                hub.try_submit("cam", too_big)
+            for batch in _batches(stream):
+                assert hub.submit("cam", batch)
+            result = hub.close_sensor("cam", timeout=60)
+            telemetry = hub.telemetry.get("cam").to_dict()
+        _assert_replay_parity(result, stream)
+        assert telemetry["dropped_batches"] == 0
 
     def test_submit_requires_started_hub(self):
         hub = self.hub_cls(HubConfig(num_workers=1))

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import EbbiotConfig, EbbiotPipeline
+from repro.events.stream import EventStream
 from repro.events.types import make_packet
 from repro.serving.hub import HubConfig, TrackingHub
 from repro.serving.loadgen import (
@@ -15,11 +18,13 @@ from repro.serving.loadgen import (
     build_parser,
     build_workload,
     check_slos,
+    load_recordings,
     main,
     make_hub,
     run_load,
     split_batches,
 )
+from test_serving_hub import _moving_block_stream
 
 
 def _packet(num_events: int, t_end_us: int, seed: int = 0) -> np.ndarray:
@@ -52,40 +57,50 @@ class TestSplitBatches:
         assert len(batches) == 2  # no empty batches for the silent gap
 
 
-class TestBuildWorkload:
-    def _args(self, **overrides) -> argparse.Namespace:
-        defaults = dict(
-            dataset=None, sensors=5, scenes=2, duration=0.3, seed=0, batch_us=5_000
-        )
-        defaults.update(overrides)
-        return argparse.Namespace(**defaults)
+def _synthetic_workload(sensors: int, scenes: int, duration_s: float, batch_us: int):
+    recordings = load_recordings(None, scenes, duration_s=duration_s)
+    return build_workload(recordings, sensors, batch_us)
 
+
+def _shifted(stream: EventStream, offset_us: int) -> EventStream:
+    events = stream.events.copy()
+    events["t"] += offset_us
+    return EventStream(events, stream.width, stream.height)
+
+
+class TestBuildWorkload:
     def test_scenes_cycle_across_sensors(self):
-        workload = build_workload(self._args())
+        workload = _synthetic_workload(5, scenes=2, duration_s=0.3, batch_us=5_000)
         assert len(workload) == 5
         names = [sensor_id for sensor_id, _ in workload]
         assert len(set(names)) == 5  # unique sensor ids
-        # Sensors 0 and 2 replay the same scene -> identical batch lists.
+        # Sensors 0 and 2 replay the same scene, split only once.
         assert names[0].split("#")[0] == names[2].split("#")[0]
-        batches_0 = workload[0][1]
-        batches_2 = workload[2][1]
-        assert len(batches_0) == len(batches_2)
-        assert all(
-            np.array_equal(a[1], b[1]) for a, b in zip(batches_0, batches_2)
-        )
+        assert workload[0][1] is workload[2][1]
+        assert workload[0][1] is not workload[1][1]
 
     def test_missing_dataset_raises(self, tmp_path):
         with pytest.raises((FileNotFoundError, ValueError)):
-            build_workload(self._args(dataset=str(tmp_path / "nope")))
+            load_recordings(str(tmp_path / "nope"), 4)
+
+    def test_dataset_source_loads_the_first_entries(self, tmp_path):
+        from repro.datasets.recorded import export_fleet
+        from repro.runtime.scenes import build_scene_recordings
+
+        fleet = build_scene_recordings(3, duration_s=0.3)
+        manifest = export_fleet(fleet, tmp_path / "ds", name="ds")
+        loaded = load_recordings(str(manifest.root), 2)
+        assert [name for name, _ in loaded] == [r.name for r in fleet[:2]]
+        assert all(
+            np.array_equal(stream.events, recording.stream.events)
+            for (_, stream), recording in zip(loaded, fleet)
+        )
 
 
 class TestRunLoad:
     @pytest.mark.parametrize("kind", HUB_KINDS)
     def test_report_shape_and_drop_invariant(self, kind):
-        args = argparse.Namespace(
-            dataset=None, sensors=3, scenes=2, duration=0.3, seed=0, batch_us=5_000
-        )
-        workload = build_workload(args)
+        workload = _synthetic_workload(3, scenes=2, duration_s=0.3, batch_us=5_000)
         config = HubConfig(num_workers=2)
         with make_hub(kind, config) as hub:
             report = run_load(hub, workload)
@@ -100,12 +115,13 @@ class TestRunLoad:
         )
         assert len(report["shards"]) == 2
         assert report["migrations"] == 0
+        assert sorted(report["summaries"]) == sorted(sid for sid, _ in workload)
+        assert sum(s["num_frames"] for s in report["summaries"].values()) == (
+            report["aggregate"]["frames_out"]
+        )
 
     def test_drop_policy_report_counts_shed_batches(self):
-        args = argparse.Namespace(
-            dataset=None, sensors=2, scenes=1, duration=0.4, seed=0, batch_us=2_000
-        )
-        workload = build_workload(args)
+        workload = _synthetic_workload(2, scenes=1, duration_s=0.4, batch_us=2_000)
         config = HubConfig(
             num_workers=1, backpressure="drop", ring_capacity_bytes=4096
         )
@@ -116,6 +132,40 @@ class TestRunLoad:
         assert drop["refused"] > 0
         assert drop["accepted"] + drop["refused"] == drop["submitted"]
         assert drop["hub_dropped_batches"] == drop["refused"]
+
+    def test_paces_on_each_sensors_own_offset(self):
+        """Recordings an hour apart replay side by side at 4x: the feed
+        lasts about span/4, not offset/4, and both summaries equal batch
+        replay of their recordings."""
+        # Both paths frame on the zero-aligned grid, so the late sensor
+        # carries an hour of empty leading windows; 1 s windows keep them cheap.
+        config = EbbiotConfig(frame_duration_us=1_000_000)
+        early = _moving_block_stream(seed=1)
+        late = _shifted(_moving_block_stream(seed=2), 3_600_000_000)
+        workload = build_workload([("early", early), ("late", late)], 2, 22_000)
+        span_s = max(b[-1][0] - b[0][0] for _, b in workload) * 1e-6
+        submitted = []
+
+        class Clocked(TrackingHub):
+            def submit(self, sensor_id, events):
+                submitted.append((sensor_id, time.perf_counter()))
+                return super().submit(sensor_id, events)
+
+        with Clocked(HubConfig(num_workers=2, pipeline_config=config)) as hub:
+            report = run_load(hub, workload, speed=4.0)
+        assert len(submitted) == sum(len(b) for _, b in workload)
+        # Both sensors start together: the late one is not held back an hour.
+        assert [sid for sid, _ in submitted[:2]] == [sid for sid, _ in workload]
+        fed_s = submitted[-1][1] - submitted[0][1]
+        assert span_s / 4 - 0.02 <= fed_s < span_s / 4 + 2.0
+        for (sensor_id, _), stream in zip(workload, (early, late)):
+            expected = EbbiotPipeline(config).process_stream(stream, collect_frames=False)
+            summary = report["summaries"][sensor_id]
+            assert summary["num_events"] == len(stream)
+            assert summary["num_frames"] == expected.num_frames
+            assert summary["num_track_observations"] == (
+                expected.total_track_observations()
+            )
 
 
 class TestSlos:
@@ -189,6 +239,9 @@ class TestCli:
         assert report["slo"]["ok"] is True
         assert report["drop_invariant"]["ok"] is True
         assert report["config"]["hub"] == "process"
+        summaries = report["summaries"]
+        assert len(summaries) == 2
+        assert all(summary["num_frames"] > 0 for summary in summaries.values())
         assert "events/s" in capsys.readouterr().out
 
     def test_slo_violation_sets_exit_code(self):

@@ -296,10 +296,10 @@ class TestTrackingServer:
         with AsyncTrackingServer() as server:
             host, port = server.address
             started = time.monotonic()
-            _, summary = stream_recording(host, port, "rt", stream, realtime=True)
+            _, summary = stream_recording(host, port, "rt", stream, speed=1.0)
             elapsed = time.monotonic() - started
         assert summary["num_events"] == len(stream)
-        # realtime=True must behave as speed=1.0, not full-speed replay.
+        # speed=1.0 is sensor real time, not full-speed replay.
         assert elapsed >= span_s - 0.05
 
     def test_duplicate_sensor_id_rejected(self):
