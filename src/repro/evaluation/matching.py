@@ -26,7 +26,10 @@ class FrameMatchResult:
         Number of ground-truth boxes at this instant.
     matched_pairs:
         All one-to-one assignment pairs, including those below the IoU
-        threshold (useful for MOTP-style distance statistics).
+        threshold.  The assignment never sees the threshold, so
+        :func:`~repro.evaluation.precision_recall.evaluate_recording`
+        matches each instant once and sweeps every threshold over these
+        pairs.
     """
 
     true_positives: List[Tuple[int, int, float]] = field(default_factory=list)
@@ -50,6 +53,12 @@ class FrameMatchResult:
         return self.num_ground_truth_boxes - self.num_true_positives
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Reject an IoU threshold outside ``(0, 1]``."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
 def match_frame(
     tracker_boxes: Sequence[BoundingBox],
     ground_truth_boxes: Sequence[BoundingBox],
@@ -60,8 +69,7 @@ def match_frame(
     The assignment maximises total IoU (Hungarian); pairs with IoU above
     ``iou_threshold`` count as true positives.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     result = FrameMatchResult(
         num_tracker_boxes=len(tracker_boxes),
         num_ground_truth_boxes=len(ground_truth_boxes),
@@ -82,7 +90,7 @@ def match_observations(
     ground_truth: Sequence[GroundTruthBox],
     iou_threshold: float = 0.5,
 ) -> FrameMatchResult:
-    """Convenience wrapper matching tracker observations to GT annotations."""
+    """Match one instant's tracker observations to its GT annotations, by index."""
     tracker_boxes = [o.box for o in observations]
     ground_truth_boxes = [g.box for g in ground_truth]
     return match_frame(tracker_boxes, ground_truth_boxes, iou_threshold)

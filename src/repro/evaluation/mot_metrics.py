@@ -3,20 +3,20 @@
 The paper reports only IoU-thresholded precision and recall, but a
 downstream user of a tracking library usually also wants MOTA/MOTP-style
 numbers and identity-switch counts.  :func:`compute_mot_summary` provides
-those as an extension, using the same per-frame IoU matching as the
-precision/recall evaluation.
+those as an extension, aligning and matching each ground-truth instant
+exactly as the precision/recall evaluation does, and reading identities
+straight off the aligned report's observations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.evaluation.matching import match_frame
+from repro.evaluation.matching import match_observations
 from repro.evaluation.precision_recall import _align_tracks_to_ground_truth
 from repro.simulation.ground_truth import GroundTruthFrame
 from repro.trackers.base import TrackObservation
-from repro.utils.geometry import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,6 @@ def compute_mot_summary(
     MOTP is the mean IoU of the matched pairs (higher is better), a common
     IoU-flavoured variant of the original distance-based definition.
     """
-    observations_by_time: Dict[int, List[TrackObservation]] = {}
-    for observation in observations:
-        observations_by_time.setdefault(observation.t_us, []).append(observation)
-
-    boxes_by_time: Dict[int, List[BoundingBox]] = {
-        t: [o.box for o in obs] for t, obs in observations_by_time.items()
-    }
-    aligned = _align_tracks_to_ground_truth(
-        boxes_by_time, ground_truth_frames, alignment_tolerance_us
-    )
-
     total_misses = 0
     total_false_positives = 0
     total_id_switches = 0
@@ -101,20 +90,10 @@ def compute_mot_summary(
     # Ground-truth track id -> tracker track id from the previous frame.
     previous_assignment: Dict[int, int] = {}
 
-    for (gt_frame, tracker_boxes), _ in zip(aligned, range(len(aligned))):
-        time_key = None
-        # Recover the observation list whose boxes were used, to get track ids.
-        for t, boxes in boxes_by_time.items():
-            if boxes is tracker_boxes or (
-                len(boxes) == len(tracker_boxes)
-                and all(a is b for a, b in zip(boxes, tracker_boxes))
-            ):
-                time_key = t
-                break
-        frame_observations = observations_by_time.get(time_key, []) if time_key is not None else []
-
-        gt_boxes = [b.box for b in gt_frame.boxes]
-        match = match_frame(tracker_boxes, gt_boxes, iou_threshold=iou_threshold)
+    for gt_frame, frame_observations in _align_tracks_to_ground_truth(
+        observations, ground_truth_frames, alignment_tolerance_us
+    ):
+        match = match_observations(frame_observations, gt_frame.boxes, iou_threshold)
         total_ground_truth += match.num_ground_truth_boxes
         total_misses += match.num_false_negatives
         total_false_positives += match.num_false_positives
@@ -123,11 +102,7 @@ def compute_mot_summary(
         for tracker_index, gt_index, iou in match.true_positives:
             iou_sum += iou
             gt_track_id = gt_frame.boxes[gt_index].track_id
-            tracker_track_id = (
-                frame_observations[tracker_index].track_id
-                if tracker_index < len(frame_observations)
-                else tracker_index
-            )
+            tracker_track_id = frame_observations[tracker_index].track_id
             if (
                 gt_track_id in previous_assignment
                 and previous_assignment[gt_track_id] != tracker_track_id

@@ -9,13 +9,13 @@ equal to each recording's ground-truth track count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.evaluation.matching import match_frame
+from repro.evaluation.matching import check_iou_threshold, match_observations
 from repro.simulation.ground_truth import GroundTruthFrame
 from repro.trackers.base import TrackObservation
-from repro.utils.geometry import BoundingBox
 
 #: IoU thresholds swept in the Fig. 4 reproduction.
 DEFAULT_IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -61,22 +61,32 @@ class RecordingEvaluation:
 
 
 def _align_tracks_to_ground_truth(
-    track_boxes_by_time: Mapping[int, Sequence[BoundingBox]],
+    observations: Sequence[TrackObservation],
     ground_truth_frames: Sequence[GroundTruthFrame],
     tolerance_us: int,
-) -> List[tuple]:
-    """Pair each GT instant with the nearest tracker report within tolerance."""
+) -> List[Tuple[GroundTruthFrame, List[TrackObservation]]]:
+    """Pair each GT instant with the observations of its nearest tracker report.
+
+    The nearest report time within ``tolerance_us`` (inclusive) wins, the
+    earlier one on a tie; an instant with no report in range gets ``[]``.
+    Reports are grouped by time once and each instant binary-searches them,
+    so aligning n reports to m instants costs O((n + m) log n).
+    """
+    by_time: Dict[int, List[TrackObservation]] = {}
+    for observation in observations:
+        by_time.setdefault(observation.t_us, []).append(observation)
+    times = sorted(by_time)
     aligned = []
-    track_times = sorted(track_boxes_by_time)
     for gt_frame in ground_truth_frames:
-        best_time: Optional[int] = None
-        best_delta = tolerance_us + 1
-        for t in track_times:
-            delta = abs(t - gt_frame.t_us)
-            if delta < best_delta:
-                best_time, best_delta = t, delta
-        boxes = list(track_boxes_by_time[best_time]) if best_time is not None else []
-        aligned.append((gt_frame, boxes))
+        right = bisect_left(times, gt_frame.t_us)
+        # The nearest report is one of the two around the instant; min keeps the earlier.
+        around = times[max(right - 1, 0):right + 1]
+        nearest = min(
+            (t for t in around if abs(t - gt_frame.t_us) <= tolerance_us),
+            key=lambda t: abs(t - gt_frame.t_us),
+            default=None,
+        )
+        aligned.append((gt_frame, by_time[nearest] if nearest is not None else []))
     return aligned
 
 
@@ -89,6 +99,10 @@ def evaluate_recording(
 ) -> RecordingEvaluation:
     """Evaluate tracker output against ground truth for one recording.
 
+    Each GT instant is matched once; every threshold of the sweep then
+    counts the matched pairs whose IoU exceeds it, which is exact because
+    the assignment maximises total IoU without seeing the threshold.
+
     Parameters
     ----------
     observations:
@@ -96,20 +110,24 @@ def evaluate_recording(
     ground_truth_frames:
         Ground-truth annotations sampled at regular instants.
     iou_thresholds:
-        IoU thresholds to sweep.
+        IoU thresholds to sweep, each in ``(0, 1]``.
     name:
         Recording name used in reports.
     alignment_tolerance_us:
         Maximum time difference between a GT instant and the tracker report
         associated with it (defaults to just over half a 66 ms frame).
     """
-    track_boxes_by_time: Dict[int, List[BoundingBox]] = {}
-    for observation in observations:
-        track_boxes_by_time.setdefault(observation.t_us, []).append(observation.box)
-
-    aligned = _align_tracks_to_ground_truth(
-        track_boxes_by_time, ground_truth_frames, alignment_tolerance_us
-    )
+    for threshold in iou_thresholds:
+        check_iou_threshold(threshold)
+    matches = [
+        match_observations(frame_observations, gt_frame.boxes)
+        for gt_frame, frame_observations in _align_tracks_to_ground_truth(
+            observations, ground_truth_frames, alignment_tolerance_us
+        )
+    ]
+    ious = [iou for match in matches for _, _, iou in match.matched_pairs]
+    total_tracker_boxes = sum(match.num_tracker_boxes for match in matches)
+    total_ground_truth_boxes = sum(match.num_ground_truth_boxes for match in matches)
 
     track_ids = set()
     for frame in ground_truth_frames:
@@ -119,15 +137,7 @@ def evaluate_recording(
         name=name, num_ground_truth_tracks=len(track_ids)
     )
     for threshold in iou_thresholds:
-        true_positives = 0
-        total_tracker_boxes = 0
-        total_ground_truth_boxes = 0
-        for gt_frame, tracker_boxes in aligned:
-            gt_boxes = [b.box for b in gt_frame.boxes]
-            match = match_frame(tracker_boxes, gt_boxes, iou_threshold=threshold)
-            true_positives += match.num_true_positives
-            total_tracker_boxes += match.num_tracker_boxes
-            total_ground_truth_boxes += match.num_ground_truth_boxes
+        true_positives = sum(1 for iou in ious if iou > threshold)
         precision = true_positives / total_tracker_boxes if total_tracker_boxes else 0.0
         recall = (
             true_positives / total_ground_truth_boxes if total_ground_truth_boxes else 0.0

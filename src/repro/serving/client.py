@@ -70,9 +70,15 @@ class SensorClient:
         self._reader = threading.Thread(
             target=self._read_loop, name=f"sensor-client-{sensor_id}", daemon=True
         )
-        self._send(hello_message(sensor_id, width, height, tracker=tracker))
-        self._reader.start()
-        self.welcome = self._await_reply("welcome")
+        try:
+            self._send(hello_message(sensor_id, width, height, tracker=tracker))
+            self._reader.start()
+            self.welcome = self._await_reply("welcome")
+        except BaseException:
+            # A refused handshake (duplicate id, unknown tracker, timeout)
+            # must not leak the socket or leave the reader thread running.
+            self.close()
+            raise
 
     # -- wire helpers --------------------------------------------------------------------
 
@@ -137,11 +143,13 @@ class SensorClient:
         return self._await_reply("summary")["recording"]
 
     def close(self) -> None:
-        """Close the connection (reader thread exits on EOF)."""
+        """Close the connection and wait for the reader thread to see EOF."""
         try:
             self._socket.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        if self._reader.is_alive():
+            self._reader.join(self.timeout_s)
         self._socket.close()
 
     def __enter__(self) -> "SensorClient":

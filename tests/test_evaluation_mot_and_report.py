@@ -61,6 +61,15 @@ class TestMotSummary:
         summary = compute_mot_summary(observations, ground_truth)
         assert summary.num_id_switches == 1
 
+    def test_id_switch_with_one_box_object_at_two_instants(self):
+        """Track ids come from the aligned report, not from whichever report holds the box."""
+        shared = BoundingBox(10, 10, 20, 20)
+        ground_truth = [gt_frame(0, [(0, shared)]), gt_frame(66_000, [(0, shared)])]
+        observations = [observation(0, shared, 1), observation(66_000, shared, 2)]
+        summary = compute_mot_summary(observations, ground_truth)
+        assert summary.num_id_switches == 1
+        assert summary.mota == pytest.approx(0.5)
+
     def test_to_dict(self):
         ground_truth = [gt_frame(33_000, [(0, BoundingBox(10, 10, 20, 20))])]
         summary = compute_mot_summary([], ground_truth)

@@ -7,8 +7,11 @@ helpers or a raw socket, speaking the same protocol as production sensors;
 
 from __future__ import annotations
 
+import gc
 import logging
 import socket
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -221,6 +224,20 @@ class TestAsyncServer:
             with SensorClient(host, port, "cam"):
                 with pytest.raises(ProtocolError):
                     SensorClient(host, port, "cam")
+
+    def test_rejected_handshake_releases_socket_and_reader(self):
+        with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
+            host, port = server.address
+            with SensorClient(host, port, "cam"):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", ResourceWarning)
+                    with pytest.raises(ProtocolError):
+                        SensorClient(host, port, "cam")
+                    gc.collect()
+                readers = [t for t in threading.enumerate() if t.name == "sensor-client-cam"]
+                # Only the accepted client's reader is left running.
+                assert len(readers) == 1
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_stop_is_idempotent_and_port_reusable(self):
         server = AsyncTrackingServer(hub_config=HubConfig(num_workers=1))
