@@ -69,7 +69,7 @@ def downsample_binary_frame(frame: np.ndarray, s1: int, s2: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        ``(height // s2, width // s1)`` int32 array of block sums.
+        ``(height // s2, width // s1)`` int64 array of block sums.
     """
     if frame.ndim != 2:
         raise ValueError(f"frame must be 2-D, got shape {frame.shape}")
@@ -96,6 +96,12 @@ def frame_histograms(
     is one axis sum of the cropped frame folded into bins of ``s1`` (or
     ``s2``) columns (rows).  This is the hot path of
     :meth:`HistogramRegionProposer.propose`.
+
+    The axis sums are taken in the smallest unsigned dtype that holds the
+    crop's height and width (uint8 up to 255 pixels) and widened to int64
+    for the fold.  The result is exact for a binary frame, whose column
+    sums are at most its height and row sums at most its width; a frame
+    with values above 1 may wrap.
     """
     if frame.ndim != 2:
         raise ValueError(f"frame must be 2-D, got shape {frame.shape}")
@@ -109,10 +115,11 @@ def frame_histograms(
             f"downsampling factors ({s1}, {s2}) too large for frame {width}x{height}"
         )
     cropped = frame[: out_height * s2, : out_width * s1]
-    column_sums = cropped.sum(axis=0, dtype=np.int32)
-    row_sums = cropped.sum(axis=1, dtype=np.int32)
-    histogram_x = column_sums.reshape(out_width, s1).sum(axis=1)
-    histogram_y = row_sums.reshape(out_height, s2).sum(axis=1)
+    count_dtype = np.min_scalar_type(max(cropped.shape))
+    column_sums = cropped.sum(axis=0, dtype=count_dtype)
+    row_sums = cropped.sum(axis=1, dtype=count_dtype)
+    histogram_x = column_sums.reshape(out_width, s1).sum(axis=1, dtype=np.int64)
+    histogram_y = row_sums.reshape(out_height, s2).sum(axis=1, dtype=np.int64)
     return histogram_x, histogram_y
 
 
@@ -142,14 +149,10 @@ def find_runs_above_threshold(
     """
     if histogram.ndim != 1:
         raise ValueError("histogram must be 1-D")
-    above = histogram >= threshold
-    if not above.any():
-        return []
-    padded = np.concatenate([[False], above, [False]])
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts = changes[0::2]
-    ends = changes[1::2]
-    return list(zip(starts.tolist(), ends.tolist()))
+    padded = np.zeros(len(histogram) + 2, dtype=bool)
+    padded[1:-1] = histogram >= threshold
+    changes = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(changes[0::2], changes[1::2]))
 
 
 class HistogramRegionProposer:
@@ -208,71 +211,40 @@ class HistogramRegionProposer:
         histogram_x, histogram_y = frame_histograms(
             frame, self.downsample_x, self.downsample_y
         )
-        x_runs = find_runs_above_threshold(histogram_x, self.threshold)
-        y_runs = find_runs_above_threshold(histogram_y, self.threshold)
-        if not x_runs or not y_runs:
-            return []
-
-        height, width = frame.shape
-        x_run_array = np.asarray(x_runs, dtype=np.int64)
-        y_run_array = np.asarray(y_runs, dtype=np.int64)
-        x1 = x_run_array[:, 0] * self.downsample_x
-        x2 = np.minimum(x_run_array[:, 1] * self.downsample_x, width)
-        y1 = y_run_array[:, 0] * self.downsample_y
-        y2 = np.minimum(y_run_array[:, 1] * self.downsample_y, height)
-        box_widths = x2 - x1
-        box_heights = y2 - y1
-
-        # Candidate (x-run, y-run) pairs that pass the size filter, in the
-        # x-major order of the original nested loop.
-        x_indices = np.flatnonzero(box_widths >= self.min_region_side_px)
-        y_indices = np.flatnonzero(box_heights >= self.min_region_side_px)
-        candidates = [(i, j) for i in x_indices for j in y_indices]
-        if not candidates:
-            return []
+        x_spans = self._pixel_spans(histogram_x, self.downsample_x)
+        y_spans = self._pixel_spans(histogram_y, self.downsample_y)
 
         # Validity check in the original image: combinations of X and Y runs
-        # that do not actually contain events are spurious.  The typical
-        # frame has only a handful of candidates, where slicing each patch is
-        # cheapest; crowded frames amortise one summed-area table that
-        # answers every box count in a single gather.
-        if len(candidates) > 8:
-            integral = np.zeros((height + 1, width + 1), dtype=np.int32)
-            integral[1:, 1:] = (frame > 0).cumsum(axis=0, dtype=np.int32).cumsum(axis=1)
-            counts = (
-                integral[y2[None, :], x2[:, None]]
-                - integral[y1[None, :], x2[:, None]]
-                - integral[y2[None, :], x1[:, None]]
-                + integral[y1[None, :], x1[:, None]]
-            )
-            def count_of(i: int, j: int) -> int:
-                return int(counts[i, j])
-
-        else:
-
-            def count_of(i: int, j: int) -> int:
-                return int(np.count_nonzero(frame[y1[j] : y2[j], x1[i] : x2[i]]))
-
+        # that do not actually contain events are spurious.  Candidates are
+        # visited in x-major order, which the stable sort below keeps for
+        # equal counts.
         proposals: List[RegionProposal] = []
-        for x_index, y_index in candidates:
-            event_count = count_of(x_index, y_index)
-            if event_count < self.min_event_count:
-                continue
-            box = BoundingBox(
-                float(x1[x_index]),
-                float(y1[y_index]),
-                float(box_widths[x_index]),
-                float(box_heights[y_index]),
-            )
-            proposals.append(
-                RegionProposal(
-                    box=box,
-                    event_count=event_count,
-                    density=event_count / box.area if box.area > 0 else 0.0,
+        for x1, x2 in x_spans:
+            for y1, y2 in y_spans:
+                event_count = int(np.count_nonzero(frame[y1:y2, x1:x2]))
+                if event_count < self.min_event_count:
+                    continue
+                box = BoundingBox(float(x1), float(y1), float(x2 - x1), float(y2 - y1))
+                proposals.append(
+                    RegionProposal(
+                        box=box,
+                        event_count=event_count,
+                        density=event_count / box.area if box.area > 0 else 0.0,
+                    )
                 )
-            )
         proposals.sort(key=lambda proposal: proposal.event_count, reverse=True)
         return proposals
+
+    def _pixel_spans(self, histogram: np.ndarray, factor: int) -> List[Tuple[int, int]]:
+        """Above-threshold runs of ``histogram`` as ``[start, end)`` pixel
+        spans at least ``min_region_side_px`` long.  Only complete blocks are
+        binned, so a span never passes the frame edge."""
+        spans: List[Tuple[int, int]] = []
+        for start_bin, end_bin in find_runs_above_threshold(histogram, self.threshold):
+            start, end = start_bin * factor, end_bin * factor
+            if end - start >= self.min_region_side_px:
+                spans.append((start, end))
+        return spans
 
     def debug_histograms(
         self, frame: np.ndarray

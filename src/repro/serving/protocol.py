@@ -174,7 +174,12 @@ def parse_hello(
         raise ProtocolError("hello width/height must be positive")
     config = default
     if (width, height) != (config.width, config.height):
-        config = replace(config, width=width, height=height)
+        try:
+            config = replace(config, width=width, height=height)
+        except ValueError as error:
+            raise ProtocolError(
+                f"hello resolution {width}x{height} does not fit the pipeline: {error}"
+            ) from error
     tracker = message.get("tracker")
     if tracker is not None:
         if not isinstance(tracker, str):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.histogram_rpn import (
@@ -210,6 +210,8 @@ class TestFrameHistograms:
         s1=st.integers(min_value=1, max_value=6),
         s2=st.integers(min_value=1, max_value=6),
     )
+    # Columns of 258 and rows of 342 active pixels: past what uint8 holds.
+    @example(frame=np.ones((260, 346), dtype=np.uint8), s1=6, s2=3)
     def test_matches_downsample_then_sum(self, frame, s1, s2):
         from repro.core.histogram_rpn import frame_histograms
 
@@ -219,6 +221,7 @@ class TestFrameHistograms:
         )
         np.testing.assert_array_equal(hx, expected_hx)
         np.testing.assert_array_equal(hy, expected_hy)
+        assert hx.dtype == expected_hx.dtype and hy.dtype == expected_hy.dtype
 
     def test_rejects_bad_factors(self):
         from repro.core.histogram_rpn import frame_histograms
@@ -270,15 +273,52 @@ def _reference_propose(proposer: HistogramRegionProposer, frame: np.ndarray):
     return proposals
 
 
+def _checkerboard_frame():
+    """Active 6x3 blocks on every other bin of both axes of a 240x180
+    frame: 20 X runs x 30 Y runs, the most candidates the frame can give."""
+    blocks = np.zeros((60, 40), dtype=np.uint8)
+    blocks[::2, ::2] = 1
+    return np.kron(blocks, np.ones((3, 6), dtype=np.uint8))
+
+
+def _crowded_frame(seed, height, width):
+    """Sixteen small random boxes over sparse speckle: many X and Y runs."""
+    rng = np.random.default_rng(seed)
+    frame = (rng.random((height, width)) < 0.0003).astype(np.uint8)
+    for _ in range(16):
+        x, y = rng.integers(0, width - 12), rng.integers(0, height - 8)
+        frame[y : y + rng.integers(2, 12), x : x + rng.integers(2, 16)] = 1
+    return frame
+
+
+def _large_frame_with_full_columns():
+    """A 346x260 frame with columns of 260 events, past what uint8 holds,
+    and columns of 256 in the 258-row crop, which uint8 would count as 0."""
+    frame = _crowded_frame(7, 260, 346)
+    frame[:, ::24] = 1
+    frame[:256, 12::24] = 1
+    return frame
+
+
+CROWDED_FRAMES = {
+    "checkerboard_240x180": (_checkerboard_frame, 600),
+    "crowded_240x180": (lambda: _crowded_frame(1, 180, 240), 9),
+    "crowded_346x260": (lambda: _crowded_frame(2, 260, 346), 9),
+    "crowded_odd_sides_239x181": (lambda: _crowded_frame(3, 181, 239), 9),
+    "full_columns_346x260": (_large_frame_with_full_columns, 9),
+}
+
+
 class TestVectorizedProposeEquivalence:
     @settings(deadline=None, max_examples=40)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         density=st.floats(min_value=0.0, max_value=0.15),
+        shape=st.sampled_from([(90, 120), (180, 240), (260, 346), (97, 131)]),
     )
-    def test_matches_reference_loop_on_random_frames(self, seed, density):
+    def test_matches_reference_loop_on_random_frames(self, seed, density, shape):
         rng = np.random.default_rng(seed)
-        frame = (rng.random((90, 120)) < density).astype(np.uint8)
+        frame = (rng.random(shape) < density).astype(np.uint8)
         proposer = HistogramRegionProposer(downsample_x=6, downsample_y=3)
         got = proposer.propose(frame)
         expected = _reference_propose(proposer, frame)
@@ -290,4 +330,19 @@ class TestVectorizedProposeEquivalence:
         frame[100:120, 150:170] = 1  # bike
         frame[40:55, 160:200] = 1   # second car sharing y band with the first
         proposer = HistogramRegionProposer()
+        assert proposer.propose(frame) == _reference_propose(proposer, frame)
+
+    @pytest.mark.parametrize("min_side", [2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CROWDED_FRAMES))
+    def test_matches_reference_on_crowded_and_large_frames(self, name, min_side):
+        """Frames past 8 candidates; ``min_side`` 3.0 sits on the side of a
+        one-bin Y run, which the size filter keeps."""
+        make_frame, min_candidates = CROWDED_FRAMES[name]
+        frame = make_frame()
+        proposer = HistogramRegionProposer(min_region_side_px=min_side)
+        hist_x, hist_y = compute_histograms(downsample_binary_frame(frame, 6, 3))
+        candidates = len(find_runs_above_threshold(hist_x, 1)) * len(
+            find_runs_above_threshold(hist_y, 1)
+        )
+        assert candidates >= min_candidates
         assert proposer.propose(frame) == _reference_propose(proposer, frame)

@@ -239,6 +239,23 @@ class TestAsyncServer:
                 assert len(readers) == 1
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_hello_smaller_than_one_downsampling_block_gets_error_reply(self, caplog):
+        """A 4x2 sensor cannot hold one 6x3 block: the hello is refused by
+        name and the connection still accepts a valid hello."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
+                with socket.create_connection(server.address, timeout=30) as raw, \
+                        raw.makefile("rwb") as wire:
+                    wire.write(encode_message(hello_message("cam", width=4, height=2)))
+                    wire.flush()
+                    reply = decode_message(wire.readline())
+                    assert reply["type"] == "error"
+                    assert "4x2" in reply["message"]
+                    wire.write(encode_message(hello_message("cam")))
+                    wire.flush()
+                    assert decode_message(wire.readline())["type"] == "welcome"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_stop_is_idempotent_and_port_reusable(self):
         server = AsyncTrackingServer(hub_config=HubConfig(num_workers=1))
         server.start()
