@@ -3,25 +3,38 @@
 The EBBI is simply the per-pixel OR of all events accumulated during one
 ``tF`` window, ignoring polarity (Section II-A).  In hardware the sensor
 array itself stores this image while the processor sleeps; in software we
-reproduce the same frame from an event packet with
-:func:`events_to_binary_frame` and keep both the raw and median-filtered
-frames, exactly the two-frame memory budget of Eq. (1)
+reproduce the same frame from an event packet and keep both the raw and
+median-filtered frames, exactly the two-frame memory budget of Eq. (1)
 (``M_EBBI = 2 * A * B`` bits).
+
+Every frame is built on one path: :func:`events_to_binary_frame_batch`
+scatters a stack of consecutive windows, and :class:`EbbiBuilder` runs it
+and the median filter over the stack.  One window is a one-frame stack:
+:func:`events_to_binary_frame` and :meth:`EbbiBuilder.build` are the
+one-window calls of that path.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ContextManager, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.median_filter import (
-    MedianScratch,
-    binary_median_filter,
-    binary_median_filter_stack,
-)
+from repro.core.median_filter import MedianScratch, binary_median_filter_stack
 from repro.events.types import EVENT_DTYPE
+
+_UNTIMED = nullcontext()
+
+
+def untimed_stage(name: str) -> ContextManager[None]:
+    """The no-op stand-in for ``Instrumentation.stage`` on uninstrumented runs.
+
+    Every stage shares one context, so the plain path never calls into
+    :mod:`repro.obs`.
+    """
+    return _UNTIMED
 
 
 class EbbiScratch:
@@ -64,6 +77,10 @@ def events_to_binary_frame(
 ) -> np.ndarray:
     """Accumulate an event packet into a binary frame.
 
+    The one-window call of :func:`events_to_binary_frame_batch`, with its
+    errors: ``TypeError`` for a wrong dtype, ``ValueError`` for a
+    coordinate outside the frame.
+
     Parameters
     ----------
     events:
@@ -77,17 +94,8 @@ def events_to_binary_frame(
         ``(height, width)`` uint8 array with 1 where at least one event
         occurred.
     """
-    if events.dtype != EVENT_DTYPE:
-        raise TypeError(f"events must have dtype {EVENT_DTYPE}, got {events.dtype}")
-    frame = np.zeros((height, width), dtype=np.uint8)
-    if len(events) == 0:
-        return frame
-    x = events["x"]
-    y = events["y"]
-    if x.min() < 0 or x.max() >= width or y.min() < 0 or y.max() >= height:
-        raise ValueError("event coordinates fall outside the frame")
-    frame[y, x] = 1
-    return frame
+    splits = np.array([0, len(events)], dtype=np.int64)
+    return events_to_binary_frame_batch(events, splits, width, height)[0]
 
 
 def events_to_binary_frame_batch(
@@ -102,8 +110,7 @@ def events_to_binary_frame_batch(
     Window ``i`` covers ``events[splits[i]:splits[i + 1]]`` (the split
     points come from :func:`repro.events.stream.frame_boundaries`).  All
     windows are scattered into the output stack with one flat index
-    assignment instead of one :func:`events_to_binary_frame` call per
-    window.
+    assignment.
 
     Parameters
     ----------
@@ -171,9 +178,12 @@ class EbbiFrames:
     def detached(self) -> "EbbiFrames":
         """A copy that owns its frames.
 
-        Frames built by :meth:`EbbiBuilder.build_batch` are views into the
-        chunk's frame stack; retaining one would pin the whole stack.  Call
-        this before keeping a frame beyond the chunk's lifetime.
+        Every frame an :class:`EbbiBuilder` hands out is a view into a
+        frame stack.  With ``reuse_buffers`` that is the builder's scratch,
+        which the next build overwrites; otherwise it is the build's own
+        stack, so a frame kept from a :meth:`~EbbiBuilder.build_batch` chunk
+        pins the whole chunk.  Call this before keeping a frame past the
+        next build.
         """
         if self.raw.base is None and self.filtered.base is None:
             return self
@@ -215,10 +225,12 @@ class EbbiBuilder:
         it keeps) turns this on; the default stays allocate-per-call for
         API compatibility.
 
-    An optional :class:`repro.obs.Instrumentation` can be attached as the
-    ``instrumentation`` attribute; :meth:`build` then times accumulation
-    and filtering as the ``ebbi`` and ``median`` stages.  With the default
-    ``None`` the build path is untouched.
+    :meth:`build` (one window) and :meth:`build_batch` (a chunk of windows)
+    run one body over a frame stack.  An optional
+    :class:`repro.obs.Instrumentation` can be attached as the
+    ``instrumentation`` attribute; both then time accumulation and
+    filtering as the ``ebbi`` and ``median`` stages.  With the default
+    ``None`` the stages run in a shared no-op context.
     """
 
     def __init__(
@@ -230,9 +242,10 @@ class EbbiBuilder:
     ) -> None:
         if width <= 0 or height <= 0:
             raise ValueError(f"frame size must be positive, got {width}x{height}")
-        if median_patch_size not in (0, 1) and median_patch_size % 2 == 0:
+        if median_patch_size < 0 or (median_patch_size > 1 and median_patch_size % 2 == 0):
             raise ValueError(
-                f"median_patch_size must be odd (or 0/1 to disable), got {median_patch_size}"
+                "median_patch_size must be a positive odd integer (or 0 to disable), "
+                f"got {median_patch_size}"
             )
         self.width = width
         self.height = height
@@ -241,69 +254,43 @@ class EbbiBuilder:
         self.instrumentation = None
         self._scratch = EbbiScratch() if reuse_buffers else None
         self._frames_built = 0
-        self._total_active_fraction = 0.0
+        self._active_pixels = 0
 
-    def _accumulate_window(self, events: np.ndarray) -> np.ndarray:
-        """Raw accumulation for one window (the ``ebbi`` stage)."""
-        if self._scratch is not None:
-            raw_stack, _ = self._scratch.stacks(1, self.height, self.width)
-            return events_to_binary_frame_batch(
-                events,
-                np.array([0, len(events)], dtype=np.int64),
-                self.width,
-                self.height,
-                out=raw_stack,
-            )[0]
-        return events_to_binary_frame(events, self.width, self.height)
+    def _build_stacks(
+        self, events: np.ndarray, splits: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Raw and filtered stacks of the windows ``events[splits[i]:splits[i + 1]]``.
 
-    def _filter_window(self, raw: np.ndarray) -> np.ndarray:
-        """Median filtering for one window (the ``median`` stage)."""
+        Built into the scratch with ``reuse_buffers`` (else fresh arrays); a
+        disabled filter is a ``1 x 1`` patch, i.e. a copy of the raw stack.
+        """
+        num_frames = len(splits) - 1
+        raw_out = filtered_out = median_scratch = None
         if self._scratch is not None:
-            raw_stack, filtered_stack = self._scratch.stacks(
-                1, self.height, self.width
+            raw_out, filtered_out = self._scratch.stacks(num_frames, self.height, self.width)
+            median_scratch = self._scratch.median
+        stage = untimed_stage if self.instrumentation is None else self.instrumentation.stage
+        with stage("ebbi"):
+            raw = events_to_binary_frame_batch(events, splits, self.width, self.height, out=raw_out)
+        with stage("median"):
+            filtered = binary_median_filter_stack(
+                raw, max(self.median_patch_size, 1), out=filtered_out, scratch=median_scratch
             )
-            if self.median_patch_size in (0, 1):
-                np.greater(raw_stack, 0, out=filtered_stack)
-            else:
-                binary_median_filter_stack(
-                    raw_stack,
-                    self.median_patch_size,
-                    out=filtered_stack,
-                    scratch=self._scratch.median,
-                )
-            return filtered_stack[0]
-        if self.median_patch_size in (0, 1):
-            return raw.copy()
-        return binary_median_filter(raw, self.median_patch_size)
+        self._frames_built += num_frames
+        self._active_pixels += np.count_nonzero(raw)
+        return raw, filtered
 
     def build(
         self, events: np.ndarray, t_start_us: int, t_end_us: int
     ) -> EbbiFrames:
         """Accumulate one window of events into raw and filtered EBBI frames.
 
-        With ``reuse_buffers`` the window is built as a one-frame batch into
-        the persistent stacks, so a live session's per-window processing
-        allocates nothing; the returned frames are views into the scratch
-        (their ``base`` is set, so ``detached()`` knows to copy).
+        Element 0 of the :meth:`build_batch` body run on a one-window stack;
+        with ``reuse_buffers`` that stack is the persistent scratch, so a
+        live session's per-window processing allocates nothing.
         """
-        instrumentation = self.instrumentation
-        if instrumentation is None:
-            raw = self._accumulate_window(events)
-            filtered = self._filter_window(raw)
-        else:
-            with instrumentation.stage("ebbi"):
-                raw = self._accumulate_window(events)
-            with instrumentation.stage("median"):
-                filtered = self._filter_window(raw)
-        self._frames_built += 1
-        self._total_active_fraction += np.count_nonzero(raw) / raw.size
-        return EbbiFrames(
-            raw=raw,
-            filtered=filtered,
-            t_start_us=t_start_us,
-            t_end_us=t_end_us,
-            num_events=len(events),
-        )
+        raw, filtered = self._build_stacks(events, np.array([0, len(events)], dtype=np.int64))
+        return EbbiFrames(raw[0], filtered[0], t_start_us, t_end_us, num_events=len(events))
 
     def build_batch(
         self,
@@ -335,44 +322,17 @@ class EbbiBuilder:
                 f"inconsistent batch shapes: {len(starts)} starts, "
                 f"{len(ends)} ends, {len(splits)} splits"
             )
-        if self._scratch is not None:
-            raw_out, filtered_out = self._scratch.stacks(
-                len(starts), self.height, self.width
-            )
-            median_scratch = self._scratch.median
-        else:
-            raw_out = filtered_out = median_scratch = None
-        raw_stack = events_to_binary_frame_batch(
-            events, splits, self.width, self.height, out=raw_out
-        )
-        if self.median_patch_size in (0, 1):
-            if filtered_out is None:
-                filtered_stack = raw_stack.copy()
-            else:
-                np.greater(raw_stack, 0, out=filtered_out)
-                filtered_stack = filtered_out
-        else:
-            filtered_stack = binary_median_filter_stack(
-                raw_stack,
-                self.median_patch_size,
-                out=filtered_out,
-                scratch=median_scratch,
-            )
+        raw, filtered = self._build_stacks(events, splits)
         counts = np.diff(np.asarray(splits, dtype=np.int64))
-        num_frames = len(starts)
-        self._frames_built += num_frames
-        self._total_active_fraction += np.count_nonzero(raw_stack) / (
-            self.width * self.height
-        )
         return [
             EbbiFrames(
-                raw=raw_stack[i],
-                filtered=filtered_stack[i],
+                raw=raw[i],
+                filtered=filtered[i],
                 t_start_us=int(starts[i]),
                 t_end_us=int(ends[i]),
                 num_events=int(counts[i]),
             )
-            for i in range(num_frames)
+            for i in range(len(starts))
         ]
 
     @property
@@ -382,18 +342,22 @@ class EbbiBuilder:
 
     @property
     def mean_active_pixel_fraction(self) -> float:
-        """Mean active-pixel fraction ``alpha`` observed over all frames."""
+        """Mean active-pixel fraction ``alpha`` observed over all frames.
+
+        Active pixels are counted as an integer and divided once here, so
+        ``alpha`` does not depend on how the frames were grouped into builds.
+        """
         if self._frames_built == 0:
             return 0.0
-        return self._total_active_fraction / self._frames_built
+        return self._active_pixels / (self._frames_built * self.width * self.height)
 
-    def stats_snapshot(self) -> Tuple[int, float]:
-        """Capture the running statistics (frame count, summed alpha)."""
-        return (self._frames_built, self._total_active_fraction)
+    def stats_snapshot(self) -> Tuple[int, int]:
+        """Capture the running statistics (frame count, active-pixel count)."""
+        return (self._frames_built, self._active_pixels)
 
-    def restore_stats(self, snapshot: Tuple[int, float]) -> None:
+    def restore_stats(self, snapshot: Tuple[int, int]) -> None:
         """Reinstate statistics captured by :meth:`stats_snapshot`."""
-        self._frames_built, self._total_active_fraction = snapshot
+        self._frames_built, self._active_pixels = snapshot
 
     def memory_bits(self) -> int:
         """Memory required by the EBBI stage: two binary frames (Eq. (1))."""

@@ -25,10 +25,10 @@ from typing import Iterator, List, Optional, Union
 import numpy as np
 
 from repro.core.config import EbbiotConfig
-from repro.core.ebbi import EbbiBuilder, EbbiFrames
+from repro.core.ebbi import EbbiBuilder, EbbiFrames, untimed_stage
 from repro.core.histogram_rpn import HistogramRegionProposer, RegionProposal
 from repro.core.roe import RegionOfExclusion
-from repro.events.stream import EventStream
+from repro.events.stream import EventStream, FrameIndex
 from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
 from repro.trackers.base import TrackHistory, TrackObservation
 
@@ -139,8 +139,9 @@ class EbbiotPipeline:
         ``median``, ``rpn``, ``roe``, ``tracker`` — proposal-free backends
         skip ``rpn``/``roe``) is timed into it; ``process_stream`` switches
         from chunked EBBI batching to per-window building so the spans
-        reflect true per-window cost.  With the default ``None`` the hot
-        path is byte-identical to the uninstrumented pipeline.
+        reflect true per-window cost.  Instrumented and plain runs share one
+        frame step; with the default ``None`` its stages run in a shared
+        no-op context and the pipeline never calls into :mod:`repro.obs`.
     """
 
     def __init__(
@@ -209,55 +210,14 @@ class EbbiotPipeline:
     ) -> FrameResult:
         """Process one accumulation window of events through all stages."""
         instrumentation = self.instrumentation
-        if instrumentation is None:
+        span = (
+            untimed_stage("frame")
+            if instrumentation is None
+            else instrumentation.frame(frame_index, t_start_us, t_end_us, len(events))
+        )
+        with span:
             ebbi = self.ebbi_builder.build(events, t_start_us, t_end_us)
             return self._process_built_frame(ebbi, frame_index, events)
-        with instrumentation.frame(frame_index, t_start_us, t_end_us, len(events)):
-            ebbi = self.ebbi_builder.build(events, t_start_us, t_end_us)
-            return self._process_built_frame_instrumented(
-                ebbi, frame_index, events, instrumentation
-            )
-
-    def _propose_regions(self, ebbi: EbbiFrames) -> List[RegionProposal]:
-        """The RPN stage: histogram proposals + minimum-area filter."""
-        proposals = self.region_proposer.propose(ebbi.filtered)
-        return [p for p in proposals if p.box.area >= self.config.min_proposal_area]
-
-    def _step_tracker(
-        self,
-        ebbi: EbbiFrames,
-        proposals: List[RegionProposal],
-        events: Optional[np.ndarray],
-    ) -> List[TrackObservation]:
-        """The tracker stage: one backend step over this window."""
-        return self.tracker.step(
-            TrackerFrame(
-                proposals=proposals,
-                events=events,
-                t_start_us=ebbi.t_start_us,
-                t_end_us=ebbi.t_end_us,
-            )
-        )
-
-    def _finish_frame(
-        self,
-        ebbi: EbbiFrames,
-        frame_index: int,
-        proposals: List[RegionProposal],
-        tracks: List[TrackObservation],
-    ) -> FrameResult:
-        """Update counters and assemble the window's :class:`FrameResult`."""
-        self._total_events += ebbi.num_events
-        self._frames_processed += 1
-        return FrameResult(
-            frame_index=frame_index,
-            t_start_us=ebbi.t_start_us,
-            t_end_us=ebbi.t_end_us,
-            num_events=ebbi.num_events,
-            proposals=proposals,
-            tracks=tracks,
-            ebbi=ebbi.detached() if self.keep_frames else None,
-        )
 
     def _process_built_frame(
         self,
@@ -270,32 +230,31 @@ class EbbiotPipeline:
         ``events`` is the window's raw packet; event-driven backends
         (``requires_events``) consume it, and proposal-free backends
         (``not requires_proposals``) skip the RPN + ROE stages entirely.
+        The stages are timed through the attached instrumentation, or run in
+        the shared no-op context of :func:`~repro.core.ebbi.untimed_stage`.
         """
+        stage = untimed_stage if self.instrumentation is None else self.instrumentation.stage
+        proposals: List[RegionProposal] = []
         if self.tracker.requires_proposals:
-            proposals = self.roe.filter_proposals(self._propose_regions(ebbi))
-        else:
-            proposals = []
-        tracks = self._step_tracker(ebbi, proposals, events)
-        return self._finish_frame(ebbi, frame_index, proposals, tracks)
-
-    def _process_built_frame_instrumented(
-        self,
-        ebbi: EbbiFrames,
-        frame_index: int,
-        events: Optional[np.ndarray],
-        instrumentation,
-    ) -> FrameResult:
-        """:meth:`_process_built_frame` with per-stage timing."""
-        if self.tracker.requires_proposals:
-            with instrumentation.stage("rpn"):
-                proposals = self._propose_regions(ebbi)
-            with instrumentation.stage("roe"):
+            with stage("rpn"):
+                proposals = self.region_proposer.propose(ebbi.filtered)
+                proposals = [p for p in proposals if p.box.area >= self.config.min_proposal_area]
+            with stage("roe"):
                 proposals = self.roe.filter_proposals(proposals)
-        else:
-            proposals = []
-        with instrumentation.stage("tracker"):
-            tracks = self._step_tracker(ebbi, proposals, events)
-        return self._finish_frame(ebbi, frame_index, proposals, tracks)
+        with stage("tracker"):
+            frame = TrackerFrame(proposals, events, ebbi.t_start_us, ebbi.t_end_us)
+            tracks = self.tracker.step(frame)
+        self._total_events += ebbi.num_events
+        self._frames_processed += 1
+        return FrameResult(
+            frame_index=frame_index,
+            t_start_us=ebbi.t_start_us,
+            t_end_us=ebbi.t_end_us,
+            num_events=ebbi.num_events,
+            proposals=proposals,
+            tracks=tracks,
+            ebbi=ebbi.detached() if self.keep_frames else None,
+        )
 
     # -- whole-recording processing -------------------------------------------------------
 
@@ -312,7 +271,10 @@ class EbbiotPipeline:
         one vectorised search (:meth:`EventStream.frame_index`) and EBBI
         frames are accumulated and median-filtered in chunks of
         ``chunk_frames`` windows at a time; only the inherently sequential
-        RPN + tracker stages run frame by frame.
+        RPN + tracker stages run frame by frame.  An instrumented pipeline
+        builds window by window instead (:meth:`iter_stream`), so the
+        ``ebbi``/``median`` spans reflect each window's true cost rather
+        than an amortised chunk share; both sources give the same frames.
 
         Parameters
         ----------
@@ -334,27 +296,21 @@ class EbbiotPipeline:
         if chunk_frames <= 0:
             raise ValueError(f"chunk_frames must be positive, got {chunk_frames}")
         self.reset()
-        result = PipelineResult()
-        index = stream.frame_index(self.config.frame_duration_us, align_to_zero)
         if self.instrumentation is not None:
-            # Per-window building, so the ebbi/median spans reflect each
-            # window's true cost instead of an amortised chunk share.
-            for frame_index in range(index.num_frames):
-                lo = index.splits[frame_index]
-                hi = index.splits[frame_index + 1]
-                frame_result = self.process_frame_events(
-                    index.events[lo:hi],
-                    int(index.starts[frame_index]),
-                    int(index.ends[frame_index]),
-                    frame_index,
-                )
-                result.add_frame(frame_result, keep=collect_frames)
-            result.mean_active_pixel_fraction = (
-                self.ebbi_builder.mean_active_pixel_fraction
-            )
-            result.mean_events_per_frame = self.mean_events_per_frame
-            result.mean_active_trackers = self.tracker.mean_active_trackers
-            return result
+            frames = self.iter_stream(stream, align_to_zero)
+        else:
+            index = stream.frame_index(self.config.frame_duration_us, align_to_zero)
+            frames = self._iter_chunks(index, chunk_frames)
+        result = PipelineResult()
+        for frame_result in frames:
+            result.add_frame(frame_result, keep=collect_frames)
+        result.mean_active_pixel_fraction = self.ebbi_builder.mean_active_pixel_fraction
+        result.mean_events_per_frame = self.mean_events_per_frame
+        result.mean_active_trackers = self.tracker.mean_active_trackers
+        return result
+
+    def _iter_chunks(self, index: FrameIndex, chunk_frames: int) -> Iterator[FrameResult]:
+        """Process the windows of ``index``, building EBBI ``chunk_frames`` at a time."""
         for chunk_start in range(0, index.num_frames, chunk_frames):
             chunk_stop = min(chunk_start + chunk_frames, index.num_frames)
             batch = self.ebbi_builder.build_batch(
@@ -363,20 +319,9 @@ class EbbiotPipeline:
                 index.ends[chunk_start:chunk_stop],
                 index.splits[chunk_start : chunk_stop + 1],
             )
-            for offset, ebbi in enumerate(batch):
-                window_events = None
-                if self.tracker.requires_events:
-                    lo = index.splits[chunk_start + offset]
-                    hi = index.splits[chunk_start + offset + 1]
-                    window_events = index.events[lo:hi]
-                frame_result = self._process_built_frame(
-                    ebbi, chunk_start + offset, window_events
-                )
-                result.add_frame(frame_result, keep=collect_frames)
-        result.mean_active_pixel_fraction = self.ebbi_builder.mean_active_pixel_fraction
-        result.mean_events_per_frame = self.mean_events_per_frame
-        result.mean_active_trackers = self.tracker.mean_active_trackers
-        return result
+            for frame_index, ebbi in enumerate(batch, chunk_start):
+                events = index.frame_events(frame_index) if self.tracker.requires_events else None
+                yield self._process_built_frame(ebbi, frame_index, events)
 
     def iter_stream(
         self, stream: EventStream, align_to_zero: bool = True

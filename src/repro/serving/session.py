@@ -17,11 +17,14 @@ and statistics between batches (state migration, fault recovery).
 Steady-state sessions do not allocate per frame: the pipeline's
 :class:`~repro.core.ebbi.EbbiBuilder` runs with buffer reuse, so each
 closed window is accumulated and median-filtered into persistent scratch
-stacks (see :class:`~repro.core.ebbi.EbbiScratch`).  The frames a session
-hands to the RPN + tracker step are views into those buffers, consumed
-before the next window is built; anything retained (``collect_frames`` with
-``keep_frames`` pipelines) is a detached copy.  A long-lived sensor session
-therefore runs at constant memory *and* constant allocation traffic.
+stacks (see :class:`~repro.core.ebbi.EbbiScratch`) as a one-frame stack,
+by the same build body and frame step that ``process_stream`` runs in
+chunks.  The frames a session hands to the RPN + tracker step are views
+into those buffers, consumed before the next window is built; anything
+retained (``collect_frames`` with ``keep_frames`` pipelines) is a detached
+copy.  A long-lived sensor session therefore runs at constant memory *and*
+constant allocation traffic, and reports the same ``alpha`` as a batch
+replay of the same windows.
 """
 
 from __future__ import annotations

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ebbi import EbbiBuilder, events_to_binary_frame
+from repro.core.ebbi import (
+    EbbiBuilder,
+    events_to_binary_frame,
+    events_to_binary_frame_batch,
+)
+from repro.core.median_filter import binary_median_filter
 from repro.events.types import make_packet
 
 
@@ -226,3 +231,87 @@ class TestEbbiFramesDetached:
             num_events=0,
         )
         assert frame.detached() is frame
+
+
+def _window(num_events, seed, width=64, height=48):
+    """One 66 ms window of random events (dense enough to survive filtering)."""
+    rng = np.random.default_rng(seed)
+    return make_packet(
+        rng.integers(0, width, size=num_events),
+        rng.integers(0, height, size=num_events),
+        np.sort(rng.integers(0, 66_000, size=num_events)),
+        np.where(rng.random(num_events) < 0.5, 1, -1),
+    )
+
+
+class TestOneBuildPath:
+    """``build`` and ``events_to_binary_frame`` are one-window batch calls."""
+
+    @pytest.mark.parametrize("num_events", [0, 1, 700])
+    @pytest.mark.parametrize("reuse_buffers", [False, True])
+    @pytest.mark.parametrize("patch_size", [0, 1, 3, 5])
+    def test_build_equals_one_window_build_batch(self, patch_size, reuse_buffers, num_events):
+        events = _window(num_events, seed=patch_size)
+        single = EbbiBuilder(64, 48, patch_size, reuse_buffers=reuse_buffers)
+        batched = EbbiBuilder(64, 48, patch_size, reuse_buffers=reuse_buffers)
+        got = single.build(events, 0, 66_000)
+        (expected,) = batched.build_batch(
+            events, np.array([0]), np.array([66_000]), np.array([0, num_events])
+        )
+        assert got.raw.dtype == got.filtered.dtype == np.uint8
+        np.testing.assert_array_equal(got.raw, expected.raw)
+        np.testing.assert_array_equal(got.filtered, expected.filtered)
+        np.testing.assert_array_equal(
+            got.filtered, binary_median_filter(got.raw, max(patch_size, 1))
+        )
+        assert (got.t_start_us, got.t_end_us, got.num_events) == (
+            expected.t_start_us,
+            expected.t_end_us,
+            expected.num_events,
+        )
+        assert single.stats_snapshot() == batched.stats_snapshot()
+
+    @pytest.mark.parametrize("num_events", [0, 1, 500])
+    def test_events_to_binary_frame_is_element_zero_of_batch(self, num_events):
+        events = _window(num_events, seed=num_events)
+        frame = events_to_binary_frame(events, 64, 48)
+        stack = events_to_binary_frame_batch(events, np.array([0, num_events]), 64, 48)
+        assert frame.shape == (48, 64)
+        assert frame.dtype == np.uint8
+        np.testing.assert_array_equal(frame, stack[0])
+
+    @pytest.mark.parametrize("x, y", [(64, 0), (0, 48), (-1, 0), (0, -1)])
+    def test_events_to_binary_frame_rejects_coordinates_outside_frame(self, x, y):
+        with pytest.raises(ValueError, match="outside the frame"):
+            events_to_binary_frame(make_packet([1, x], [1, y], [0, 1], [1, 1]), 64, 48)
+
+    def test_events_to_binary_frame_rejects_other_dtypes(self):
+        other = np.zeros(3, dtype=[("x", np.int32), ("y", np.int32), ("t", np.int64)])
+        with pytest.raises(TypeError, match="dtype"):
+            events_to_binary_frame(other, 64, 48)
+
+    @pytest.mark.parametrize("patch_size", [-1, -3])
+    def test_negative_patch_rejected(self, patch_size):
+        with pytest.raises(ValueError, match="median_patch_size"):
+            EbbiBuilder(240, 180, median_patch_size=patch_size)
+
+    def test_alpha_does_not_depend_on_build_grouping(self):
+        counts = np.random.default_rng(1).integers(0, 3000, size=40)
+        windows = [_window(int(n), seed=i, width=240, height=180) for i, n in enumerate(counts)]
+        active = sum(np.count_nonzero(events_to_binary_frame(w, 240, 180)) for w in windows)
+        expected = active / (len(windows) * 240 * 180)
+        packet = np.concatenate(windows)
+        splits = np.concatenate([[0], np.cumsum([len(w) for w in windows])])
+        starts = np.arange(len(windows)) * 66_000
+        alphas = []
+        for chunk in (1, 7, len(windows)):
+            builder = EbbiBuilder(240, 180, reuse_buffers=True)
+            for lo in range(0, len(windows), chunk):
+                hi = min(lo + chunk, len(windows))
+                builder.build_batch(packet, starts[lo:hi], starts[lo:hi] + 66_000, splits[lo : hi + 1])
+            alphas.append(builder.mean_active_pixel_fraction)
+        builder = EbbiBuilder(240, 180)
+        for start, window in zip(starts, windows):
+            builder.build(window, int(start), int(start) + 66_000)
+        alphas.append(builder.mean_active_pixel_fraction)
+        assert alphas == [expected] * 4

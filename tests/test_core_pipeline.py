@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core import EbbiotConfig, EbbiotPipeline
+from repro.core.ebbi import events_to_binary_frame
 from repro.events.stream import EventStream
-from repro.events.types import empty_packet
+from repro.events.types import empty_packet, make_packet
+from repro.obs import PIPELINE_STAGES, Instrumentation
+from repro.runtime.scenes import build_scene_recordings
 from repro.utils.geometry import BoundingBox
 
 
@@ -215,3 +221,71 @@ class TestChunkedProcessing:
             EbbiotPipeline().process_stream(
                 constant_velocity_stream, chunk_frames=0
             )
+
+
+def _frame_summary(result):
+    return [
+        (f.frame_index, f.t_start_us, f.t_end_us, f.num_events, f.proposals, f.tracks)
+        for f in result.frames
+    ]
+
+
+def _means(result):
+    return (
+        result.mean_active_pixel_fraction,
+        result.mean_events_per_frame,
+        result.mean_active_trackers,
+    )
+
+
+class TestOneFrameStep:
+    """Chunked, per-window, instrumented and live runs share one frame step."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return build_scene_recordings(4, duration_s=1.5, base_seed=0)
+
+    @pytest.mark.parametrize("tracker", ["overlap", "kalman", "ebms"])
+    def test_instrumented_run_equals_plain_run(self, scenes, tracker):
+        for recording in scenes:
+            config = replace(EbbiotConfig(), tracker=tracker, roe_boxes=recording.roe_boxes())
+            plain = EbbiotPipeline(config).process_stream(recording.stream)
+            instrumentation = Instrumentation()
+            timed = EbbiotPipeline(config, instrumentation=instrumentation).process_stream(
+                recording.stream
+            )
+            assert timed.track_history.observations == plain.track_history.observations
+            assert _frame_summary(timed) == _frame_summary(plain)
+            assert timed.proposal_count == plain.proposal_count
+            assert _means(timed) == _means(plain)
+            stages = PIPELINE_STAGES if tracker != "ebms" else ("ebbi", "median", "tracker")
+            assert instrumentation.stage_calls == {stage: plain.num_frames for stage in stages}
+
+    def test_alpha_does_not_depend_on_how_frames_are_built(self):
+        from repro.serving import SensorSession
+
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 3000, size=40)
+        t = np.concatenate(
+            [i * 66_000 + np.sort(rng.integers(0, 66_000, size=n)) for i, n in enumerate(counts)]
+        )
+        packet = make_packet(
+            rng.integers(0, 240, size=len(t)), rng.integers(0, 180, size=len(t)), t, [1] * len(t)
+        )
+        stream = EventStream(packet, 240, 180)
+        windows = list(stream.iter_frames(66_000, align_to_zero=True))
+        active = sum(np.count_nonzero(events_to_binary_frame(w, 240, 180)) for _, _, w in windows)
+        expected = active / (len(windows) * 240 * 180)
+
+        alphas = [
+            EbbiotPipeline().process_stream(stream, chunk_frames=chunk).mean_active_pixel_fraction
+            for chunk in (1, 7, 256)
+        ]
+        instrumented = EbbiotPipeline(instrumentation=Instrumentation())
+        alphas.append(instrumented.process_stream(stream).mean_active_pixel_fraction)
+        session = SensorSession("alpha")
+        for lo in range(0, len(packet), 4000):
+            session.ingest(packet[lo : lo + 4000])
+        session.finish()
+        alphas.append(session.summary().mean_active_pixel_fraction)
+        assert alphas == [expected] * 5
