@@ -1,8 +1,8 @@
-"""Asyncio JSONL-over-TCP front door for the tracking hubs.
+"""Asyncio TCP front door for the tracking hubs.
 
 One TCP connection is one live sensor (or a monitoring scraper), served by
-a reader coroutine and a writer task on one event loop: it speaks the
-:mod:`~repro.serving.protocol` lines (``hello``, then ``events`` batches,
+a reader coroutine and a writer task on one event loop: it speaks
+:mod:`~repro.serving.protocol` (``hello``, then ``events`` batches,
 finally ``finish``) and feeds the shared hub.  Accepting sensor number 500
 adds a coroutine and a bounded send queue, not OS threads, and a stalled
 client parks a coroutine rather than blocking a stack.
@@ -25,11 +25,17 @@ The event-loop thread must never block, which dictates the three seams:
   replies instead wait for room).  A dedicated writer task per connection
   drains the queue onto the socket in order.
 
-A line may be as long as the ring it feeds (``HubConfig.ring_capacity_bytes``,
-1 MiB by default).  A longer line gets an ``error`` reply naming the limit,
-and the connection then ends through the normal teardown, since the line
-framing is lost.  Each connection buffers up to twice the limit of unread
-input before its reads pause.
+A line, and an ``events`` frame's records (``count × 13`` bytes, read with
+one ``readexactly`` after the header line), may each be as long as the ring
+they feed (``HubConfig.ring_capacity_bytes``, 1 MiB by default).  A longer
+line or attachment gets an ``error`` reply naming the limit, as does a
+``count`` that is not a non-negative integer, and the connection then ends
+through the normal teardown, since the framing is lost.  The records are
+read before the message is dispatched, so every other refusal (events
+before ``hello`` or after ``finish``, bad values, a batch that can never
+fit one ring record) is an ``error`` reply on a connection that stays
+usable.  Each connection buffers up to twice the limit of unread input
+before its reads pause.
 
 On teardown (clean ``finish`` or an abrupt disconnect) the sensor's session
 is flushed and deregistered from the hub, so sensor ids are reusable and a
@@ -51,6 +57,8 @@ from typing import List, Optional, Tuple
 from repro.core.pipeline import FrameResult
 from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.protocol import (
+    RECORD_BYTES,
+    FramingError,
     ProtocolError,
     decode_message,
     encode_message,
@@ -87,6 +95,7 @@ class _Connection:
         self.sensor_id: Optional[str] = None
         self.width = 240
         self.height = 180
+        self.summary: Optional[dict] = None  # the reply to finish, once sent
         self.send_queue: "asyncio.Queue" = asyncio.Queue(maxsize=SEND_QUEUE_CAPACITY)
         self._raw_writer = writer
         self.writer_task = asyncio.ensure_future(self._writer_loop(writer))
@@ -160,6 +169,9 @@ class _Connection:
         if self.sensor_id is None:
             raise ProtocolError("first message must be 'hello'")
         if kind == "events":
+            if self.summary is not None:
+                raise ProtocolError(f"sensor {self.sensor_id!r} has finished; "
+                                    "its events are refused")
             await self._ingest(packet_from_events_message(message, self.width, self.height))
             return True
         if kind == "stats":
@@ -167,8 +179,10 @@ class _Connection:
             await self.send(stats_message(telemetry))
             return True
         if kind == "finish":
-            result = await asyncio.to_thread(hub.close_sensor, self.sensor_id)
-            await self.send(summary_message(result))
+            if self.summary is None:
+                result = await asyncio.to_thread(hub.close_sensor, self.sensor_id)
+                self.summary = summary_message(result)
+            await self.send(self.summary)
             return True
         raise ProtocolError(f"unknown message type {kind!r}")
 
@@ -282,26 +296,34 @@ class AsyncTrackingServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         connection = _Connection(self, writer)
         self._connections.add(connection)
+        limit = self.hub.config.ring_capacity_bytes
         try:
             while True:
                 try:
                     raw_line = await reader.readline()
-                except (ConnectionError, OSError):
+                    if not raw_line:
+                        break
+                    message = decode_message(raw_line)
+                    if "count" in message:
+                        size = message["count"] * RECORD_BYTES
+                        if size > limit:
+                            raise FramingError(
+                                f"events frame of {size} bytes exceeds the {limit}-byte "
+                                "limit; closing the connection")
+                        message["records"] = await reader.readexactly(size)
+                except (ConnectionError, OSError, asyncio.IncompleteReadError):
                     break
-                except ValueError:  # over the limit: the framing is lost
-                    limit = self.hub.config.ring_capacity_bytes
+                except ProtocolError as error:
+                    await connection.send(error_reply(error, connection.sensor_id))
+                    if isinstance(error, FramingError):
+                        break
+                    continue
+                except ValueError:  # a line over the limit: the framing is lost
                     await connection.send(error_message(
                         f"line exceeds the {limit}-byte limit; closing the connection",
                         connection.sensor_id,
                     ))
                     break
-                if not raw_line:
-                    break
-                try:
-                    message = decode_message(raw_line)
-                except ProtocolError as error:
-                    await connection.send(error_message(str(error)))
-                    continue
                 try:
                     if not await connection.dispatch(message):
                         break

@@ -1,10 +1,11 @@
-"""Sensor-side client for the JSONL tracking server.
+"""Sensor-side client for the tracking server.
 
 :class:`SensorClient` is a thin synchronous wrapper around one TCP
 connection: it performs the ``hello``/``welcome`` handshake, sends event
-batches, and collects the asynchronously arriving ``frame`` messages on a
-background reader thread (so a fast sender can never deadlock against a
-server blocked on a full socket buffer).
+batches as binary ``events`` frames (protocol version 2), and collects the
+asynchronously arriving ``frame`` messages on a background reader thread
+(so a fast sender can never deadlock against a server blocked on a full
+socket buffer).
 
 :func:`stream_recording` is the convenience used by the demo, tests and CI
 smoke job: replay one :class:`~repro.events.stream.EventStream` as
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.events.stream import EventStream, frame_boundaries
 from repro.serving.protocol import (
+    PROTOCOL_VERSION,
     ProtocolError,
     decode_message,
     encode_message,
@@ -74,6 +76,13 @@ class SensorClient:
             self._send(hello_message(sensor_id, width, height, tracker=tracker))
             self._reader.start()
             self.welcome = self._await_reply("welcome")
+            version = self.welcome.get("version", 1)
+            if version < PROTOCOL_VERSION:
+                # An older server would misread the binary events frames.
+                raise ProtocolError(
+                    f"server speaks protocol version {version}; this client needs "
+                    f"version {PROTOCOL_VERSION}"
+                )
         except BaseException:
             # A refused handshake (duplicate id, unknown tracker, timeout)
             # must not leak the socket or leave the reader thread running.
@@ -119,7 +128,7 @@ class SensorClient:
     # -- protocol operations -------------------------------------------------------------
 
     def send_events(self, events: np.ndarray) -> None:
-        """Send one batch of events (any order within the reorder slack)."""
+        """Send one batch of events as a binary frame (any order within the reorder slack)."""
         self._send(events_message(events))
 
     def request_stats(self) -> dict:

@@ -1,37 +1,60 @@
-"""JSONL line protocol spoken between sensor clients and the tracking server.
+"""Wire protocol spoken between sensor clients and the tracking server (version 2).
 
-One message per line, each a JSON object with a ``"type"`` field.  JSONL is
-deliberately simple — debuggable with ``nc`` and greppable in logs.  The
-front door decodes an ``events`` line with two calls:
-:func:`decode_message` parses its bytes, then :func:`packet_from_events_message`
-validates the batch against the ``hello`` geometry in one pass.  A line may
-be at most the hub's ring capacity long (``HubConfig.ring_capacity_bytes``,
-1 MiB by default); a longer one gets an ``error`` reply and the connection
-is closed.
+Every message is one JSON object with a ``"type"`` field on one line, except
+that an ``events`` batch travels as a *binary frame*: a short header line
+declaring the batch's event ``count``, followed by exactly ``count × 13``
+bytes, the batch's packed little-endian ``EVENT_DTYPE`` records (int16 x,
+int16 y, int64 t, int8 p) -- byte for byte what ``packet.tobytes()`` gives
+and what a shard ring record carries::
+
+    events-frame = '{"type":"events","count":' N '}' LF  N*13 record bytes
+    line         = JSON-object LF
+
+A ``count`` field marks a binary frame unambiguously, so the server keeps no
+per-connection mode.  Hand-written clients (``nc``, a script) may still send
+a batch as one JSON line of four parallel lists, the form of protocol
+version 1; both forms go through :func:`packet_from_events_message` and
+are refused for the same values.  :class:`~repro.serving.client.SensorClient`
+sends only binary frames, and refuses a server whose ``welcome`` says a
+version below 2.
+
+The front door decodes an ``events`` batch with two calls:
+:func:`decode_message` parses the header line, and, once the door has read
+the records, :func:`packet_from_events_message` validates them in place
+against the ``hello`` geometry with a few vectorised checks on a zero-copy
+view.  A line, and a frame's records, may each be at most the hub's ring
+capacity long (``HubConfig.ring_capacity_bytes``, 1 MiB by default); past
+it, or with a ``count`` that is not a non-negative integer, the framing is
+lost: the server sends an ``error`` reply and closes the connection.
 
 Client → server::
 
     {"type": "hello", "sensor_id": "ENG-00", "width": 240, "height": 180,
-     "tracker": "kalman"}          # tracker is optional (server default)
-    {"type": "events", "x": [...], "y": [...], "t": [...], "p": [...]}
+     "version": 2, "tracker": "kalman"}   # tracker is optional (server default)
+    {"type": "events", "count": 25}       # + 325 bytes of EVENT_DTYPE records
+    {"type": "events", "x": [...], "y": [...], "t": [...], "p": [...]}   # list form
     {"type": "stats"}
     {"type": "metrics"}            # allowed without hello (monitoring)
     {"type": "trace"}              # allowed without hello (monitoring)
     {"type": "finish"}
 
-Server → client::
+Server → client, always one JSON line each::
 
-    {"type": "welcome", "frame_duration_us": 66000, "reorder_slack_us": 5000, ...}
+    {"type": "welcome", "version": 2, "frame_duration_us": 66000, ...}
     {"type": "frame", "sensor_id": ..., "frame_index": ..., "tracks": [...]}
     {"type": "stats", "telemetry": {...}}
     {"type": "metrics", "exposition": "..."}     # Prometheus text format
     {"type": "trace", "trace": {...}}            # Chrome trace-event JSON
-    {"type": "summary", "recording": {...}}      # terminal reply to finish
+    {"type": "summary", "recording": {...}}      # reply to finish (repeatable)
     {"type": "error", "message": "..."}
 
 ``metrics`` and ``trace`` are monitoring commands: a scraper connects,
 asks, reads one reply and disconnects, without ever registering as a
 sensor — so the server answers them before (or without) ``hello``.
+
+In memory a binary frame is the dict ``{"type": "events", "count": N,
+"records": <N*13 bytes>}``: :func:`encode_message` writes its header line
+and then the records, and :func:`decode_message` reattaches them.
 """
 
 from __future__ import annotations
@@ -44,12 +67,25 @@ import numpy as np
 
 from repro.core.config import EbbiotConfig
 from repro.core.pipeline import FrameResult
-from repro.events.types import EVENT_DTYPE
+from repro.events.types import EVENT_DTYPE, normalize_packet
 from repro.runtime.aggregate import RecordingResult
 from repro.trackers.registry import ensure_backend_name
 
-#: Bumped on wire-format changes; the server advertises it in ``welcome``.
-PROTOCOL_VERSION = 1
+#: Bumped on wire-format changes; ``hello`` and ``welcome`` carry it.
+#: Version 2 sends ``events`` batches as binary frames.
+PROTOCOL_VERSION = 2
+
+#: Bytes of one event record in a binary ``events`` frame.
+RECORD_BYTES = EVENT_DTYPE.itemsize
+
+#: EVENT_DTYPE with its byte order pinned to the wire's (little-endian).
+_WIRE_DTYPE = EVENT_DTYPE.newbyteorder("<")
+
+#: Offset of the polarity byte within a record.
+_P_OFFSET = EVENT_DTYPE.fields["p"][1]
+
+#: The fields of a list-form ``events`` message.
+_LIST_FIELDS = frozenset("xytp")
 
 #: Coordinates at or past this bound would wrap in EVENT_DTYPE's int16 fields.
 _COORDINATE_END = int(np.iinfo(EVENT_DTYPE["x"]).max) + 1
@@ -59,23 +95,59 @@ class ProtocolError(ValueError):
     """A malformed or out-of-sequence protocol message."""
 
 
+class FramingError(ProtocolError):
+    """A message after which the connection's framing is unknown: it must close."""
+
+
 # -- framing ---------------------------------------------------------------------------
 
 
-def encode_message(message: dict) -> bytes:
-    """Serialise one message to a compact JSON line (UTF-8, trailing \\n)."""
+def _line(message: dict) -> bytes:
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def decode_message(line) -> dict:
-    """Parse one line (bytes or str) into a message dict; raise :class:`ProtocolError` on junk."""
+def encode_message(message: dict) -> bytes:
+    """Serialise one message to a compact JSON line (UTF-8, trailing \\n);
+    a binary ``events`` frame's records follow its header line."""
+    if "count" not in message:
+        return _line(message)
+    header = dict(message)
+    records = header.pop("records")
+    return _line(header) + records
+
+
+def decode_message(data) -> dict:
+    """Parse one line, or one binary frame, into a message dict.
+
+    ``data`` is bytes or str.  A header declaring a ``count`` gets the bytes
+    after its newline as ``message["records"]`` when they are exactly
+    ``count`` records; given the header line alone, the caller reads the
+    records itself (the front door does).  Raises :class:`FramingError` on
+    a ``count`` that is not a non-negative integer, and
+    :class:`ProtocolError` on other junk.
+    """
+    attachment = b""
     try:
-        # Decoding first is faster than json.loads' own sniffing of bytes.
-        message = json.loads(line.decode() if isinstance(line, (bytes, bytearray)) else line)
+        if isinstance(data, (bytes, bytearray)):
+            data, _, attachment = data.partition(b"\n")
+            # Decoding first is faster than json.loads' own sniffing of bytes.
+            data = data.decode()
+        message = json.loads(data)
     except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
         raise ProtocolError(f"invalid JSON: {error}") from error
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError("message must be a JSON object with a 'type' field")
+    if "count" in message:
+        count = message["count"]
+        if type(count) is not int or count < 0:  # bools and floats too
+            raise FramingError(f"events count must be a non-negative integer, got {count!r}")
+        if len(attachment) == count * RECORD_BYTES:
+            message["records"] = bytes(attachment)
+        elif attachment:
+            raise ProtocolError(f"events frame carries {len(attachment)} bytes after its "
+                                f"header, not {count} records of {RECORD_BYTES}")
+    elif attachment:
+        raise ProtocolError("unexpected bytes after the message line")
     return message
 
 
@@ -107,23 +179,46 @@ def hello_message(
 
 
 def events_message(events: np.ndarray) -> dict:
-    """Encode one event batch as parallel coordinate lists."""
-    return {
-        "type": "events",
-        "x": events["x"].tolist(),
-        "y": events["y"].tolist(),
-        "t": events["t"].tolist(),
-        "p": events["p"].tolist(),
-    }
+    """Encode one event batch as a binary frame of packed EVENT_DTYPE records."""
+    packet = normalize_packet(events).astype(_WIRE_DTYPE, copy=False)
+    return {"type": "events", "count": len(packet), "records": packet.tobytes()}
+
+
+def _outside(width: int, height: int, x, y) -> ProtocolError:
+    return ProtocolError(f"events outside the {width}x{height} sensor: "
+                         f"x in [{min(x)}, {max(x)}], y in [{min(y)}, {max(y)}]")
 
 
 def packet_from_events_message(message: dict, width: int, height: int) -> np.ndarray:
     """Validate an ``events`` message against the ``hello`` geometry; return its packet.
 
-    One ``np.array`` over the four lists, then one min and max per field.
-    Raises :class:`ProtocolError` wherever ``make_packet`` + ``validate_packet``
-    raise, and also on non-integers and on values that would wrap in EVENT_DTYPE.
+    A binary frame's records become a zero-copy view, checked with one
+    max over an unsigned view of the x/y pairs (a negative int16 reads as
+    32768 or more) and one pass over the polarity bytes.  The list form
+    takes one ``np.array`` over the four lists, then one min and max per
+    field.  Both raise :class:`ProtocolError` wherever ``make_packet`` +
+    ``validate_packet`` raise; the list form also on non-integers and on
+    values that would wrap in EVENT_DTYPE, which the records cannot hold.
     """
+    width, height = min(width, _COORDINATE_END), min(height, _COORDINATE_END)
+    if "count" not in message:
+        return _packet_from_lists(message, width, height)
+    if not _LIST_FIELDS.isdisjoint(message):
+        raise ProtocolError("an events message carries a count or x/y/t/p lists, not both")
+    records = message["records"]
+    packet = np.frombuffer(records, dtype=_WIRE_DTYPE)
+    if not len(packet):
+        return packet
+    pairs = np.ndarray((len(packet), 2), "<u2", records, 0, (RECORD_BYTES, 2))
+    x_max, y_max = pairs.max(0).tolist()
+    if x_max >= width or y_max >= height:
+        raise _outside(width, height, packet["x"].tolist(), packet["y"].tolist())
+    if records[_P_OFFSET::RECORD_BYTES].translate(None, b"\x01\xff"):
+        raise ProtocolError("polarity values must be +1 (ON) or -1 (OFF)")
+    return packet
+
+
+def _packet_from_lists(message: dict, width: int, height: int) -> np.ndarray:
     try:
         fields = np.array([message["x"], message["y"], message["t"], message["p"]])
     except KeyError as error:
@@ -139,10 +234,8 @@ def packet_from_events_message(message: dict, width: int, height: int) -> np.nda
     # Positional axis: on a 16-event batch the keyword form costs more than the reduction.
     low, high = fields.min(1).tolist(), fields.max(1).tolist()
     (x_min, y_min, _, p_min), (x_max, y_max, _, p_max) = low, high
-    width, height = min(width, _COORDINATE_END), min(height, _COORDINATE_END)
     if x_min < 0 or x_max >= width or y_min < 0 or y_max >= height:
-        raise ProtocolError(f"events outside the {width}x{height} sensor: "
-                            f"x in [{x_min}, {x_max}], y in [{y_min}, {y_max}]")
+        raise _outside(width, height, (x_min, x_max), (y_min, y_max))
     if p_min < -1 or p_max > 1 or np.count_nonzero(fields[3]) != len(packet):
         raise ProtocolError("polarity values must be +1 (ON) or -1 (OFF)")
     packet["x"], packet["y"], packet["t"], packet["p"] = fields[0], fields[1], fields[2], fields[3]
@@ -165,11 +258,10 @@ def parse_hello(
     sensor_id = message.get("sensor_id")
     if not isinstance(sensor_id, str) or not sensor_id:
         raise ProtocolError("hello must carry a non-empty string sensor_id")
-    try:
-        width = int(message.get("width", 240))
-        height = int(message.get("height", 180))
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"hello width/height must be integers: {error}") from error
+    width, height = message.get("width", 240), message.get("height", 180)
+    for name, value in (("width", width), ("height", height)):
+        if type(value) is not int:  # bools, floats and strings too
+            raise ProtocolError(f"hello {name} must be a JSON integer, got {value!r}")
     if width <= 0 or height <= 0:
         raise ProtocolError("hello width/height must be positive")
     config = default

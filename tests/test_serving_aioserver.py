@@ -13,6 +13,7 @@ import socket
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -32,12 +33,14 @@ from repro.serving.aioserver import AsyncTrackingServer
 from repro.serving.hub import TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
 from repro.serving.protocol import (
+    RECORD_BYTES,
     decode_message,
     encode_message,
     events_message,
     hello_message,
 )
-from test_serving_server import assert_bad_batches_refused
+from repro.serving.transport import max_payload_bytes
+from test_serving_server import assert_bad_batches_refused, list_message
 
 HUBS = {"thread": TrackingHub, "process": ProcessTrackingHub}
 
@@ -193,12 +196,13 @@ class TestAsyncServer:
         bytes): the batch is refused by name and the connection lives on."""
         n = 400
         too_big = make_packet(np.arange(n) % 10, np.arange(n) // 10 % 10, [7] * n, [1] * n)
-        assert len(encode_message(events_message(too_big))) < 4096 < too_big.nbytes
+        lines = list_message(too_big)
+        assert len(encode_message(lines)) < 4096 < too_big.nbytes
         config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with AsyncTrackingServer(hub=HUBS[kind](config)) as server:
                 with SensorClient(*server.address, "cam") as client:
-                    client.send_events(too_big)
+                    client._send(lines)
                     with pytest.raises(ProtocolError, match="can never fit"):
                         client.request_stats()  # the error reply comes first
                     client.send_events(too_big[:10])
@@ -261,6 +265,183 @@ class TestAsyncServer:
         server.start()
         server.stop()
         server.stop()
+
+
+@contextmanager
+def _raw_connection(address):
+    """``(send, reply)`` over a raw socket: ``send`` writes messages (dicts)
+    and bytes as given, ``reply`` reads the next non-frame line (``None`` at
+    EOF)."""
+    with socket.create_connection(address, timeout=30) as raw, raw.makefile("rwb") as wire:
+
+        def send(*parts) -> None:
+            for part in parts:
+                wire.write(part if isinstance(part, bytes) else encode_message(part))
+            wire.flush()
+
+        def reply():
+            while True:
+                line = wire.readline()
+                if not line:
+                    return None
+                message = decode_message(line)
+                if message["type"] != "frame":
+                    return message
+
+        yield send, reply
+
+
+def _header(count) -> bytes:
+    return b'{"type":"events","count":%s}\n' % str(count).encode()
+
+
+class TestBinaryFrames:
+    """The version-2 ``events`` frame at the door: a header line, then
+    ``count`` raw EVENT_DTYPE records."""
+
+    @pytest.mark.parametrize("count", ["-1", "true", "2.5", '"2"'])
+    def test_bad_count_gets_error_then_eof(self, count, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
+                with _raw_connection(server.address) as (send, reply):
+                    send(hello_message("cam"))
+                    assert reply()["type"] == "welcome"
+                    send(_header(count))
+                    error = reply()
+                    assert error["type"] == "error"
+                    assert "count" in error["message"]
+                    assert reply() is None
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_count_over_the_limit_gets_error_naming_it_then_eof(self, caplog):
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        count = 4096 // RECORD_BYTES + 1
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub_config=config) as server:
+                with _raw_connection(server.address) as (send, reply):
+                    send(hello_message("cam"))
+                    assert reply()["type"] == "welcome"
+                    send(_header(count))
+                    error = reply()
+                    assert error["type"] == "error"
+                    assert "exceeds the 4096-byte limit" in error["message"]
+                    assert reply() is None
+                with SensorClient(*server.address, "cam") as client:
+                    client.send_events(_random_batch(10))
+                    assert client.finish()["num_events"] == 10
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_batch_between_record_payload_and_limit_can_never_fit(self, kind, caplog):
+        """``count × 13`` within the line limit but past the largest ring
+        record is read whole, refused by name, and the connection lives on."""
+        count = 4096 // RECORD_BYTES
+        assert max_payload_bytes(4096) < count * RECORD_BYTES <= 4096
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub=HUBS[kind](config)) as server:
+                with SensorClient(*server.address, "cam") as client:
+                    client.send_events(_random_batch(count))
+                    with pytest.raises(ProtocolError, match="can never fit"):
+                        client.request_stats()
+                    client.send_events(_random_batch(10))
+                    assert client.finish()["num_events"] == 10
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_binary_batch_before_hello_keeps_the_framing(self):
+        batch = _random_batch(40)
+        with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
+            with _raw_connection(server.address) as (send, reply):
+                send(events_message(batch))
+                error = reply()
+                assert error["type"] == "error" and "hello" in error["message"]
+                send(hello_message("cam"), events_message(batch), {"type": "finish"})
+                assert reply()["type"] == "welcome"
+                assert reply()["recording"]["num_events"] == len(batch)
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_events_after_finish_are_refused_and_finish_repeats(self, kind):
+        """After ``finish`` a batch gets an ``error`` naming the sensor and is
+        not submitted; ``stats``, ``metrics`` and a second ``finish`` (with
+        the same summary) are still answered."""
+        batch = make_packet([5, 6], [7, 8], [1_000, 2_000], [1, -1])
+        with AsyncTrackingServer(hub=HUBS[kind](HubConfig(num_workers=1))) as server:
+            with _raw_connection(server.address) as (send, reply):
+                send(hello_message("cam"), events_message(batch), {"type": "finish"})
+                assert reply()["type"] == "welcome"
+                summary = reply()
+                assert summary["recording"]["num_events"] == 2
+                send(events_message(batch))
+                error = reply()
+                assert error["type"] == "error"
+                assert error["sensor_id"] == "cam" and "'cam'" in error["message"]
+                send({"type": "stats"})
+                assert reply()["type"] == "stats"
+                send({"type": "metrics"})
+                assert reply()["type"] == "metrics"
+                send({"type": "finish"})
+                assert reply() == summary
+            telemetry = server.hub.telemetry_dict()["sensors"]["cam"]
+        assert telemetry["events_received"] == 2
+        assert telemetry["dropped_batches"] == telemetry["dropped_events"] == 0
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_eof_mid_attachment_tears_the_connection_down(self, kind, caplog):
+        batch = _random_batch(100)
+        frame = encode_message(events_message(batch))
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub=HUBS[kind](HubConfig(num_workers=1))) as server:
+                with socket.create_connection(server.address, timeout=30) as raw, \
+                        raw.makefile("rwb") as wire:
+                    wire.write(encode_message(hello_message("cam")))
+                    wire.flush()
+                    assert decode_message(wire.readline())["type"] == "welcome"
+                    wire.write(frame[: len(frame) // 2])
+                    wire.flush()
+                    raw.shutdown(socket.SHUT_WR)  # EOF halfway through the records
+                    assert wire.readline() == b""  # after the server's teardown
+                with SensorClient(*server.address, "cam") as client:
+                    client.send_events(batch)
+                    assert client.finish()["num_events"] == len(batch)
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_list_line_over_the_limit_gets_error_then_eof(self, caplog):
+        """A hand-written client's JSON-list line is still bounded by the limit."""
+        line = encode_message(list_message(_random_batch(500)))
+        assert 4096 < len(line) < 8192
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub_config=config) as server:
+                with _raw_connection(server.address) as (send, reply):
+                    send(hello_message("cam"))
+                    assert reply()["type"] == "welcome"
+                    send(line)
+                    error = reply()
+                    assert error["type"] == "error"
+                    assert "line exceeds the 4096-byte limit" in error["message"]
+                    assert reply() is None
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_client_refuses_a_version_1_server(self):
+        """A version-1 server would misread binary frames: the client says so
+        and closes instead of sending any."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def version_1_server():
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rwb") as wire:
+                    wire.readline()  # the hello
+                    welcome = {"type": "welcome", "version": 1, "width": 240, "height": 180}
+                    wire.write(encode_message(welcome))
+                    wire.flush()
+                    wire.read()  # until the client hangs up
+
+            thread = threading.Thread(target=version_1_server, daemon=True)
+            thread.start()
+            with pytest.raises(ProtocolError, match="version 1.*version 2"):
+                SensorClient(*listener.getsockname()[:2], "cam", timeout_s=10)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
 
 
 class TestServingCliMatrix:

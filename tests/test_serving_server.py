@@ -22,9 +22,11 @@ from repro.serving import (
     stream_recording,
 )
 from repro.serving.protocol import (
+    FramingError,
     events_message,
     hello_message,
     packet_from_events_message,
+    parse_hello,
 )
 
 
@@ -42,6 +44,12 @@ BAD_EVENTS = {
     "t_overflows": {"x": [1], "y": [1], "t": [2**70], "p": [1]},
     "missing_p": {"x": [1], "y": [1], "t": [1_000]},
 }
+
+
+def list_message(events: np.ndarray) -> dict:
+    """One batch as a protocol-version-1 ``events`` line of parallel lists,
+    the form hand-written clients may still send."""
+    return {"type": "events", **{field: events[field].tolist() for field in "xytp"}}
 
 
 def assert_bad_batches_refused(host: str, port: int) -> None:
@@ -129,7 +137,7 @@ class TestProtocol:
     def test_events_decode_refuses_coordinates_past_int16(self):
         # A hello may declare more than 32768 columns, but EVENT_DTYPE's
         # int16 cannot hold such an x: 65546 must not wrap to a valid 10.
-        message = events_message(make_packet([0], [0], [0], [1]))
+        message = list_message(make_packet([0], [0], [0], [1]))
         message["x"] = [65546]
         with pytest.raises(ProtocolError):
             packet_from_events_message(message, 70_000, 180)
@@ -163,6 +171,75 @@ class TestProtocol:
         line = encode_message(message)
         with pytest.raises(ProtocolError):
             packet_from_events_message(decode_message(line), width, height)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_batches())
+    def test_binary_frame_round_trip_matches_make_packet(self, batch):
+        width, height, x, y, t, p = batch
+        expected = make_packet(x, y, t, p)
+        message = events_message(expected)
+        frame = encode_message(message)
+        header = b'{"type":"events","count":%d}\n' % len(expected)
+        assert frame == header + expected.tobytes()
+        assert decode_message(frame) == message
+        decoded = packet_from_events_message(decode_message(frame), width, height)
+        assert decoded.dtype == EVENT_DTYPE
+        assert decoded.tobytes() == expected.tobytes()
+        lines = packet_from_events_message(list_message(expected), width, height)
+        assert lines.tobytes() == decoded.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_batches(), st.sampled_from("xyp"), st.data())
+    def test_binary_frame_refuses_any_field_out_of_range(self, batch, field, data):
+        width, height, x, y, t, p = batch
+        packet = make_packet(x, y, t, p) if x else make_packet([0], [0], [0], [1])
+        low, high = np.iinfo(EVENT_DTYPE[field]).min, np.iinfo(EVENT_DTYPE[field]).max
+        if field == "p":
+            out_of_range = st.integers(low, high).filter(lambda value: value not in (-1, 1))
+        else:
+            # A negative coordinate, or one past the sensor that int16 holds.
+            bound = width if field == "x" else height
+            out_of_range = st.integers(low, -1)
+            if bound <= high:
+                out_of_range |= st.integers(bound, high)
+        index = data.draw(st.integers(0, len(packet) - 1))
+        packet[field][index] = data.draw(out_of_range)
+        frame = encode_message(events_message(packet))
+        with pytest.raises(ProtocolError):
+            packet_from_events_message(decode_message(frame), width, height)
+
+    def test_binary_frame_of_no_events_round_trips(self):
+        message = events_message(make_packet([], [], [], []))
+        assert encode_message(message) == b'{"type":"events","count":0}\n'
+        assert decode_message(encode_message(message)) == message
+        assert len(packet_from_events_message(message, 240, 180)) == 0
+
+    @pytest.mark.parametrize("count", ["-1", "true", "2.0", '"2"'])
+    def test_decode_refuses_a_count_that_is_not_a_non_negative_int(self, count):
+        with pytest.raises(FramingError, match="count"):
+            decode_message(b'{"type":"events","count":%s}\n' % count.encode())
+
+    def test_decode_refuses_records_that_do_not_match_the_count(self):
+        frame = encode_message(events_message(make_packet([1, 2], [3, 4], [5, 6], [1, 1])))
+        with pytest.raises(ProtocolError, match="not 2 records"):
+            decode_message(frame[:-1])
+
+    def test_events_message_with_both_count_and_lists_is_refused(self):
+        message = events_message(make_packet([1], [2], [3], [1]))
+        message.update(list_message(make_packet([1], [2], [3], [1])))
+        with pytest.raises(ProtocolError, match="not both"):
+            packet_from_events_message(message, 240, 180)
+
+    @pytest.mark.parametrize("line", [
+        b'{"type":"hello","sensor_id":"a","width":240.9,"height":180}',
+        b'{"type":"hello","sensor_id":"a","width":"240","height":180}',
+        b'{"type":"hello","sensor_id":"a","width":1e3,"height":180}',
+        b'{"type":"hello","sensor_id":"a","width":240,"height":true}',
+    ], ids=["float", "string", "exponent", "bool"])
+    def test_hello_refuses_geometry_that_is_not_a_json_integer(self, line):
+        field = "height" if b"true" in line else "width"
+        with pytest.raises(ProtocolError, match=f"hello {field} must be a JSON integer"):
+            parse_hello(decode_message(line), EbbiotConfig())
 
     def test_hello_message_shape(self):
         message = hello_message("cam", 240, 180)
