@@ -17,8 +17,8 @@ into IoVT infrastructure, tracked online.
   hub with each worker loop in a forked *process*, sidestepping the GIL
   for CPU-bound fleets.
 * :mod:`repro.serving.transport` — the shared-memory event ring
-  (:class:`ShmRing`) feeding those workers, with a :class:`PipeRing`
-  fallback selected by :func:`make_ring`.
+  (:class:`ShmRing`) feeding those workers, on either vehicle; a host
+  without usable shared memory gets a clear error at hub start.
 * :mod:`repro.serving.rebalance` — :func:`plan_rebalance` turns per-shard
   load stats into session migrations, executed live by the hub's
   ``migrate_sensor`` using the session snapshot/restore envelopes.
@@ -26,9 +26,10 @@ into IoVT infrastructure, tracked online.
   percentiles, queue depth, per-shard load gauges and drop counts,
   exportable as JSON or Prometheus text exposition (built on
   :mod:`repro.obs`).
-* :mod:`repro.serving.protocol` / ``aioserver`` / ``client`` — a JSONL
-  line-protocol TCP transport: :class:`AsyncTrackingServer` is the front
-  door, serving every connection on one asyncio event loop.
+* :mod:`repro.serving.protocol` / ``aioserver`` / ``client`` — the TCP
+  wire protocol (JSON control lines; ``events`` batches as a header line
+  plus raw ``EVENT_DTYPE`` records): :class:`AsyncTrackingServer` is the
+  front door, serving every connection on one asyncio event loop.
 * ``python -m repro.serving`` — live demo / standalone server on either
   worker vehicle; ``python -m repro.serving.loadgen`` replays fleets at
   N x speed and reports throughput, tail latency and SLO verdicts.
@@ -60,7 +61,7 @@ from repro.serving.rebalance import (
 )
 from repro.serving.session import SensorSession, SessionSnapshot
 from repro.serving.telemetry import LatencyWindow, SensorTelemetry, TelemetryRegistry
-from repro.serving.transport import PipeRing, RingFull, ShmRing, make_ring
+from repro.serving.transport import RingFull, ShmRing
 
 #: Loadgen names are resolved lazily so ``python -m repro.serving.loadgen``
 #: does not import the module twice (runpy would warn about the package
@@ -103,9 +104,7 @@ __all__ = [
     "run_load",
     "check_slos",
     "ShmRing",
-    "PipeRing",
     "RingFull",
-    "make_ring",
     "RebalancePolicy",
     "ShardStats",
     "Move",

@@ -50,7 +50,6 @@ from repro.serving.aioserver import AsyncTrackingServer
 from repro.serving.client import stream_recording
 from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig
 from repro.serving.loadgen import HUB_KINDS, load_recordings, make_hub
-from repro.serving.transport import TRANSPORTS
 from repro.trackers.registry import available_backends, parse_backend_list
 
 logger = logging.getLogger("repro.serving")
@@ -62,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serving",
         description=(
             "Serve the EBBIOT pipeline to live sensors over TCP "
-            "(JSONL line protocol), or run a synthetic multi-sensor demo."
+            "(JSON control lines, binary event frames), or run a synthetic "
+            "multi-sensor demo."
         ),
     )
     parser.add_argument(
@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=4, help="hub worker shards"
-    )
-    parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="shm",
-        help="shard event transport (shared-memory ring or pipes)",
     )
     parser.add_argument(
         "--ring-kib",
@@ -221,7 +215,6 @@ def _hub_config(args: argparse.Namespace) -> HubConfig:
         pipeline_config=EbbiotConfig(tracker=_trackers(args)[0]),
         instrument=_instrumented(args),
         trace_sample_every=args.trace_sample,
-        transport=args.transport,
         ring_capacity_bytes=args.ring_kib * 1024,
     )
 

@@ -39,7 +39,10 @@ before its reads pause.
 
 On teardown (clean ``finish`` or an abrupt disconnect) the sensor's session
 is flushed and deregistered from the hub, so sensor ids are reusable and a
-long-running server does not accumulate dead sessions.
+long-running server does not accumulate dead sessions.  A ``hello`` for an
+id whose old connection is still being torn down waits for that teardown
+(up to its close timeout) and then registers; an id held by a live
+connection is refused at once.
 
 The server owns the hub (either worker vehicle: pass
 ``hub=ProcessTrackingHub(...)``) and drives the loop on a background
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.pipeline import FrameResult
 from repro.serving.hub import HubConfig, ShardDown, TrackingHub
@@ -83,6 +86,10 @@ _WRITER_STOP = object()
 #: try_submit backoff bounds (seconds) under the ``"block"`` policy.
 _BACKOFF_MIN_S = 1e-4
 _BACKOFF_MAX_S = 1e-2
+
+#: How long a teardown waits for its sensor's flush, and so how long a
+#: reconnecting sensor's ``hello`` waits for that teardown.
+_CLOSE_TIMEOUT_S = 60.0
 
 
 class _Connection:
@@ -204,6 +211,14 @@ class _Connection:
         sensor_id, (self.width, self.height), pipeline_config = parse_hello(
             message, hub.config.pipeline_config
         )
+        closing = self.server._closing.get(sensor_id)
+        if closing is not None:
+            # The id's previous connection is still flushing; if the wait
+            # runs out, register's "already registered" error stands.
+            try:
+                await asyncio.wait_for(closing.wait(), _CLOSE_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                pass
         try:
             # register blocks on the hub's control path (a ring put with a
             # long timeout) — keep it off the loop.
@@ -234,11 +249,14 @@ class _Connection:
         """Flush + deregister the sensor, then stop the writer task."""
         if self.sensor_id is not None:
             sensor_id, self.sensor_id = self.sensor_id, None
+            self.server._closing[sensor_id] = asyncio.Event()
             try:
-                await asyncio.to_thread(self.hub.close_sensor, sensor_id, 60.0)
+                await asyncio.to_thread(self.hub.close_sensor, sensor_id, _CLOSE_TIMEOUT_S)
             except Exception:
                 pass
-            self.hub.remove_sensor(sensor_id)
+            finally:
+                self.hub.remove_sensor(sensor_id)
+                self.server._closing.pop(sensor_id).set()
         await self.send_queue.put(_WRITER_STOP)
         try:
             await asyncio.wait_for(self.writer_task, timeout=5.0)
@@ -283,6 +301,9 @@ class AsyncTrackingServer:
         self._address: Optional[Tuple[str, int]] = None
         self._startup_error: Optional[BaseException] = None
         self._connections: set = set()
+        # Sensor id -> set once its old connection's teardown is done.  Only
+        # the event-loop thread touches it.
+        self._closing: Dict[str, asyncio.Event] = {}
 
     @property
     def address(self) -> Tuple[str, int]:

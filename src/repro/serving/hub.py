@@ -2,8 +2,8 @@
 
 Each registered sensor is assigned — by a stable hash of its id — to
 exactly one shard, and each shard is one worker running the loop of
-:mod:`repro.serving.shard`, fed through one bounded ring
-(:func:`~repro.serving.transport.make_ring`).  That gives per-sensor
+:mod:`repro.serving.shard`, fed through one bounded shared-memory ring
+(:class:`~repro.serving.transport.ShmRing`).  That gives per-sensor
 ordering for free, recording-level parallelism across shards, and bounded
 memory via ``ring_capacity_bytes`` with an explicit backpressure policy
 when a ring fills: ``"block"`` (lossless, slows producers — the default
@@ -24,7 +24,9 @@ its own registry, and :meth:`TrackingHub.merged_metrics` merges them.
 A worker that ends without being stopped takes its shard down: pending
 requests on it fail at once with :class:`ShardDown`, later submits and
 closes for its sensors raise the same, scrapes skip it, and
-``repro_shard_worker_up`` reads 0.
+``repro_shard_worker_up`` reads 0.  Its ring is abandoned first, so a
+submit parked on the full ring, or on a cursor lock the worker died
+holding, raises :class:`ShardDown` too.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ from repro.serving.transport import (
     KIND_MIGRATE_OUT,
     KIND_REGISTER,
     KIND_STOP,
-    TRANSPORTS,
     RingFull,
-    make_ring,
+    ShardDown,
+    ShmRing,
     max_payload_bytes,
 )
 
@@ -113,14 +115,11 @@ class HubConfig:
     rebalance_check_every:
         Submit-count stride between rebalancer wake-ups; keeps even the
         wake signal off the per-batch hot path.
-    transport:
-        Event transport of each shard: ``"shm"`` (shared-memory ring,
-        falls back to pipes when unavailable) or ``"pipe"``.
     ring_capacity_bytes:
         Byte capacity of each shard's ring — what bounds in-flight data
         per shard; size it for the expected batch size × desired queue
         depth.  A batch too big for one ring record is refused with a
-        :class:`~repro.serving.protocol.ProtocolError` on either transport.
+        :class:`~repro.serving.protocol.ProtocolError` on either vehicle.
     """
 
     num_workers: int = 4
@@ -131,7 +130,6 @@ class HubConfig:
     trace_sample_every: int = 1
     rebalance: Optional[RebalancePolicy] = None
     rebalance_check_every: int = 64
-    transport: str = "shm"
     ring_capacity_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
@@ -154,18 +152,10 @@ class HubConfig:
             raise ValueError(
                 f"rebalance_check_every must be >= 1, got {self.rebalance_check_every}"
             )
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
-            )
         if self.ring_capacity_bytes < 4096:
             raise ValueError(
                 f"ring_capacity_bytes must be >= 4096, got {self.ring_capacity_bytes}"
             )
-
-
-class ShardDown(RuntimeError):
-    """The request touched a shard whose worker has died."""
 
 
 class _Waiter:
@@ -246,18 +236,31 @@ class TrackingHub:
     # -- lifecycle -----------------------------------------------------------------------
 
     def start(self) -> "TrackingHub":
-        """Start the shard workers and their pump threads (idempotent)."""
+        """Start the shard workers and their pump threads (idempotent).
+
+        Every shard's ring is made before any worker starts.  Without
+        usable shared memory this raises ``RuntimeError`` with nothing left
+        running, and a later call may try again.
+        """
         if self._started:
             return self
+        try:
+            for _ in range(self.config.num_workers):
+                self._rings.append(ShmRing(self.config.ring_capacity_bytes))
+        except OSError as error:
+            for ring in self._rings:
+                ring.close(unlink=True)
+            self._rings.clear()
+            raise RuntimeError(
+                f"cannot create the shard rings in shared memory (/dev/shm): {error}"
+            ) from error
         self._started = True
         self._started_at = time.perf_counter()
         with self._waiters_lock:
             self._down.clear()
-        for shard in range(self.config.num_workers):
-            ring = make_ring(self.config.transport, self.config.ring_capacity_bytes)
+        for shard, ring in enumerate(self._rings):
             cmd_rx, cmd_tx = Pipe(duplex=False)
             res_rx, res_tx = Pipe(duplex=False)
-            self._rings.append(ring)
             self._cmd_tx.append(cmd_tx)
             self._workers.append(self._start_worker(shard, ring, cmd_rx, res_tx))
             pump = threading.Thread(
@@ -296,7 +299,7 @@ class TrackingHub:
             try:
                 with self._ring_locks[shard]:
                     ring.put(KIND_STOP, 0, b"", timeout=10.0)
-            except (RingFull, OSError):
+            except (RingFull, ShardDown, OSError):
                 try:
                     self._cmd_tx[shard].send(("stop",))
                 except OSError:
@@ -384,6 +387,9 @@ class TrackingHub:
     def _shard_died(self, shard: int, reason: str) -> None:
         """Take a shard whose worker ended unasked out of service, failing fast."""
         logger.error("shard %d worker died: %s", shard, reason)
+        # First end every wait on the ring: nothing drains it any more, and
+        # the worker may have died holding its cursor lock.
+        self._rings[shard].abandon()
         with self._waiters_lock:
             self._down.add(shard)
             doomed = [req for req, w in self._waiters.items() if shard in w.shards]
@@ -397,9 +403,6 @@ class TrackingHub:
         for waiter in waiters:
             waiter.payload = ShardDown(f"shard {shard} worker is down: {reason}")
             waiter.done.set()
-        # Nothing consumes the ring any more: empty it once so a producer
-        # blocked on a full ring returns; later submits find no route.
-        self._rings[shard].get_available()
 
     def _check_up(self, shard: int) -> None:
         if shard in self._down:
@@ -695,7 +698,7 @@ class TrackingHub:
                         pickle.dumps((mig_id, sensor_id, want_frames)),
                         timeout=timeout,
                     )
-                except RingFull:
+                except (RingFull, ShardDown):
                     with self._map_lock:
                         self._shard_map[sensor_id] = source
                         self._routes[sensor_id] = self._make_route(
@@ -735,17 +738,19 @@ class TrackingHub:
         stats = []
         for shard in range(self.config.num_workers):
             up = self._started and shard not in self._down
-            ring = self._rings[shard] if up else None
+            depth, busy = 0, 0.0
+            if up:
+                ring = self._rings[shard]
+                try:
+                    depth, busy = ring.depth(), ring.busy_seconds()
+                except ShardDown:  # the worker died since the check above
+                    up = False
             stats.append(
                 ShardStats(
                     shard=shard,
                     num_sensors=per_shard[shard],
-                    queue_depth=ring.depth() if up else 0,
-                    busy_fraction=(
-                        min(1.0, ring.busy_seconds() / uptime)
-                        if up and uptime > 0
-                        else 0.0
-                    ),
+                    queue_depth=depth,
+                    busy_fraction=min(1.0, busy / uptime) if uptime > 0 else 0.0,
                     worker_up=up,
                 )
             )

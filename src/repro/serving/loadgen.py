@@ -17,10 +17,10 @@ a capacity plan needs:
 * **SLO verdicts** — optional ``--slo-*`` thresholds turn the report into
   an exit code, so the load test doubles as a regression gate.
 
-The generator drives the hub in process rather than through TCP: the JSONL
-codec costs more than the pipeline at fleet scale and would measure the
-wire format, not the serving architecture.  (For a TCP soak, point the
-``python -m repro.serving`` demo at ``--serve``.)  One thread submits for
+The generator drives the hub in process rather than through TCP, so it
+measures the hub and its shard workers without the wire codec or the
+front door.  (For a TCP soak, point the ``python -m repro.serving`` demo
+at ``--serve``.)  One thread submits for
 the whole fleet, as the asyncio front door's event loop does; the
 ``serving_scale`` bench suite times its cells with the same
 :func:`run_load`, and :func:`load_recordings` also feeds the demo.
@@ -53,7 +53,6 @@ from repro.events.stream import EventStream
 from repro.obs import add_log_level_argument, logging_setup
 from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig, TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
-from repro.serving.transport import TRANSPORTS
 from repro.trackers.registry import available_backends, ensure_backend_name
 
 logger = logging.getLogger("repro.serving.loadgen")
@@ -309,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event ring capacity per shard in KiB",
     )
     parser.add_argument(
-        "--transport", choices=TRANSPORTS, default="shm",
-        help="shard event transport (shared-memory ring or pipes)",
-    )
-    parser.add_argument(
         "--backpressure", choices=BACKPRESSURE_POLICIES, default="block",
         help="what to do when a shard ring fills",
     )
@@ -358,7 +353,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             num_workers=args.workers,
             backpressure=args.backpressure,
             pipeline_config=EbbiotConfig(tracker=args.tracker),
-            transport=args.transport,
             ring_capacity_bytes=args.ring_kib * 1024,
         )
         count = args.sensors if args.dataset else (args.scenes or min(args.sensors, 4))
@@ -385,7 +379,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "backpressure": args.backpressure,
         "batch_us": args.batch_us,
         "speed": args.speed,
-        "transport": args.transport,
         "source": args.dataset or f"synthetic(scenes={args.scenes}, "
         f"duration={args.duration}, seed={args.seed})",
     }

@@ -5,10 +5,10 @@ shard's worker loop (:mod:`repro.serving.shard`) runs in a forked worker
 *process* instead of a thread, so per-batch pipeline work leaves the
 parent's GIL and CPU-bound fleets scale across cores.  Batches reach a
 worker as raw ``EVENT_DTYPE`` bytes in a shared-memory ring
-(:class:`~repro.serving.transport.ShmRing`, falling back to pipes), and
-frames, replies and worker telemetry come back over the result pipe, so
-routing, migration, rebalancing, scrapes and worker-death handling are all
-the base class's code.
+(:class:`~repro.serving.transport.ShmRing`), and frames, replies and worker
+telemetry come back over the result pipe, so routing, migration,
+rebalancing, scrapes and worker-death handling are all the base class's
+code.
 
 Requires the ``fork`` start method (the workers inherit the ring mappings
 and the parent's imports); construction fails cleanly where only ``spawn``

@@ -42,18 +42,20 @@ on Linux that is ``CLOCK_MONOTONIC``, which is comparable across processes,
 so the worker's frame-latency histogram measures true queue+processing
 delay on either worker vehicle.
 
-:class:`PipeRing` is the plain-``multiprocessing.Pipe`` fallback for
-environments without usable shared memory (``/dev/shm`` mounted ``noexec``
-or absent); it exposes the same API, including the bulk drain and the
-bounded non-blocking :meth:`~PipeRing.try_put`, at the cost of one kernel
-round-trip per record.
+No parent-side wait outlives the worker.  A worker killed inside the lock
+(a SIGKILL) leaves it held for good, so every wait on it polls in
+:data:`LOCK_POLL_S` slices, and once the hub marks the ring abandoned
+(:meth:`ShmRing.abandon`, the first thing it does when a worker ends
+unasked) the wait raises :class:`ShardDown`; so does :meth:`ShmRing.put`'s
+backoff loop on a full ring that nothing drains any more.
 """
 
 from __future__ import annotations
 
-import select
+import multiprocessing
 import struct
 import time
+from multiprocessing import shared_memory
 from typing import List, NamedTuple, Optional
 
 _HEAD_OFF = 0
@@ -77,9 +79,9 @@ KIND_MIGRATE_OUT = 3
 KIND_MIGRATE_IN = 4
 KIND_STOP = 5
 
-
-#: Event transports understood by :func:`make_ring`.
-TRANSPORTS = ("shm", "pipe")
+#: How long one wait on a ring's cursor lock lasts before it re-checks
+#: whether the hub has abandoned the ring.
+LOCK_POLL_S = 0.05
 
 
 def max_payload_bytes(capacity_bytes: int) -> int:
@@ -109,6 +111,33 @@ class RingFull(Exception):
     """Raised by :meth:`ShmRing.put` when the timeout elapses ring-full."""
 
 
+class ShardDown(RuntimeError):
+    """The request touched a shard whose worker has died."""
+
+
+class _CursorLock:
+    """The ring's cursor-publication lock, with waits that end with the worker.
+
+    ``with`` takes the wrapped lock in :data:`LOCK_POLL_S` slices and raises
+    :class:`ShardDown` between slices once :attr:`abandoned` is set.  The
+    flag is parent-side: a forked worker keeps its own copy, unset.
+    """
+
+    __slots__ = ("_lock", "abandoned")
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self.abandoned = False
+
+    def __enter__(self) -> None:
+        while not self._lock.acquire(timeout=LOCK_POLL_S):
+            if self.abandoned:
+                raise ShardDown("the ring's shard worker is down")
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
 class ShmRing:
     """SPSC byte ring in shared memory carrying event-batch records.
 
@@ -120,9 +149,7 @@ class ShmRing:
     come with it — is involved.
     """
 
-    def __init__(self, capacity_bytes: int = 1 << 20, name: Optional[str] = None):
-        from multiprocessing import shared_memory
-
+    def __init__(self, capacity_bytes: int = 1 << 20):
         if capacity_bytes < 4096:
             raise ValueError(
                 f"capacity_bytes must be >= 4096, got {capacity_bytes}"
@@ -131,14 +158,9 @@ class ShmRing:
         self._max_payload = max_payload_bytes(self._capacity)
         # The cursor-publication lock (see the module docstring).  A fork
         # context so the worker inherits the same semaphore; platforms
-        # without fork cannot run the process hub anyway, and make_ring
-        # turns the ValueError into a PipeRing fallback.
-        import multiprocessing
-
-        self._lock = multiprocessing.get_context("fork").Lock()
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=True, size=_DATA_OFF + self._capacity
-        )
+        # without fork cannot run the process hub anyway.
+        self._lock = _CursorLock(multiprocessing.get_context("fork").Lock())
+        self._shm = shared_memory.SharedMemory(create=True, size=_DATA_OFF + self._capacity)
         self._buf = self._shm.buf
         for off in (_HEAD_OFF, _TAIL_OFF, _IN_OFF, _OUT_OFF, _BUSY_OFF):
             _U64.pack_into(self._buf, off, 0)
@@ -188,6 +210,14 @@ class ShmRing:
             self._write_u64(
                 _BUSY_OFF, self._read_u64(_BUSY_OFF) + int(seconds * 1e9)
             )
+
+    def abandon(self) -> None:
+        """Parent-side: the worker is gone, so end every wait on this ring.
+
+        Later lock waits and :meth:`put` backoffs raise :class:`ShardDown`
+        instead of waiting on a lock or a drain that may never come.
+        """
+        self._lock.abandoned = True
 
     # -- producer ------------------------------------------------------------------------
 
@@ -252,11 +282,14 @@ class ShmRing:
         """Blocking :meth:`try_put` with exponential backoff.
 
         Raises :class:`RingFull` if ``timeout`` elapses — the producer-side
-        backpressure of the ``"block"`` policy.
+        backpressure of the ``"block"`` policy — and :class:`ShardDown` once
+        the ring is abandoned.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
         delay = 20e-6
         while not self.try_put(kind, sensor_idx, payload):
+            if self._lock.abandoned:
+                raise ShardDown("the ring's shard worker is down")
             if deadline is not None and time.perf_counter() >= deadline:
                 raise RingFull(
                     f"ring full ({self.depth()} records) after {timeout}s"
@@ -323,130 +356,3 @@ class ShmRing:
                 self._shm.unlink()
             except FileNotFoundError:
                 pass
-
-
-class PipeRing:
-    """Same record API as :class:`ShmRing` over a ``multiprocessing.Pipe``.
-
-    The fallback transport when shared memory is unavailable.  ``depth``
-    and busy time are tracked through shared counters instead of header
-    slots; a drain pulls everything the pipe currently holds, so the
-    worker's coalescing fast path behaves identically.
-
-    :meth:`try_put` keeps the ShmRing's non-blocking contract — and
-    therefore the ``"drop"`` policy's shed semantics — by refusing when
-    the bookkept in-flight bytes exceed ``capacity_bytes`` *or* when the
-    OS pipe buffer has no room (``Connection.send`` would otherwise park
-    the caller behind a stalled worker).  One residual gap: a record
-    larger than the free pipe-buffer space blocks in ``send`` until the
-    consumer drains — unavoidable without reimplementing framing on a
-    non-blocking fd, and only reachable when the worker has already
-    wedged mid-record.
-    """
-
-    def __init__(self, context=None, capacity_bytes: int = 1 << 20) -> None:
-        import multiprocessing
-
-        ctx = context or multiprocessing.get_context("fork")
-        self._capacity = int(capacity_bytes)
-        self._rx, self._tx = ctx.Pipe(duplex=False)
-        # Each counter is single-writer (producer: *_in, consumer: *_out).
-        self._records_in = ctx.Value("Q", 0, lock=False)
-        self._records_out = ctx.Value("Q", 0, lock=False)
-        self._bytes_in = ctx.Value("Q", 0, lock=False)
-        self._bytes_out = ctx.Value("Q", 0, lock=False)
-        self._busy_ns = ctx.Value("Q", 0, lock=False)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._capacity
-
-    def depth(self) -> int:
-        return max(0, self._records_in.value - self._records_out.value)
-
-    def busy_seconds(self) -> float:
-        return self._busy_ns.value * 1e-9
-
-    def add_busy(self, seconds: float) -> None:
-        self._busy_ns.value += int(seconds * 1e9)
-
-    def try_put(
-        self,
-        kind: int,
-        sensor_idx: int,
-        payload: bytes,
-        enqueued_at: Optional[float] = None,
-    ) -> bool:
-        need = _HDR.size + len(payload)
-        in_flight = max(0, self._bytes_in.value - self._bytes_out.value)
-        # Refuse only when something is already queued: an oversized record
-        # still passes through an idle ring (the pipe imposes no framing
-        # limit, so unlike ShmRing it need not fit the buffer), keeping the
-        # queue bounded by capacity + one record without ever wedging.
-        if in_flight and in_flight + need > self._capacity:
-            return False
-        if not select.select([], [self._tx], [], 0)[1]:
-            return False  # OS pipe buffer full — send would block
-        if enqueued_at is None:
-            enqueued_at = time.perf_counter()
-        self._tx.send((kind, sensor_idx, enqueued_at, payload))
-        self._records_in.value += 1
-        self._bytes_in.value += need
-        return True
-
-    def put(
-        self,
-        kind: int,
-        sensor_idx: int,
-        payload: bytes,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Blocking :meth:`try_put` with backoff; :class:`RingFull` on timeout."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        delay = 20e-6
-        while not self.try_put(kind, sensor_idx, payload):
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise RingFull(
-                    f"pipe ring full ({self.depth()} records) after {timeout}s"
-                )
-            time.sleep(delay)
-            delay = min(delay * 2, 2e-3)
-
-    def get_available(self, max_records: int = 0) -> List[Record]:
-        records: List[Record] = []
-        drained_bytes = 0
-        while self._rx.poll(0):
-            kind, sensor_idx, enqueued_at, payload = self._rx.recv()
-            records.append(Record(kind, sensor_idx, enqueued_at, payload))
-            drained_bytes += _HDR.size + len(payload)
-            if max_records and len(records) >= max_records:
-                break
-        if records:
-            self._records_out.value += len(records)
-            self._bytes_out.value += drained_bytes
-        return records
-
-    def close(self, unlink: bool = False) -> None:
-        self._rx.close()
-        self._tx.close()
-
-
-def make_ring(transport: str = "shm", capacity_bytes: int = 1 << 20):
-    """Build the configured transport, falling back to pipes when needed.
-
-    ``transport`` is ``"shm"`` (shared memory; falls back to ``"pipe"``
-    with a warning if the segment cannot be created) or ``"pipe"``.
-    """
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}")
-    if transport == "pipe":
-        return PipeRing(capacity_bytes=capacity_bytes)
-    try:
-        return ShmRing(capacity_bytes=capacity_bytes)
-    except Exception:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "shared memory unavailable; hub falling back to pipe transport"
-        )
-        return PipeRing(capacity_bytes=capacity_bytes)

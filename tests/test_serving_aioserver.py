@@ -1,4 +1,4 @@
-"""Tests for the asyncio JSONL front door, fronting both hub flavours.
+"""Tests for the asyncio front door, fronting both hub flavours.
 
 Every test here drives the server through the :mod:`repro.serving.client`
 helpers or a raw socket, speaking the same protocol as production sensors;
@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import gc
 import logging
+import select
 import socket
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -228,6 +230,38 @@ class TestAsyncServer:
             with SensorClient(host, port, "cam"):
                 with pytest.raises(ProtocolError):
                     SensorClient(host, port, "cam")
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_reconnect_during_teardown_waits_for_it(self, kind):
+        """A sensor that reconnects while its dropped connection is still being
+        flushed is welcomed once that teardown ends, and the dropped
+        connection's summary is kept."""
+        batch = _random_batch(200)
+        hub = HUBS[kind](HubConfig(num_workers=1))
+        with AsyncTrackingServer(hub=hub) as server:
+            with _raw_connection(server.address) as (send, reply):
+                send(hello_message("cam"), events_message(batch), {"type": "stats"})
+                assert reply()["type"] == "welcome"
+                assert reply()["type"] == "stats"  # so the batch is submitted
+                hub.pause_shard(0)
+                depth = hub.shard_stats()[0].queue_depth
+            # Dropped without finish: its teardown's close record now waits in
+            # the paused ring, and the id is still registered.
+            deadline = time.monotonic() + 10.0
+            while hub.shard_stats()[0].queue_depth != depth + 1:
+                assert time.monotonic() < deadline, "the teardown never reached the ring"
+                time.sleep(0.005)
+            with socket.create_connection(server.address, timeout=30) as raw, \
+                    raw.makefile("rwb") as wire:
+                try:
+                    wire.write(encode_message(hello_message("cam")))
+                    wire.flush()
+                    select.select([raw], [], [], 0.5)  # time to read the hello
+                finally:
+                    hub.resume_shard(0)
+                assert decode_message(wire.readline())["type"] == "welcome"
+                recordings = hub.batch_result().recordings
+        assert [(r.name, r.num_events) for r in recordings] == [("cam", len(batch))]
 
     def test_rejected_handshake_releases_socket_and_reader(self):
         with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:

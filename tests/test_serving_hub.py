@@ -65,8 +65,6 @@ class TestHubConfig:
             HubConfig(backpressure="retry")
         with pytest.raises(ValueError):
             HubConfig(reorder_slack_us=-1)
-        with pytest.raises(ValueError):
-            HubConfig(transport="auto")
 
 
 # -- the hub contract (bound to a vehicle through ``hub_cls``) ---------------------------
@@ -130,15 +128,6 @@ class ParityContract:
         assert sum(s["batches_received"] for s in received.values()) == sum(
             len(b) for b in batches.values()
         )
-
-    def test_pipe_transport_matches_batch_pipeline(self):
-        stream = _moving_block_stream(seed=11)
-        with self.hub_cls(HubConfig(num_workers=2, transport="pipe")) as hub:
-            hub.register("cam")
-            for batch in _batches(stream):
-                assert hub.submit("cam", batch)
-            result = hub.close_sensor("cam", timeout=60)
-        _assert_replay_parity(result, stream)
 
     def test_frames_callback_delivers_all_frames_in_order(self):
         stream = _moving_block_stream(seed=1)
@@ -209,12 +198,11 @@ class RegistrationContract:
             with pytest.raises(KeyError):
                 hub.close_sensor("ghost")
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_batch_too_big_for_one_ring_record_is_refused(self, transport):
+    def test_batch_too_big_for_one_ring_record_is_refused(self):
         # 400 events take 5,200 payload bytes: more than a 4096-byte ring
         # can ever hold in one record, so no amount of draining would help.
         stream = _moving_block_stream(seed=3)
-        config = HubConfig(num_workers=1, transport=transport, ring_capacity_bytes=4096)
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
         with self.hub_cls(config) as hub:
             hub.register("cam")
             too_big = np.concatenate([stream.events] * 2)[:400]

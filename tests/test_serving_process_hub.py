@@ -4,16 +4,19 @@
 of ``test_serving_hub.py`` to :class:`ProcessTrackingHub`.  The remaining
 classes are parametrized over both vehicles: deterministic overload
 (``"drop"`` and ``try_submit`` refusals against a paused shard worker),
-live migration, the rebalancer thread, the per-shard gauges, and a worker
-dying mid-stream (a killed process, or a thread whose loop raised).
+live migration, the rebalancer thread, the per-shard gauges, a worker
+dying mid-stream (a killed process, or a thread whose loop raised), and a
+host without usable shared memory.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -274,3 +277,91 @@ class TestWorkerDeath:
         _assert_replay_parity(result, live_stream)
         assert sample_value(samples, "repro_shard_worker_up", shard="0") == 0.0
         assert sample_value(samples, "repro_shard_worker_up", shard="1") == 1.0
+
+    # A thread cannot die holding the ring's cursor lock, so these two run on
+    # the process vehicle only.
+
+    @staticmethod
+    def _park(hub, batch):
+        """Start submitting ``batch`` for "cam" on a helper thread; return,
+        once it holds the route's ring lock (so it is past routing), the
+        thread and a dict that receives the submit's result or ``ShardDown``."""
+        outcome = {}
+
+        def submit():
+            try:
+                outcome["returned"] = hub.submit("cam", batch)
+            except ShardDown as error:
+                outcome["raised"] = error
+
+        helper = threading.Thread(target=submit, daemon=True)
+        helper.start()
+        deadline = time.monotonic() + 5.0
+        while not hub._ring_locks[0].locked():
+            assert helper.is_alive() and time.monotonic() < deadline, outcome
+            time.sleep(0.001)
+        return helper, outcome
+
+    def test_worker_killed_inside_the_ring_lock_does_not_wedge_a_submit(self):
+        batch = next(_batches(_moving_block_stream(seed=21)))
+        with ProcessTrackingHub(HubConfig(num_workers=1)) as hub:
+            hub.register("cam")
+            # Held here, the lock is as a worker killed inside it leaves it:
+            # taken, with nobody left to release it.
+            with hub._rings[0]._lock:
+                helper, outcome = self._park(hub, batch)
+                os.kill(hub._workers[0].pid, signal.SIGKILL)
+                helper.join(timeout=5.0)
+                stuck = helper.is_alive()
+            helper.join(timeout=5.0)
+        assert not stuck, "the submit still waits on the dead worker's ring lock"
+        assert isinstance(outcome.get("raised"), ShardDown), outcome
+
+    def test_block_submit_on_a_dead_shards_full_ring_raises(self):
+        batches = list(_batches(_moving_block_stream(seed=3, num_frames=30), 8_000))
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with ProcessTrackingHub(config) as hub:
+            hub.register("cam")
+            hub.pause_shard(0)  # a paused worker never takes the ring lock
+            refused = next((b for b in batches if not hub.try_submit("cam", b)), None)
+            assert refused is not None, "the paused ring never filled"
+            helper, outcome = self._park(hub, refused)
+            os.kill(hub._workers[0].pid, signal.SIGKILL)
+            helper.join(timeout=5.0)
+            assert not helper.is_alive(), "the submit still waits on the dead shard's ring"
+        assert isinstance(outcome.get("raised"), ShardDown), outcome
+
+
+class TestWithoutSharedMemory:
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_start_fails_cleanly_and_can_be_retried(self, kind, monkeypatch):
+        real = shared_memory.SharedMemory
+        made = []
+
+        def second_segment_fails(*args, **kwargs):
+            if made:
+                raise FileNotFoundError("no /dev/shm")
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", second_segment_fails)
+        threads_before = set(threading.enumerate())
+        children_before = set(multiprocessing.active_children())
+        hub = HUBS[kind](HubConfig(num_workers=2))
+        with pytest.raises(RuntimeError, match="/dev/shm"):
+            hub.start()
+        assert not hub._started
+        new_threads = set(threading.enumerate()) - threads_before
+        assert not [t.name for t in new_threads if t.name.startswith("tracking-")]
+        assert not set(multiprocessing.active_children()) - children_before
+        with pytest.raises(FileNotFoundError):
+            real(name=made[0].name)  # the first ring's segment was unlinked
+
+        monkeypatch.undo()
+        stream = _moving_block_stream(seed=8)
+        with hub:
+            hub.register("cam")
+            for batch in _batches(stream):
+                assert hub.submit("cam", batch)
+            result = hub.close_sensor("cam", timeout=60)
+        _assert_replay_parity(result, stream)

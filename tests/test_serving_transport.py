@@ -1,4 +1,4 @@
-"""Tests for the shared-memory/pipe event transport rings."""
+"""Tests for the shared-memory event ring."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ from repro.serving.transport import (
     KIND_CLOSE,
     KIND_EVENTS,
     KIND_REGISTER,
-    PipeRing,
     Record,
     RingFull,
     ShmRing,
-    make_ring,
 )
 
 
@@ -29,9 +27,9 @@ def _payload(num_events: int, seed: int = 0) -> bytes:
     return packet.tobytes()
 
 
-@pytest.fixture(params=["shm", "pipe"])
-def ring(request):
-    ring = ShmRing(capacity_bytes=4096) if request.param == "shm" else PipeRing()
+@pytest.fixture
+def ring():
+    ring = ShmRing(capacity_bytes=4096)
     yield ring
     ring.close(unlink=True)
 
@@ -136,82 +134,6 @@ class TestShmRingEdges:
         ring = ShmRing(capacity_bytes=4096)
         ring.close(unlink=True)
         ring.close(unlink=True)
-
-
-class TestPipeRingBackpressure:
-    def test_try_put_refuses_at_capacity_instead_of_blocking(self):
-        ring = PipeRing(capacity_bytes=4096)
-        try:
-            payload = b"z" * 1000
-            accepted = 0
-            while ring.try_put(KIND_EVENTS, 0, payload):
-                accepted += 1
-                assert accepted < 64, "try_put never refused"
-            assert accepted >= 3  # several records fit under the cap
-            assert ring.depth() == accepted
-            # Drain, then the freed budget must admit records again.
-            assert len(ring.get_available()) == accepted
-            assert ring.try_put(KIND_EVENTS, 0, payload)
-        finally:
-            ring.close()
-
-    def test_put_raises_ring_full_on_timeout(self):
-        ring = PipeRing(capacity_bytes=4096)
-        try:
-            while ring.try_put(KIND_EVENTS, 0, b"z" * 1000):
-                pass
-            with pytest.raises(RingFull):
-                ring.put(KIND_EVENTS, 0, b"z" * 1000, timeout=0.05)
-        finally:
-            ring.close()
-
-    def test_oversized_record_passes_an_idle_ring(self):
-        # Unlike ShmRing, an oversized record must not wedge forever: it is
-        # admitted when nothing is in flight, and refused only while the
-        # ring is occupied.
-        ring = PipeRing(capacity_bytes=512)
-        try:
-            big = b"z" * 1000
-            assert ring.try_put(KIND_EVENTS, 0, big)
-            assert not ring.try_put(KIND_EVENTS, 0, big)
-            (record,) = ring.get_available()
-            assert record.payload == big
-            assert ring.try_put(KIND_EVENTS, 0, big)
-        finally:
-            ring.close()
-
-    def test_capacity_bytes_reports_configured_bound(self):
-        ring = PipeRing(capacity_bytes=4096)
-        try:
-            assert ring.capacity_bytes == 4096
-        finally:
-            ring.close()
-
-
-class TestMakeRing:
-    def test_explicit_kinds(self):
-        shm = make_ring("shm", capacity_bytes=4096)
-        assert isinstance(shm, ShmRing)
-        shm.close(unlink=True)
-        pipe = make_ring("pipe")
-        assert isinstance(pipe, PipeRing)
-        pipe.close()
-
-    def test_unknown_transport_rejected(self):
-        for transport in ("tcp", "auto"):
-            with pytest.raises(ValueError):
-                make_ring(transport)
-
-    def test_shm_failure_falls_back_to_pipe(self, monkeypatch):
-        import repro.serving.transport as transport
-
-        def boom(*args, **kwargs):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(transport, "ShmRing", boom)
-        ring = make_ring("shm")
-        assert isinstance(ring, PipeRing)
-        ring.close()
 
 
 class TestRecord:
