@@ -1,13 +1,13 @@
 """Benchmark harness (``python -m repro.bench``): two gated suites.
 
 The **event_path** suite runs named timed scenarios — the NN-filt and
-refractory filters, the NN-filt+EBMS and EBBIOT end-to-end pipelines,
-and the live serving sessions — against the standard synthetic fleet,
-reporting throughput and speedup-vs-scalar for each.  The
-**serving_scale** suite replays the same fleet through the thread and
-process tracking hubs across sensor counts, reporting aggregate fps,
-per-sensor scaling efficiency, tail latency and the headline
-``speedup_vs_thread`` ratio.  Each suite compares its numbers against a
+refractory filters, the end-to-end pipeline of each tracker backend
+(EBBIOT, EBBI+KF, NN-filt+EBMS), and the live serving sessions — against
+the standard synthetic fleet, reporting throughput and speedup-vs-scalar
+for each.  The **serving_scale** suite replays the same fleet through the
+thread and process tracking hubs across sensor counts, reporting
+aggregate fps, per-sensor scaling efficiency, tail latency and the
+headline ``speedup_vs_thread`` ratio.  Each suite compares its numbers against a
 committed baseline (``BENCH_event_path.json`` / ``BENCH_serving_scale.
 json`` at the repo root), flagging regressions beyond a tolerance.  See
 :mod:`repro.bench.harness` for the report/consistency machinery and

@@ -33,9 +33,9 @@ REPORT_VERSION = 1
 class BenchProfile:
     """Workload sizes for one harness run.
 
-    ``full`` is the committed-baseline configuration (the same 4-scene /
-    4-second fleet the tracker-backend shoot-out uses); ``quick`` is the CI
-    smoke configuration; tests construct tiny ad-hoc profiles directly.
+    ``full`` is the committed-baseline configuration (a 4-scene / 4-second
+    fleet, one recording per site type); ``quick`` is the CI smoke
+    configuration; tests construct tiny ad-hoc profiles directly.
     """
 
     name: str = "full"

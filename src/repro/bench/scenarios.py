@@ -1,14 +1,14 @@
 """Named timed scenarios for ``python -m repro.bench``.
 
-Every scenario runs against deterministic synthetic-fleet data (the same
-:func:`repro.runtime.scenes.build_scene_recordings` fleet as the tracker
-shoot-out) and returns a flat metric dict.  Scenarios with a scalar
-reference report ``speedup_vs_scalar`` — the vectorized and forced-scalar
-paths are timed back to back in one process via
-:func:`repro.utils.fastpath.force_scalar`, making the ratio machine-
-independent.  The ``primary`` key names the scenario's headline throughput
-metric, which the harness normalizes by the calibration score when
-comparing against a committed baseline.
+Every scenario runs against deterministic synthetic-fleet data (one
+:func:`repro.runtime.scenes.build_scene_recordings` fleet, which the three
+``*_pipeline`` scenarios run through each tracker backend) and returns a
+flat metric dict.  Scenarios with a scalar reference report
+``speedup_vs_scalar`` — the vectorized and forced-scalar paths are timed
+back to back in one process via :func:`repro.utils.fastpath.force_scalar`,
+making the ratio machine-independent.  The ``primary`` key names the
+scenario's headline throughput metric, which the harness normalizes by the
+calibration score when comparing against a committed baseline.
 
 The scalar legs deliberately run on a *slice* of the workload (they are
 5–15x slower) and are scaled up; the measured quantity is a throughput, so
@@ -122,10 +122,10 @@ def _run_pipeline_fleet(recordings, tracker: str) -> Dict[str, float]:
 def scenario_ebms_pipeline(profile: BenchProfile) -> Dict[str, float]:
     """End-to-end NN-filt+EBMS pipeline, vectorized vs scalar reference.
 
-    This is the paper's event-driven baseline measured the way the
-    shoot-out measures it — whole recordings through ``process_stream`` —
-    so the ``frames_per_s`` speedup here is the honest-comparison number
-    the tracker-backend benchmark inherits.
+    This is the paper's event-driven baseline measured the way
+    ``overlap_pipeline`` and ``kalman_pipeline`` measure theirs — whole
+    recordings through ``process_stream`` — so its ``frames_per_s`` is
+    directly comparable with theirs.
     """
     recordings = _fleet(profile)
     with force_scalar(False):
@@ -150,15 +150,9 @@ def scenario_ebms_pipeline(profile: BenchProfile) -> Dict[str, float]:
     }
 
 
-def scenario_overlap_pipeline(profile: BenchProfile) -> Dict[str, float]:
-    """End-to-end EBBIOT (overlap) pipeline throughput.
-
-    The paper's own tracker has been vectorized since PR 1, so there is no
-    scalar reference leg; the committed number guards the whole
-    EBBI → RPN → overlap path against regressions.
-    """
-    recordings = _fleet(profile)
-    result = _run_pipeline_fleet(recordings, "overlap")
+def _pipeline_throughput(profile: BenchProfile, tracker: str) -> Dict[str, float]:
+    """One backend's end-to-end throughput over the fleet (no scalar leg)."""
+    result = _run_pipeline_fleet(_fleet(profile), tracker)
     return {
         "primary": "events_per_s",
         "num_events": result["events"],
@@ -166,6 +160,25 @@ def scenario_overlap_pipeline(profile: BenchProfile) -> Dict[str, float]:
         "frames_per_s": result["frames"] / result["wall_s"] if result["wall_s"] else 0.0,
         "events_per_s": result["events"] / result["wall_s"] if result["wall_s"] else 0.0,
     }
+
+
+def scenario_overlap_pipeline(profile: BenchProfile) -> Dict[str, float]:
+    """End-to-end EBBIOT (overlap) pipeline throughput.
+
+    The paper's own tracker has been vectorized since PR 1, so there is no
+    scalar reference leg; the committed number guards the whole
+    EBBI → RPN → overlap path against regressions.
+    """
+    return _pipeline_throughput(profile, "overlap")
+
+
+def scenario_kalman_pipeline(profile: BenchProfile) -> Dict[str, float]:
+    """End-to-end EBBI+KF (kalman) pipeline throughput.
+
+    The paper's frame-based baseline: the same EBBI → RPN front end as
+    ``overlap_pipeline`` feeding the Kalman tracker, on the same fleet.
+    """
+    return _pipeline_throughput(profile, "kalman")
 
 
 #: Interleaved trials per leg of ``stage_breakdown``; the median trial is reported.
@@ -350,6 +363,7 @@ SCENARIOS: Dict[str, Callable[[BenchProfile], Dict[str, float]]] = {
     "refractory": scenario_refractory,
     "ebms_pipeline": scenario_ebms_pipeline,
     "overlap_pipeline": scenario_overlap_pipeline,
+    "kalman_pipeline": scenario_kalman_pipeline,
     "stage_breakdown": scenario_stage_breakdown,
     "serving": scenario_serving,
     "dataset_replay": scenario_dataset_replay,

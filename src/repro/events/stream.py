@@ -34,8 +34,7 @@ def frame_boundaries(
 
     One vectorised :func:`numpy.searchsorted` over the full edge array
     replaces the per-window pair of searches the per-frame loop needs, which
-    is what makes long-recording framing cheap (see
-    ``benchmarks/bench_runtime_throughput.py``).
+    is what makes long-recording framing cheap.
 
     Parameters
     ----------

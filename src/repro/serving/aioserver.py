@@ -76,6 +76,7 @@ from repro.serving.protocol import (
     trace_message,
     welcome_message,
 )
+from repro.serving.transport import RingFull
 
 #: Outbound messages buffered per connection before frame pushes are shed.
 SEND_QUEUE_CAPACITY = 512
@@ -228,7 +229,7 @@ class _Connection:
                 config=pipeline_config,
                 on_frames=self.on_frames,
             )
-        except ValueError as error:
+        except (ValueError, RingFull) as error:
             await self.send(error_message(str(error), sensor_id))
             return False
         self.sensor_id = sensor_id

@@ -312,9 +312,12 @@ class TrackingHub:
             tx.close()
         for ring in self._rings:
             ring.close(unlink=True)
-        # Routes hold refs to the (now closed) rings; a restarted hub
-        # requires re-registration anyway, so drop them with the rings.
-        self._routes.clear()
+        # The sessions died with the workers and routes hold refs to the
+        # (now closed) rings: a restarted hub starts with no sensors.
+        with self._map_lock:
+            self._shard_map.clear()
+            self._callbacks.clear()
+            self._routes.clear()
         self._rings.clear()
         self._cmd_tx.clear()
         self._workers.clear()
@@ -478,8 +481,13 @@ class TrackingHub:
                 "want_frames": on_frames is not None,
             }
         )
-        with self._ring_locks[assigned]:
-            self._rings[assigned].put(KIND_REGISTER, idx, payload, timeout=30.0)
+        try:
+            with self._ring_locks[assigned]:
+                self._rings[assigned].put(KIND_REGISTER, idx, payload, timeout=30.0)
+        except Exception:
+            # No worker holds a session for the id: free it for a retry.
+            self.remove_sensor(sensor_id)
+            raise
         tracker = (config or self.config.pipeline_config).tracker
         self.telemetry.sensor(sensor_id).set_tracker(tracker)
 

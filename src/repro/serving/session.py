@@ -142,31 +142,6 @@ class SensorSession:
         self._busy_s += time.perf_counter() - started
         return frames
 
-    def ingest_many(self, batches: List[np.ndarray]) -> List[FrameResult]:
-        """Feed a backlog of batches as one coalesced spool append.
-
-        For in-order input this closes exactly the windows per-batch
-        :meth:`ingest` would close, with identical contents — but the
-        per-append bookkeeping (normalize, late mask, watermark advance,
-        window-close scan) runs once per backlog instead of once per batch.
-        For disordered input it is *at least* as faithful: an event that
-        per-batch ingestion would drop as late can be rescued into its
-        correct window when that window had not yet closed at the start of
-        the backlog, matching batch replay more closely and never dropping
-        more.  This is the process shard's fast path: under load the ring
-        naturally hands the worker many batches at once, and coalescing them
-        is what keeps a saturated shard at batch-replay throughput.
-
-        Batches must already be canonical ``EVENT_DTYPE`` packets (the wire
-        and transport layers guarantee this); normalization of the coalesced
-        packet happens in the framer.
-        """
-        if len(batches) == 1:
-            return self.ingest(batches[0])
-        if not batches:
-            return []
-        return self.ingest(np.concatenate(batches))
-
     def finish(self) -> List[FrameResult]:
         """End of stream: flush the framer and process the tail windows."""
         if self._finished:

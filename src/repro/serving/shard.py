@@ -9,9 +9,9 @@ over the same ring and pipes.  Its life is a single loop:
 1. **bulk-drain** the shard's transport ring (all records currently
    available, bounded per cycle so command polls interleave);
 2. walk the records *in order*, grouping each sensor's event batches and
-   flushing each group through
-   :meth:`~repro.serving.session.SensorSession.ingest_many` — the coalesced
-   fast path that amortises per-batch framing overhead under backlog;
+   flushing each group as one joined packet through
+   :meth:`~repro.serving.session.SensorSession.ingest` — the coalescing
+   that amortises per-batch framing overhead under backlog;
 3. answer out-of-band commands (metric scrapes, trace dumps, migration
    envelopes, pause/resume) from the hub's command pipe.
 
@@ -147,7 +147,7 @@ class _ShardWorker:
             record.record_drop(len(packet))
             return
         try:
-            frames = session.ingest_many([packet])
+            frames = session.ingest(packet)
         except Exception:
             # A poisoned group must not take down the shard's other
             # sensors; it is counted as one dropped batch.
@@ -297,7 +297,7 @@ class _ShardWorker:
                 continue
             started = time.perf_counter()
             # Group each sensor's event batches across the whole drain
-            # cycle (one ingest_many per sensor per cycle).  Only
+            # cycle (one ingest per sensor per cycle).  Only
             # *per-sensor* order matters, so interleaved sensors coalesce
             # just as well as back-to-back runs; a sensor's own control
             # record still flushes its pending group first, and a STOP

@@ -7,7 +7,8 @@ hub packs each batch's raw ``EVENT_DTYPE`` bytes into the ring with a small
 record header, the worker drains **every** available record in one scan.
 That bulk drain is the architectural point, not just a copy-avoidance
 trick: a busy shard naturally finds a backlog of records per scan, and
-handing the whole backlog to :meth:`~repro.serving.session.SensorSession.ingest_many`
+handing each sensor's whole backlog to
+:meth:`~repro.serving.session.SensorSession.ingest` as one joined packet
 amortises the per-batch Python overhead a queue-per-item design pays — see
 ``BENCH_serving_scale.json``.
 

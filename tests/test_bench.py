@@ -61,6 +61,13 @@ class TestScenarios:
         assert serving["events_per_s_1"] > 0
         assert serving["events_per_s_n"] > 0
 
+    def test_kalman_scenario_runs_the_overlap_workload(self):
+        kalman = SCENARIOS["kalman_pipeline"](TINY)
+        assert kalman["events_per_s"] > 0
+        assert kalman["primary"] in kalman
+        # Same fleet, same windows: only the tracker differs.
+        assert kalman["num_frames"] == SCENARIOS["overlap_pipeline"](TINY)["num_frames"]
+
     def test_dataset_replay_scenario(self):
         metrics = SCENARIOS["dataset_replay"](TINY)
         assert metrics["primary"] == "events_per_s"

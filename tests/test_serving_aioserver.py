@@ -41,7 +41,7 @@ from repro.serving.protocol import (
     events_message,
     hello_message,
 )
-from repro.serving.transport import max_payload_bytes
+from repro.serving.transport import RingFull, max_payload_bytes
 from test_serving_server import assert_bad_batches_refused, list_message
 
 HUBS = {"thread": TrackingHub, "process": ProcessTrackingHub}
@@ -223,6 +223,29 @@ class TestAsyncServer:
                 with pytest.raises(ProtocolError, match="worker is down"):
                     client.finish()
                 assert "repro_shard_worker_up" in client.request_metrics()
+
+    def test_hello_whose_register_times_out_gets_error_reply(self, caplog, monkeypatch):
+        """A register that times out on a full ring is refused by name instead
+        of dropping the connection, and the sensor id stays free."""
+        batch = _random_batch(100)
+
+        def refuse(*args, **kwargs):
+            raise RingFull("ring full (9 records) after 30.0s")
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
+                monkeypatch.setattr(server.hub._rings[0], "put", refuse)
+                with _raw_connection(server.address) as (send, reply):
+                    send(hello_message("cam"))
+                    refusal = reply()
+                    assert refusal["type"] == "error"
+                    assert "ring full" in refusal["message"]
+                    assert reply() is None
+                monkeypatch.undo()
+                with SensorClient(*server.address, "cam") as client:
+                    client.send_events(batch)
+                    assert client.finish()["num_events"] == len(batch)
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_duplicate_sensor_id_rejected(self):
         with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:

@@ -21,6 +21,7 @@ from repro.events.stream import EventStream
 from repro.events.types import make_packet
 from repro.serving import HubConfig, ProtocolError, TrackingHub
 from repro.serving.telemetry import LatencyWindow, TelemetryRegistry
+from repro.serving.transport import RingFull, ShardDown
 
 
 def _moving_block_stream(seed: int, num_frames: int = 10) -> EventStream:
@@ -223,6 +224,46 @@ class RegistrationContract:
             hub.register("cam")
         with pytest.raises(RuntimeError):
             hub.submit("cam", _moving_block_stream(0).events[:5])
+
+    @pytest.mark.parametrize("error", [RingFull, ShardDown])
+    def test_register_whose_ring_put_fails_leaves_the_id_free(self, error, monkeypatch):
+        # A full ring's put raises RingFull after 30 s and an abandoned
+        # ring's raises ShardDown; faked at once here.  Either way the id
+        # must not stay half-registered.
+        stream = _moving_block_stream(seed=4)
+        with self.hub_cls(HubConfig(num_workers=1)) as hub:
+
+            def refuse(*args, **kwargs):
+                raise error("refused")
+
+            monkeypatch.setattr(hub._rings[0], "put", refuse)
+            with pytest.raises(error):
+                hub.register("cam")
+            monkeypatch.undo()
+            assert hub.sensor_shards() == {}
+            assert [stat.num_sensors for stat in hub.shard_stats()] == [0]
+            with pytest.raises(KeyError):
+                hub.submit("cam", stream.events[:5])
+            hub.register("cam")
+            for batch in _batches(stream):
+                assert hub.submit("cam", batch)
+            result = hub.close_sensor("cam", timeout=60)
+        _assert_replay_parity(result, stream)
+
+    def test_restarted_hub_has_no_sensors(self):
+        stream = _moving_block_stream(seed=5)
+        hub = self.hub_cls(HubConfig(num_workers=2))
+        with hub:
+            hub.register("a")
+            hub.close_sensor("a", timeout=60)
+        with hub:
+            assert hub.sensor_shards() == {}
+            assert [stat.num_sensors for stat in hub.shard_stats()] == [0, 0]
+            hub.register("a")
+            for batch in _batches(stream):
+                assert hub.submit("a", batch)
+            result = hub.close_sensor("a", timeout=60)
+        _assert_replay_parity(result, stream)
 
 
 class CloseContract:
