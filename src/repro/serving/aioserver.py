@@ -7,16 +7,31 @@ finally ``finish``) and feeds the shared hub.  Accepting sensor number 500
 adds a coroutine and a bounded send queue, not OS threads, and a stalled
 client parks a coroutine rather than blocking a stack.
 
+The reader coroutine handles a connection one socket read at a time.  It
+reads up to :data:`READ_CHUNK` bytes into the connection's own buffer and
+parses every complete message in it.  An unpaced sensor leaves hundreds
+of small ``events`` frames in one read, and each run of consecutive frames
+is joined into one packet, checked with one
+:func:`~repro.serving.protocol.packet_from_events_message` call and
+submitted with one :meth:`hub.try_submit`: one ring record, however many
+frames it holds.  A run is submitted before any other message or
+``error`` reply that follows it, so each sensor's order holds, and it is
+split where it would outgrow half the shard ring: a larger record may
+never fit while the ring's tail stands mid-ring.  A run that fails its
+joined check is checked frame by frame: the good frames go in order, and
+each bad one gets its own ``error`` reply.
+
 The event-loop thread must never block, which dictates the three seams:
 
 * **ingest** goes through :meth:`hub.try_submit`, which refuses instead of
   parking when the shard is saturated; under the ``"block"`` policy the
-  handler then backs off with ``await asyncio.sleep``, applying
-  backpressure to this sensor's TCP stream while other connections keep
-  flowing.  Under ``"drop"`` the refusal is final and counted.  Rebalance
-  evaluation never runs on the submit path either — the hub hands it to a
-  dedicated rebalancer thread, so a submit can at worst briefly contend a
-  ring lock, never wait out a migration.
+  handler then backs off with ``await asyncio.sleep`` and reads nothing
+  more meanwhile, applying backpressure to this sensor's TCP stream while
+  other connections keep flowing.  Under ``"drop"`` the refusal is final
+  and counted, and a refused run is shed whole.  Rebalance evaluation
+  never runs on the submit path either — the hub hands it to a dedicated
+  rebalancer thread, so a submit can at worst briefly contend a ring lock,
+  never wait out a migration.
 * **slow calls** — ``close_sensor`` flushes, ``metrics`` scrapes the shard
   workers — run in the default executor via :func:`asyncio.to_thread`.
 * **frame pushes** arrive on the hub's pump threads; the callback hops
@@ -25,17 +40,19 @@ The event-loop thread must never block, which dictates the three seams:
   replies instead wait for room).  A dedicated writer task per connection
   drains the queue onto the socket in order.
 
-A line, and an ``events`` frame's records (``count × 13`` bytes, read with
-one ``readexactly`` after the header line), may each be as long as the ring
-they feed (``HubConfig.ring_capacity_bytes``, 1 MiB by default).  A longer
-line or attachment gets an ``error`` reply naming the limit, as does a
-``count`` that is not a non-negative integer, and the connection then ends
-through the normal teardown, since the framing is lost.  The records are
-read before the message is dispatched, so every other refusal (events
+A line, and an ``events`` frame's records (the ``count × 13`` bytes after
+its header line), may each be as long as the ring they feed
+(``HubConfig.ring_capacity_bytes``, 1 MiB by default).  A longer line or
+attachment gets an ``error`` reply naming the limit, as does a ``count``
+that is not a non-negative integer, and the connection then ends through
+the normal teardown, since the framing is lost.  A message is handled only
+once it is complete, records and all, so every other refusal (events
 before ``hello`` or after ``finish``, bad values, a batch that can never
 fit one ring record) is an ``error`` reply on a connection that stays
-usable.  Each connection buffers up to twice the limit of unread input
-before its reads pause.
+usable; EOF inside a message tears the connection down.  A connection
+buffers at most twice the limit in its ``StreamReader`` before reading
+from the socket pauses, plus, in its own buffer, one partial message and
+one read.
 
 On teardown (clean ``finish`` or an abrupt disconnect) the sensor's session
 is flushed and deregistered from the hub, so sensor ids are reusable and a
@@ -76,10 +93,13 @@ from repro.serving.protocol import (
     trace_message,
     welcome_message,
 )
-from repro.serving.transport import RingFull
+from repro.serving.transport import RingFull, max_payload_bytes
 
 #: Outbound messages buffered per connection before frame pushes are shed.
 SEND_QUEUE_CAPACITY = 512
+
+#: Bytes a connection's reader takes from its ``StreamReader`` at a time.
+READ_CHUNK = 1 << 16
 
 #: Sentinel that ends a connection's writer task.
 _WRITER_STOP = object()
@@ -93,6 +113,52 @@ _BACKOFF_MAX_S = 1e-2
 _CLOSE_TIMEOUT_S = 60.0
 
 
+def _parse(buffer: bytearray, limit: int) -> Tuple[list, int]:
+    """The complete messages at the start of ``buffer``, and the bytes they take.
+
+    A plain binary frame, ``{"type":"events","count":N}`` and its records,
+    becomes its records alone (a ``bytearray``); any other message with a
+    ``count`` gets them as ``message["records"]``.  A line that does not
+    decode becomes its :class:`ProtocolError`, in its place.  A
+    :class:`FramingError` (a bad ``count``, or a line or frame over
+    ``limit``) ends the list: nothing after it can be framed.
+    """
+    messages, pos = [], 0
+    while True:
+        end = buffer.find(b"\n", pos, pos + limit + 1)
+        if end < 0:
+            if len(buffer) - pos > limit:
+                messages.append(FramingError(
+                    f"line exceeds the {limit}-byte limit; closing the connection"))
+            return messages, pos
+        try:
+            message = decode_message(buffer[pos:end])
+        except FramingError as error:
+            messages.append(error)
+            return messages, pos
+        except ProtocolError as error:
+            messages.append(error)
+            pos = end + 1
+            continue
+        if "count" in message:
+            size = message["count"] * RECORD_BYTES
+            if size > limit:
+                messages.append(FramingError(
+                    f"events frame of {size} bytes exceeds the {limit}-byte limit; "
+                    "closing the connection"))
+                return messages, pos
+            if end + 1 + size > len(buffer):
+                return messages, pos  # its records are still to come
+            records = buffer[end + 1:end + 1 + size]
+            end += size
+            if len(message) == 2 and message["type"] == "events":
+                message = records
+            else:
+                message["records"] = records
+        messages.append(message)
+        pos = end + 1
+
+
 class _Connection:
     """Per-connection protocol state (one live sensor, or a monitor)."""
 
@@ -104,6 +170,9 @@ class _Connection:
         self.width = 240
         self.height = 180
         self.summary: Optional[dict] = None  # the reply to finish, once sent
+        # A record over half the ring may never fit while the ring's tail
+        # stands mid-ring, even once it drains: runs stay within half.
+        self.max_run_bytes = max_payload_bytes(self.hub.config.ring_capacity_bytes // 2)
         self.send_queue: "asyncio.Queue" = asyncio.Queue(maxsize=SEND_QUEUE_CAPACITY)
         self._raw_writer = writer
         self.writer_task = asyncio.ensure_future(self._writer_loop(writer))
@@ -157,6 +226,86 @@ class _Connection:
             pass
 
     # -- inbound -------------------------------------------------------------------------
+
+    async def serve(self, reader: asyncio.StreamReader) -> None:
+        """Handle the connection's input, one read at a time, until it ends."""
+        limit = self.hub.config.ring_capacity_bytes
+        buffer = bytearray()
+        while True:
+            try:
+                data = await reader.read(READ_CHUNK)
+            except (ConnectionError, OSError):
+                return
+            if not data:
+                return  # EOF, perhaps inside a message: the teardown follows
+            buffer += data
+            messages, consumed = _parse(buffer, limit)
+            del buffer[:consumed]
+            if not await self.handle(messages):
+                return
+
+    async def handle(self, messages: list) -> bool:
+        """Handle one read's messages in order; ``False`` ends the connection.
+
+        Consecutive plain ``events`` frames of a registered, unfinished
+        sensor form a run, submitted before whatever follows it.
+        """
+        run: List[bytearray] = []
+        run_bytes = 0
+        for message in messages:
+            if type(message) is bytearray and self.sensor_id is not None and self.summary is None:
+                if run and run_bytes + len(message) > self.max_run_bytes:
+                    await self._submit_run(run)
+                    run, run_bytes = [], 0
+                run.append(message)
+                run_bytes += len(message)
+                continue
+            if run:
+                await self._submit_run(run)
+                run, run_bytes = [], 0
+            if isinstance(message, ProtocolError):
+                await self.send(error_reply(message, self.sensor_id))
+                if isinstance(message, FramingError):
+                    return False
+                continue
+            if type(message) is bytearray:  # events before hello or after finish
+                message = {"type": "events", "count": len(message) // RECORD_BYTES,
+                           "records": message}
+            try:
+                if not await self.dispatch(message):
+                    return False
+            except (ProtocolError, ShardDown, KeyError) as error:
+                await self.send(error_reply(error, self.sensor_id))
+        if run:
+            await self._submit_run(run)
+        return True
+
+    async def _submit_run(self, run: List[bytearray]) -> None:
+        """Check a run of frames' records as one packet, and submit it.
+
+        A run that fails the check is retried frame by frame, so the good
+        frames go in order and each bad one gets its own ``error`` reply.
+        A run the hub cannot take (its shard is down, its sensor is gone, or
+        a single frame can never fit one ring record) gets one ``error``
+        reply per frame.
+        """
+        records = b"".join(run)
+        message = {"type": "events", "count": len(records) // RECORD_BYTES, "records": records}
+        try:
+            packet = packet_from_events_message(message, self.width, self.height)
+        except ProtocolError as error:
+            if len(run) == 1:
+                await self.send(error_reply(error, self.sensor_id))
+                return
+            for frame in run:
+                await self._submit_run([frame])
+            return
+        try:
+            await self._ingest(packet)
+        except (ProtocolError, ShardDown, KeyError) as error:
+            reply = error_reply(error, self.sensor_id)
+            for _ in run:
+                await self.send(reply)
 
     async def dispatch(self, message: dict) -> bool:
         """Handle one message; ``False`` ends the connection."""
@@ -318,39 +467,8 @@ class AsyncTrackingServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         connection = _Connection(self, writer)
         self._connections.add(connection)
-        limit = self.hub.config.ring_capacity_bytes
         try:
-            while True:
-                try:
-                    raw_line = await reader.readline()
-                    if not raw_line:
-                        break
-                    message = decode_message(raw_line)
-                    if "count" in message:
-                        size = message["count"] * RECORD_BYTES
-                        if size > limit:
-                            raise FramingError(
-                                f"events frame of {size} bytes exceeds the {limit}-byte "
-                                "limit; closing the connection")
-                        message["records"] = await reader.readexactly(size)
-                except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                    break
-                except ProtocolError as error:
-                    await connection.send(error_reply(error, connection.sensor_id))
-                    if isinstance(error, FramingError):
-                        break
-                    continue
-                except ValueError:  # a line over the limit: the framing is lost
-                    await connection.send(error_message(
-                        f"line exceeds the {limit}-byte limit; closing the connection",
-                        connection.sensor_id,
-                    ))
-                    break
-                try:
-                    if not await connection.dispatch(message):
-                        break
-                except (ProtocolError, ShardDown, KeyError) as error:
-                    await connection.send(error_reply(error, connection.sensor_id))
+            await connection.serve(reader)
         finally:
             try:
                 await connection.teardown()
@@ -373,7 +491,7 @@ class AsyncTrackingServer:
         async with server:
             await self._stop_event.wait()
         # Drop live connections by closing their transports: each handler's
-        # readline sees EOF and runs its normal teardown (flush + deregister)
+        # read sees EOF and runs its normal teardown (flush + deregister)
         # rather than being cancelled mid-protocol.
         for connection in list(self._connections):
             connection.abort()

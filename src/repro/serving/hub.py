@@ -114,7 +114,8 @@ class HubConfig:
         in the output).  ``None`` (default) keeps placement hash-based.
     rebalance_check_every:
         Submit-count stride between rebalancer wake-ups; keeps even the
-        wake signal off the per-batch hot path.
+        wake signal off the per-batch hot path.  A submit is one batch: for
+        a sensor on the TCP front door, one coalesced run of frames.
     ring_capacity_bytes:
         Byte capacity of each shard's ring — what bounds in-flight data
         per shard; size it for the expected batch size × desired queue
@@ -472,7 +473,6 @@ class TrackingHub:
             idx = next(self._next_idx)
             self._shard_map[sensor_id] = assigned
             self._callbacks[sensor_id] = on_frames
-            self._routes[sensor_id] = self._make_route(sensor_id, assigned, idx)
         payload = pickle.dumps(
             {
                 "sensor_idx": idx,
@@ -488,6 +488,12 @@ class TrackingHub:
             # No worker holds a session for the id: free it for a retry.
             self.remove_sensor(sensor_id)
             raise
+        # Only now does the id get a route, and with it a telemetry record
+        # (an id closed earlier gets its retained one).  A shard that died
+        # since the put leaves it unrouted, as _shard_died leaves the rest.
+        with self._map_lock:
+            if assigned not in self._down:
+                self._routes[sensor_id] = self._make_route(sensor_id, assigned, idx)
         tracker = (config or self.config.pipeline_config).tracker
         self.telemetry.sensor(sensor_id).set_tracker(tracker)
 

@@ -18,14 +18,16 @@ are refused for the same values.  :class:`~repro.serving.client.SensorClient`
 sends only binary frames, and refuses a server whose ``welcome`` says a
 version below 2.
 
-The front door decodes an ``events`` batch with two calls:
-:func:`decode_message` parses the header line, and, once the door has read
-the records, :func:`packet_from_events_message` validates them in place
-against the ``hello`` geometry with a few vectorised checks on a zero-copy
-view.  A line, and a frame's records, may each be at most the hub's ring
-capacity long (``HubConfig.ring_capacity_bytes``, 1 MiB by default); past
-it, or with a ``count`` that is not a non-negative integer, the framing is
-lost: the server sends an ``error`` reply and closes the connection.
+The front door parses each socket read whole.  :func:`decode_message`
+parses every frame's header line; the exact header the client writes
+skips ``json.loads``.  The door then joins the records of each run of
+consecutive frames, and one :func:`packet_from_events_message` call
+validates the run in place against the ``hello`` geometry, with a few
+vectorised checks on a zero-copy view.  A line, and a frame's records, may
+each be at most the hub's ring capacity long
+(``HubConfig.ring_capacity_bytes``, 1 MiB by default); past it, or with a
+``count`` that is not a non-negative integer, the framing is lost: the
+server sends an ``error`` reply and closes the connection.
 
 Client → server::
 
@@ -60,6 +62,7 @@ and then the records, and :func:`decode_message` reattaches them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from typing import Optional, Tuple
 
@@ -89,6 +92,10 @@ _LIST_FIELDS = frozenset("xytp")
 
 #: Coordinates at or past this bound would wrap in EVENT_DTYPE's int16 fields.
 _COORDINATE_END = int(np.iinfo(EVENT_DTYPE["x"]).max) + 1
+
+#: The header line :func:`encode_message` writes for a binary frame: a
+#: ``count`` of plain ASCII digits, without a leading zero.
+_EVENTS_HEADER = re.compile(rb'\{"type":"events","count":(0|[1-9][0-9]*)\}')
 
 
 class ProtocolError(ValueError):
@@ -122,17 +129,23 @@ def decode_message(data) -> dict:
     ``data`` is bytes or str.  A header declaring a ``count`` gets the bytes
     after its newline as ``message["records"]`` when they are exactly
     ``count`` records; given the header line alone, the caller reads the
-    records itself (the front door does).  Raises :class:`FramingError` on
-    a ``count`` that is not a non-negative integer, and
-    :class:`ProtocolError` on other junk.
+    records itself (the front door does).  The exact header line a client's
+    :func:`encode_message` writes is read without ``json.loads``; every
+    other line, including a header that differs by one space or a leading
+    zero, goes through it.  Raises :class:`FramingError` on a ``count``
+    that is not a non-negative integer, and :class:`ProtocolError` on other
+    junk.
     """
     attachment = b""
     try:
         if isinstance(data, (bytes, bytearray)):
             data, _, attachment = data.partition(b"\n")
+            header = _EVENTS_HEADER.fullmatch(data)
             # Decoding first is faster than json.loads' own sniffing of bytes.
-            data = data.decode()
-        message = json.loads(data)
+            message = (json.loads(data.decode()) if header is None
+                       else {"type": "events", "count": int(header[1])})
+        else:
+            message = json.loads(data)
     except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
         raise ProtocolError(f"invalid JSON: {error}") from error
     if not isinstance(message, dict) or "type" not in message:

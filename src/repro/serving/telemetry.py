@@ -147,7 +147,9 @@ class SensorTelemetry:
             "repro_sensor_events_received_total", "Events accepted from the sensor."
         )
         self._batches_received = counter(
-            "repro_sensor_batches_received_total", "Ingest batches accepted."
+            "repro_sensor_batches_received_total",
+            "Ingest batches accepted: one per hub submit, which for a TCP sensor "
+            "is one coalesced run of events frames.",
         )
         self._frames_emitted = counter(
             "repro_sensor_frames_emitted_total", "Frame windows closed and processed."
@@ -157,7 +159,8 @@ class SensorTelemetry:
         )
         self._dropped_batches = counter(
             "repro_sensor_dropped_batches_total",
-            "Batches shed by backpressure or poisoned.",
+            "Batches shed by backpressure or poisoned: one per hub submit, which for "
+            "a TCP sensor is one coalesced run of events frames.",
         )
         self._dropped_events = counter(
             "repro_sensor_dropped_events_total", "Events in dropped batches."

@@ -43,6 +43,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.transport import RingFull, max_payload_bytes
 from test_serving_server import assert_bad_batches_refused, list_message
+from test_serving_wire_golden import CLIENT_BYTES, SERVER_LINES, server_lines
 
 HUBS = {"thread": TrackingHub, "process": ProcessTrackingHub}
 
@@ -499,6 +500,137 @@ class TestBinaryFrames:
                 SensorClient(*listener.getsockname()[:2], "cam", timeout_s=10)
             thread.join(timeout=10)
             assert not thread.is_alive()
+
+
+def _until(wire, kind: str) -> list:
+    """Every message the server sends up to and including the next ``kind``."""
+    messages = []
+    while not messages or messages[-1]["type"] != kind:
+        line = wire.readline()
+        assert line, f"EOF before a {kind!r} reply"
+        messages.append(decode_message(line))
+    return messages
+
+
+def _frames(stream: EventStream, count: int) -> bytes:
+    """``stream`` as ``count`` binary ``events`` frames, back to back."""
+    batches = np.array_split(stream.events, count)
+    return b"".join(encode_message(events_message(batch)) for batch in batches)
+
+
+def _replay(stream: EventStream) -> tuple:
+    result = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
+    return len(stream), result.num_frames, result.total_track_observations()
+
+
+def _counts(summary: dict) -> tuple:
+    recording = summary["recording"]
+    return (recording["num_events"], recording["num_frames"],
+            recording["num_track_observations"])
+
+
+class TestCoalescing:
+    """The door parses each read whole and submits each run of frames once;
+    the replies and outputs cannot tell how the bytes were cut or grouped."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_golden_session_cut_into_random_chunks(self, kind, seed):
+        data = CLIENT_BYTES.read_bytes()
+        rng = np.random.default_rng(seed)
+        with AsyncTrackingServer(hub=HUBS[kind](HubConfig(num_workers=2))) as server:
+            with socket.create_connection(server.address, timeout=30) as raw, \
+                    raw.makefile("rb") as wire:
+                raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                start = 0
+                while start < len(data):
+                    size = int(2 ** rng.uniform(0, 16))  # 1 byte to 64 KiB
+                    raw.sendall(data[start:start + size])
+                    start += size
+                    time.sleep(0.001)  # so the door mostly reads each chunk alone
+                received = b"".join(encode_message(m) for m in _until(wire, "summary"))
+        assert server_lines(received) == SERVER_LINES.read_bytes().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_one_bad_frame_in_a_run_gets_one_error(self, kind):
+        """The bad frame is refused by name; the frames around it, sent in
+        the same write, are all served."""
+        stream = _moving_block_stream(seed=3, num_frames=20)
+        batches = np.array_split(stream.events, 60)
+        bad = make_packet([5, 300], [7, 8], [int(batches[30]["t"][0])] * 2, [1, 1])
+        frames = [events_message(batch) for batch in batches]
+        frames.insert(30, events_message(bad))
+        session = [hello_message("cam"), *frames, {"type": "finish"}]
+        with AsyncTrackingServer(hub=HUBS[kind](HubConfig(num_workers=1))) as server:
+            with socket.create_connection(server.address, timeout=30) as raw, \
+                    raw.makefile("rb") as wire:
+                raw.sendall(b"".join(encode_message(message) for message in session))
+                replies = _until(wire, "summary")
+        errors = [reply for reply in replies if reply["type"] == "error"]
+        assert len(errors) == 1
+        assert "outside the 240x180 sensor" in errors[0]["message"]
+        assert "x in [5, 300]" in errors[0]["message"]
+        assert _counts(replies[-1]) == _replay(stream)
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_runs_split_to_fit_the_ring_and_wait_out_a_paused_shard(self, kind):
+        """A recording in one write holds runs of more than one ring record:
+        each is split to fit.  With the shard paused, the door waits on a
+        refused run and handles nothing after it; once resumed, nothing is
+        lost."""
+        stream = _moving_block_stream(seed=5, num_frames=30)
+        assert stream.events.nbytes > 3 * max_payload_bytes(4096)
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with AsyncTrackingServer(hub=HUBS[kind](config)) as server:
+            hub = server.hub
+            with socket.create_connection(server.address, timeout=30) as raw, \
+                    raw.makefile("rwb") as wire:
+                wire.write(encode_message(hello_message("cam")))
+                wire.flush()
+                assert decode_message(wire.readline())["type"] == "welcome"
+                hub.pause_shard(0)
+                try:
+                    wire.write(_frames(stream, 90) + encode_message({"type": "stats"}))
+                    wire.flush()
+                    # No frame can close and the stats request is not reached.
+                    assert select.select([raw], [], [], 0.5)[0] == []
+                finally:
+                    hub.resume_shard(0)
+                replies = _until(wire, "stats")
+                wire.write(encode_message({"type": "finish"}))
+                wire.flush()
+                replies += _until(wire, "summary")
+        assert not [reply for reply in replies if reply["type"] == "error"]
+        assert _counts(replies[-1]) == _replay(stream)
+        telemetry = next(r for r in replies if r["type"] == "stats")["telemetry"]["sensors"]["cam"]
+        assert telemetry["batches_received"] < 90  # a batch is one run, not one frame
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_drop_policy_sheds_refused_runs_whole(self, kind):
+        stream = _moving_block_stream(seed=6, num_frames=30)
+        config = HubConfig(num_workers=1, backpressure="drop", ring_capacity_bytes=4096)
+        with AsyncTrackingServer(hub=HUBS[kind](config)) as server:
+            hub = server.hub
+            with socket.create_connection(server.address, timeout=30) as raw, \
+                    raw.makefile("rwb") as wire:
+                wire.write(encode_message(hello_message("cam")))
+                wire.flush()
+                assert decode_message(wire.readline())["type"] == "welcome"
+                hub.pause_shard(0)
+                try:
+                    wire.write(_frames(stream, 90) + encode_message({"type": "stats"}))
+                    wire.flush()
+                    replies = _until(wire, "stats")
+                finally:
+                    hub.resume_shard(0)
+                wire.write(encode_message({"type": "finish"}))
+                wire.flush()
+                replies += _until(wire, "summary")
+        assert not [reply for reply in replies if reply["type"] == "error"]
+        telemetry = next(r for r in replies if r["type"] == "stats")["telemetry"]["sensors"]["cam"]
+        assert telemetry["dropped_events"] > 0
+        assert telemetry["events_received"] + telemetry["dropped_events"] == len(stream)
+        assert replies[-1]["recording"]["num_events"] == telemetry["events_received"]
 
 
 class TestServingCliMatrix:

@@ -229,26 +229,39 @@ class RegistrationContract:
     def test_register_whose_ring_put_fails_leaves_the_id_free(self, error, monkeypatch):
         # A full ring's put raises RingFull after 30 s and an abandoned
         # ring's raises ShardDown; faked at once here.  Either way the id
-        # must not stay half-registered.
+        # must not stay half-registered, nor linger in telemetry.  An id
+        # that was closed earlier keeps its retained telemetry.
         stream = _moving_block_stream(seed=4)
         with self.hub_cls(HubConfig(num_workers=1)) as hub:
 
             def refuse(*args, **kwargs):
                 raise error("refused")
 
-            monkeypatch.setattr(hub._rings[0], "put", refuse)
-            with pytest.raises(error):
-                hub.register("cam")
-            monkeypatch.undo()
+            def refused_register(sensor_id):
+                monkeypatch.setattr(hub._rings[0], "put", refuse)
+                with pytest.raises(error):
+                    hub.register(sensor_id)
+                monkeypatch.undo()
+                with pytest.raises(KeyError):
+                    hub.submit(sensor_id, stream.events[:5])
+
+            refused_register("cam")
             assert hub.sensor_shards() == {}
             assert [stat.num_sensors for stat in hub.shard_stats()] == [0]
-            with pytest.raises(KeyError):
-                hub.submit("cam", stream.events[:5])
+            telemetry = hub.telemetry_dict()
+            assert telemetry["totals"]["num_sensors"] == 0
+            assert "cam" not in telemetry["sensors"]
+            assert 'sensor="cam"' not in hub.metrics_text()
             hub.register("cam")
             for batch in _batches(stream):
                 assert hub.submit("cam", batch)
             result = hub.close_sensor("cam", timeout=60)
+            hub.remove_sensor("cam")
+            refused_register("cam")
+            retained = hub.telemetry_dict()["sensors"]["cam"]
         _assert_replay_parity(result, stream)
+        assert retained["events_received"] == len(stream)
+        assert retained["tracker"] == "overlap"
 
     def test_restarted_hub_has_no_sensors(self):
         stream = _moving_block_stream(seed=5)

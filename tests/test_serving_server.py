@@ -22,6 +22,7 @@ from repro.serving import (
     stream_recording,
 )
 from repro.serving.protocol import (
+    RECORD_BYTES,
     FramingError,
     events_message,
     hello_message,
@@ -218,6 +219,40 @@ class TestProtocol:
     def test_decode_refuses_a_count_that_is_not_a_non_negative_int(self, count):
         with pytest.raises(FramingError, match="count"):
             decode_message(b'{"type":"events","count":%s}\n' % count.encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.sampled_from(["0}", "25}", "01}", "00}", "-1}", "-0}", "1.0}", "1e3}", " 1}",
+                         "1 }", "+1}", "١}", "1_000}", f"{2**70}}}", "25", "", "}",
+                         "25}}", "25} ", "25}\r"]),
+        st.integers(-(2**80), 2**80).map("{}}}".format),
+        st.text("0123456789+-.eE }١²", max_size=8),
+        st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n"), max_size=16),
+    ))
+    def test_header_fast_path_agrees_with_json_loads(self, suffix):
+        """The header a client writes skips ``json.loads``; any header line
+        decodes to what ``json.loads`` gives, or raises the same class."""
+
+        def outcome(data):
+            try:
+                return repr(decode_message(data))
+            except FramingError:
+                return FramingError
+            except ProtocolError:
+                return ProtocolError
+
+        line = '{"type":"events","count":' + suffix
+        assert outcome(line.encode()) == outcome(line)  # a str line goes through json.loads
+
+    def test_client_header_is_decoded_without_json_loads(self, monkeypatch):
+        import repro.serving.protocol as protocol
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(protocol.json, "loads", refuse)
+        header = encode_message(events_message(make_packet([1], [2], [3], [1])))[:-RECORD_BYTES]
+        assert decode_message(header) == {"type": "events", "count": 1}
 
     def test_decode_refuses_records_that_do_not_match_the_count(self):
         frame = encode_message(events_message(make_packet([1, 2], [3, 4], [5, 6], [1, 1])))
