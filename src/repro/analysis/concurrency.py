@@ -89,7 +89,6 @@ HUB_BLOCKING_METHODS = {
     "register",
     "submit",
     "migrate_sensor",
-    "maybe_rebalance",
     "metrics_text",
     "telemetry_dict",
     "chrome_trace",

@@ -12,16 +12,14 @@ into IoVT infrastructure, tracked online.
 * :mod:`repro.serving.hub` — :class:`TrackingHub`, the one hub
   implementation: shards sessions across worker loops
   (:mod:`repro.serving.shard`) fed by bounded rings with explicit
-  backpressure, run on worker threads.
+  backpressure, run on worker threads.  A sensor's shard is the stable
+  hash of its id, and only an explicit ``migrate_sensor`` moves it.
 * :mod:`repro.serving.process_hub` — :class:`ProcessTrackingHub`, the same
   hub with each worker loop in a forked *process*, sidestepping the GIL
   for CPU-bound fleets.
 * :mod:`repro.serving.transport` — the shared-memory event ring
   (:class:`ShmRing`) feeding those workers, on either vehicle; a host
   without usable shared memory gets a clear error at hub start.
-* :mod:`repro.serving.rebalance` — :func:`plan_rebalance` turns per-shard
-  load stats into session migrations, executed live by the hub's
-  ``migrate_sensor`` using the session snapshot/restore envelopes.
 * :mod:`repro.serving.telemetry` — per-sensor event rates, frame latency
   percentiles, queue depth, per-shard load gauges and drop counts,
   exportable as JSON or Prometheus text exposition (built on
@@ -43,7 +41,7 @@ from repro.serving.client import (
     stream_recording,
 )
 from repro.serving.framer import ClosedWindow, OnlineFramer
-from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig, TrackingHub
+from repro.serving.hub import BACKPRESSURE_POLICIES, HubConfig, ShardStats, TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
@@ -52,12 +50,6 @@ from repro.serving.protocol import (
     encode_message,
     metrics_message,
     trace_message,
-)
-from repro.serving.rebalance import (
-    Move,
-    RebalancePolicy,
-    ShardStats,
-    plan_rebalance,
 )
 from repro.serving.session import SensorSession, SessionSnapshot
 from repro.serving.telemetry import LatencyWindow, SensorTelemetry, TelemetryRegistry
@@ -105,10 +97,7 @@ __all__ = [
     "check_slos",
     "ShmRing",
     "RingFull",
-    "RebalancePolicy",
     "ShardStats",
-    "Move",
-    "plan_rebalance",
     "TelemetryRegistry",
     "SensorTelemetry",
     "LatencyWindow",

@@ -16,8 +16,7 @@ is joined into one packet, checked with one
 submitted with one :meth:`hub.try_submit`: one ring record, however many
 frames it holds.  A run is submitted before any other message or
 ``error`` reply that follows it, so each sensor's order holds, and it is
-split where it would outgrow half the shard ring: a larger record may
-never fit while the ring's tail stands mid-ring.  A run that fails its
+split where it would outgrow one ring record.  A run that fails its
 joined check is checked frame by frame: the good frames go in order, and
 each bad one gets its own ``error`` reply.
 
@@ -28,10 +27,8 @@ The event-loop thread must never block, which dictates the three seams:
   handler then backs off with ``await asyncio.sleep`` and reads nothing
   more meanwhile, applying backpressure to this sensor's TCP stream while
   other connections keep flowing.  Under ``"drop"`` the refusal is final
-  and counted, and a refused run is shed whole.  Rebalance evaluation
-  never runs on the submit path either — the hub hands it to a dedicated
-  rebalancer thread, so a submit can at worst briefly contend a ring lock,
-  never wait out a migration.
+  and counted, and a refused run is shed whole.  A submit can at worst
+  briefly contend a ring lock, never wait out a migration.
 * **slow calls** — ``close_sensor`` flushes, ``metrics`` scrapes the shard
   workers — run in the default executor via :func:`asyncio.to_thread`.
 * **frame pushes** arrive on the hub's pump threads; the callback hops
@@ -170,9 +167,7 @@ class _Connection:
         self.width = 240
         self.height = 180
         self.summary: Optional[dict] = None  # the reply to finish, once sent
-        # A record over half the ring may never fit while the ring's tail
-        # stands mid-ring, even once it drains: runs stay within half.
-        self.max_run_bytes = max_payload_bytes(self.hub.config.ring_capacity_bytes // 2)
+        self.max_run_bytes = max_payload_bytes(self.hub.config.ring_capacity_bytes)
         self.send_queue: "asyncio.Queue" = asyncio.Queue(maxsize=SEND_QUEUE_CAPACITY)
         self._raw_writer = writer
         self.writer_task = asyncio.ensure_future(self._writer_loop(writer))

@@ -49,12 +49,6 @@ from repro.events.types import normalize_packet
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.aggregate import BatchResult, RecordingResult
 from repro.serving.protocol import ProtocolError
-from repro.serving.rebalance import (
-    Move,
-    RebalancePolicy,
-    ShardStats,
-    plan_rebalance,
-)
 from repro.serving.shard import shard_worker_main
 from repro.serving.telemetry import TelemetryRegistry
 from repro.serving.transport import (
@@ -107,15 +101,6 @@ class HubConfig:
     trace_sample_every:
         Trace every Nth frame window per sensor (1 = all); bounds trace
         growth on long-lived hubs without affecting the stage metrics.
-    rebalance:
-        Optional :class:`~repro.serving.rebalance.RebalancePolicy`.  When
-        set, a rebalancer thread woken every ``rebalance_check_every``
-        submitted batches migrates sessions off overloaded shards (invisible
-        in the output).  ``None`` (default) keeps placement hash-based.
-    rebalance_check_every:
-        Submit-count stride between rebalancer wake-ups; keeps even the
-        wake signal off the per-batch hot path.  A submit is one batch: for
-        a sensor on the TCP front door, one coalesced run of frames.
     ring_capacity_bytes:
         Byte capacity of each shard's ring — what bounds in-flight data
         per shard; size it for the expected batch size × desired queue
@@ -129,8 +114,6 @@ class HubConfig:
     reorder_slack_us: int = 5_000
     instrument: bool = False
     trace_sample_every: int = 1
-    rebalance: Optional[RebalancePolicy] = None
-    rebalance_check_every: int = 64
     ring_capacity_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
@@ -149,14 +132,21 @@ class HubConfig:
             raise ValueError(
                 f"reorder_slack_us must be non-negative, got {self.reorder_slack_us}"
             )
-        if self.rebalance_check_every < 1:
-            raise ValueError(
-                f"rebalance_check_every must be >= 1, got {self.rebalance_check_every}"
-            )
         if self.ring_capacity_bytes < 4096:
             raise ValueError(
                 f"ring_capacity_bytes must be >= 4096, got {self.ring_capacity_bytes}"
             )
+
+
+@dataclass(frozen=True)
+class ShardStats:
+    """One shard's load sample (what the ``repro_shard_*`` gauges export)."""
+
+    shard: int
+    num_sensors: int
+    queue_depth: int
+    busy_fraction: float
+    worker_up: bool = True
 
 
 class _Waiter:
@@ -208,11 +198,6 @@ class TrackingHub:
         self._started = False
         self._started_at = 0.0
         self._migrations = 0
-        self._submits_until_rebalance = self.config.rebalance_check_every
-        self._rebalance_lock = threading.Lock()
-        self._rebalance_wake = threading.Event()
-        self._rebalance_stopping = False
-        self._rebalance_thread: Optional[threading.Thread] = None
 
     # -- worker vehicle ------------------------------------------------------------------
 
@@ -272,28 +257,12 @@ class TrackingHub:
             )
             pump.start()
             self._pumps.append(pump)
-        if self.config.rebalance is not None:
-            self._rebalance_stopping = False
-            self._rebalance_wake.clear()
-            self._rebalance_thread = threading.Thread(
-                target=self._rebalance_loop,
-                name="tracking-hub-rebalancer",
-                daemon=True,
-            )
-            self._rebalance_thread.start()
         return self
 
     def stop(self) -> None:
         """Stop the workers after their rings drain (idempotent)."""
         if not self._started:
             return
-        # Retire the rebalancer first so no migration markers are enqueued
-        # behind a stop record (the workers would never reach them).
-        if self._rebalance_thread is not None:
-            self._rebalance_stopping = True
-            self._rebalance_wake.set()
-            self._rebalance_thread.join(timeout=90.0)
-            self._rebalance_thread = None
         for shard, ring in enumerate(self._rings):
             if shard in self._down:
                 continue  # nothing drains a dead shard's ring
@@ -455,10 +424,9 @@ class TrackingHub:
     ) -> None:
         """Create the worker-side session for a new sensor (hub must be started).
 
-        ``shard`` overrides the hash placement (used by tests and by
-        restore-after-rebalance paths); the assignment may later change if
-        a rebalance policy is active.  The session lives in its shard's
-        worker and is not returned.
+        ``shard`` overrides the hash placement; only :meth:`migrate_sensor`
+        changes the assignment afterwards.  The session lives in its
+        shard's worker and is not returned.
         """
         self._require_started()
         if shard is not None and not 0 <= shard < self.config.num_workers:
@@ -621,15 +589,6 @@ class TrackingHub:
         if countdown[0] <= 0:
             countdown[0] = _DEPTH_GAUGE_STRIDE
             record.set_queue_depth(ring.depth())
-        if self.config.rebalance is not None:
-            self._submits_until_rebalance -= 1
-            if self._submits_until_rebalance <= 0:
-                self._submits_until_rebalance = self.config.rebalance_check_every
-                # Signal the rebalancer thread rather than evaluating here:
-                # a migration blocks on the worker hand-off, and submit may
-                # run on threads that must not stall (the asyncio front
-                # door's event loop).
-                self._rebalance_wake.set()
         return True
 
     def close_sensor(
@@ -660,7 +619,7 @@ class TrackingHub:
                 self._closed_results.append(summary)
         return summary
 
-    # -- migration / rebalance -----------------------------------------------------------
+    # -- migration and placement ---------------------------------------------------------
 
     def migrate_sensor(
         self, sensor_id: str, target_shard: int, timeout: Optional[float] = 60.0
@@ -676,6 +635,12 @@ class TrackingHub:
         at its barrier: output is byte-identical to an unmigrated run, even
         with submits racing the move.  Returns ``False`` if the sensor was
         already on ``target_shard``.
+
+        A migration whose reply carries an error raises ``RuntimeError`` and
+        routes the sensor back to its source shard: a source worker that
+        refuses the export (the sensor is closed, say) keeps the session.
+        Batches submitted while such a migration was in flight went to the
+        target shard, which counts them as dropped.
         """
         self._require_started()
         if not 0 <= target_shard < self.config.num_workers:
@@ -699,9 +664,8 @@ class TrackingHub:
                     self._pending_migrations[mig_id] = target_shard
                     want_frames = self._callbacks.get(sensor_id) is not None
                     self._shard_map[sensor_id] = target_shard
-                    self._routes[sensor_id] = self._make_route(
-                        sensor_id, target_shard, idx
-                    )
+                    moved = self._make_route(sensor_id, target_shard, idx)
+                    self._routes[sensor_id] = moved
                 try:
                     self._rings[source].put(
                         KIND_MIGRATE_OUT, idx, pickle.dumps((mig_id,)), timeout=timeout
@@ -730,6 +694,14 @@ class TrackingHub:
                 self._pending_migrations.pop(mig_id, None)
         error = message[2]
         if error is not None:
+            # Route the sensor back, unless another call has moved it since.
+            with self._ring_locks[first], self._ring_locks[second]:
+                with self._map_lock:
+                    if self._routes.get(sensor_id) is moved:
+                        self._shard_map[sensor_id] = source
+                        self._routes[sensor_id] = self._make_route(
+                            sensor_id, source, idx
+                        )
             raise RuntimeError(f"migrating sensor {sensor_id!r} failed: {error}")
         with self._map_lock:
             self._migrations += 1
@@ -777,50 +749,8 @@ class TrackingHub:
 
     @property
     def migrations_performed(self) -> int:
-        """Completed sensor migrations (manual and rebalancer-initiated)."""
+        """Completed :meth:`migrate_sensor` calls."""
         return self._migrations
-
-    def _rebalance_loop(self) -> None:
-        """Dedicated rebalancer thread: evaluates off the submit path.
-
-        Submits only set an Event, so a migration's hand-off wait is paid
-        here, never by a submitter (such as the asyncio event loop).
-        """
-        while True:
-            self._rebalance_wake.wait()
-            self._rebalance_wake.clear()
-            if self._rebalance_stopping:
-                return
-            try:
-                self.maybe_rebalance()
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("rebalance pass failed")
-
-    def maybe_rebalance(self) -> List[Move]:
-        """Apply the configured rebalance policy once; returns moves made.
-
-        Safe to call from any thread; concurrent calls coalesce (only one
-        evaluates, the rest return immediately with no moves).  Dead shards
-        take no part in the plan.
-        """
-        policy = self.config.rebalance
-        if policy is None:
-            return []
-        if not self._rebalance_lock.acquire(blocking=False):
-            return []
-        try:
-            live = [stat for stat in self.shard_stats() if stat.worker_up]
-            moves = plan_rebalance(live, self.sensor_shards(), policy)
-            performed = []
-            for move in moves:
-                try:
-                    if self.migrate_sensor(move.sensor_id, move.target):
-                        performed.append(move)
-                except (KeyError, ShardDown):
-                    continue  # sensor removed or a shard died since the plan
-            return performed
-        finally:
-            self._rebalance_lock.release()
 
     def batch_result(self) -> BatchResult:
         """Fleet summary over all sensors closed so far.

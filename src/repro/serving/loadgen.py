@@ -228,7 +228,6 @@ def run_load(hub, workload, speed: float = 0.0, close_timeout: float = 120.0) ->
             }
             for stat in hub.shard_stats()
         ],
-        "migrations": hub.migrations_performed,
         "summaries": summaries,
     }
 

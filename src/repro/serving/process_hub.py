@@ -7,8 +7,7 @@ parent's GIL and CPU-bound fleets scale across cores.  Batches reach a
 worker as raw ``EVENT_DTYPE`` bytes in a shared-memory ring
 (:class:`~repro.serving.transport.ShmRing`), and frames, replies and worker
 telemetry come back over the result pipe, so routing, migration,
-rebalancing, scrapes and worker-death handling are all the base class's
-code.
+scrapes and worker-death handling are all the base class's code.
 
 Requires the ``fork`` start method (the workers inherit the ring mappings
 and the parent's imports); construction fails cleanly where only ``spawn``

@@ -61,17 +61,22 @@ IDLE_POLL_S = 0.002
 
 
 class _Sensor:
-    """One sensor's session and bookkeeping inside a shard worker."""
+    """One sensor's session and bookkeeping inside a shard worker.
 
-    __slots__ = ("sensor_id", "session", "want_frames", "record", "last_late")
+    A close drops the session and keeps only its summary, which a repeated
+    close returns: a long-running worker holds no dead sessions.
+    """
+
+    __slots__ = ("sensor_id", "session", "want_frames", "record", "last_late", "summary")
 
     def __init__(self, sensor_id: str, session: SensorSession, want_frames: bool,
                  record) -> None:
         self.sensor_id = sensor_id
-        self.session = session
+        self.session = session  # None once closed
         self.want_frames = want_frames
         self.record = record  # the worker-side SensorTelemetry
         self.last_late = session.late_events
+        self.summary = None  # the RecordingResult, once closed
 
 
 class _ShardWorker:
@@ -143,7 +148,7 @@ class _ShardWorker:
             self.telemetry.sensor(f"?{sensor_idx}").record_drop(len(packet))
             return
         session, record = sensor.session, sensor.record
-        if session.finished:
+        if session is None:  # closed
             record.record_drop(len(packet))
             return
         try:
@@ -194,12 +199,14 @@ class _ShardWorker:
                        f"sensor index {sensor_idx} unknown to shard {self.shard_id}"))
             return
         session = sensor.session
-        already_finished = session.finished
+        if session is None:
+            self.send(("closed", req_id, sensor.summary, True, None))
+            return
         started = time.perf_counter()
         try:
             frames = session.finish()
         except Exception as error:
-            self.send(("closed", req_id, None, already_finished, repr(error)))
+            self.send(("closed", req_id, None, False, repr(error)))
             return
         sensor.record.record_frames(
             num_frames=len(frames),
@@ -209,7 +216,9 @@ class _ShardWorker:
         )
         if frames and sensor.want_frames:
             self.send(("frames", sensor.sensor_id, frames))
-        self.send(("closed", req_id, session.summary(), already_finished, None))
+        sensor.summary = session.summary()
+        sensor.session = None
+        self.send(("closed", req_id, sensor.summary, False, None))
 
     def handle_migrate_out(self, sensor_idx: int, mig_id: int) -> None:
         sensor = self.sensors.get(sensor_idx)
@@ -217,11 +226,14 @@ class _ShardWorker:
             self.send(("migrated", mig_id, None,
                        f"sensor index {sensor_idx} unknown to shard {self.shard_id}"))
             return
+        if sensor.session is None:
+            self.send(("migrated", mig_id, None,
+                       f"sensor {sensor.sensor_id!r} is closed; nothing to migrate"))
+            return
         try:
             envelope = sensor.session.export_migration()
         except Exception as error:
-            # Export failed (e.g. the session finished while the migration
-            # was in flight): keep the session in place so the shard stays
+            # Export failed: keep the session in place so the shard stays
             # consistent, and let the hub surface the error.
             self.send(("migrated", mig_id, None, repr(error)))
             return

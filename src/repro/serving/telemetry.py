@@ -310,11 +310,10 @@ class TelemetryRegistry:
         """Refresh the per-shard gauges from a hub load sample.
 
         Exports ``repro_shard_queue_depth``, ``repro_shard_sensors`` and
-        ``repro_shard_busy_fraction`` — the exact numbers the rebalance
-        policy ranks shards by, so a scrape shows the imbalance the hub is
-        reacting to — plus ``repro_shard_worker_up`` (1 while the shard's
-        worker runs, 0 once it died), each labelled by ``shard``.  The hub
-        calls this right before exposition.
+        ``repro_shard_busy_fraction`` — so a scrape shows how evenly the
+        hash placement spreads the load — plus ``repro_shard_worker_up``
+        (1 while the shard's worker runs, 0 once it died), each labelled by
+        ``shard``.  The hub calls this right before exposition.
         """
         depth = self.metrics.gauge(
             "repro_shard_queue_depth",

@@ -194,8 +194,7 @@ class ShmRing:
 
         Readable from either side (the counters are read under the cursor
         lock, so an 8-byte value can never tear); this is what the hub
-        exports as the ``repro_shard_queue_depth`` gauge and feeds to the
-        rebalancer.
+        exports as the ``repro_shard_queue_depth`` gauge.
         """
         with self._lock:
             return max(0, self._read_u64(_IN_OFF) - self._read_u64(_OUT_OFF))
@@ -229,49 +228,66 @@ class ShmRing:
         payload: bytes,
         enqueued_at: Optional[float] = None,
     ) -> bool:
-        """Enqueue one record; ``False`` (without blocking) if it cannot fit."""
+        """Enqueue one record; ``False`` (without blocking) if it cannot fit.
+
+        A record that does not fit before the ring's end waits for the rest
+        of the ring to be free.  The wrap marker is then published on its
+        own, and the record goes to offset 0 as soon as it fits there: at
+        once, or on a retry after the consumer has passed the marker.
+        """
         need = _HDR.size + len(payload)
         if len(payload) > self._max_payload:
             raise ValueError(
                 f"record of {need} bytes can never fit a "
                 f"{self._capacity}-byte ring"
             )
-        tail = self._tail_cache
-        pos = tail % self._capacity
+        pos = self._tail_cache % self._capacity
         tail_room = self._capacity - pos
-        wrap = tail_room < need + _HDR.size
-        # A wrap burns the rest of the ring (marker + dead space) and the
-        # record must then also fit at the start without catching head.
+        # A record must leave room for a wrap marker's header after it.
+        if tail_room < need + _HDR.size:
+            # The marker burns the rest of the ring as dead space.
+            if not self._has_room(tail_room):
+                return False
+            _HDR.pack_into(self._buf, _DATA_OFF + pos, _WRAP, 0, 0, 0.0)
+            self._tail_cache += tail_room
+            self._publish()
+            pos = 0
         # Keep one header's worth of slack so tail never exactly catches
         # head with a full buffer (full vs empty ambiguity).
-        required = tail_room + need if wrap else need + _HDR.size
-        if self._capacity - (tail - self._head_cache) < required:
-            # The conservative head snapshot says full — refresh it from
-            # shared memory (the consumer may have drained meanwhile).
-            # Under the lock: pairs with the consumer's locked head store,
-            # so a freed region is fully copied out before we reuse it.
-            with self._lock:
-                self._head_cache = self._read_u64(_HEAD_OFF)
-            if self._capacity - (tail - self._head_cache) < required:
-                return False
+        if not self._has_room(need + _HDR.size):
+            return False
         if enqueued_at is None:
             enqueued_at = time.perf_counter()
-        if wrap:
-            _HDR.pack_into(self._buf, _DATA_OFF + pos, _WRAP, 0, 0, 0.0)
-            tail += tail_room
-            pos = 0
         _HDR.pack_into(self._buf, _DATA_OFF + pos, len(payload), kind, sensor_idx, enqueued_at)
         if payload:
             start = _DATA_OFF + pos + _HDR.size
             self._buf[start : start + len(payload)] = payload
-        self._tail_cache = tail + need
+        self._tail_cache += need
         self._in_cache += 1
-        # Publication barrier: the record's bytes above must be visible
-        # before the consumer can observe this tail advance.
+        self._publish()
+        return True
+
+    def _has_room(self, required: int) -> bool:
+        """Whether ``required`` bytes past the tail are free of unread data."""
+        if self._capacity - (self._tail_cache - self._head_cache) >= required:
+            return True
+        # The conservative head snapshot says full — refresh it from shared
+        # memory (the consumer may have drained meanwhile).  Under the lock:
+        # pairs with the consumer's locked head store, so a freed region is
+        # fully copied out before we reuse it.
+        with self._lock:
+            self._head_cache = self._read_u64(_HEAD_OFF)
+        return self._capacity - (self._tail_cache - self._head_cache) >= required
+
+    def _publish(self) -> None:
+        """Store the cached tail and record count to shared memory.
+
+        The publication barrier: every byte written before this call is
+        visible to the consumer before it can observe the tail advance.
+        """
         with self._lock:
             self._write_u64(_TAIL_OFF, self._tail_cache)
             self._write_u64(_IN_OFF, self._in_cache)
-        return True
 
     def put(
         self,

@@ -10,6 +10,7 @@ vehicle and holds the scenarios parametrized over both.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 
@@ -19,7 +20,7 @@ import pytest
 from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
-from repro.serving import HubConfig, ProtocolError, TrackingHub
+from repro.serving import HubConfig, ProtocolError, SensorSession, TrackingHub
 from repro.serving.telemetry import LatencyWindow, TelemetryRegistry
 from repro.serving.transport import RingFull, ShardDown
 
@@ -349,6 +350,23 @@ class TestTrackingHub(ParityContract, RegistrationContract, SheddingContract):
 
 class TestCloseAndRemove(CloseContract):
     """The close/remove contract on worker threads."""
+
+    def test_closed_sessions_are_not_kept(self):
+        # Worker threads share this heap, so their sessions can be counted.
+        stream = _moving_block_stream(seed=8)
+        with TrackingHub(HubConfig(num_workers=1)) as hub:
+            for _ in range(5):
+                hub.register("leak-probe")
+                for batch in _batches(stream):
+                    assert hub.submit("leak-probe", batch)
+                hub.close_sensor("leak-probe", timeout=60)
+                hub.remove_sensor("leak-probe")
+            gc.collect()
+            kept = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, SensorSession) and obj.sensor_id == "leak-probe"
+            ]
+        assert kept == []
 
 
 class TestTelemetry:

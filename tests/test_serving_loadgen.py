@@ -114,7 +114,6 @@ class TestRunLoad:
             report["aggregate"]["latency_ms"]["p50_ms"]
         )
         assert len(report["shards"]) == 2
-        assert report["migrations"] == 0
         assert sorted(report["summaries"]) == sorted(sid for sid, _ in workload)
         assert sum(s["num_frames"] for s in report["summaries"].values()) == (
             report["aggregate"]["frames_out"]

@@ -4,9 +4,9 @@
 of ``test_serving_hub.py`` to :class:`ProcessTrackingHub`.  The remaining
 classes are parametrized over both vehicles: deterministic overload
 (``"drop"`` and ``try_submit`` refusals against a paused shard worker),
-live migration, the rebalancer thread, the per-shard gauges, a worker
-dying mid-stream (a killed process, or a thread whose loop raised), and a
-host without usable shared memory.
+live migration, the per-shard gauges, a worker dying mid-stream (a
+killed process, or a thread whose loop raised), and a host without usable
+shared memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 from repro.obs import parse_prometheus_text, sample_value
 from repro.serving.hub import HubConfig, ShardDown, TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
-from repro.serving.rebalance import RebalancePolicy
 from test_serving_hub import (
     CloseContract,
     ParityContract,
@@ -158,6 +157,25 @@ class TestMigration:
             assert hub.migrations_performed == 0
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_refused_migration_leaves_the_sensor_on_its_shard(self, kind):
+        # The source worker refuses to export a closed session, so the
+        # session stays on shard 0, and so must the sensor's route: a
+        # repeated close then returns the same summary.
+        stream = _moving_block_stream(seed=10)
+        with HUBS[kind](HubConfig(num_workers=2)) as hub:
+            hub.register("cam", shard=0)
+            for batch in _batches(stream):
+                assert hub.submit("cam", batch)
+            first = hub.close_sensor("cam", timeout=60)
+            with pytest.raises(RuntimeError, match="sensor 'cam' is closed"):
+                hub.migrate_sensor("cam", 1)
+            assert hub.sensor_shards() == {"cam": 0}
+            assert hub.migrations_performed == 0
+            second = hub.close_sensor("cam", timeout=60)
+        assert second == first
+        _assert_replay_parity(first, stream)
+
+    @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_migrate_unknown_sensor_raises(self, kind):
         with HUBS[kind](HubConfig(num_workers=2)) as hub:
             with pytest.raises(KeyError):
@@ -166,28 +184,24 @@ class TestMigration:
                 hub.register("cam", shard=7)
 
 
-class TestRebalanceThread:
+class TestRingWrap:
     @pytest.mark.parametrize("kind", sorted(HUBS))
-    def test_rebalance_policy_runs_off_the_submit_path(self, kind):
-        # A hair-trigger policy during live ingest: rebalancer-initiated
-        # migrations must stay invisible in the output, and the evaluation
-        # happens on the hub's own rebalancer thread (submits only set a
-        # wake event), which stop() retires cleanly.
-        policy = RebalancePolicy(imbalance_ratio=1.0, min_queue_delta=0)
-        config = HubConfig(num_workers=2, rebalance=policy, rebalance_check_every=4)
-        stream = _moving_block_stream(seed=17, num_frames=20)
-        hub = HUBS[kind](config)
-        with hub:
-            assert hub._rebalance_thread is not None
-            # Two sensors on one shard give the planner a movable candidate.
-            hub.register("cam", shard=0)
-            hub.register("decoy", shard=0)
-            for batch in _batches(stream):
-                assert hub.submit("cam", batch)
+    def test_batch_over_half_the_ring_is_taken_once_the_ring_drains(self, kind):
+        # On a 4 KiB ring a 150-event batch (1,967 bytes with its header)
+        # leaves the tail mid-ring, and a 240-event batch (3,120 bytes) fits
+        # only after a wrap: it must be taken once the worker has drained
+        # the first, not refused for good.
+        events = _moving_block_stream(seed=11, num_frames=11).events[:390]
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        with HUBS[kind](config) as hub:
+            hub.register("cam")
+            assert hub.try_submit("cam", events[:150])
+            deadline = time.monotonic() + 5.0
+            while not hub.try_submit("cam", events[150:]):
+                assert time.monotonic() < deadline, "the ring never took the second batch"
+                time.sleep(0.005)
             result = hub.close_sensor("cam", timeout=60)
-            hub.close_sensor("decoy", timeout=60)
-        assert hub._rebalance_thread is None
-        _assert_replay_parity(result, stream)
+        assert result.num_events == 390
 
 
 class TestShardGauges:

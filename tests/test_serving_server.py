@@ -1,4 +1,5 @@
-"""End-to-end tests of the JSONL TCP server, client and serving CLI."""
+"""End-to-end tests of the TCP server (JSON control lines, binary ``events``
+frames), the client and the serving CLI."""
 
 from __future__ import annotations
 

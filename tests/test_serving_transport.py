@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.serving.transport import (
     Record,
     RingFull,
     ShmRing,
+    max_payload_bytes,
 )
 
 
@@ -91,6 +95,53 @@ class TestShmRingEdges:
                 assert record.sensor_idx == round_index % 17
         finally:
             ring.close(unlink=True)
+
+    def test_record_over_half_the_ring_fits_once_the_wrap_is_passed(self):
+        # After a drained 2000-byte record the tail stands at 2017: a
+        # 3000-byte record fits neither before the ring's end nor, with the
+        # rest of the ring, in one go.  The wrap marker goes out alone; once
+        # the consumer has passed it, the record fits at offset 0.
+        ring = ShmRing(capacity_bytes=4096)
+        try:
+            assert ring.try_put(KIND_EVENTS, 0, b"a" * 2000)
+            assert len(ring.get_available()) == 1
+            payload = bytes(range(256)) * 11 + b"b" * 184
+            assert len(payload) == 3000
+            assert not ring.try_put(KIND_EVENTS, 1, payload)
+            assert ring.depth() == 0
+            assert ring.get_available() == []
+            assert ring.try_put(KIND_EVENTS, 1, payload)
+            (record,) = ring.get_available()
+            assert (record.sensor_idx, record.payload) == (1, payload)
+        finally:
+            ring.close(unlink=True)
+
+    def test_records_of_any_size_pass_a_concurrent_consumer_intact(self):
+        # Sizes up to one record's limit, about half of them over half the
+        # ring, put with backoff while a consumer thread drains: each
+        # record must arrive once, intact and in order.
+        ring = ShmRing(capacity_bytes=4096)
+        sizes = np.random.default_rng(1).integers(0, max_payload_bytes(4096) + 1, 300)
+        payloads = [bytes([index % 256]) * int(size) for index, size in enumerate(sizes)]
+        received = []
+
+        def consume():
+            while len(received) < len(payloads):
+                records = ring.get_available()
+                if not records:
+                    time.sleep(0.0005)
+                received.extend((r.sensor_idx, r.payload) for r in records)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        try:
+            for index, payload in enumerate(payloads):
+                ring.put(KIND_EVENTS, index, payload, timeout=5.0)
+            consumer.join(timeout=5.0)
+            assert not consumer.is_alive(), "the consumer never drained the ring"
+        finally:
+            ring.close(unlink=True)
+        assert received == list(enumerate(payloads))
 
     def test_try_put_refuses_when_full_then_recovers(self):
         ring = ShmRing(capacity_bytes=4096)
