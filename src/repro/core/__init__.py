@@ -39,11 +39,6 @@ from repro.core.pipeline import (
     PipelineState,
 )
 from repro.core.roe import RegionOfExclusion
-from repro.core.two_timescale import (
-    TwoTimescaleConfig,
-    TwoTimescalePipeline,
-    TwoTimescaleResult,
-)
 
 __all__ = [
     "EbbiotConfig",
@@ -67,7 +62,4 @@ __all__ = [
     "FrameResult",
     "PipelineResult",
     "PipelineState",
-    "TwoTimescaleConfig",
-    "TwoTimescalePipeline",
-    "TwoTimescaleResult",
 ]

@@ -154,15 +154,3 @@ def binary_median_filter_stack(
         return (sums > majority).astype(np.uint8)
     np.greater(sums, majority, out=out)
     return out
-
-
-def count_salt_and_pepper(frame: np.ndarray, patch_size: int = 3) -> int:
-    """Count isolated active pixels that a median filter would remove.
-
-    A pixel counts as salt-and-pepper when it is active but the majority of
-    its ``p x p`` neighbourhood is inactive.  Used in tests and in the noise
-    calibration utilities.
-    """
-    binary = (frame > 0).astype(np.uint8)
-    filtered = binary_median_filter(binary, patch_size)
-    return int(np.sum((binary == 1) & (filtered == 0)))

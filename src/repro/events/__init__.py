@@ -11,19 +11,15 @@ from repro.events.filters import NearestNeighbourFilter, RefractoryFilter
 from repro.events.io import (
     EVENT_FORMATS,
     EventFormat,
-    iter_events_csv,
-    iter_events_npz,
     load_events,
     load_events_aedat2,
     load_events_csv,
     load_events_npz,
     load_events_txt,
-    load_recording,
     save_events_aedat2,
     save_events_csv,
     save_events_npz,
     save_events_txt,
-    save_recording,
 )
 from repro.events.noise import BackgroundActivityNoise, HotPixelNoise
 from repro.events.stream import (
@@ -37,7 +33,6 @@ from repro.events.types import (
     EVENT_DTYPE,
     OFF_POLARITY,
     ON_POLARITY,
-    EventPacket,
     concatenate_packets,
     empty_packet,
     make_packet,
@@ -48,7 +43,6 @@ __all__ = [
     "EVENT_DTYPE",
     "ON_POLARITY",
     "OFF_POLARITY",
-    "EventPacket",
     "make_packet",
     "empty_packet",
     "concatenate_packets",
@@ -73,8 +67,4 @@ __all__ = [
     "load_events_aedat2",
     "save_events_txt",
     "load_events_txt",
-    "iter_events_npz",
-    "iter_events_csv",
-    "save_recording",
-    "load_recording",
 ]

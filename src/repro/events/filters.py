@@ -553,27 +553,3 @@ class RefractoryFilter:
                 f"{(self.height, self.width)}"
             )
         self._last_timestamp = np.array(snapshot, dtype=np.int64, copy=True)
-
-
-def estimate_noise_rate(
-    events: np.ndarray,
-    width: int,
-    height: int,
-    keep_mask: Optional[np.ndarray] = None,
-) -> float:
-    """Estimate the background noise rate (Hz/pixel) from a filtered stream.
-
-    When ``keep_mask`` is given, the rejected events are treated as noise;
-    otherwise all events are counted.  Useful for calibrating the simulator
-    against a recording.
-    """
-    if len(events) == 0:
-        return 0.0
-    duration_s = (int(events["t"][-1]) - int(events["t"][0])) * 1e-6
-    if duration_s <= 0:
-        return 0.0
-    if keep_mask is not None:
-        noise_count = int((~keep_mask).sum())
-    else:
-        noise_count = len(events)
-    return noise_count / (duration_s * width * height)

@@ -1,6 +1,6 @@
-"""Saving and loading event streams and annotated recordings.
+"""Saving and loading event streams.
 
-Five interchange formats are supported:
+Four interchange formats are supported:
 
 * **npz** — compressed NumPy archive; the native format of this library.
 * **csv** — one event per line, ``x,y,t,p``; interoperable with text-based
@@ -10,24 +10,17 @@ Five interchange formats are supported:
   DAVIS240 address map (the format the paper's recordings ship in).
 * **txt** — jAER-style text: one ``t x y p`` line per event with ``p`` in
   ``{0, 1}``.
-* **recording npz** — an event stream together with its ground-truth
-  annotations and metadata (the equivalent of one row of Table I plus the
-  manual annotations the paper's evaluation relies on).
 
 :data:`EVENT_FORMATS` maps format names to their reader/writer pair, and
 :func:`load_events` dispatches on a file's suffix — that registry is what
-the recorded-dataset layer (:mod:`repro.datasets.recorded`) builds on.  The
-``iter_events_*`` readers yield bounded chunks instead of one monolithic
-array, so a long recording can be replayed (e.g. through the serving
-client) without holding every event in memory at once.
+the recorded-dataset layer (:mod:`repro.datasets.recorded`) builds on.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -37,9 +30,6 @@ from repro.events.types import EVENT_DTYPE, empty_packet, make_packet
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
-
-#: Default chunk size (events) of the streaming ``iter_events_*`` readers.
-DEFAULT_CHUNK_EVENTS = 65_536
 
 #: AEDAT 2.0 magic header line (jAER writes it with a CRLF terminator).
 AEDAT2_MAGIC = "#!AER-DAT2.0"
@@ -77,34 +67,6 @@ def _existing_npz_path(path: PathLike) -> Path:
     return path  # let np.load raise the usual FileNotFoundError
 
 
-def _load_archive(path: PathLike, required: List[str], kind: str) -> Dict[str, np.ndarray]:
-    """Open an npz archive, validate it, and materialise the needed arrays.
-
-    Raises
-    ------
-    ValueError
-        Naming the file and what is wrong: missing keys, or a
-        ``format_version`` this library does not understand.  Malformed
-        archives must never surface as raw :class:`KeyError` — the dataset
-        layer hits files written by other tools constantly.
-    """
-    path = _existing_npz_path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        missing = sorted(set(required) - set(archive.files))
-        if missing:
-            raise ValueError(
-                f"{path} is not a valid {kind} archive: missing keys {missing}"
-            )
-        if "format_version" in archive.files:
-            version = int(archive["format_version"])
-            if not 1 <= version <= _FORMAT_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported {kind} format_version {version} "
-                    f"(this library reads versions 1..{_FORMAT_VERSION})"
-                )
-        return {name: archive[name] for name in archive.files}
-
-
 # -- npz ---------------------------------------------------------------------------------
 
 
@@ -127,12 +89,30 @@ def save_events_npz(path: PathLike, stream: EventStream) -> None:
 
 
 def load_events_npz(path: PathLike) -> EventStream:
-    """Load an event stream saved by :func:`save_events_npz`."""
-    data = _load_archive(
-        path, ["x", "y", "t", "p", "width", "height"], kind="event"
-    )
-    events = make_packet(data["x"], data["y"], data["t"], data["p"])
-    return EventStream(events, int(data["width"]), int(data["height"]))
+    """Load an event stream saved by :func:`save_events_npz`.
+
+    Raises
+    ------
+    ValueError
+        Naming the file and what is wrong: missing keys, or a
+        ``format_version`` this library does not understand.  Malformed
+        archives must never surface as raw :class:`KeyError` — the dataset
+        layer hits files written by other tools constantly.
+    """
+    path = _existing_npz_path(path)
+    with np.load(path, allow_pickle=False) as archive:
+        missing = sorted({"x", "y", "t", "p", "width", "height"} - set(archive.files))
+        if missing:
+            raise ValueError(f"{path} is not a valid event archive: missing keys {missing}")
+        if "format_version" in archive.files:
+            version = int(archive["format_version"])
+            if not 1 <= version <= _FORMAT_VERSION:
+                raise ValueError(
+                    f"{path}: unsupported event format_version {version} "
+                    f"(this library reads versions 1..{_FORMAT_VERSION})"
+                )
+        events = make_packet(archive["x"], archive["y"], archive["t"], archive["p"])
+        return EventStream(events, int(archive["width"]), int(archive["height"]))
 
 
 # -- csv ---------------------------------------------------------------------------------
@@ -396,57 +376,6 @@ def load_events_txt(
     return EventStream(events, width, height)
 
 
-# -- streaming chunked readers -----------------------------------------------------------
-
-
-def iter_events_npz(
-    path: PathLike, chunk_events: int = DEFAULT_CHUNK_EVENTS
-) -> Iterator[np.ndarray]:
-    """Yield an npz event file as bounded packets of ``chunk_events`` events.
-
-    npz archives decompress as whole arrays, so this bounds the packet size
-    handed downstream (the serving client, the online framer), not the peak
-    decode memory; for true line-at-a-time streaming use the csv format and
-    :func:`iter_events_csv`.
-    """
-    if chunk_events <= 0:
-        raise ValueError(f"chunk_events must be positive, got {chunk_events}")
-    stream = load_events_npz(path)
-    for start in range(0, len(stream.events), chunk_events):
-        yield stream.events[start : start + chunk_events]
-
-
-def iter_events_csv(
-    path: PathLike, chunk_events: int = DEFAULT_CHUNK_EVENTS
-) -> Iterator[np.ndarray]:
-    """Stream a CSV event file as packets of up to ``chunk_events`` events.
-
-    Reads the file incrementally — peak memory is one chunk, independent of
-    the recording length.
-    """
-    if chunk_events <= 0:
-        raise ValueError(f"chunk_events must be positive, got {chunk_events}")
-    path = Path(path)
-    skip, _, _ = _scan_csv_header(path)
-    with open(path, newline="") as handle:
-        for _ in range(skip):
-            handle.readline()
-        lines: List[str] = []
-        for line in handle:
-            if line.strip():
-                lines.append(line)
-            if len(lines) >= chunk_events:
-                yield _csv_lines_to_packet(lines)
-                lines = []
-        if lines:
-            yield _csv_lines_to_packet(lines)
-
-
-def _csv_lines_to_packet(lines: List[str]) -> np.ndarray:
-    data = np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2)
-    return make_packet(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-
-
 # -- format registry ---------------------------------------------------------------------
 
 
@@ -508,66 +437,3 @@ def load_events(
     if format == "npz":
         return loader(path)
     return loader(path, width=width, height=height)
-
-
-# -- annotated recordings ----------------------------------------------------------------
-
-
-def save_recording(
-    path: PathLike,
-    stream: EventStream,
-    annotations: Optional[Dict] = None,
-    metadata: Optional[Dict] = None,
-) -> None:
-    """Save an event stream with annotations and metadata into one archive.
-
-    Parameters
-    ----------
-    path:
-        Destination ``.npz`` path (the suffix is appended when missing).
-    stream:
-        The event stream.
-    annotations:
-        Ground-truth annotations as produced by
-        :meth:`repro.datasets.annotations.RecordingAnnotations.to_dict`.
-    metadata:
-        Free-form JSON-serialisable metadata (location name, lens, duration).
-    """
-    np.savez_compressed(
-        _npz_path(path),
-        x=stream.events["x"],
-        y=stream.events["y"],
-        t=stream.events["t"],
-        p=stream.events["p"],
-        width=np.int64(stream.width),
-        height=np.int64(stream.height),
-        annotations_json=np.array(json.dumps(annotations or {})),
-        metadata_json=np.array(json.dumps(metadata or {})),
-        format_version=np.int64(_FORMAT_VERSION),
-    )
-
-
-def load_recording(path: PathLike) -> Dict:
-    """Load an archive written by :func:`save_recording`.
-
-    Returns
-    -------
-    dict
-        ``{"stream": EventStream, "annotations": dict, "metadata": dict}``.
-
-    Raises
-    ------
-    ValueError
-        When the archive is missing required keys or carries an unsupported
-        ``format_version`` (named explicitly, never a raw ``KeyError``).
-    """
-    data = _load_archive(
-        path,
-        ["x", "y", "t", "p", "width", "height", "annotations_json", "metadata_json"],
-        kind="recording",
-    )
-    events = make_packet(data["x"], data["y"], data["t"], data["p"])
-    stream = EventStream(events, int(data["width"]), int(data["height"]))
-    annotations = json.loads(str(data["annotations_json"]))
-    metadata = json.loads(str(data["metadata_json"]))
-    return {"stream": stream, "annotations": annotations, "metadata": metadata}

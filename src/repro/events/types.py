@@ -13,8 +13,7 @@ OFF events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -168,52 +167,3 @@ def is_time_sorted(packet: np.ndarray) -> bool:
     if len(packet) < 2:
         return True
     return bool(np.all(np.diff(packet["t"]) >= 0))
-
-
-@dataclass(frozen=True)
-class EventPacket:
-    """Thin convenience wrapper pairing an event array with sensor geometry.
-
-    The raw structured array is always accessible via :attr:`events`; most
-    library code passes the bare array around, but the wrapper is handy at
-    API boundaries where the sensor resolution must travel with the data.
-    """
-
-    events: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", normalize_packet(self.events))
-        validate_packet(self.events, self.width, self.height)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Tuple[int, int, int, int]]:
-        for event in self.events:
-            yield (int(event["x"]), int(event["y"]), int(event["t"]), int(event["p"]))
-
-    @property
-    def duration(self) -> int:
-        """Time span covered by the packet in microseconds (0 if < 2 events)."""
-        if len(self.events) < 2:
-            return 0
-        return int(self.events["t"].max() - self.events["t"].min())
-
-    @property
-    def event_rate(self) -> float:
-        """Mean event rate in events per second (0.0 for short packets)."""
-        duration = self.duration
-        if duration == 0:
-            return 0.0
-        return len(self.events) / (duration * 1e-6)
-
-    def time_slice(self, t_start: int, t_end: int) -> "EventPacket":
-        """Return the sub-packet with timestamps in ``[t_start, t_end)``."""
-        mask = (self.events["t"] >= t_start) & (self.events["t"] < t_end)
-        return EventPacket(self.events[mask], self.width, self.height)
-
-    def with_events(self, events: np.ndarray) -> "EventPacket":
-        """Return a copy of this packet wrapping a different event array."""
-        return EventPacket(events, self.width, self.height)

@@ -101,19 +101,6 @@ class Tracer:
                 args=args,
             )
 
-    def add_metadata(self, name: str, **args: object) -> None:
-        """Append a metadata event (``ph: "M"``), e.g. ``process_name``."""
-        with self._lock:
-            self._events.append(
-                {
-                    "name": name,
-                    "ph": "M",
-                    "pid": self.pid,
-                    "tid": self._tid(),
-                    "args": dict(args),
-                }
-            )
-
     @property
     def dropped(self) -> int:
         """Spans discarded because the buffer was full."""

@@ -22,7 +22,7 @@ the matrix must not turn the gate green.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.bench.compare import Comparison, compare_metric
 from repro.scenarios.matrix import SUITE_NAME
@@ -136,11 +136,3 @@ def compare_quality_reports(
 def regressions(comparisons: List[Comparison]) -> List[Comparison]:
     """The subset of comparisons that regressed."""
     return [c for c in comparisons if c.regressed]
-
-
-def summarize_comparisons(
-    comparisons: List[Comparison],
-) -> Tuple[int, int, List[str]]:
-    """``(num_compared, num_regressed, described_regressions)``."""
-    regressed = regressions(comparisons)
-    return len(comparisons), len(regressed), [c.describe() for c in regressed]

@@ -1,17 +1,16 @@
-"""DAVIS sensor model: geometry, pixel-latch readout and duty-cycled timing.
+"""DAVIS sensor model: geometry and duty-cycled timing.
 
 The EBBIOT scheme re-uses the sensor pixel array as a one-bit memory: pixels
 that fire are not reset until read out, so while the processor sleeps the
 sensor itself accumulates the event-based binary image (Section II-A,
-Fig. 2).  This package models that behaviour plus the interrupt-driven
-duty-cycle timing / energy budget of the processor.
+Fig. 2).  This package models the sensor's geometry plus the
+interrupt-driven duty-cycle timing / energy budget of the processor.
 """
 
-from repro.sensor.davis import DavisSensor, SensorGeometry
+from repro.sensor.davis import SensorGeometry
 from repro.sensor.duty_cycle import DutyCycleModel, DutyCyclePhase, DutyCycleTrace
 
 __all__ = [
-    "DavisSensor",
     "SensorGeometry",
     "DutyCycleModel",
     "DutyCyclePhase",

@@ -1,21 +1,14 @@
-"""DAVIS sensor geometry and pixel-latch ("sensor as memory") readout model.
+"""DAVIS sensor geometry: resolution and lens of the recordings.
 
-The paper's key observation (Section II-A) is that an NVS pixel that has
-fired an event is not reset until the event is read out, so the sensor array
-itself stores a binary image of everything that happened while the processor
-slept.  :class:`DavisSensor` models exactly that: events are latched into a
-per-pixel flag, and a readout returns the binary frame and clears the
-latches.
+The paper's pixel latch (Section II-A: a pixel that fired is not reset
+until read out, so the array itself holds the binary image) is modelled
+where the frames are built, by :func:`repro.core.ebbi.events_to_binary_frame`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-import numpy as np
-
-from repro.events.types import EVENT_DTYPE
+from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -56,167 +49,6 @@ class SensorGeometry:
         """Resolution as ``(width, height)``."""
         return (self.width, self.height)
 
-    def scale_relative_to(self, reference: "SensorGeometry") -> float:
-        """Apparent-size scale factor relative to another lens setting.
-
-        A 6 mm lens makes objects appear half the size they would with a
-        12 mm lens at the same distance; this helper is used by the dataset
-        builders to derive LT4-like object sizes from ENG-like ones.
-        """
-        return self.lens_focal_length_mm / reference.lens_focal_length_mm
-
 
 #: The DAVIS240 geometry used throughout the paper.
 DAVIS240 = SensorGeometry(width=240, height=180, lens_focal_length_mm=12.0)
-
-
-@dataclass
-class DavisSensor:
-    """Stateful pixel-latch model of a DAVIS sensor.
-
-    Events are pushed into the sensor with :meth:`accumulate`; each event
-    sets the corresponding pixel latch (optionally recording polarity).  A
-    :meth:`readout` returns the accumulated binary frame — the EBBI — and
-    resets all latches, modelling the processor waking up on its ``tF``
-    interrupt and draining the sensor.
-
-    Parameters
-    ----------
-    geometry:
-        Sensor geometry (defaults to DAVIS240).
-    track_polarity:
-        When ``True`` the sensor also keeps separate ON/OFF latch planes,
-        which some downstream classifiers want.  The EBBIOT pipeline itself
-        ignores polarity (Section II-A: "only one possible event per pixel,
-        ignoring polarity").
-    """
-
-    geometry: SensorGeometry = field(default_factory=lambda: DAVIS240)
-    track_polarity: bool = False
-
-    _latch: np.ndarray = field(init=False, repr=False)
-    _on_latch: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    _off_latch: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    _events_since_readout: int = field(init=False, default=0)
-    _total_events: int = field(init=False, default=0)
-    _total_readouts: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self.reset()
-
-    # -- state management ----------------------------------------------------------
-
-    def reset(self) -> None:
-        """Clear all pixel latches and statistics."""
-        height, width = self.geometry.height, self.geometry.width
-        self._latch = np.zeros((height, width), dtype=np.uint8)
-        if self.track_polarity:
-            self._on_latch = np.zeros((height, width), dtype=np.uint8)
-            self._off_latch = np.zeros((height, width), dtype=np.uint8)
-        self._events_since_readout = 0
-        self._total_events = 0
-        self._total_readouts = 0
-
-    # -- event accumulation --------------------------------------------------------
-
-    def accumulate(self, events: np.ndarray) -> None:
-        """Latch a packet of events into the pixel array.
-
-        Multiple events at the same pixel leave a single latched ``1`` —
-        exactly the information loss the EBBI accepts in exchange for the
-        memory savings of Eq. (1).
-        """
-        if events.dtype != EVENT_DTYPE:
-            raise TypeError(f"events must have dtype {EVENT_DTYPE}, got {events.dtype}")
-        if len(events) == 0:
-            return
-        x = events["x"]
-        y = events["y"]
-        if (
-            x.min() < 0
-            or x.max() >= self.geometry.width
-            or y.min() < 0
-            or y.max() >= self.geometry.height
-        ):
-            raise ValueError("event coordinates fall outside the sensor array")
-        self._latch[y, x] = 1
-        if self.track_polarity:
-            on = events["p"] > 0
-            self._on_latch[y[on], x[on]] = 1
-            self._off_latch[y[~on], x[~on]] = 1
-        self._events_since_readout += len(events)
-        self._total_events += len(events)
-
-    # -- readout ---------------------------------------------------------------------
-
-    def peek(self) -> np.ndarray:
-        """Return a copy of the current latch state without clearing it."""
-        return self._latch.copy()
-
-    def readout(self) -> np.ndarray:
-        """Read the accumulated binary frame and reset the latches.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(height, width)`` uint8 binary frame — the EBBI.
-        """
-        frame = self._latch.copy()
-        self._latch.fill(0)
-        if self.track_polarity:
-            self._on_latch.fill(0)
-            self._off_latch.fill(0)
-        self._events_since_readout = 0
-        self._total_readouts += 1
-        return frame
-
-    def readout_polarity(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read the combined, ON and OFF latch planes, then reset.
-
-        Only available when ``track_polarity`` is enabled.
-        """
-        if not self.track_polarity:
-            raise RuntimeError("polarity readout requires track_polarity=True")
-        combined = self._latch.copy()
-        on = self._on_latch.copy()
-        off = self._off_latch.copy()
-        self._latch.fill(0)
-        self._on_latch.fill(0)
-        self._off_latch.fill(0)
-        self._events_since_readout = 0
-        self._total_readouts += 1
-        return combined, on, off
-
-    # -- statistics -------------------------------------------------------------------
-
-    @property
-    def events_since_readout(self) -> int:
-        """Events accumulated since the last readout."""
-        return self._events_since_readout
-
-    @property
-    def active_pixel_count(self) -> int:
-        """Number of currently latched pixels."""
-        return int(self._latch.sum())
-
-    @property
-    def active_pixel_fraction(self) -> float:
-        """Fraction of latched pixels (the paper's ``alpha``)."""
-        return self.active_pixel_count / self.geometry.num_pixels
-
-    @property
-    def total_events(self) -> int:
-        """Total events accumulated over the sensor's lifetime."""
-        return self._total_events
-
-    @property
-    def total_readouts(self) -> int:
-        """Total number of readouts performed."""
-        return self._total_readouts
-
-    def mean_events_per_frame(self) -> float:
-        """Average events per readout so far (the paper's ``n``)."""
-        if self._total_readouts == 0:
-            return 0.0
-        # Events still latched but not yet read out are excluded on purpose.
-        return (self._total_events - self._events_since_readout) / self._total_readouts

@@ -56,7 +56,11 @@ is flushed and deregistered from the hub, so sensor ids are reusable and a
 long-running server does not accumulate dead sessions.  A ``hello`` for an
 id whose old connection is still being torn down waits for that teardown
 (up to its close timeout) and then registers; an id held by a live
-connection is refused at once.
+connection is refused at once.  ``stop()`` aborts every connection: its
+reader sees EOF, a run waiting in the ``"block"`` backoff is not
+submitted, and its flush must end within the shutdown timeout, after
+which a connection still open is named in a warning and cancelled.  The
+hub stops only after the event-loop thread has ended.
 
 The server owns the hub (either worker vehicle: pass
 ``hub=ProcessTrackingHub(...)``) and drives the loop on a background
@@ -68,6 +72,7 @@ both down on exit.  Port 0 requests an ephemeral port.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -92,6 +97,8 @@ from repro.serving.protocol import (
 )
 from repro.serving.transport import RingFull, max_payload_bytes
 
+logger = logging.getLogger(__name__)
+
 #: Outbound messages buffered per connection before frame pushes are shed.
 SEND_QUEUE_CAPACITY = 512
 
@@ -108,6 +115,14 @@ _BACKOFF_MAX_S = 1e-2
 #: How long a teardown waits for its sensor's flush, and so how long a
 #: reconnecting sensor's ``hello`` waits for that teardown.
 _CLOSE_TIMEOUT_S = 60.0
+
+#: How long ``stop()`` waits for aborted connections to end; it also bounds
+#: their flushes, which hold a ring lock that ``hub.stop()`` needs.
+_SHUTDOWN_TIMEOUT_S = 10.0
+
+
+class _Aborted(Exception):
+    """The server is stopping: a backoff ends and its run is not submitted."""
 
 
 def _parse(buffer: bytearray, limit: int) -> Tuple[list, int]:
@@ -167,13 +182,16 @@ class _Connection:
         self.width = 240
         self.height = 180
         self.summary: Optional[dict] = None  # the reply to finish, once sent
+        self.deadline: Optional[float] = None  # loop time to end by, once aborted
         self.max_run_bytes = max_payload_bytes(self.hub.config.ring_capacity_bytes)
         self.send_queue: "asyncio.Queue" = asyncio.Queue(maxsize=SEND_QUEUE_CAPACITY)
         self._raw_writer = writer
         self.writer_task = asyncio.ensure_future(self._writer_loop(writer))
 
-    def abort(self) -> None:
-        """Server-shutdown path: close the transport so the reader sees EOF."""
+    def abort(self, deadline: float) -> None:
+        """Server-shutdown path: close the transport so the reader sees EOF,
+        end any backoff, and bound the teardown's flush by ``deadline``."""
+        self.deadline = deadline
         try:
             self._raw_writer.close()
         except (ConnectionError, OSError, RuntimeError):
@@ -236,7 +254,10 @@ class _Connection:
             buffer += data
             messages, consumed = _parse(buffer, limit)
             del buffer[:consumed]
-            if not await self.handle(messages):
+            try:
+                if not await self.handle(messages):
+                    return
+            except _Aborted:
                 return
 
     async def handle(self, messages: list) -> bool:
@@ -347,6 +368,8 @@ class _Connection:
         delay = _BACKOFF_MIN_S
         while not hub.try_submit(self.sensor_id, packet):
             await asyncio.sleep(delay)
+            if self.deadline is not None:
+                raise _Aborted
             delay = min(delay * 2, _BACKOFF_MAX_S)
 
     async def _on_hello(self, message: dict) -> bool:
@@ -392,11 +415,14 @@ class _Connection:
 
     async def teardown(self) -> None:
         """Flush + deregister the sensor, then stop the writer task."""
-        if self.sensor_id is not None:
-            sensor_id, self.sensor_id = self.sensor_id, None
+        sensor_id = self.sensor_id
+        if sensor_id is not None:
             self.server._closing[sensor_id] = asyncio.Event()
+            timeout = _CLOSE_TIMEOUT_S
+            if self.deadline is not None:
+                timeout = max(0.0, self.deadline - self.loop.time())
             try:
-                await asyncio.to_thread(self.hub.close_sensor, sensor_id, _CLOSE_TIMEOUT_S)
+                await asyncio.to_thread(self.hub.close_sensor, sensor_id, timeout)
             except Exception:
                 pass
             finally:
@@ -483,17 +509,20 @@ class AsyncTrackingServer:
             return
         self._address = server.sockets[0].getsockname()[:2]
         self._ready.set()
-        async with server:
-            await self._stop_event.wait()
+        await self._stop_event.wait()
+        server.close()
         # Drop live connections by closing their transports: each handler's
-        # read sees EOF and runs its normal teardown (flush + deregister)
-        # rather than being cancelled mid-protocol.
+        # read sees EOF, or its backoff ends, and it runs its normal teardown
+        # (flush + deregister) rather than being cancelled mid-protocol.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _SHUTDOWN_TIMEOUT_S
         for connection in list(self._connections):
-            connection.abort()
-        deadline = 10.0
-        while self._connections and deadline > 0:
+            connection.abort(deadline)
+        while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.05)
-            deadline -= 0.05
+        for connection in self._connections:
+            logger.warning("connection of sensor %r did not end within %.0f s of stop(); "
+                           "cancelling it", connection.sensor_id, _SHUTDOWN_TIMEOUT_S)
 
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
@@ -534,14 +563,19 @@ class AsyncTrackingServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close connections, drain and stop the hub."""
+        """Stop accepting, close connections, drain and stop the hub.
+
+        The hub stops only once the event-loop thread has ended, which
+        :data:`_SHUTDOWN_TIMEOUT_S` bounds: a connection still open then is
+        named in a warning and cancelled.
+        """
         if self._thread is not None:
             if self._loop is not None and self._stop_event is not None:
                 try:
                     self._loop.call_soon_threadsafe(self._stop_event.set)
                 except RuntimeError:
                     pass
-            self._thread.join(timeout=10.0)
+            self._thread.join()
             self._thread = None
             self._loop = None
             self._address = None

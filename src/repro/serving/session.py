@@ -185,11 +185,6 @@ class SensorSession:
         """Events dropped for arriving after their window closed."""
         return self.framer.late_events
 
-    @property
-    def finished(self) -> bool:
-        """Whether :meth:`finish` has been called."""
-        return self._finished
-
     def snapshot(self) -> SessionSnapshot:
         """Checkpoint the pipeline state (call between batches)."""
         return SessionSnapshot(

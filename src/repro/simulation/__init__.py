@@ -32,7 +32,6 @@ from repro.simulation.scene import Scene, SceneConfig, SimulationResult
 from repro.simulation.traffic import TrafficScenarioConfig, build_traffic_scene
 from repro.simulation.trajectories import (
     ConstantVelocityTrajectory,
-    PiecewiseLinearTrajectory,
     StopAndGoTrajectory,
     Trajectory,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "Trajectory",
     "ConstantVelocityTrajectory",
     "StopAndGoTrajectory",
-    "PiecewiseLinearTrajectory",
     "ObjectEventGenerator",
     "Scene",
     "SceneConfig",

@@ -127,18 +127,6 @@ def sample_ground_truth(
     return frames
 
 
-def count_ground_truth_tracks(frames: Sequence[GroundTruthFrame]) -> int:
-    """Number of distinct ground-truth tracks across a recording.
-
-    Used as the per-recording weight in the paper's weighted precision /
-    recall aggregation (Section III-C).
-    """
-    track_ids = set()
-    for frame in frames:
-        track_ids.update(frame.track_ids())
-    return len(track_ids)
-
-
 def ground_truth_frames_to_dict(frames: Sequence[GroundTruthFrame]) -> List[dict]:
     """Serialise a list of ground-truth frames."""
     return [frame.to_dict() for frame in frames]

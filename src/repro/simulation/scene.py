@@ -111,10 +111,6 @@ class Scene:
         self._next_object_id += 1
         return object_id
 
-    def add_distractor(self, distractor: FoliageDistractor) -> None:
-        """Add a static distractor region to the scene."""
-        self.config.distractors.append(distractor)
-
     def roe_boxes(self) -> List[BoundingBox]:
         """Regions of exclusion covering the scene's static distractors.
 

@@ -9,8 +9,8 @@ inactive objects cheaply.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 class Trajectory(abc.ABC):
@@ -139,63 +139,6 @@ class StopAndGoTrajectory(Trajectory):
         if reach_stop < elapsed <= reach_stop + self.stop_duration_us:
             return (0.0, 0.0)
         return (self.speed_px_per_s * 1e-6, 0.0)
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearTrajectory(Trajectory):
-    """Trajectory through a list of ``(t_us, x, y)`` waypoints.
-
-    Positions are linearly interpolated between waypoints; before the first
-    and after the last waypoint the object holds the end positions.  Used
-    for hand-crafted scenarios (e.g. a turning vehicle) and for replaying
-    annotated tracks.
-    """
-
-    waypoints: Sequence[Tuple[int, float, float]]
-
-    _times: Tuple[int, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.waypoints) < 2:
-            raise ValueError("a piecewise-linear trajectory needs at least 2 waypoints")
-        times = [int(w[0]) for w in self.waypoints]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
-        object.__setattr__(self, "_times", tuple(times))
-
-    @property
-    def t_start_us(self) -> int:
-        return self._times[0]
-
-    @property
-    def t_end_us(self) -> int:
-        return self._times[-1]
-
-    def _segment_index(self, t_us: int) -> int:
-        for index in range(len(self._times) - 1):
-            if t_us < self._times[index + 1]:
-                return index
-        return len(self._times) - 2
-
-    def position(self, t_us: int) -> Tuple[float, float]:
-        if t_us <= self.t_start_us:
-            return (self.waypoints[0][1], self.waypoints[0][2])
-        if t_us >= self.t_end_us:
-            return (self.waypoints[-1][1], self.waypoints[-1][2])
-        index = self._segment_index(t_us)
-        t0, x0, y0 = self.waypoints[index]
-        t1, x1, y1 = self.waypoints[index + 1]
-        fraction = (t_us - t0) / (t1 - t0)
-        return (x0 + fraction * (x1 - x0), y0 + fraction * (y1 - y0))
-
-    def velocity(self, t_us: int) -> Tuple[float, float]:
-        if t_us < self.t_start_us or t_us >= self.t_end_us:
-            return (0.0, 0.0)
-        index = self._segment_index(t_us)
-        t0, x0, y0 = self.waypoints[index]
-        t1, x1, y1 = self.waypoints[index + 1]
-        dt = t1 - t0
-        return ((x1 - x0) / dt, (y1 - y0) / dt)
 
 
 def crossing_trajectory(

@@ -10,7 +10,6 @@ from repro.utils.geometry import (
     merge_boxes,
 )
 from repro.utils.validation import (
-    ensure_in_range,
     ensure_positive,
     ensure_positive_int,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "boxes_union_area",
     "clip_box",
     "merge_boxes",
-    "ensure_in_range",
     "ensure_positive",
     "ensure_positive_int",
 ]

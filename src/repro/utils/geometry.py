@@ -67,10 +67,6 @@ class BoundingBox:
         """Box as ``(x1, y1, x2, y2)``."""
         return (self.x, self.y, self.x2, self.y2)
 
-    def is_empty(self, tolerance: float = 0.0) -> bool:
-        """Return ``True`` if the box has (near-)zero area."""
-        return self.area <= tolerance
-
     # -- constructors --------------------------------------------------------------
 
     @classmethod
@@ -111,10 +107,6 @@ class BoundingBox:
     def intersection_area(self, other: "BoundingBox") -> float:
         """Area of overlap with ``other`` (0.0 when disjoint)."""
         return boxes_intersection_area(self, other)
-
-    def union_area(self, other: "BoundingBox") -> float:
-        """Area of the union of the two boxes."""
-        return boxes_union_area(self, other)
 
     def iou(self, other: "BoundingBox") -> float:
         """Intersection over union with ``other`` (Eq. (9) in the paper)."""
@@ -169,12 +161,6 @@ class BoundingBox:
         new_w = max(0.0, self.width + 2 * margin_x)
         new_h = max(0.0, self.height + 2 * margin_y)
         return BoundingBox.from_center(*self.center, new_w, new_h)
-
-    def rounded(self) -> "BoundingBox":
-        """Box with all fields rounded to the nearest integer."""
-        return BoundingBox(
-            round(self.x), round(self.y), round(self.width), round(self.height)
-        )
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         """Return ``(x, y, width, height)``."""

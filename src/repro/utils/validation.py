@@ -21,18 +21,3 @@ def ensure_positive_int(name: str, value: int) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
-
-
-def ensure_in_range(
-    name: str, value: Number, low: Number, high: Number, inclusive: bool = True
-) -> Number:
-    """Raise unless ``value`` lies in ``[low, high]`` (or ``(low, high)``)."""
-    if inclusive:
-        ok = low <= value <= high
-        bounds = f"[{low}, {high}]"
-    else:
-        ok = low < value < high
-        bounds = f"({low}, {high})"
-    if not ok:
-        raise ValueError(f"{name} must be in {bounds}, got {value!r}")
-    return value

@@ -11,7 +11,6 @@ from repro.core.median_filter import (
     MedianScratch,
     binary_median_filter,
     binary_median_filter_stack,
-    count_salt_and_pepper,
 )
 
 
@@ -129,23 +128,6 @@ class TestBinaryMedianFilter:
         # All-zero input stays all zero; all-one input stays mostly one.
         if frame.sum() == 0:
             assert filtered.sum() == 0
-
-
-class TestSaltAndPepperCounter:
-    def test_counts_isolated_pixels(self):
-        clean = np.zeros((30, 30), dtype=np.uint8)
-        clean[10:14, 10:14] = 1
-        noisy = clean.copy()
-        noisy[5, 5] = 1
-        noisy[20, 20] = 1
-        # The two isolated pixels add exactly two salt-and-pepper counts on
-        # top of whatever block-corner erosion the clean frame already has.
-        assert count_salt_and_pepper(noisy) == count_salt_and_pepper(clean) + 2
-
-    def test_zero_for_clean_frame(self):
-        frame = np.zeros((10, 10), dtype=np.uint8)
-        frame[2:8, 2:8] = 1
-        assert count_salt_and_pepper(frame) <= 4  # only block corners may count
 
 
 class TestBinaryMedianFilterStack:

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.events.filters import (
-    NearestNeighbourFilter,
-    RefractoryFilter,
-    estimate_noise_rate,
-)
+from repro.events.filters import NearestNeighbourFilter, RefractoryFilter
 from repro.events.types import make_packet
 
 
@@ -139,14 +135,3 @@ class TestRefractoryFilter:
         refractory = RefractoryFilter(240, 180)
         with pytest.raises(ValueError):
             refractory.restore_state(np.zeros((10, 10), dtype=np.int64))
-
-
-class TestNoiseRateEstimate:
-    def test_zero_for_empty(self):
-        assert estimate_noise_rate(make_packet([], [], [], []), 240, 180) == 0.0
-
-    def test_rate_with_mask(self):
-        packet = make_packet([1, 2, 3, 4], [1, 2, 3, 4], [0, 0, 0, 1_000_000], [1, 1, 1, 1])
-        keep = np.array([True, False, False, True])
-        rate = estimate_noise_rate(packet, 240, 180, keep)
-        assert rate == pytest.approx(2 / (1.0 * 240 * 180))

@@ -1,4 +1,4 @@
-"""Tests for event stream / recording IO."""
+"""Tests for event stream IO."""
 
 from __future__ import annotations
 
@@ -7,22 +7,18 @@ import pytest
 
 from repro.events.io import (
     EVENT_FORMATS,
-    iter_events_csv,
-    iter_events_npz,
     load_events,
     load_events_aedat2,
     load_events_csv,
     load_events_npz,
     load_events_txt,
-    load_recording,
     save_events_aedat2,
     save_events_csv,
     save_events_npz,
     save_events_txt,
-    save_recording,
 )
 from repro.events.stream import EventStream
-from repro.events.types import concatenate_packets, empty_packet, make_packet
+from repro.events.types import empty_packet, make_packet
 
 
 @pytest.fixture
@@ -98,13 +94,6 @@ class TestSuffixNormalization:
         loaded = load_events_npz(tmp_path / "events.npz")
         np.testing.assert_array_equal(loaded.events, sample_stream.events)
 
-    def test_recording_round_trip_without_suffix(self, tmp_path, sample_stream):
-        path = tmp_path / "recording"  # no .npz
-        save_recording(path, sample_stream, metadata={"site": "ENG"})
-        loaded = load_recording(path)
-        assert loaded["metadata"]["site"] == "ENG"
-        np.testing.assert_array_equal(loaded["stream"].events, sample_stream.events)
-
     def test_dotted_name_keeps_its_dots(self, tmp_path, sample_stream):
         path = tmp_path / "site.v2"  # suffix-like dot in the stem
         save_events_npz(path, sample_stream)
@@ -155,8 +144,6 @@ class TestCsvHeaderDetection:
         path.write_text("65546,6,100,1\n")
         with pytest.raises(ValueError, match="do not fit"):
             load_events_csv(path, width=240, height=180)
-        with pytest.raises(ValueError, match="do not fit"):
-            list(iter_events_csv(path))
 
     def test_resolution_comment_split_across_lines(self, tmp_path):
         path = tmp_path / "split.csv"
@@ -191,28 +178,11 @@ class TestArchiveValidation:
         with pytest.raises(ValueError, match="format_version 99"):
             load_events_npz(path)
 
-    def test_recording_missing_keys_is_value_error(self, tmp_path, sample_stream):
-        # A plain event archive is NOT a recording archive: loading it as
-        # one must raise a named ValueError, never a raw KeyError.
-        path = tmp_path / "events.npz"
-        save_events_npz(path, sample_stream)
-        with pytest.raises(ValueError, match="annotations_json"):
-            load_recording(path)
-
-    def test_recording_error_names_the_file(self, tmp_path):
+    def test_error_names_the_file(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, foo=np.arange(3))
         with pytest.raises(ValueError, match="bogus.npz"):
-            load_recording(path)
-
-    def test_recording_unsupported_version(self, tmp_path, sample_stream):
-        path = tmp_path / "future.npz"
-        save_recording(path, sample_stream)
-        data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.int64(99)
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="format_version 99"):
-            load_recording(path)
+            load_events_npz(path)
 
 
 class TestAedat2RoundTrip:
@@ -358,56 +328,3 @@ class TestLoadEventsDispatcher:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown event format"):
             load_events(tmp_path / "events.csv", format="bogus")
-
-
-class TestChunkedReaders:
-    def test_npz_chunks_concatenate_to_full_stream(self, tmp_path, sample_stream):
-        path = tmp_path / "events.npz"
-        save_events_npz(path, sample_stream)
-        chunks = list(iter_events_npz(path, chunk_events=3))
-        assert all(len(chunk) <= 3 for chunk in chunks)
-        np.testing.assert_array_equal(
-            concatenate_packets(chunks), sample_stream.events
-        )
-
-    def test_csv_chunks_concatenate_to_full_stream(self, tmp_path, sample_stream):
-        path = tmp_path / "events.csv"
-        save_events_csv(path, sample_stream)
-        chunks = list(iter_events_csv(path, chunk_events=3))
-        assert all(len(chunk) <= 3 for chunk in chunks)
-        np.testing.assert_array_equal(
-            concatenate_packets(chunks), sample_stream.events
-        )
-
-    def test_empty_files_yield_no_chunks(self, tmp_path):
-        empty = EventStream(empty_packet(), 240, 180)
-        save_events_npz(tmp_path / "e.npz", empty)
-        save_events_csv(tmp_path / "e.csv", empty)
-        assert list(iter_events_npz(tmp_path / "e.npz")) == []
-        assert list(iter_events_csv(tmp_path / "e.csv")) == []
-
-    def test_invalid_chunk_size_rejected(self, tmp_path, sample_stream):
-        save_events_npz(tmp_path / "e.npz", sample_stream)
-        with pytest.raises(ValueError, match="chunk_events"):
-            list(iter_events_npz(tmp_path / "e.npz", chunk_events=0))
-        with pytest.raises(ValueError, match="chunk_events"):
-            list(iter_events_csv(tmp_path / "e.csv", chunk_events=-1))
-
-
-class TestRecordingRoundTrip:
-    def test_round_trip_with_annotations_and_metadata(self, tmp_path, sample_stream):
-        path = tmp_path / "recording.npz"
-        annotations = {"frames": [{"t_us": 0, "boxes": []}]}
-        metadata = {"location": "ENG", "lens_mm": 12}
-        save_recording(path, sample_stream, annotations, metadata)
-        loaded = load_recording(path)
-        assert loaded["metadata"]["location"] == "ENG"
-        assert loaded["annotations"]["frames"][0]["t_us"] == 0
-        assert len(loaded["stream"]) == len(sample_stream)
-
-    def test_defaults_to_empty_dicts(self, tmp_path, sample_stream):
-        path = tmp_path / "recording.npz"
-        save_recording(path, sample_stream)
-        loaded = load_recording(path)
-        assert loaded["annotations"] == {}
-        assert loaded["metadata"] == {}

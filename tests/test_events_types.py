@@ -1,4 +1,4 @@
-"""Tests for event packets and the EventPacket wrapper."""
+"""Tests for event packets."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.events.types import (
     EVENT_DTYPE,
-    EventPacket,
     concatenate_packets,
     empty_packet,
     is_time_sorted,
@@ -106,35 +105,6 @@ class TestConcatenateAndValidate:
         assert is_time_sorted(empty_packet())
 
 
-class TestEventPacketWrapper:
-    def test_wrapper_validates_dtype(self):
-        with pytest.raises(TypeError):
-            EventPacket(np.zeros(3), 240, 180)
-
-    def test_wrapper_validates_bounds(self):
-        packet = make_packet([500], [0], [0], [1])
-        with pytest.raises(ValueError):
-            EventPacket(packet, 240, 180)
-
-    def test_duration_and_rate(self):
-        packet = make_packet([0, 1], [0, 1], [0, 1_000_000], [1, 1])
-        wrapped = EventPacket(packet, 240, 180)
-        assert wrapped.duration == 1_000_000
-        assert wrapped.event_rate == pytest.approx(2.0)
-
-    def test_time_slice(self):
-        packet = make_packet([0, 1, 2], [0, 1, 2], [0, 100, 200], [1, 1, 1])
-        wrapped = EventPacket(packet, 240, 180)
-        sliced = wrapped.time_slice(50, 150)
-        assert len(sliced) == 1
-        assert int(sliced.events["t"][0]) == 100
-
-    def test_iteration_yields_tuples(self):
-        packet = make_packet([5], [6], [7], [-1])
-        wrapped = EventPacket(packet, 240, 180)
-        assert list(wrapped) == [(5, 6, 7, -1)]
-
-
 class TestPacketProperties:
     @given(
         st.lists(
@@ -203,15 +173,6 @@ class TestNormalizePacket:
             normalize_packet(bad)
         with pytest.raises(TypeError):
             normalize_packet(np.zeros(3))
-
-    def test_event_packet_accepts_reordered_fields(self):
-        reordered = np.zeros(
-            1, dtype=np.dtype([("p", np.int8), ("t", np.int64), ("y", np.int16), ("x", np.int16)])
-        )
-        wrapper = EventPacket(reordered, 240, 180)
-        from repro.events.types import EVENT_DTYPE
-
-        assert wrapper.events.dtype == EVENT_DTYPE
 
     def test_overflowing_values_rejected_not_wrapped(self):
         from repro.events.types import normalize_packet

@@ -1,12 +1,10 @@
-"""Tests for the DAVIS pixel-latch sensor model."""
+"""Tests for the DAVIS sensor geometry."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.events.types import make_packet
-from repro.sensor.davis import DAVIS240, DavisSensor, SensorGeometry
+from repro.sensor.davis import DAVIS240, SensorGeometry
 
 
 class TestSensorGeometry:
@@ -20,91 +18,3 @@ class TestSensorGeometry:
             SensorGeometry(width=0, height=180)
         with pytest.raises(ValueError):
             SensorGeometry(width=240, height=180, lens_focal_length_mm=0)
-
-    def test_lens_scale(self):
-        lt4 = SensorGeometry(lens_focal_length_mm=6.0)
-        assert lt4.scale_relative_to(DAVIS240) == pytest.approx(0.5)
-
-
-class TestDavisSensorLatch:
-    def test_accumulate_sets_latch(self):
-        sensor = DavisSensor()
-        sensor.accumulate(make_packet([5, 5, 6], [7, 7, 7], [0, 10, 20], [1, -1, 1]))
-        frame = sensor.peek()
-        assert frame[7, 5] == 1
-        assert frame[7, 6] == 1
-        # Multiple events at one pixel still latch a single 1.
-        assert frame.sum() == 2
-
-    def test_readout_clears_latch(self):
-        sensor = DavisSensor()
-        sensor.accumulate(make_packet([1], [1], [0], [1]))
-        frame = sensor.readout()
-        assert frame[1, 1] == 1
-        assert sensor.peek().sum() == 0
-        assert sensor.events_since_readout == 0
-
-    def test_out_of_bounds_event_rejected(self):
-        sensor = DavisSensor()
-        with pytest.raises(ValueError):
-            sensor.accumulate(make_packet([500], [1], [0], [1]))
-
-    def test_wrong_dtype_rejected(self):
-        sensor = DavisSensor()
-        with pytest.raises(TypeError):
-            sensor.accumulate(np.zeros(3))
-
-    def test_empty_packet_is_noop(self):
-        sensor = DavisSensor()
-        sensor.accumulate(make_packet([], [], [], []))
-        assert sensor.events_since_readout == 0
-
-    def test_statistics(self):
-        sensor = DavisSensor()
-        sensor.accumulate(make_packet([1, 2], [1, 2], [0, 1], [1, 1]))
-        sensor.readout()
-        sensor.accumulate(make_packet([3, 4], [3, 4], [2, 3], [1, 1]))
-        sensor.readout()
-        assert sensor.total_events == 4
-        assert sensor.total_readouts == 2
-        assert sensor.mean_events_per_frame() == pytest.approx(2.0)
-
-    def test_active_pixel_fraction(self):
-        sensor = DavisSensor()
-        sensor.accumulate(make_packet([0, 1], [0, 0], [0, 1], [1, 1]))
-        assert sensor.active_pixel_count == 2
-        assert sensor.active_pixel_fraction == pytest.approx(2 / 43_200)
-
-    def test_reset(self):
-        sensor = DavisSensor()
-        sensor.accumulate(make_packet([1], [1], [0], [1]))
-        sensor.reset()
-        assert sensor.total_events == 0
-        assert sensor.peek().sum() == 0
-
-
-class TestPolarityTracking:
-    def test_polarity_readout(self):
-        sensor = DavisSensor(track_polarity=True)
-        sensor.accumulate(make_packet([1, 2], [1, 1], [0, 1], [1, -1]))
-        combined, on, off = sensor.readout_polarity()
-        assert combined.sum() == 2
-        assert on[1, 1] == 1 and on[1, 2] == 0
-        assert off[1, 2] == 1 and off[1, 1] == 0
-
-    def test_polarity_readout_requires_flag(self):
-        sensor = DavisSensor(track_polarity=False)
-        with pytest.raises(RuntimeError):
-            sensor.readout_polarity()
-
-    def test_sensor_matches_ebbi_builder(self, single_car_stream):
-        """The sensor latch model and events_to_binary_frame agree."""
-        from repro.core.ebbi import events_to_binary_frame
-
-        sensor = DavisSensor()
-        for t_start, t_end, events in single_car_stream.stream.iter_frames(66_000):
-            sensor.accumulate(events)
-            frame_from_sensor = sensor.readout()
-            frame_direct = events_to_binary_frame(events, 240, 180)
-            np.testing.assert_array_equal(frame_from_sensor, frame_direct)
-            break

@@ -31,7 +31,7 @@ from repro.serving import (
     scrape_metrics,
     stream_recording,
 )
-from repro.serving.aioserver import AsyncTrackingServer
+from repro.serving.aioserver import _SHUTDOWN_TIMEOUT_S, AsyncTrackingServer
 from repro.serving.hub import TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
 from repro.serving.protocol import (
@@ -631,6 +631,71 @@ class TestCoalescing:
         assert telemetry["dropped_events"] > 0
         assert telemetry["events_received"] + telemetry["dropped_events"] == len(stream)
         assert replies[-1]["recording"]["num_events"] == telemetry["events_received"]
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("kind", sorted(HUBS))
+    def test_stop_ends_a_connection_parked_in_backoff(self, kind, caplog):
+        """``stop()`` with a run parked in the ``"block"`` backoff on a full
+        ring: the abort ends the backoff, that run is not submitted, the
+        teardown flushes what was, and the hub stops only after the loop
+        thread has ended, within the shutdown deadline."""
+        stream = _moving_block_stream(seed=7, num_frames=30)
+        config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
+        server = AsyncTrackingServer(hub=HUBS[kind](config)).start()
+        hub, loop_thread = server.hub, server._thread
+        try_submit, close_sensor, hub_stop = hub.try_submit, hub.close_sensor, hub.stop
+        refused, closing = threading.Event(), threading.Event()
+        submitted, loop_alive_at_hub_stop = [], []
+
+        def watched_try_submit(sensor_id, events):
+            accepted = try_submit(sensor_id, events)
+            if accepted:
+                submitted.append(len(events))
+            else:
+                refused.set()
+            return accepted
+
+        def watched_close_sensor(*args):
+            closing.set()
+            return close_sensor(*args)
+
+        def watched_stop():
+            loop_alive_at_hub_stop.append(loop_thread.is_alive())
+            hub_stop()
+
+        hub.try_submit, hub.close_sensor, hub.stop = (
+            watched_try_submit, watched_close_sensor, watched_stop)
+        stopper = threading.Thread(target=server.stop)
+        try:
+            with caplog.at_level(logging.WARNING), \
+                    socket.create_connection(server.address, timeout=30) as raw, \
+                    raw.makefile("rwb") as wire:
+                wire.write(encode_message(hello_message("cam")))
+                wire.flush()
+                assert decode_message(wire.readline())["type"] == "welcome"
+                hub.pause_shard(0)
+                try:
+                    wire.write(_frames(stream, 90))
+                    wire.flush()
+                    assert refused.wait(10.0), "the ring never refused a run"
+                    started = time.monotonic()
+                    stopper.start()
+                    assert closing.wait(5.0), "the teardown never reached close_sensor"
+                finally:
+                    hub.resume_shard(0)
+        finally:
+            if stopper.ident is None:
+                server.stop()
+            else:
+                stopper.join(timeout=60.0)
+        elapsed = time.monotonic() - started
+        assert not stopper.is_alive(), "stop() did not return"
+        assert elapsed < _SHUTDOWN_TIMEOUT_S
+        assert loop_alive_at_hub_stop[0] is False
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        [recording] = hub.batch_result().recordings
+        assert recording.num_events == sum(submitted) < len(stream)
 
 
 class TestServingCliMatrix:

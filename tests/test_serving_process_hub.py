@@ -260,8 +260,12 @@ class TestWorkerDeath:
         if isinstance(hub, ProcessTrackingHub):
             os.kill(hub._workers[shard].pid, signal.SIGKILL)
         else:
-            # A request without its id makes the worker loop raise.
+            # A request without its id makes the worker loop raise.  The
+            # worker reads commands only between ring drains, so wait for
+            # it to be gone, as a SIGKILLed process is, before going on:
+            # a close put meanwhile could still be served.
             hub._cmd_tx[shard].send(("metrics",))
+            hub._workers[shard].join(timeout=10.0)
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_killed_worker_fails_fast_and_spares_the_other_shard(self, kind):

@@ -7,7 +7,6 @@ import pytest
 from repro.simulation.ground_truth import (
     GroundTruthBox,
     GroundTruthFrame,
-    count_ground_truth_tracks,
     ground_truth_frames_from_dict,
     ground_truth_frames_to_dict,
     sample_ground_truth,
@@ -55,16 +54,6 @@ class TestSampleGroundTruth:
     def test_track_ids_preserved(self):
         frames = sample_ground_truth([_car(object_id=7)], [0], 240, 180)
         assert frames[0].track_ids() == [7]
-
-
-class TestCountTracks:
-    def test_counts_distinct_tracks(self):
-        objects = [_car(object_id=0), _car(object_id=1, x=120.0)]
-        frames = sample_ground_truth(objects, [0, 66_000], 240, 180)
-        assert count_ground_truth_tracks(frames) == 2
-
-    def test_empty(self):
-        assert count_ground_truth_tracks([]) == 0
 
 
 class TestSerialisation:

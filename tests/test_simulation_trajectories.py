@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.simulation.trajectories import (
     ConstantVelocityTrajectory,
-    PiecewiseLinearTrajectory,
     StopAndGoTrajectory,
     crossing_trajectory,
 )
@@ -94,31 +93,6 @@ class TestStopAndGoTrajectory:
         )
         assert trajectory.position(1_000_000)[0] == pytest.approx(50.0)
         assert trajectory.position(2_000_000)[0] < 50.0
-
-
-class TestPiecewiseLinearTrajectory:
-    def test_interpolation(self):
-        trajectory = PiecewiseLinearTrajectory([(0, 0, 0), (1_000_000, 10, 20)])
-        x, y = trajectory.position(500_000)
-        assert x == pytest.approx(5)
-        assert y == pytest.approx(10)
-
-    def test_holds_endpoints(self):
-        trajectory = PiecewiseLinearTrajectory([(100, 1, 2), (200, 3, 4)])
-        assert trajectory.position(0) == (1, 2)
-        assert trajectory.position(500) == (3, 4)
-
-    def test_velocity_per_segment(self):
-        trajectory = PiecewiseLinearTrajectory([(0, 0, 0), (100, 10, 0), (200, 10, 10)])
-        assert trajectory.velocity(50)[0] == pytest.approx(0.1)
-        assert trajectory.velocity(150)[1] == pytest.approx(0.1)
-        assert trajectory.velocity(500) == (0.0, 0.0)
-
-    def test_requires_two_waypoints_and_increasing_times(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearTrajectory([(0, 0, 0)])
-        with pytest.raises(ValueError):
-            PiecewiseLinearTrajectory([(0, 0, 0), (0, 1, 1)])
 
 
 class TestCrossingTrajectory:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.validation import ensure_in_range, ensure_positive, ensure_positive_int
+from repro.utils.validation import ensure_positive, ensure_positive_int
 
 
 class TestEnsurePositive:
@@ -35,18 +35,3 @@ class TestEnsurePositiveInt:
             ensure_positive_int("n", True)
         with pytest.raises(TypeError):
             ensure_positive_int("n", 2.0)
-
-
-class TestEnsureInRange:
-    def test_inclusive_bounds(self):
-        assert ensure_in_range("v", 0.0, 0.0, 1.0) == 0.0
-        assert ensure_in_range("v", 1.0, 0.0, 1.0) == 1.0
-
-    def test_exclusive_bounds(self):
-        with pytest.raises(ValueError):
-            ensure_in_range("v", 0.0, 0.0, 1.0, inclusive=False)
-        assert ensure_in_range("v", 0.5, 0.0, 1.0, inclusive=False) == 0.5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="v"):
-            ensure_in_range("v", 2.0, 0.0, 1.0)
