@@ -154,17 +154,126 @@ class TestStatisticsAndConfig:
         run_frames(tracker, [[proposal(50, 60)], [proposal(54, 60)], [proposal(58, 60)]])
         assert tracker.mean_active_trackers == pytest.approx(1.0)
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            OverlapTrackerConfig(max_trackers=0)
-        with pytest.raises(ValueError):
-            OverlapTrackerConfig(overlap_threshold=0.0)
-        with pytest.raises(ValueError):
-            OverlapTrackerConfig(prediction_weight=2.0)
-        with pytest.raises(ValueError):
-            OverlapTrackerConfig(occlusion_lookahead_frames=-1)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_trackers", 0),
+            ("overlap_threshold", 0.0),
+            ("overlap_threshold", 1.5),
+            ("prediction_weight", -0.1),
+            ("prediction_weight", 2.0),
+            ("velocity_smoothing", -0.1),
+            ("velocity_smoothing", 1.1),
+            ("size_smoothing", 1.5),
+            ("occlusion_lookahead_frames", -1),
+            ("min_track_age_frames", -1),
+            ("max_missed_frames", -1),
+        ],
+    )
+    def test_invalid_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OverlapTrackerConfig(**{field: value})
 
     def test_empty_frames_are_fine(self):
         tracker = OverlapTracker()
         assert tracker.process_frame([], 0) == []
         assert tracker.mean_active_trackers == 0.0
+
+
+class TestMatchingRule:
+    """Step 2: a match needs the overlap to cover a fraction of *either* box."""
+
+    def test_small_proposal_inside_large_tracker_matches(self):
+        tracker = OverlapTracker(OverlapTrackerConfig(min_track_age_frames=1))
+        tracker.process_frame([proposal(60, 60, 80, 30)], 0)
+        # 100 px^2 of overlap is 4% of the tracker but all of the proposal.
+        output = tracker.process_frame([proposal(100, 70, 10, 10)], 66_000)
+        assert tracker.num_active_tracks == 1
+        assert [o.track_id for o in output] == [1]
+
+    def test_weak_overlap_seeds_a_new_tracker(self):
+        tracker = OverlapTracker(OverlapTrackerConfig(min_track_age_frames=1))
+        tracker.process_frame([proposal(50, 60)], 0)
+        # A 5 px sliver (1/6 of each 30x20 box) is under the 0.25 threshold.
+        tracker.process_frame([proposal(75, 60)], 66_000)
+        assert tracker.num_active_tracks == 2
+
+    @pytest.mark.parametrize("weight, expected_x", [(0.0, 60.0), (0.5, 55.0), (1.0, 50.0)])
+    def test_prediction_weight_blends_prediction_and_proposal(self, weight, expected_x):
+        config = OverlapTrackerConfig(min_track_age_frames=1, prediction_weight=weight)
+        tracker = OverlapTracker(config)
+        tracker.process_frame([proposal(50, 60)], 0)  # seeded at rest
+        (observation,) = tracker.process_frame([proposal(60, 60)], 66_000)
+        assert observation.box.x == pytest.approx(expected_x)
+
+
+class TestSlotLifecycle:
+    def test_track_ids_are_never_reused(self):
+        config = OverlapTrackerConfig(min_track_age_frames=1, max_missed_frames=0)
+        tracker = OverlapTracker(config)
+        outputs = run_frames(
+            tracker,
+            [
+                [proposal(50, 60), proposal(150, 120)],
+                [proposal(150, 120)],  # track 1 misses once and is freed
+                [proposal(50, 60), proposal(150, 120)],
+            ],
+        )
+        assert sorted(o.track_id for o in outputs[0]) == [1, 2]
+        assert [o.track_id for o in outputs[1]] == [2]
+        assert sorted(o.track_id for o in outputs[2]) == [2, 3]
+
+    def test_slot_freed_this_frame_seeds_an_unmatched_proposal(self):
+        config = OverlapTrackerConfig(
+            max_trackers=1, min_track_age_frames=1, max_missed_frames=0
+        )
+        tracker = OverlapTracker(config)
+        tracker.process_frame([proposal(10, 10), proposal(150, 150)], 0)
+        assert tracker.num_active_tracks == 1  # only the first proposal fits
+        (observation,) = tracker.process_frame([proposal(150, 150)], 66_000)
+        assert observation.track_id == 2
+        assert observation.box.x == pytest.approx(150)
+
+    @pytest.mark.parametrize("min_age, first_reported_frame", [(0, 0), (1, 0), (2, 1), (3, 2)])
+    def test_first_report_after_min_track_age(self, min_age, first_reported_frame):
+        tracker = OverlapTracker(OverlapTrackerConfig(min_track_age_frames=min_age))
+        outputs = run_frames(tracker, [[proposal(50 + 4 * i, 60)] for i in range(5)])
+        reported = [index for index, frame in enumerate(outputs) if frame]
+        assert reported == list(range(first_reported_frame, 5))
+
+    @pytest.mark.parametrize("max_missed", [0, 1, 3])
+    def test_track_survives_exactly_max_missed_frames(self, max_missed):
+        tracker = OverlapTracker(OverlapTrackerConfig(max_missed_frames=max_missed))
+        tracker.process_frame([proposal(50, 60)], 0)
+        run_frames(tracker, [[]] * max_missed)
+        assert tracker.num_active_tracks == 1
+        tracker.process_frame([], 66_000)
+        assert tracker.num_active_tracks == 0
+
+
+class TestOcclusionVersusFragmentation:
+    def test_co_moving_fragments_merge_into_the_oldest_tracker(self):
+        config = OverlapTrackerConfig(min_track_age_frames=1)
+        tracker = OverlapTracker(config)
+        tracker.process_frame([proposal(60, 60, 20, 30)], 0)
+        tracker.process_frame([proposal(60, 60, 20, 30), proposal(90, 60, 20, 30)], 66_000)
+        assert tracker.num_active_tracks == 2
+        output = tracker.process_frame([proposal(60, 60, 50, 30)], 2 * 66_000)
+        assert [o.track_id for o in output] == [1]
+        assert tracker.merges_performed == 1
+        assert tracker.occlusions_detected == 0
+
+    def test_zero_lookahead_treats_approaching_tracks_as_fragments(self):
+        """With n = 0 no future overlap is checked, so step 5 merges."""
+        config = OverlapTrackerConfig(
+            min_track_age_frames=1, overlap_threshold=0.2, occlusion_lookahead_frames=0
+        )
+        tracker = OverlapTracker(config)
+        for i in range(6):
+            left = proposal(40 + 8 * i, 60, 30, 20)
+            right = proposal(160 - 8 * i, 60, 30, 20)
+            tracker.process_frame([left, right], i * 66_000)
+        tracker.process_frame([proposal(100, 60, 60, 20)], 6 * 66_000)
+        assert tracker.num_active_tracks == 1
+        assert tracker.occlusions_detected == 0
+        assert tracker.merges_performed == 1

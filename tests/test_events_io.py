@@ -184,6 +184,16 @@ class TestArchiveValidation:
         with pytest.raises(ValueError, match="bogus.npz"):
             load_events_npz(path)
 
+    @pytest.mark.parametrize("key", ["x", "y", "t", "p", "width", "height"])
+    def test_each_missing_key_is_named(self, tmp_path, sample_stream, key):
+        path = tmp_path / "events.npz"
+        save_events_npz(path, sample_stream)
+        with np.load(path) as archive:
+            data = {name: archive[name] for name in archive.files if name != key}
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=rf"events\.npz .*missing keys \['{key}'\]"):
+            load_events_npz(path)
+
 
 class TestAedat2RoundTrip:
     def test_round_trip(self, tmp_path, sample_stream):
@@ -328,3 +338,42 @@ class TestLoadEventsDispatcher:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown event format"):
             load_events(tmp_path / "events.csv", format="bogus")
+
+
+class TestEveryFormatRoundTrip:
+    """What each registered format must carry through a save and a load."""
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FORMATS))
+    def test_non_davis240_resolution_survives(self, tmp_path, name):
+        # A DAVIS346 stream with events on its far corner: the resolution
+        # header, not the DAVIS240 default, must decide the loaded size.
+        stream = EventStream(make_packet([0, 345], [0, 259], [0, 10], [1, -1]), 346, 260)
+        fmt = EVENT_FORMATS[name]
+        path = tmp_path / f"events{fmt.suffix}"
+        fmt.save(path, stream)
+        loaded = load_events(path)
+        assert loaded.resolution == (346, 260)
+        np.testing.assert_array_equal(loaded.events, stream.events)
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FORMATS))
+    def test_empty_stream_keeps_its_resolution(self, tmp_path, name):
+        fmt = EVENT_FORMATS[name]
+        path = tmp_path / f"empty{fmt.suffix}"
+        fmt.save(path, EventStream(empty_packet(), 128, 128))
+        loaded = load_events(path)
+        assert len(loaded) == 0
+        assert loaded.resolution == (128, 128)
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FORMATS))
+    def test_same_timestamp_burst_keeps_its_order(self, tmp_path, name):
+        # Events sharing a timestamp, including repeats of one pixel with
+        # both polarities: the file order is the only order they have.
+        stream = EventStream(
+            make_packet([5, 5, 9, 5, 2], [7, 7, 3, 7, 1], [40, 40, 40, 40, 41], [1, -1, -1, 1, 1]),
+            240,
+            180,
+        )
+        fmt = EVENT_FORMATS[name]
+        path = tmp_path / f"burst{fmt.suffix}"
+        fmt.save(path, stream)
+        np.testing.assert_array_equal(load_events(path).events, stream.events)
