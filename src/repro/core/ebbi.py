@@ -9,7 +9,8 @@ median-filtered frames, exactly the two-frame memory budget of Eq. (1)
 
 Every frame is built on one path: :func:`events_to_binary_frame_batch`
 scatters a stack of consecutive windows, and :class:`EbbiBuilder` runs it
-and the median filter over the stack.  One window is a one-frame stack:
+and the median filter over a chunk of windows one cache-sized block
+(:data:`BLOCK_BYTES`) at a time.  One window is a one-frame stack:
 :func:`events_to_binary_frame` and :meth:`EbbiBuilder.build` are the
 one-window calls of that path.
 """
@@ -27,6 +28,13 @@ from repro.events.types import EVENT_DTYPE
 
 _UNTIMED = nullcontext()
 
+#: Raw-frame bytes per block of an :class:`EbbiBuilder` build: 8 frames at
+#: 240x180.  A block's raw and filtered frames and the median filter's three
+#: work stacks then take ~1.7 MB, which stays in a 2 MiB L2 cache while the
+#: block is accumulated, filtered and counted; a 256-frame chunk at once
+#: spills it.  Larger frames get fewer frames per block, at least one.
+BLOCK_BYTES = 8 * 240 * 180
+
 
 def untimed_stage(name: str) -> ContextManager[None]:
     """The no-op stand-in for ``Instrumentation.stage`` on uninstrumented runs.
@@ -43,11 +51,13 @@ class EbbiScratch:
     ``process_stream`` and the live serving sessions build one frame stack
     per chunk (or per window) forever; with a scratch the stacks — and the
     median filter's work arrays — are allocated once and recycled, removing
-    every per-frame allocation from the hot path.  Frames handed out by the
-    builder are then *views* into these buffers, valid until the next
-    build; ``EbbiFrames.detached()`` copies one out when it must outlive
-    the chunk (and callers that retain frames, like ``keep_frames``
-    pipelines, already detach).
+    every per-frame allocation from the hot path.  The raw and filtered
+    stacks hold a whole chunk, since the builder hands out every frame of
+    it; the median's work arrays hold one block, since the builder filters
+    block by block.  Frames handed out by the builder are then *views* into
+    these buffers, valid until the next build; ``EbbiFrames.detached()``
+    copies one out when it must outlive the chunk (and callers that retain
+    frames, like ``keep_frames`` pipelines, already detach).
     """
 
     def __init__(self) -> None:
@@ -110,7 +120,11 @@ def events_to_binary_frame_batch(
     Window ``i`` covers ``events[splits[i]:splits[i + 1]]`` (the split
     points come from :func:`repro.events.stream.frame_boundaries`).  All
     windows are scattered into the output stack with one flat index
-    assignment.
+    assignment.  The index is built in place from one contiguous ``intp``
+    copy each of ``y`` and ``x``, which the bounds check reads too; each
+    window's frame offset is added only when there is more than one.
+    :class:`EbbiBuilder` calls this once per block of a chunk, with the
+    block's slice of its raw stack as ``out``.
 
     Parameters
     ----------
@@ -150,12 +164,18 @@ def events_to_binary_frame_batch(
     window_events = events[splits[0] : splits[-1]]
     if len(window_events) == 0:
         return frames
-    x = window_events["x"].astype(np.int64)
-    y = window_events["y"].astype(np.int64)
+    y = window_events["y"].astype(np.intp)
+    x = window_events["x"].astype(np.intp)
     if x.min() < 0 or x.max() >= width or y.min() < 0 or y.max() >= height:
         raise ValueError("event coordinates fall outside the frame")
-    frame_of_event = np.repeat(np.arange(num_frames, dtype=np.int64), np.diff(splits))
-    flat = (frame_of_event * height + y) * width + x
+    flat = y
+    flat *= width
+    flat += x
+    if num_frames > 1:
+        frame_size = height * width
+        flat += np.repeat(
+            np.arange(0, num_frames * frame_size, frame_size, dtype=np.intp), np.diff(splits)
+        )
     frames.reshape(-1)[flat] = 1
     return frames
 
@@ -226,11 +246,15 @@ class EbbiBuilder:
         API compatibility.
 
     :meth:`build` (one window) and :meth:`build_batch` (a chunk of windows)
-    run one body over a frame stack.  An optional
+    run one body over a frame stack, walking it in blocks of as many frames
+    as fit :data:`BLOCK_BYTES` (8 at 240x180): each block is accumulated,
+    median-filtered and counted before the next, so its frames stay in
+    cache and the median's work arrays are one block long.  An optional
     :class:`repro.obs.Instrumentation` can be attached as the
     ``instrumentation`` attribute; both then time accumulation and
-    filtering as the ``ebbi`` and ``median`` stages.  With the default
-    ``None`` the stages run in a shared no-op context.
+    filtering of each block as the ``ebbi`` and ``median`` stages, so a
+    one-window build records one span of each.  With the default ``None``
+    the stages run in a shared no-op context.
     """
 
     def __init__(
@@ -253,6 +277,7 @@ class EbbiBuilder:
         self.reuse_buffers = reuse_buffers
         self.instrumentation = None
         self._scratch = EbbiScratch() if reuse_buffers else None
+        self._block_frames = max(1, BLOCK_BYTES // (width * height))
         self._frames_built = 0
         self._active_pixels = 0
 
@@ -261,23 +286,38 @@ class EbbiBuilder:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Raw and filtered stacks of the windows ``events[splits[i]:splits[i + 1]]``.
 
-        Built into the scratch with ``reuse_buffers`` (else fresh arrays); a
-        disabled filter is a ``1 x 1`` patch, i.e. a copy of the raw stack.
+        Built into the scratch with ``reuse_buffers`` (else fresh arrays),
+        one block at a time: the block is accumulated into its slice of the
+        raw stack, median-filtered into its slice of the filtered stack and
+        its active pixels counted while it is still in cache.  A disabled
+        filter is a ``1 x 1`` patch, i.e. a copy of the raw stack.  An empty
+        build still runs one empty block, so a wrong dtype is refused there
+        too; the statistics change only once every block is built.
         """
         num_frames = len(splits) - 1
-        raw_out = filtered_out = median_scratch = None
         if self._scratch is not None:
-            raw_out, filtered_out = self._scratch.stacks(num_frames, self.height, self.width)
+            raw, filtered = self._scratch.stacks(num_frames, self.height, self.width)
             median_scratch = self._scratch.median
+        else:
+            raw = np.empty((num_frames, self.height, self.width), dtype=np.uint8)
+            filtered = np.empty_like(raw)
+            median_scratch = MedianScratch()
         stage = untimed_stage if self.instrumentation is None else self.instrumentation.stage
-        with stage("ebbi"):
-            raw = events_to_binary_frame_batch(events, splits, self.width, self.height, out=raw_out)
-        with stage("median"):
-            filtered = binary_median_filter_stack(
-                raw, max(self.median_patch_size, 1), out=filtered_out, scratch=median_scratch
-            )
+        patch_size = max(self.median_patch_size, 1)
+        active = 0
+        for lo in range(0, max(num_frames, 1), self._block_frames):
+            hi = min(lo + self._block_frames, num_frames)
+            with stage("ebbi"):
+                events_to_binary_frame_batch(
+                    events, splits[lo : hi + 1], self.width, self.height, out=raw[lo:hi]
+                )
+            with stage("median"):
+                binary_median_filter_stack(
+                    raw[lo:hi], patch_size, out=filtered[lo:hi], scratch=median_scratch
+                )
+            active += np.count_nonzero(raw[lo:hi])
         self._frames_built += num_frames
-        self._active_pixels += np.count_nonzero(raw)
+        self._active_pixels += active
         return raw, filtered
 
     def build(
@@ -299,12 +339,13 @@ class EbbiBuilder:
         ends: np.ndarray,
         splits: np.ndarray,
     ) -> List[EbbiFrames]:
-        """Accumulate a whole chunk of windows in one vectorised pass.
+        """Accumulate and filter a chunk of windows, one block at a time.
 
-        Equivalent to calling :meth:`build` once per window but the raw
+        Equivalent to calling :meth:`build` once per window, but the raw
         accumulation (:func:`events_to_binary_frame_batch`) and the median
-        filter (:func:`binary_median_filter_stack`) both run over the full
-        stack at once.
+        filter (:func:`binary_median_filter_stack`) each run once per
+        cache-sized block of windows (see :data:`BLOCK_BYTES`), not once
+        per window.
 
         Parameters
         ----------

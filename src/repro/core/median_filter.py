@@ -10,8 +10,10 @@ unsigned dtype that holds ``p^2`` (uint8 up to ``p = 15``), so the filter
 is exact and costs ``2 (p - 1)`` in-place adds per pixel.
 
 On the steady-state pipeline path the padded copy, the row sums and the
-patch sums live in a reusable :class:`MedianScratch`, so filtering a chunk
-of frames performs no allocations at all after warm-up.
+patch sums live in a reusable :class:`MedianScratch`, so filtering frames
+performs no allocations at all after warm-up.  ``EbbiBuilder`` filters a
+chunk one cache-sized block of frames at a time, so those work stacks are
+one block long, not one chunk.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ class MedianScratch:
     interior of a ``p // 2`` zero border, its ``p``-row sums and the
     ``p x p`` patch sums.  Only the interior of the padded stack is ever
     written, so its border stays zero across reuse.  Callers that filter
-    chunk after chunk (``EbbiBuilder`` with buffer reuse) pass one scratch;
-    the buffers are regrown when the frame shape or patch size changes or a
-    longer stack arrives (capacity doubles), and never shrink.
+    stack after stack pass one scratch: ``EbbiBuilder`` passes one per
+    build, or its persistent one with buffer reuse, and filters each chunk
+    block by block, so the stacks hold one block (8 frames at 240x180,
+    ~1 MB for the three), not a chunk.  The buffers are regrown when the
+    frame shape or patch size changes or a longer stack arrives (capacity
+    doubles), and never shrink.
     """
 
     def __init__(self) -> None:
@@ -112,8 +117,8 @@ def binary_median_filter_stack(
     """Majority-vote median filter applied to a stack of binary frames.
 
     Vectorised equivalent of calling :func:`binary_median_filter` on each
-    ``frames[i]``; used by the batched EBBI path so chunked multi-frame
-    processing never loops over frames in Python.
+    ``frames[i]``; the EBBI builder calls it once per block of frames, so
+    chunked processing never loops over single frames in Python.
 
     Parameters
     ----------

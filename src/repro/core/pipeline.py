@@ -284,9 +284,12 @@ class EbbiotPipeline:
             Start frame windows at ``t = 0`` so frame midpoints line up with
             the simulator's ground-truth sampling instants.
         chunk_frames:
-            Number of windows accumulated per vectorised EBBI batch.  Larger
-            chunks amortise more Python overhead at the cost of a
-            ``chunk_frames x height x width`` scratch stack.
+            Number of windows per EBBI build
+            (:meth:`~repro.core.ebbi.EbbiBuilder.build_batch`), i.e. how
+            many frames one build hands out: the raw and filtered stacks
+            are ``chunk_frames x height x width`` each.  The builder
+            accumulates and filters a chunk in cache-sized blocks, so the
+            chunk size does not set its working set.
         collect_frames:
             When ``False`` per-frame :class:`FrameResult` objects are
             dropped after their tracks are recorded, keeping long fleet runs

@@ -77,8 +77,9 @@ class RunnerConfig:
     chunk_frames:
         Frame-chunk size handed to
         :meth:`~repro.core.pipeline.EbbiotPipeline.process_stream`; each
-        chunk of windows is accumulated into EBBI frames in one vectorised
-        batch.
+        chunk of windows is built into EBBI frames by one
+        ``build_batch`` call, which accumulates and filters it in
+        cache-sized blocks.
     pipeline_config:
         Shared pipeline configuration for jobs that do not bring their own.
     align_to_zero:

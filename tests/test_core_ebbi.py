@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.ebbi import (
+    BLOCK_BYTES,
     EbbiBuilder,
     events_to_binary_frame,
     events_to_binary_frame_batch,
@@ -191,6 +194,83 @@ class TestEbbiBuilderBatch:
         assert batched.mean_active_pixel_fraction == pytest.approx(
             sequential.mean_active_pixel_fraction
         )
+
+    @pytest.mark.parametrize("reuse_buffers", [False, True])
+    @pytest.mark.parametrize("patch_size", [0, 3, 5])
+    @pytest.mark.parametrize("width, height, block", [(240, 180, 8), (640, 480, 1)])
+    def test_build_batch_matches_sequential_builds_across_blocks(
+        self, width, height, block, patch_size, reuse_buffers
+    ):
+        assert max(1, BLOCK_BYTES // (width * height)) == block
+        batched = EbbiBuilder(width, height, patch_size, reuse_buffers=reuse_buffers)
+        sequential = EbbiBuilder(width, height, patch_size, reuse_buffers=reuse_buffers)
+        for num_windows in (1, block, block + 1, 3 * block + 5):
+            rng = np.random.default_rng(num_windows)
+            counts = rng.integers(50, 400, size=num_windows)
+            counts[num_windows // 2] = 5000  # one window holds most of the events
+            if num_windows > block:
+                counts[block - 1 : block + 1] = 0  # empty on both sides of a block edge
+            windows = [
+                _window(int(n), seed=i, width=width, height=height)
+                for i, n in enumerate(counts)
+            ]
+            packet = np.concatenate(windows)
+            splits = np.concatenate([[0], np.cumsum(counts)])
+            starts = np.arange(num_windows) * 66_000
+
+            got = batched.build_batch(packet, starts, starts + 66_000, splits)
+
+            assert len(got) == num_windows
+            for frames, window, start in zip(got, windows, starts):
+                expected = sequential.build(window, int(start), int(start) + 66_000)
+                np.testing.assert_array_equal(frames.raw, expected.raw)
+                np.testing.assert_array_equal(frames.filtered, expected.filtered)
+                assert frames.num_events == expected.num_events == len(window)
+            assert batched.frames_built == sequential.frames_built
+            assert batched.mean_active_pixel_fraction == sequential.mean_active_pixel_fraction
+
+    def test_reused_build_batch_holds_the_chunk_stacks_and_one_block_of_work(self):
+        """A chunk build's work arrays are sized by a block, not by the chunk."""
+        width, height, num_windows, per_window = 240, 180, 256, 3000
+        rng = np.random.default_rng(3)
+        n = num_windows * per_window
+        packet = make_packet(
+            rng.integers(0, width, size=n),
+            rng.integers(0, height, size=n),
+            np.arange(n) * (66_000 // per_window),
+            np.ones(n, dtype=int),
+        )
+        starts = np.arange(num_windows) * 66_000
+        splits = np.arange(0, n + 1, per_window)
+        chunk_stacks = 2 * num_windows * height * width
+        budget = 2 * 2**20
+        builder = EbbiBuilder(width, height, reuse_buffers=True)
+        tracemalloc.start()
+        try:
+            frames = builder.build_batch(packet, starts, starts + 66_000, splits)
+            retained, _ = tracemalloc.get_traced_memory()
+            del frames
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            frames = builder.build_batch(packet, starts, starts + 66_000, splits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == num_windows
+        assert retained <= chunk_stacks + budget
+        assert peak - held < budget
+
+    def test_build_batch_refuses_bad_input_in_any_block(self):
+        builder = EbbiBuilder(240, 180, reuse_buffers=True)
+        other = np.zeros(0, dtype=[("x", np.int32), ("y", np.int32), ("t", np.int64)])
+        with pytest.raises(TypeError, match="dtype"):
+            builder.build_batch(other, np.array([]), np.array([]), np.array([0]))
+        # The first block of 8 windows is fine; the second holds x = 240.
+        packet = make_packet([1] * 8 + [240], [1] * 9, range(9), [1] * 9)
+        starts = np.arange(9) * 66_000
+        with pytest.raises(ValueError, match="outside the frame"):
+            builder.build_batch(packet, starts, starts + 66_000, np.arange(10))
+        assert builder.stats_snapshot() == (0, 0)
 
     def test_build_batch_disabled_median_filter(self):
         builder = EbbiBuilder(32, 32, median_patch_size=0)
