@@ -266,10 +266,7 @@ def scenario_stage_breakdown(profile: BenchProfile) -> Dict[str, float]:
 
 def _drive_sessions(recordings, batch_events: int = 20_000) -> Dict[str, float]:
     """Feed each recording through its own live session; aggregate rates."""
-    sessions = [
-        SensorSession(f"bench-{index}", keep_history=False)
-        for index in range(len(recordings))
-    ]
+    sessions = [SensorSession(f"bench-{index}") for index in range(len(recordings))]
     total_frames = 0
     total_events = 0
     started = time.perf_counter()

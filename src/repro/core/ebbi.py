@@ -56,8 +56,7 @@ class EbbiScratch:
     it; the median's work arrays hold one block, since the builder filters
     block by block.  Frames handed out by the builder are then *views* into
     these buffers, valid until the next build; ``EbbiFrames.detached()``
-    copies one out when it must outlive the chunk (and callers that retain
-    frames, like ``keep_frames`` pipelines, already detach).
+    copies one out when it must outlive the chunk.
     """
 
     def __init__(self) -> None:
@@ -241,9 +240,8 @@ class EbbiBuilder:
         fresh arrays.  Returned frames are then views valid only until the
         next ``build``/``build_batch`` call — callers that retain a frame
         must take ``EbbiFrames.detached()`` first.  The pipeline (which
-        consumes each frame before building the next and detaches anything
-        it keeps) turns this on; the default stays allocate-per-call for
-        API compatibility.
+        consumes each frame before building the next) turns this on; the
+        default stays allocate-per-call for API compatibility.
 
     :meth:`build` (one window) and :meth:`build_batch` (a chunk of windows)
     run one body over a frame stack, walking it in blocks of as many frames

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.histogram_rpn import RegionProposal
-from repro.trackers.base import TrackerBase, TrackObservation, TrackState
+from repro.trackers.base import TrackObservation, TrackState
 from repro.utils.geometry import BoundingBox, merge_boxes
 
 
@@ -128,7 +128,7 @@ class TrackerState:
     merges_performed: int
 
 
-class OverlapTracker(TrackerBase):
+class OverlapTracker:
     """The EBBIOT overlap-based multi-object tracker."""
 
     def __init__(self, config: Optional[OverlapTrackerConfig] = None) -> None:
@@ -140,7 +140,7 @@ class OverlapTracker(TrackerBase):
         self._occlusions_detected = 0
         self._merges_performed = 0
 
-    # -- TrackerBase interface --------------------------------------------------------
+    # -- per-frame interface ----------------------------------------------------------
 
     def reset(self) -> None:
         """Clear all tracker slots and statistics."""

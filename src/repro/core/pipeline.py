@@ -32,6 +32,11 @@ from repro.events.stream import EventStream, FrameIndex
 from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
 from repro.trackers.base import TrackHistory, TrackObservation
 
+#: Windows per EBBI build on :meth:`EbbiotPipeline.process_stream`'s chunked
+#: path: the raw and filtered stacks are ``CHUNK_FRAMES x height x width``
+#: each, accumulated and filtered in cache-sized blocks.
+CHUNK_FRAMES = 256
+
 
 @dataclass(frozen=True)
 class PipelineState:
@@ -62,7 +67,6 @@ class FrameResult:
     num_events: int
     proposals: List[RegionProposal]
     tracks: List[TrackObservation]
-    ebbi: Optional[EbbiFrames] = None
 
     @property
     def t_mid_us(self) -> int:
@@ -89,19 +93,14 @@ class PipelineResult:
     frames_processed: int = 0
     proposal_count: int = 0
 
-    def add_frame(
-        self, frame_result: FrameResult, keep: bool = True, keep_history: bool = True
-    ) -> None:
-        """Record one frame's output: counters, the frame itself when
-        ``keep`` is true, and the track observations when ``keep_history``
-        is true (indefinitely-streaming serving sessions turn it off and
-        count observations instead, keeping memory constant)."""
+    def add_frame(self, frame_result: FrameResult, keep: bool = True) -> None:
+        """Record one frame's output: counters, the track observations, and
+        the frame itself when ``keep`` is true."""
         self.frames_processed += 1
         self.proposal_count += len(frame_result.proposals)
         if keep:
             self.frames.append(frame_result)
-        if keep_history:
-            self.track_history.extend(frame_result.tracks)
+        self.track_history.extend(frame_result.tracks)
 
     @property
     def num_frames(self) -> int:
@@ -125,10 +124,6 @@ class EbbiotPipeline:
     config:
         Pipeline configuration; defaults to the paper's parameters.  The
         ``config.tracker`` name selects the backend.
-    keep_frames:
-        When ``True`` each :class:`FrameResult` retains its raw/filtered
-        EBBI frames (useful for visualisation but memory hungry for long
-        recordings).
     tracker:
         Optional override of ``config.tracker``: a registry name or a ready
         :class:`~repro.trackers.backend.TrackerBackend` instance (tests and
@@ -147,7 +142,6 @@ class EbbiotPipeline:
     def __init__(
         self,
         config: Optional[EbbiotConfig] = None,
-        keep_frames: bool = False,
         tracker: Optional[Union[str, TrackerBackend]] = None,
         instrumentation=None,
     ) -> None:
@@ -156,7 +150,6 @@ class EbbiotPipeline:
         from repro.trackers.registry import create_backend
 
         self.config = config or EbbiotConfig()
-        self.keep_frames = keep_frames
         self.region_proposer = HistogramRegionProposer(
             downsample_x=self.config.downsample_x,
             downsample_y=self.config.downsample_y,
@@ -184,10 +177,8 @@ class EbbiotPipeline:
         provides the ``alpha``/``n`` statistics.
 
         The builder reuses its frame stacks across windows/chunks (no
-        per-frame allocations on the steady-state path): every frame the
-        pipeline hands out lives only for the duration of its RPN + tracker
-        step, and frames retained beyond that (``keep_frames``) are
-        detached copies.
+        per-frame allocations on the steady-state path): every frame it
+        hands out lives only for the duration of its RPN + tracker step.
         """
         patch_size = (
             self.config.median_patch_size if self.tracker.requires_proposals else 0
@@ -253,7 +244,6 @@ class EbbiotPipeline:
             num_events=ebbi.num_events,
             proposals=proposals,
             tracks=tracks,
-            ebbi=ebbi.detached() if self.keep_frames else None,
         )
 
     # -- whole-recording processing -------------------------------------------------------
@@ -262,19 +252,19 @@ class EbbiotPipeline:
         self,
         stream: EventStream,
         align_to_zero: bool = True,
-        chunk_frames: int = 256,
         collect_frames: bool = True,
     ) -> PipelineResult:
         """Run the pipeline over an entire event stream.
 
         Frame boundaries for the whole recording are resolved up front with
         one vectorised search (:meth:`EventStream.frame_index`) and EBBI
-        frames are accumulated and median-filtered in chunks of
-        ``chunk_frames`` windows at a time; only the inherently sequential
-        RPN + tracker stages run frame by frame.  An instrumented pipeline
-        builds window by window instead (:meth:`iter_stream`), so the
-        ``ebbi``/``median`` spans reflect each window's true cost rather
-        than an amortised chunk share; both sources give the same frames.
+        frames are accumulated and median-filtered :data:`CHUNK_FRAMES`
+        windows at a time (:meth:`~repro.core.ebbi.EbbiBuilder.build_batch`);
+        only the inherently sequential RPN + tracker stages run frame by
+        frame.  An instrumented pipeline builds window by window instead
+        (:meth:`iter_stream`), so the ``ebbi``/``median`` spans reflect each
+        window's true cost rather than an amortised chunk share; both
+        sources give the same frames.
 
         Parameters
         ----------
@@ -283,27 +273,18 @@ class EbbiotPipeline:
         align_to_zero:
             Start frame windows at ``t = 0`` so frame midpoints line up with
             the simulator's ground-truth sampling instants.
-        chunk_frames:
-            Number of windows per EBBI build
-            (:meth:`~repro.core.ebbi.EbbiBuilder.build_batch`), i.e. how
-            many frames one build hands out: the raw and filtered stacks
-            are ``chunk_frames x height x width`` each.  The builder
-            accumulates and filters a chunk in cache-sized blocks, so the
-            chunk size does not set its working set.
         collect_frames:
             When ``False`` per-frame :class:`FrameResult` objects are
             dropped after their tracks are recorded, keeping long fleet runs
             at constant memory; summary statistics and the track history are
             unaffected.
         """
-        if chunk_frames <= 0:
-            raise ValueError(f"chunk_frames must be positive, got {chunk_frames}")
         self.reset()
         if self.instrumentation is not None:
             frames = self.iter_stream(stream, align_to_zero)
         else:
             index = stream.frame_index(self.config.frame_duration_us, align_to_zero)
-            frames = self._iter_chunks(index, chunk_frames)
+            frames = self._iter_chunks(index)
         result = PipelineResult()
         for frame_result in frames:
             result.add_frame(frame_result, keep=collect_frames)
@@ -312,10 +293,10 @@ class EbbiotPipeline:
         result.mean_active_trackers = self.tracker.mean_active_trackers
         return result
 
-    def _iter_chunks(self, index: FrameIndex, chunk_frames: int) -> Iterator[FrameResult]:
-        """Process the windows of ``index``, building EBBI ``chunk_frames`` at a time."""
-        for chunk_start in range(0, index.num_frames, chunk_frames):
-            chunk_stop = min(chunk_start + chunk_frames, index.num_frames)
+    def _iter_chunks(self, index: FrameIndex) -> Iterator[FrameResult]:
+        """Process the windows of ``index``, building EBBI :data:`CHUNK_FRAMES` at a time."""
+        for chunk_start in range(0, index.num_frames, CHUNK_FRAMES):
+            chunk_stop = min(chunk_start + CHUNK_FRAMES, index.num_frames)
             batch = self.ebbi_builder.build_batch(
                 index.events,
                 index.starts[chunk_start:chunk_stop],

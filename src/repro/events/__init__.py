@@ -27,7 +27,6 @@ from repro.events.stream import (
     EventStream,
     FrameIndex,
     frame_boundaries,
-    frame_windows,
 )
 from repro.events.types import (
     EVENT_DTYPE,
@@ -51,7 +50,6 @@ __all__ = [
     "EventStream",
     "FrameIndex",
     "frame_boundaries",
-    "frame_windows",
     "BackgroundActivityNoise",
     "HotPixelNoise",
     "NearestNeighbourFilter",

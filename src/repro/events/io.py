@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from repro.events.stream import EventStream
-from repro.events.types import EVENT_DTYPE, empty_packet, make_packet
+from repro.events.types import empty_packet, make_packet
 
 PathLike = Union[str, Path]
 
@@ -149,14 +149,15 @@ def _parse_resolution_comment(line: str) -> tuple:
 
 
 def _scan_csv_header(path: Path) -> tuple:
-    """``(num_header_lines, width, height)`` of a CSV event file.
+    """``(num_header_lines, width, height, has_data)`` of a CSV event file.
 
     Header lines are ``#`` comments, blank lines, and at most one
     ``x,y,t,p`` column-name line; the count is whatever the file actually
     contains (hard-coding it silently dropped the first event of headerless
     files).  Scanning stops at the first data-or-garbage line so a
     malformed file fails loudly in ``loadtxt`` instead of being consumed
-    as an ever-longer "header".
+    as an ever-longer "header".  ``has_data`` is false when no line after
+    the header is a row for ``loadtxt``.
     """
     skip = 0
     width = height = None
@@ -178,8 +179,10 @@ def _scan_csv_header(path: Path) -> tuple:
                 int(stripped.split(",", 1)[0])
             except ValueError:
                 skip += 1  # the one allowed column-name header line
-            break  # first data row (or malformed content for loadtxt to flag)
-    return skip, width, height
+                # loadtxt reads a row from any line with text before a '#'.
+                return skip, width, height, any(rest.split("#", 1)[0].strip() for rest in handle)
+            return skip, width, height, True  # a data row (or malformed content for loadtxt)
+    return skip, width, height, False
 
 
 def load_events_csv(
@@ -193,19 +196,17 @@ def load_events_csv(
     correctly — the header length is detected, not assumed.
     """
     path = Path(path)
-    skip, file_width, file_height = _scan_csv_header(path)
+    skip, file_width, file_height, has_data = _scan_csv_header(path)
     width = width if width is not None else file_width
     height = height if height is not None else file_height
     if width is None or height is None:
         raise ValueError(
             f"{path} has no resolution header; pass width= and height= explicitly"
         )
+    if not has_data:  # loadtxt would warn that the file holds no rows
+        return EventStream(empty_packet(), width, height)
     data = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=skip, ndmin=2)
-    if data.size == 0:
-        events = np.empty(0, dtype=EVENT_DTYPE)
-    else:
-        events = make_packet(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-    return EventStream(events, width, height)
+    return EventStream(make_packet(data[:, 0], data[:, 1], data[:, 2], data[:, 3]), width, height)
 
 
 # -- AEDAT 2.0 binary --------------------------------------------------------------------
@@ -350,12 +351,14 @@ def load_events_txt(
     """
     path = Path(path)
     file_width = file_height = None
+    has_data = False
     with open(path, newline="") as handle:
         for line in handle:
             stripped = line.strip()
             if not stripped:
                 continue
             if not stripped.startswith("#"):
+                has_data = True
                 break  # first data row; loadtxt below skips '#' lines itself
             line_width, line_height = _parse_resolution_comment(stripped)
             if file_width is None:
@@ -364,9 +367,9 @@ def load_events_txt(
                 file_height = line_height
     width = width if width is not None else (file_width or 240)
     height = height if height is not None else (file_height or 180)
-    data = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    if data.size == 0:
+    if not has_data:  # loadtxt would warn that the file holds no rows
         return EventStream(empty_packet(), width, height)
+    data = np.loadtxt(path, dtype=np.int64, ndmin=2)
     if data.shape[1] != 4:
         raise ValueError(
             f"{path}: expected 4 columns 't x y p', got {data.shape[1]}"

@@ -2,9 +2,9 @@
 
 The EBBIOT processor is interrupt driven: it wakes up every ``tF`` (66 ms in
 the paper) and reads out all events accumulated since the previous interrupt
-(Fig. 2).  :func:`frame_windows` and :meth:`EventStream.iter_frames`
-implement exactly that partitioning of an event stream into frame-duration
-windows.
+(Fig. 2).  :meth:`EventStream.frame_index` implements exactly that
+partitioning of an event stream into frame-duration windows, and
+:meth:`EventStream.iter_frames` iterates it.
 """
 
 from __future__ import annotations
@@ -107,49 +107,6 @@ class FrameIndex:
     def __iter__(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         for i in range(self.num_frames):
             yield int(self.edges[i]), int(self.edges[i + 1]), self.frame_events(i)
-
-
-def frame_windows(
-    events: np.ndarray,
-    frame_duration_us: int,
-    t_start: Optional[int] = None,
-    t_end: Optional[int] = None,
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Partition an event array into consecutive fixed-duration windows.
-
-    Parameters
-    ----------
-    events:
-        Time-sorted structured event array.
-    frame_duration_us:
-        Window length ``tF`` in microseconds.
-    t_start, t_end:
-        Optional explicit stream bounds.  Default to the first event
-        timestamp and one window past the last event, so every event falls
-        in exactly one window.
-
-    Yields
-    ------
-    (window_start, window_end, window_events)
-        Window bounds in microseconds and the events with
-        ``window_start <= t < window_end``.  Windows with zero events are
-        still yielded (with an empty array) so downstream framing stays in
-        lockstep with wall-clock time.
-    """
-    if frame_duration_us <= 0:
-        raise ValueError(f"frame_duration_us must be positive, got {frame_duration_us}")
-    if len(events) == 0 and (t_start is None or t_end is None):
-        return
-    if t_start is None:
-        t_start = int(events["t"][0])
-    if t_end is None:
-        t_end = int(events["t"][-1]) + 1
-    if t_end <= t_start:
-        return
-
-    edges, splits = frame_boundaries(events["t"], frame_duration_us, t_start, t_end)
-    for i in range(len(edges) - 1):
-        yield int(edges[i]), int(edges[i + 1]), events[splits[i] : splits[i + 1]]
 
 
 @dataclass
@@ -257,21 +214,15 @@ class EventStream:
     def iter_frames(
         self, frame_duration_us: int, align_to_zero: bool = False
     ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Iterate over fixed-duration frame windows (see :func:`frame_windows`).
+        """Iterate over the windows of :meth:`frame_index`.
 
-        Parameters
-        ----------
-        frame_duration_us:
-            The EBBIOT frame duration ``tF`` in microseconds.
-        align_to_zero:
-            When ``True`` windows start at ``t = 0`` instead of the first
-            event timestamp, which keeps frame indices aligned with the
-            simulator's ground-truth sampling grid.
+        Yields ``(window_start, window_end, window_events)``: the window
+        bounds in microseconds and the events with ``window_start <= t <
+        window_end``.  Windows with zero events are still yielded (with an
+        empty array) so downstream framing stays in lockstep with
+        wall-clock time.
         """
-        t_start = 0 if align_to_zero else None
-        yield from frame_windows(
-            self.events, frame_duration_us, t_start=t_start, t_end=None
-        )
+        yield from self.frame_index(frame_duration_us, align_to_zero)
 
     def frame_index(
         self, frame_duration_us: int, align_to_zero: bool = False
@@ -281,25 +232,24 @@ class EventStream:
         The returned :class:`FrameIndex` resolves every window boundary with
         a single vectorised ``searchsorted``, so batched consumers (the
         pipeline's chunked path, the runtime layer) never touch the
-        per-window Python loop.  Yields the same windows as
-        :meth:`iter_frames`.
-        """
-        if len(self.events) == 0:
-            edges = np.zeros(1, dtype=np.int64)
-            return FrameIndex(self.events, edges, np.zeros(1, dtype=np.int64))
-        t_start = 0 if align_to_zero else self.t_start
-        edges, splits = frame_boundaries(
-            self.events["t"], frame_duration_us, t_start, self.t_end + 1
-        )
-        return FrameIndex(self.events, edges, splits)
+        per-window Python loop.  Every event falls in exactly one window,
+        and the last window ends past the last event; an empty stream has
+        no windows.
 
-    def num_frames(self, frame_duration_us: int, align_to_zero: bool = False) -> int:
-        """Number of frame windows :meth:`iter_frames` would yield."""
-        if len(self.events) == 0:
-            return 0
-        t0 = 0 if align_to_zero else self.t_start
-        span = self.t_end + 1 - t0
-        return int(np.ceil(span / frame_duration_us))
+        Parameters
+        ----------
+        frame_duration_us:
+            The EBBIOT frame duration ``tF`` in microseconds; must be
+            positive, also for an empty stream.
+        align_to_zero:
+            When ``True`` windows start at ``t = 0`` instead of the first
+            event timestamp, which keeps frame indices aligned with the
+            simulator's ground-truth sampling grid.
+        """
+        t_start = 0 if align_to_zero else self.t_start
+        t_end = self.t_end + 1 if len(self.events) else t_start
+        edges, splits = frame_boundaries(self.events["t"], frame_duration_us, t_start, t_end)
+        return FrameIndex(self.events, edges, splits)
 
     # -- combination ---------------------------------------------------------------
 

@@ -80,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the concurrent executors (default: CPU count)",
     )
     parser.add_argument(
-        "--chunk-frames",
-        type=int,
-        default=256,
-        help="frames per vectorised EBBI batch (default 256)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="base seed for the fleet's traffic draws"
     )
     parser.add_argument(
@@ -169,7 +163,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         runner_config = RunnerConfig(
             executor=args.executor,
             max_workers=args.workers,
-            chunk_frames=args.chunk_frames,
             instrument=args.instrument or args.metrics is not None,
             trace=args.trace is not None,
             trace_sample_every=args.trace_sample,

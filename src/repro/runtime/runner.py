@@ -8,12 +8,11 @@ process pool or serially, and merges the per-recording summaries into a
 :class:`~repro.runtime.aggregate.BatchResult`.
 
 Inside each job the pipeline uses the vectorised chunked path
-(:meth:`~repro.core.pipeline.EbbiotPipeline.process_stream` with
-``chunk_frames``): frame boundaries for the whole recording are resolved
-with one ``searchsorted`` and EBBI frames are accumulated and filtered in
-batches, so the per-event Python work is gone and — for the thread
-executor — the NumPy kernels release the GIL while other recordings make
-progress.
+(:meth:`~repro.core.pipeline.EbbiotPipeline.process_stream`): frame
+boundaries for the whole recording are resolved with one ``searchsorted``
+and EBBI frames are accumulated and filtered in batches, so the per-event
+Python work is gone and — for the thread executor — the NumPy kernels
+release the GIL while other recordings make progress.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ from repro.simulation.ground_truth import GroundTruthFrame
 
 #: Executor kinds understood by :class:`RunnerConfig`.
 EXECUTORS = ("serial", "thread", "process")
+
+#: IoU threshold of the CLEAR-MOT evaluation run for jobs with ground truth.
+MOT_IOU_THRESHOLD = 0.3
 
 
 @dataclass
@@ -74,20 +76,11 @@ class RunnerConfig:
     max_workers:
         Worker count for the concurrent executors; defaults to the CPU
         count (capped at 8 so a laptop run does not oversubscribe).
-    chunk_frames:
-        Frame-chunk size handed to
-        :meth:`~repro.core.pipeline.EbbiotPipeline.process_stream`; each
-        chunk of windows is built into EBBI frames by one
-        ``build_batch`` call, which accumulates and filters it in
-        cache-sized blocks.
     pipeline_config:
         Shared pipeline configuration for jobs that do not bring their own.
     align_to_zero:
         Start frame windows at ``t = 0`` (keeps frame midpoints on the
         simulator's ground-truth grid).
-    mot_iou_threshold:
-        IoU threshold of the CLEAR-MOT evaluation run for jobs with ground
-        truth.
     instrument:
         Attach a per-job :class:`repro.obs.Instrumentation` so each
         recording's result carries its ``stage_seconds`` breakdown.  Runs
@@ -104,10 +97,8 @@ class RunnerConfig:
 
     executor: str = "thread"
     max_workers: Optional[int] = None
-    chunk_frames: int = 256
     pipeline_config: EbbiotConfig = field(default_factory=EbbiotConfig)
     align_to_zero: bool = True
-    mot_iou_threshold: float = 0.3
     instrument: bool = False
     trace: bool = False
     trace_sample_every: int = 1
@@ -119,8 +110,6 @@ class RunnerConfig:
             )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
-        if self.chunk_frames <= 0:
-            raise ValueError(f"chunk_frames must be positive, got {self.chunk_frames}")
         if self.trace_sample_every < 1:
             raise ValueError(
                 f"trace_sample_every must be >= 1, got {self.trace_sample_every}"
@@ -158,7 +147,6 @@ def run_recording(job: RecordingJob, config: RunnerConfig) -> RecordingResult:
     result: PipelineResult = pipeline.process_stream(
         job.stream,
         align_to_zero=config.align_to_zero,
-        chunk_frames=config.chunk_frames,
         collect_frames=False,
     )
     wall_time_s = time.perf_counter() - started
@@ -167,7 +155,7 @@ def run_recording(job: RecordingJob, config: RunnerConfig) -> RecordingResult:
         mot = compute_mot_summary(
             result.track_history.observations,
             job.ground_truth,
-            iou_threshold=config.mot_iou_threshold,
+            iou_threshold=MOT_IOU_THRESHOLD,
         )
     duty = None
     if pipeline_config.duty_cycle is not None and result.num_frames > 0:

@@ -8,7 +8,7 @@ into IoVT infrastructure, tracked online.
   windows from a live batch feed, tolerating bounded out-of-order arrival.
 * :mod:`repro.serving.session` — :class:`SensorSession` wraps one
   incremental :class:`~repro.core.pipeline.EbbiotPipeline` per sensor with
-  running statistics and snapshot/restore.
+  running statistics and one checkpoint, the migration envelope.
 * :mod:`repro.serving.hub` — :class:`TrackingHub`, the one hub
   implementation: shards sessions across worker loops
   (:mod:`repro.serving.shard`) fed by bounded rings with explicit
@@ -51,7 +51,7 @@ from repro.serving.protocol import (
     metrics_message,
     trace_message,
 )
-from repro.serving.session import SensorSession, SessionSnapshot
+from repro.serving.session import SensorSession
 from repro.serving.telemetry import LatencyWindow, SensorTelemetry, TelemetryRegistry
 from repro.serving.transport import RingFull, ShmRing
 
@@ -83,7 +83,6 @@ __all__ = [
     "OnlineFramer",
     "ClosedWindow",
     "SensorSession",
-    "SessionSnapshot",
     "TrackingHub",
     "ProcessTrackingHub",
     "HubConfig",

@@ -44,9 +44,10 @@ attachment gets an ``error`` reply naming the limit, as does a ``count``
 that is not a non-negative integer, and the connection then ends through
 the normal teardown, since the framing is lost.  A message is handled only
 once it is complete, records and all, so every other refusal (events
-before ``hello`` or after ``finish``, bad values, a batch that can never
-fit one ring record) is an ``error`` reply on a connection that stays
-usable; EOF inside a message tears the connection down.  A connection
+before ``hello`` or after ``finish``, an ``events`` message that is not a
+binary frame, bad values, a batch that can never fit one ring record) is
+an ``error`` reply on a connection that stays usable; EOF inside a
+message tears the connection down.  A connection
 buffers at most twice the limit in its ``StreamReader`` before reading
 from the socket pauses, plus, in its own buffer, one partial message and
 one read.

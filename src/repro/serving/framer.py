@@ -36,10 +36,9 @@ from repro.events.types import empty_packet, normalize_packet
 class FramerSnapshot:
     """Complete live state of an :class:`OnlineFramer` at a batch boundary.
 
-    Unlike :class:`~repro.serving.session.SessionSnapshot` (which round-trips
-    only the pipeline and deliberately drops in-flight events), this captures
-    the spool too, so a migrated session resumes with byte-identical output:
-    pending events, watermark position, window cursor, and loss counters.
+    It captures the spool too, so a migrated session resumes with
+    byte-identical output: pending events, watermark position, window
+    cursor, and loss counters.
     """
 
     frame_duration_us: int

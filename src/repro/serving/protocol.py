@@ -11,12 +11,11 @@ and what a shard ring record carries::
     line         = JSON-object LF
 
 A ``count`` field marks a binary frame unambiguously, so the server keeps no
-per-connection mode.  Hand-written clients (``nc``, a script) may still send
-a batch as one JSON line of four parallel lists, the form of protocol
-version 1; both forms go through :func:`packet_from_events_message` and
-are refused for the same values.  :class:`~repro.serving.client.SensorClient`
-sends only binary frames, and refuses a server whose ``welcome`` says a
-version below 2.
+per-connection mode.  Binary frames are the only form an ``events`` batch
+takes: an ``events`` message without a ``count`` (such as protocol version
+1's line of four parallel JSON lists) gets an ``error`` reply, on a
+connection that stays usable.  :class:`~repro.serving.client.SensorClient`
+refuses a server whose ``welcome`` says a version below 2.
 
 The front door parses each socket read whole.  :func:`decode_message`
 parses every frame's header line; the exact header the client writes
@@ -34,7 +33,6 @@ Client → server::
     {"type": "hello", "sensor_id": "ENG-00", "width": 240, "height": 180,
      "version": 2, "tracker": "kalman"}   # tracker is optional (server default)
     {"type": "events", "count": 25}       # + 325 bytes of EVENT_DTYPE records
-    {"type": "events", "x": [...], "y": [...], "t": [...], "p": [...]}   # list form
     {"type": "stats"}
     {"type": "metrics"}            # allowed without hello (monitoring)
     {"type": "trace"}              # allowed without hello (monitoring)
@@ -87,7 +85,7 @@ _WIRE_DTYPE = EVENT_DTYPE.newbyteorder("<")
 #: Offset of the polarity byte within a record.
 _P_OFFSET = EVENT_DTYPE.fields["p"][1]
 
-#: The fields of a list-form ``events`` message.
+#: The fields of a protocol-version-1 ``events`` line, refused beside a ``count``.
 _LIST_FIELDS = frozenset("xytp")
 
 #: Coordinates at or past this bound would wrap in EVENT_DTYPE's int16 fields.
@@ -197,27 +195,22 @@ def events_message(events: np.ndarray) -> dict:
     return {"type": "events", "count": len(packet), "records": packet.tobytes()}
 
 
-def _outside(width: int, height: int, x, y) -> ProtocolError:
-    return ProtocolError(f"events outside the {width}x{height} sensor: "
-                         f"x in [{min(x)}, {max(x)}], y in [{min(y)}, {max(y)}]")
-
-
 def packet_from_events_message(message: dict, width: int, height: int) -> np.ndarray:
-    """Validate an ``events`` message against the ``hello`` geometry; return its packet.
+    """Validate a binary ``events`` frame against the ``hello`` geometry; return its packet.
 
-    A binary frame's records become a zero-copy view, checked with one
-    max over an unsigned view of the x/y pairs (a negative int16 reads as
-    32768 or more) and one pass over the polarity bytes.  The list form
-    takes one ``np.array`` over the four lists, then one min and max per
-    field.  Both raise :class:`ProtocolError` wherever ``make_packet`` +
-    ``validate_packet`` raise; the list form also on non-integers and on
-    values that would wrap in EVENT_DTYPE, which the records cannot hold.
+    The frame's records become a zero-copy view, checked with one max over
+    an unsigned view of the x/y pairs (a negative int16 reads as 32768 or
+    more) and one pass over the polarity bytes.  Raises
+    :class:`ProtocolError` wherever ``make_packet`` + ``validate_packet``
+    raise, and on a message that is not a binary frame: one without a
+    ``count``, or one that also carries x/y/t/p fields.
     """
-    width, height = min(width, _COORDINATE_END), min(height, _COORDINATE_END)
     if "count" not in message:
-        return _packet_from_lists(message, width, height)
+        raise ProtocolError("an events message must be a binary frame: a header line "
+                            "with its count, then the records")
     if not _LIST_FIELDS.isdisjoint(message):
         raise ProtocolError("an events message carries a count or x/y/t/p lists, not both")
+    width, height = min(width, _COORDINATE_END), min(height, _COORDINATE_END)
     records = message["records"]
     packet = np.frombuffer(records, dtype=_WIRE_DTYPE)
     if not len(packet):
@@ -225,33 +218,11 @@ def packet_from_events_message(message: dict, width: int, height: int) -> np.nda
     pairs = np.ndarray((len(packet), 2), "<u2", records, 0, (RECORD_BYTES, 2))
     x_max, y_max = pairs.max(0).tolist()
     if x_max >= width or y_max >= height:
-        raise _outside(width, height, packet["x"].tolist(), packet["y"].tolist())
+        x, y = packet["x"], packet["y"]
+        raise ProtocolError(f"events outside the {width}x{height} sensor: "
+                            f"x in [{x.min()}, {x.max()}], y in [{y.min()}, {y.max()}]")
     if records[_P_OFFSET::RECORD_BYTES].translate(None, b"\x01\xff"):
         raise ProtocolError("polarity values must be +1 (ON) or -1 (OFF)")
-    return packet
-
-
-def _packet_from_lists(message: dict, width: int, height: int) -> np.ndarray:
-    try:
-        fields = np.array([message["x"], message["y"], message["t"], message["p"]])
-    except KeyError as error:
-        raise ProtocolError(f"events message missing field {error}") from error
-    except ValueError as error:
-        raise ProtocolError(f"event fields must be equal-length lists: {error}") from error
-    # Ints past int64 arrive as float or object arrays: t cannot wrap either.
-    if fields.ndim != 2 or (fields.dtype.kind != "i" and fields.size):
-        raise ProtocolError("event fields must be flat lists of integers")
-    packet = np.empty(fields.shape[1], dtype=EVENT_DTYPE)
-    if not len(packet):
-        return packet
-    # Positional axis: on a 16-event batch the keyword form costs more than the reduction.
-    low, high = fields.min(1).tolist(), fields.max(1).tolist()
-    (x_min, y_min, _, p_min), (x_max, y_max, _, p_max) = low, high
-    if x_min < 0 or x_max >= width or y_min < 0 or y_max >= height:
-        raise _outside(width, height, (x_min, x_max), (y_min, y_max))
-    if p_min < -1 or p_max > 1 or np.count_nonzero(fields[3]) != len(packet):
-        raise ProtocolError("polarity values must be +1 (ON) or -1 (OFF)")
-    packet["x"], packet["y"], packet["t"], packet["p"] = fields[0], fields[1], fields[2], fields[3]
     return packet
 
 

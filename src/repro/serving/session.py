@@ -11,20 +11,21 @@ summaries.
 
 Sessions are single-threaded by design: the hub shards sensors across
 workers and each session only ever runs on its shard's worker, so no locks
-are needed here.  :meth:`snapshot` / :meth:`restore` checkpoint the tracker
-and statistics between batches (state migration, fault recovery).
+are needed here.  :meth:`~SensorSession.export_migration` /
+:meth:`~SensorSession.restore_migration` are a session's one checkpoint
+(shard-to-shard migration).
 
-Steady-state sessions do not allocate per frame: the pipeline's
+A session keeps counters only (frames, proposals, track observations and
+distinct track ids): frames leave it only as the return values of
+:meth:`~SensorSession.ingest` and :meth:`~SensorSession.finish`, so an
+indefinitely streaming sensor runs at constant memory.  Steady-state
+sessions do not allocate per frame either: the pipeline's
 :class:`~repro.core.ebbi.EbbiBuilder` runs with buffer reuse, so each
 closed window is accumulated and median-filtered into persistent scratch
 stacks (see :class:`~repro.core.ebbi.EbbiScratch`) as a one-frame stack,
 by the same build body and frame step that ``process_stream`` runs in
-chunks.  The frames a session hands to the RPN + tracker step are views
-into those buffers, consumed before the next window is built; anything
-retained (``collect_frames`` with ``keep_frames`` pipelines) is a detached
-copy.  A long-lived sensor session therefore runs at constant memory *and*
-constant allocation traffic, and reports the same ``alpha`` as a batch
-replay of the same windows.
+chunks, and reports the same ``alpha`` as a batch replay of the same
+windows.
 """
 
 from __future__ import annotations
@@ -36,47 +37,32 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import EbbiotConfig
-from repro.core.pipeline import EbbiotPipeline, FrameResult, PipelineResult, PipelineState
+from repro.core.pipeline import EbbiotPipeline, FrameResult, PipelineState
 from repro.runtime.aggregate import RecordingResult
 from repro.serving.framer import FramerSnapshot, OnlineFramer
 
 
 @dataclass(frozen=True)
-class SessionSnapshot:
-    """Checkpoint of a session's pipeline state between batches.
+class MigrationEnvelope:
+    """A live session's checkpoint: everything needed to move it between
+    shards mid-stream.
 
-    The framer's in-flight buffer is deliberately *not* part of the
-    snapshot: checkpoints are taken at batch boundaries and un-closed events
-    are still owned by the transport (a resumed session re-ingests from the
-    last acknowledged batch).
+    It carries the pipeline's :class:`~repro.core.pipeline.PipelineState`
+    (the tracker backend's state and the running statistics), the framer's
+    full state -- spooled events included, via :class:`FramerSnapshot` --
+    and the summary counters, so the restored session's future frames
+    **and** its final summary are identical to an unmigrated run.
+    Envelopes are plain picklable data: process shards ship them over their
+    control pipes.
     """
 
     sensor_id: str
     pipeline: PipelineState
-    frames_processed: int
-    events_ingested: int
-
-
-@dataclass(frozen=True)
-class MigrationEnvelope:
-    """Everything needed to move a live session between shards mid-stream.
-
-    Wraps the PR 2 :class:`SessionSnapshot` (the pipeline checkpoint) and
-    adds what a *hot* hand-off additionally needs: the framer's full state —
-    spooled events included, via :class:`FramerSnapshot` — plus the summary
-    counters, so the restored session's future frames **and** its final
-    summary are identical to an unmigrated run.  Envelopes are plain
-    picklable data: process shards ship them over their control pipes.
-    """
-
-    session: SessionSnapshot
     framer: FramerSnapshot
     busy_s: float
+    proposal_count: int
     num_observations: int
     track_ids: frozenset
-    proposal_count: int
-    collect_frames: bool
-    keep_history: bool
     pipeline_config: EbbiotConfig
 
 
@@ -91,15 +77,6 @@ class SensorSession:
         Pipeline configuration; defaults to the paper's parameters.
     reorder_slack_us:
         Out-of-order tolerance handed to the :class:`OnlineFramer`.
-    collect_frames:
-        Keep per-frame :class:`FrameResult` objects in :attr:`result`
-        (handy in tests; off for long-lived production sessions).
-    keep_history:
-        Accumulate every :class:`TrackObservation` in
-        ``result.track_history``.  The hub turns this off for its sessions
-        so an indefinitely streaming sensor stays at constant memory; the
-        summary counts (observations, distinct tracks) are maintained
-        separately and are unaffected.
     instrumentation:
         Optional :class:`repro.obs.Instrumentation` threaded into the
         pipeline; an instrumented hub passes one per sensor (labelled with
@@ -111,8 +88,6 @@ class SensorSession:
         sensor_id: str,
         config: Optional[EbbiotConfig] = None,
         reorder_slack_us: int = 5_000,
-        collect_frames: bool = False,
-        keep_history: bool = True,
         instrumentation=None,
     ) -> None:
         self.sensor_id = sensor_id
@@ -122,12 +97,9 @@ class SensorSession:
             frame_duration_us=self.pipeline.config.frame_duration_us,
             reorder_slack_us=reorder_slack_us,
         )
-        self.collect_frames = collect_frames
-        self.keep_history = keep_history
-        self.result = PipelineResult()
-        self._started_monotonic = time.perf_counter()
         self._busy_s = 0.0
         self._finished = False
+        self._proposal_count = 0
         self._num_observations = 0
         self._track_ids = set()
 
@@ -156,9 +128,7 @@ class SensorSession:
         frame = self.pipeline.process_frame_events(
             window.events, window.t_start_us, window.t_end_us, window.frame_index
         )
-        self.result.add_frame(
-            frame, keep=self.collect_frames, keep_history=self.keep_history
-        )
+        self._proposal_count += len(frame.proposals)
         self._num_observations += len(frame.tracks)
         self._track_ids.update(observation.track_id for observation in frame.tracks)
         return frame
@@ -168,7 +138,7 @@ class SensorSession:
     @property
     def frames_processed(self) -> int:
         """Windows fully processed so far."""
-        return self.result.frames_processed
+        return self.pipeline.frames_processed
 
     @property
     def backend_name(self) -> str:
@@ -185,29 +155,6 @@ class SensorSession:
         """Events dropped for arriving after their window closed."""
         return self.framer.late_events
 
-    def snapshot(self) -> SessionSnapshot:
-        """Checkpoint the pipeline state (call between batches)."""
-        return SessionSnapshot(
-            sensor_id=self.sensor_id,
-            pipeline=self.pipeline.snapshot(),
-            frames_processed=self.frames_processed,
-            events_ingested=self.events_ingested,
-        )
-
-    def restore(self, snapshot: SessionSnapshot) -> None:
-        """Reinstate a checkpoint taken by :meth:`snapshot`.
-
-        Only the pipeline (tracker + statistics) is restored; the track
-        history accumulated in :attr:`result` is left as-is since it
-        reflects frames already delivered downstream.
-        """
-        if snapshot.sensor_id != self.sensor_id:
-            raise ValueError(
-                f"snapshot belongs to sensor {snapshot.sensor_id!r}, "
-                f"not {self.sensor_id!r}"
-            )
-        self.pipeline.restore(snapshot.pipeline)
-
     def export_migration(self) -> MigrationEnvelope:
         """Package the complete live state for a shard-to-shard hand-off.
 
@@ -219,14 +166,13 @@ class SensorSession:
                 f"session {self.sensor_id!r} is finished; nothing to migrate"
             )
         return MigrationEnvelope(
-            session=self.snapshot(),
+            sensor_id=self.sensor_id,
+            pipeline=self.pipeline.snapshot(),
             framer=self.framer.snapshot(),
             busy_s=self._busy_s,
+            proposal_count=self._proposal_count,
             num_observations=self._num_observations,
             track_ids=frozenset(self._track_ids),
-            proposal_count=self.result.proposal_count,
-            collect_frames=self.collect_frames,
-            keep_history=self.keep_history,
             pipeline_config=self.pipeline.config,
         )
 
@@ -235,22 +181,25 @@ class SensorSession:
 
         The receiving session must be freshly constructed for the same
         sensor with the same pipeline configuration (the hub guarantees
-        both); the pipeline checkpoint re-validates the backend match.
+        both).  Another sensor's envelope raises :class:`ValueError`, and
+        so does the pipeline checkpoint of another tracker backend.
         """
+        if envelope.sensor_id != self.sensor_id:
+            raise ValueError(
+                f"envelope belongs to sensor {envelope.sensor_id!r}, "
+                f"not {self.sensor_id!r}"
+            )
         if self.frames_processed or self.events_ingested:
             raise RuntimeError(
                 f"cannot restore a migration onto session {self.sensor_id!r} "
                 "that has already processed data"
             )
-        self.restore(envelope.session)
+        self.pipeline.restore(envelope.pipeline)
         self.framer.restore(envelope.framer)
-        self.result.frames_processed = envelope.session.frames_processed
-        self.result.proposal_count = envelope.proposal_count
         self._busy_s = envelope.busy_s
+        self._proposal_count = envelope.proposal_count
         self._num_observations = envelope.num_observations
         self._track_ids = set(envelope.track_ids)
-        self.collect_frames = envelope.collect_frames
-        self.keep_history = envelope.keep_history
 
     # -- summary -------------------------------------------------------------------------
 
@@ -274,7 +223,7 @@ class SensorSession:
             mean_active_trackers=self.pipeline.tracker.mean_active_trackers,
             num_tracks=len(self._track_ids),
             num_track_observations=self._num_observations,
-            num_proposals=self.result.total_proposals(),
+            num_proposals=self._proposal_count,
             tracker=self.backend_name,
             stage_seconds=(
                 self.instrumentation.snapshot()

@@ -125,9 +125,6 @@ class _ShardWorker:
             sensor_id,
             config=config or self.config.pipeline_config,
             reorder_slack_us=self.config.reorder_slack_us,
-            # Hub sessions may stream indefinitely: keep no per-observation
-            # history (the summary counts are maintained separately).
-            keep_history=False,
             instrumentation=instrumentation,
         )
 

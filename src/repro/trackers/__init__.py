@@ -2,7 +2,7 @@
 
 The EBBIOT overlap tracker itself lives in :mod:`repro.core.overlap_tracker`
 (it is part of the paper's contribution); this package provides the shared
-:class:`TrackObservation` / :class:`TrackerBase` interfaces plus the two
+:class:`TrackObservation` output type plus the two
 baselines the paper compares against:
 
 * :class:`KalmanFilterTracker` — constant-velocity Kalman filter tracker on
@@ -19,7 +19,7 @@ throughout the core pipeline, the batch runtime and the live serving layer.
 
 from repro.trackers.association import greedy_overlap_assignment, iou_assignment
 from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
-from repro.trackers.base import TrackerBase, TrackObservation, TrackState
+from repro.trackers.base import TrackObservation, TrackState
 from repro.trackers.ebms import EbmsCluster, EbmsConfig, EbmsState, EbmsTracker
 from repro.trackers.kalman import ConstantVelocityKalmanFilter
 from repro.trackers.kalman_tracker import (
@@ -35,13 +35,11 @@ from repro.trackers.registry import (
     create_backend,
     ensure_backend_name,
     parse_backend_list,
-    register_backend,
 )
 
 __all__ = [
     "TrackObservation",
     "TrackState",
-    "TrackerBase",
     "greedy_overlap_assignment",
     "iou_assignment",
     "ConstantVelocityKalmanFilter",
@@ -62,5 +60,4 @@ __all__ = [
     "create_backend",
     "ensure_backend_name",
     "parse_backend_list",
-    "register_backend",
 ]

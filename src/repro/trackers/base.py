@@ -1,4 +1,4 @@
-"""Shared tracker interfaces and track output data structures.
+"""Track output data structures shared by every tracker.
 
 Every tracker in this library — the EBBIOT overlap tracker, the Kalman
 filter baseline and the EBMS baseline — reports its per-frame output as a
@@ -8,7 +8,6 @@ uniformly.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
@@ -89,26 +88,3 @@ class TrackHistory:
 
     def __len__(self) -> int:
         return len(self.observations)
-
-
-class TrackerBase(abc.ABC):
-    """Common interface of frame-driven trackers.
-
-    Frame-driven trackers (EBBIOT's overlap tracker, the KF baseline)
-    consume one list of region proposals per frame.  The event-driven EBMS
-    baseline additionally exposes ``process_events``; its ``process_frame``
-    accepts the frame's raw events for interface compatibility.
-    """
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Clear all tracker state."""
-
-    @abc.abstractmethod
-    def process_frame(self, proposals, t_us: int) -> List[TrackObservation]:
-        """Advance the tracker by one frame and return the active tracks."""
-
-    @property
-    @abc.abstractmethod
-    def num_active_tracks(self) -> int:
-        """Number of currently active (allocated) tracks."""

@@ -34,7 +34,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.trackers.base import TrackerBase, TrackObservation, TrackState
+from repro.trackers.base import TrackObservation, TrackState
 from repro.utils.fastpath import scalar_forced
 from repro.utils.geometry import BoundingBox
 
@@ -185,7 +185,7 @@ def _copy_cluster(cluster: EbmsCluster) -> EbmsCluster:
     return copied
 
 
-class EbmsTracker(TrackerBase):
+class EbmsTracker:
     """Event-based mean-shift cluster tracker.
 
     ``vectorized=False`` pins this instance to the scalar reference loop
@@ -210,7 +210,7 @@ class EbmsTracker(TrackerBase):
         # one after every assigned event.
         self._merge_residual = True
 
-    # -- TrackerBase interface ---------------------------------------------------------------
+    # -- per-frame interface -----------------------------------------------------------------
 
     def reset(self) -> None:
         """Clear all clusters and statistics."""

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.histogram_rpn import RegionProposal
 from repro.trackers.association import greedy_overlap_assignment, unmatched_indices
-from repro.trackers.base import TrackerBase, TrackObservation, TrackState
+from repro.trackers.base import TrackObservation, TrackState
 from repro.trackers.kalman import ConstantVelocityKalmanFilter
 from repro.utils.geometry import BoundingBox
 
@@ -111,7 +111,7 @@ class KalmanTrackerState:
     total_active_tracks: int
 
 
-class KalmanFilterTracker(TrackerBase):
+class KalmanFilterTracker:
     """Constant-velocity Kalman-filter multi-object tracker."""
 
     def __init__(self, config: Optional[KalmanTrackerConfig] = None) -> None:
@@ -121,7 +121,7 @@ class KalmanFilterTracker(TrackerBase):
         self._frames_processed = 0
         self._total_active_tracks = 0
 
-    # -- TrackerBase interface ------------------------------------------------------------
+    # -- per-frame interface --------------------------------------------------------------
 
     def reset(self) -> None:
         """Clear all tracks and statistics."""

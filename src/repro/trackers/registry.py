@@ -18,15 +18,15 @@ the :class:`~repro.trackers.backend.TrackerBackend` protocol:
   backend, which runs its own stateful nearest-neighbour filter before the
   mean-shift clusters — the event-driven pipeline of Section II-A.
 
-Third-party backends register with :func:`register_backend`; a factory
-receives the full :class:`~repro.core.config.EbbiotConfig` so it can map the
+The registry is a fixed mapping of these three names.  Each backend is
+built from the full :class:`~repro.core.config.EbbiotConfig`, mapping the
 shared knobs (``max_trackers``, lifecycle frames, sensor geometry) onto its
 own configuration.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.events.filters import NearestNeighbourFilter
 from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
@@ -34,28 +34,7 @@ from repro.trackers.base import TrackObservation
 from repro.trackers.ebms import EbmsConfig, EbmsTracker
 from repro.trackers.kalman_tracker import KalmanFilterTracker, KalmanTrackerConfig
 
-#: A factory builds one backend instance from the shared pipeline config.
-BackendFactory = Callable[["EbbiotConfig"], TrackerBackend]
-
-_REGISTRY: Dict[str, BackendFactory] = {}
-
-
 # -- registry API ----------------------------------------------------------------------
-
-
-def register_backend(
-    name: str, factory: BackendFactory, overwrite: bool = False
-) -> None:
-    """Register a backend factory under ``name``.
-
-    Raises on duplicate names unless ``overwrite`` is set, so a typo'd
-    re-registration fails loudly instead of silently shadowing a backend.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = factory
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -93,7 +72,7 @@ def create_backend(
     """Build a backend from a registry name (or pass an instance through).
 
     Accepting a ready :class:`TrackerBackend` instance lets tests and
-    experiments inject custom trackers without registering them globally.
+    experiments inject custom trackers.
     """
     if isinstance(spec, TrackerBackend):
         return spec
@@ -246,6 +225,4 @@ class EbmsBackend(TrackerBackend):
         return self.tracker.mean_visible_clusters
 
 
-register_backend(OverlapBackend.name, OverlapBackend)
-register_backend(KalmanBackend.name, KalmanBackend)
-register_backend(EbmsBackend.name, EbmsBackend)
+_REGISTRY = {backend.name: backend for backend in (OverlapBackend, KalmanBackend, EbmsBackend)}

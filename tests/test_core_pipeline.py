@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.core.ebbi import events_to_binary_frame
+from repro.core.pipeline import CHUNK_FRAMES
 from repro.events.stream import EventStream
 from repro.events.types import empty_packet, make_packet
 from repro.obs import PIPELINE_STAGES, Instrumentation
@@ -50,14 +51,6 @@ class TestPipelineOnSimulatedScene:
         assert result.total_track_observations() > 10
         # Noise alone never creates more trackers than objects + a small margin.
         assert len(result.track_history.track_ids()) <= 3
-
-    def test_keep_frames_flag(self, single_car_stream):
-        pipeline = EbbiotPipeline(EbbiotConfig(), keep_frames=True)
-        result = pipeline.process_stream(single_car_stream.stream)
-        assert result.frames[0].ebbi is not None
-        pipeline_no_frames = EbbiotPipeline(EbbiotConfig(), keep_frames=False)
-        result_no_frames = pipeline_no_frames.process_stream(single_car_stream.stream)
-        assert result_no_frames.frames[0].ebbi is None
 
     def test_roe_suppresses_distractor_tracks(self, small_geometry):
         """With an ROE over a foliage distractor, no tracks appear inside it."""
@@ -188,39 +181,50 @@ class TestProcessStreamSummaryStatistics:
         assert len(compact.track_history) == len(reference.track_history)
 
 
+def _sparse_stream_past_one_chunk() -> EventStream:
+    """CHUNK_FRAMES + 44 windows, most of them empty or nearly so, with a
+    6x6 block tracked across the first chunk edge."""
+    rng = np.random.default_rng(17)
+    xs, ys, ts = [], [], []
+    for window in range(CHUNK_FRAMES + 44):
+        t0 = window * 66_000
+        if CHUNK_FRAMES - 24 <= window < CHUNK_FRAMES + 24:
+            x0 = 20 + 3 * (window - CHUNK_FRAMES + 24)
+            for cell in range(36):
+                xs.append(x0 + cell % 6)
+                ys.append(80 + cell // 6)
+                ts.append(t0 + 10_000 + int(rng.integers(0, 40_000)))
+        if window % 7 == 0 or window == CHUNK_FRAMES + 43:
+            for _ in range(3):
+                xs.append(int(rng.integers(0, 240)))
+                ys.append(int(rng.integers(0, 180)))
+                ts.append(t0 + int(rng.integers(0, 66_000)))
+    return EventStream(make_packet(xs, ys, ts, [1] * len(xs)), 240, 180)
+
+
 class TestChunkedProcessing:
-    def test_chunk_size_does_not_change_results(self, constant_velocity_stream):
-        reference = EbbiotPipeline(
-            EbbiotConfig(min_proposal_area=4.0)
-        ).process_stream(constant_velocity_stream, chunk_frames=1)
-        for chunk_frames in (2, 7, 1024):
-            result = EbbiotPipeline(
-                EbbiotConfig(min_proposal_area=4.0)
-            ).process_stream(constant_velocity_stream, chunk_frames=chunk_frames)
-            assert result.num_frames == reference.num_frames
-            assert result.total_proposals() == reference.total_proposals()
-            assert [o.to_dict() for o in result.track_history.observations] == [
-                o.to_dict() for o in reference.track_history.observations
-            ]
-            assert result.mean_active_pixel_fraction == pytest.approx(
-                reference.mean_active_pixel_fraction
-            )
-
-    def test_chunked_matches_lazy_iteration(self, constant_velocity_stream):
-        pipeline = EbbiotPipeline(EbbiotConfig(min_proposal_area=4.0))
-        eager = pipeline.process_stream(constant_velocity_stream, chunk_frames=16)
-        pipeline_lazy = EbbiotPipeline(EbbiotConfig(min_proposal_area=4.0))
-        lazy = list(pipeline_lazy.iter_stream(constant_velocity_stream))
-        assert len(lazy) == eager.num_frames
-        for lazy_frame, eager_frame in zip(lazy, eager.frames):
-            assert lazy_frame.num_events == eager_frame.num_events
-            assert lazy_frame.proposals == eager_frame.proposals
-
-    def test_invalid_chunk_frames_rejected(self, constant_velocity_stream):
-        with pytest.raises(ValueError):
-            EbbiotPipeline().process_stream(
-                constant_velocity_stream, chunk_frames=0
-            )
+    def test_chunked_matches_lazy_iteration(self):
+        """``process_stream`` builds EBBI a chunk at a time; across a chunk
+        edge its frames equal ``iter_stream``'s, built window by window."""
+        stream = _sparse_stream_past_one_chunk()
+        chunked_pipeline = EbbiotPipeline()
+        chunked = chunked_pipeline.process_stream(stream)
+        lazy_pipeline = EbbiotPipeline()
+        lazy = list(lazy_pipeline.iter_stream(stream))
+        assert len(lazy) == chunked.num_frames == CHUNK_FRAMES + 44
+        assert sum(not frame.num_events for frame in lazy) > CHUNK_FRAMES // 2
+        edge = slice(CHUNK_FRAMES - 4, CHUNK_FRAMES + 4)
+        assert all(frame.tracks for frame in lazy[edge])
+        assert len({o.track_id for frame in lazy[edge] for o in frame.tracks}) == 1
+        for lazy_frame, chunked_frame in zip(lazy, chunked.frames):
+            assert chunked_frame.frame_index == lazy_frame.frame_index
+            assert chunked_frame.t_start_us == lazy_frame.t_start_us
+            assert chunked_frame.t_end_us == lazy_frame.t_end_us
+            assert chunked_frame.num_events == lazy_frame.num_events
+            assert chunked_frame.proposals == lazy_frame.proposals
+            assert chunked_frame.tracks == lazy_frame.tracks
+        alpha = lazy_pipeline.ebbi_builder.mean_active_pixel_fraction
+        assert chunked.mean_active_pixel_fraction == alpha > 0
 
 
 def _frame_summary(result):
@@ -277,10 +281,7 @@ class TestOneFrameStep:
         active = sum(np.count_nonzero(events_to_binary_frame(w, 240, 180)) for _, _, w in windows)
         expected = active / (len(windows) * 240 * 180)
 
-        alphas = [
-            EbbiotPipeline().process_stream(stream, chunk_frames=chunk).mean_active_pixel_fraction
-            for chunk in (1, 7, 256)
-        ]
+        alphas = [EbbiotPipeline().process_stream(stream).mean_active_pixel_fraction]
         instrumented = EbbiotPipeline(instrumentation=Instrumentation())
         alphas.append(instrumented.process_stream(stream).mean_active_pixel_fraction)
         session = SensorSession("alpha")
@@ -288,4 +289,4 @@ class TestOneFrameStep:
             session.ingest(packet[lo : lo + 4000])
         session.finish()
         alphas.append(session.summary().mean_active_pixel_fraction)
-        assert alphas == [expected] * 5
+        assert alphas == [expected] * 3

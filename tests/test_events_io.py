@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ from repro.events.io import (
 )
 from repro.events.stream import EventStream
 from repro.events.types import empty_packet, make_packet
+
+
+def _load_without_warnings(load, path) -> EventStream:
+    """``load(path)``, failing on any warning it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load(path)
 
 
 @pytest.fixture
@@ -74,8 +83,10 @@ class TestCsvRoundTrip:
     def test_empty_csv_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
         save_events_csv(path, EventStream(empty_packet(), 240, 180))
-        loaded = load_events_csv(path)
-        assert len(loaded) == 0
+        assert len(_load_without_warnings(load_events_csv, path)) == 0
+        # Blank and comment lines after the column names are not rows either.
+        path.write_text(path.read_text() + "\n  # no events\n\n")
+        assert len(_load_without_warnings(load_events_csv, path)) == 0
 
 
 class TestSuffixNormalization:
@@ -294,7 +305,7 @@ class TestTxtRoundTrip:
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.txt"
         save_events_txt(path, EventStream(empty_packet(), 240, 180))
-        assert len(load_events_txt(path)) == 0
+        assert len(_load_without_warnings(load_events_txt, path)) == 0
 
     def test_crlf_txt(self, tmp_path, sample_stream):
         path = tmp_path / "crlf.txt"
@@ -360,7 +371,7 @@ class TestEveryFormatRoundTrip:
         fmt = EVENT_FORMATS[name]
         path = tmp_path / f"empty{fmt.suffix}"
         fmt.save(path, EventStream(empty_packet(), 128, 128))
-        loaded = load_events(path)
+        loaded = _load_without_warnings(load_events, path)
         assert len(loaded) == 0
         assert loaded.resolution == (128, 128)
 

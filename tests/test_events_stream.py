@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.events.stream import EventStream, frame_windows
+from repro.events.stream import EventStream, frame_boundaries
 from repro.events.types import empty_packet, make_packet
 
 
@@ -18,39 +18,48 @@ def _packet_spanning(duration_us: int, count: int):
     )
 
 
+def _windows(packet, frame_duration_us: int):
+    """The unaligned frame windows of ``packet``, as ``(start, end, events)``."""
+    return list(EventStream(packet).iter_frames(frame_duration_us))
+
+
 class TestFrameWindows:
     def test_every_event_in_exactly_one_window(self):
         packet = _packet_spanning(1_000_000, 100)
-        windows = list(frame_windows(packet, 66_000))
+        windows = _windows(packet, 66_000)
         total = sum(len(events) for _, _, events in windows)
         assert total == 100
 
     def test_windows_are_contiguous(self):
         packet = _packet_spanning(500_000, 50)
-        windows = list(frame_windows(packet, 66_000))
+        windows = _windows(packet, 66_000)
         for (s1, e1, _), (s2, e2, _) in zip(windows, windows[1:]):
             assert e1 == s2
             assert e1 - s1 == 66_000
 
     def test_empty_windows_are_yielded(self):
         packet = make_packet([1, 2], [1, 2], [0, 200_000], [1, 1])
-        windows = list(frame_windows(packet, 66_000))
+        windows = _windows(packet, 66_000)
         lengths = [len(events) for _, _, events in windows]
-        assert lengths[0] == 1
-        assert 0 in lengths[1:-1] or lengths[1] == 0
+        assert lengths == [1, 0, 0, 1]
 
     def test_empty_events_with_no_bounds(self):
-        assert list(frame_windows(empty_packet(), 66_000)) == []
+        assert _windows(empty_packet(), 66_000) == []
+        assert list(EventStream(empty_packet()).iter_frames(66_000, align_to_zero=True)) == []
 
     def test_explicit_bounds(self):
-        windows = list(frame_windows(empty_packet(), 100, t_start=0, t_end=350))
-        assert len(windows) == 4
-        assert windows[0][0] == 0
-        assert windows[-1][1] == 400
+        edges, splits = frame_boundaries(empty_packet()["t"], 100, 0, 350)
+        assert edges.tolist() == [0, 100, 200, 300, 400]
+        assert splits.tolist() == [0] * 5
 
     def test_invalid_duration_raises(self):
-        with pytest.raises(ValueError):
-            list(frame_windows(empty_packet(), 0, t_start=0, t_end=100))
+        for packet in (empty_packet(), _packet_spanning(1_000, 10)):
+            stream = EventStream(packet)
+            for duration in (0, -66_000):
+                with pytest.raises(ValueError, match="frame_duration_us must be positive"):
+                    stream.frame_index(duration)
+                with pytest.raises(ValueError, match="frame_duration_us must be positive"):
+                    list(stream.iter_frames(duration, align_to_zero=True))
 
 
 class TestEventStream:
@@ -77,7 +86,7 @@ class TestEventStream:
         stream = EventStream(empty_packet(), 240, 180)
         assert stream.duration_us == 0
         assert stream.mean_event_rate == 0.0
-        assert stream.num_frames(66_000) == 0
+        assert stream.frame_index(66_000).num_frames == 0
 
     def test_time_slice(self):
         stream = EventStream(_packet_spanning(1_000_000, 100), 240, 180)
@@ -144,20 +153,14 @@ class TestStreamProperties:
 
 class TestFrameBoundariesAndIndex:
     def test_boundaries_match_frame_windows(self):
-        from repro.events.stream import frame_boundaries
-
         packet = _packet_spanning(1_000_000, 137)
         edges, splits = frame_boundaries(packet["t"], 66_000, 0, 1_000_000)
-        expected = list(frame_windows(packet, 66_000, t_start=0, t_end=1_000_000))
-        assert len(edges) - 1 == len(expected)
-        for i, (t_start, t_end, events) in enumerate(expected):
-            assert edges[i] == t_start
-            assert edges[i + 1] == t_end
-            np.testing.assert_array_equal(packet[splits[i] : splits[i + 1]], events)
+        assert edges.tolist() == list(range(0, 1_000_000 + 66_000, 66_000))
+        for i in range(len(edges) - 1):
+            in_window = (packet["t"] >= edges[i]) & (packet["t"] < edges[i + 1])
+            np.testing.assert_array_equal(packet[splits[i] : splits[i + 1]], packet[in_window])
 
     def test_boundaries_degenerate_range(self):
-        from repro.events.stream import frame_boundaries
-
         packet = _packet_spanning(1_000, 10)
         edges, splits = frame_boundaries(packet["t"], 100, 50, 50)
         assert len(edges) == 1 and len(splits) == 1
@@ -191,13 +194,6 @@ class TestFrameBoundariesAndIndex:
         assert index.num_frames == 0
         assert list(index) == []
 
-    def test_frame_index_num_frames_matches_num_frames_method(self):
-        packet = _packet_spanning(900_000, 33)
-        stream = EventStream(packet)
-        for align in (False, True):
-            index = stream.frame_index(66_000, align_to_zero=align)
-            assert index.num_frames == stream.num_frames(66_000, align_to_zero=align)
-
     @settings(deadline=None, max_examples=50)
     @given(
         num_events=st.integers(min_value=1, max_value=300),
@@ -216,13 +212,15 @@ class TestFrameBoundariesAndIndex:
             ts,
             np.ones(num_events, dtype=int),
         )
-        legacy = list(frame_windows(packet, frame_duration))
-        stream = EventStream(packet)
-        index = stream.frame_index(frame_duration)
-        assert index.num_frames == len(legacy)
-        for i, (t_start, t_end, events) in enumerate(legacy):
-            assert index.starts[i] == t_start
-            np.testing.assert_array_equal(index.frame_events(i), events)
+        index = EventStream(packet).frame_index(frame_duration)
+        # The windows tile [first event, last event] from the first event on.
+        t0 = int(ts[0])
+        assert index.num_frames == (int(ts[-1]) - t0) // frame_duration + 1
+        for i in range(index.num_frames):
+            t_start = t0 + i * frame_duration
+            assert (index.starts[i], index.ends[i]) == (t_start, t_start + frame_duration)
+            in_window = (ts >= t_start) & (ts < t_start + frame_duration)
+            np.testing.assert_array_equal(index.frame_events(i), packet[in_window])
 
 
 class TestFromArraysAndNormalization:

@@ -194,18 +194,17 @@ class TestAsyncServer:
 
     @pytest.mark.parametrize("kind", sorted(HUBS))
     def test_batch_too_big_for_one_ring_record_gets_error_reply(self, kind, caplog):
-        """A line under the limit can carry more events than one ring record
-        holds (an event takes as little as 8 bytes of JSON but always 13 ring
-        bytes): the batch is refused by name and the connection lives on."""
-        n = 400
+        """A frame's records may fit the line limit and still outgrow one ring
+        record, which also holds the record header: the batch is refused by
+        name and the connection lives on."""
+        n = 313
         too_big = make_packet(np.arange(n) % 10, np.arange(n) // 10 % 10, [7] * n, [1] * n)
-        lines = list_message(too_big)
-        assert len(encode_message(lines)) < 4096 < too_big.nbytes
+        assert max_payload_bytes(4096) < too_big.nbytes <= 4096
         config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with AsyncTrackingServer(hub=HUBS[kind](config)) as server:
                 with SensorClient(*server.address, "cam") as client:
-                    client._send(lines)
+                    client.send_events(too_big)
                     with pytest.raises(ProtocolError, match="can never fit"):
                         client.request_stats()  # the error reply comes first
                     client.send_events(too_big[:10])
@@ -464,7 +463,8 @@ class TestBinaryFrames:
         assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_list_line_over_the_limit_gets_error_then_eof(self, caplog):
-        """A hand-written client's JSON-list line is still bounded by the limit."""
+        """A JSON line, such as a protocol-version-1 list of events, is
+        bounded by the limit before it is parsed."""
         line = encode_message(list_message(_random_batch(500)))
         assert 4096 < len(line) < 8192
         config = HubConfig(num_workers=1, ring_capacity_bytes=4096)
@@ -479,6 +479,23 @@ class TestBinaryFrames:
                     assert "line exceeds the 4096-byte limit" in error["message"]
                     assert reply() is None
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_events_line_without_count_gets_one_error(self):
+        """An ``events`` message that is not a binary frame (a version-1 line
+        of JSON lists) gets one ``error`` reply; the connection stays usable
+        and submits nothing of it."""
+        batch = _random_batch(20)
+        with AsyncTrackingServer(hub_config=HubConfig(num_workers=1)) as server:
+            with _raw_connection(server.address) as (send, reply):
+                send(hello_message("cam"))
+                assert reply()["type"] == "welcome"
+                send(list_message(batch), events_message(batch), {"type": "stats"})
+                error = reply()
+                assert error["type"] == "error" and error["sensor_id"] == "cam"
+                assert "must be a binary frame" in error["message"]
+                assert reply()["type"] == "stats"
+                send({"type": "finish"})
+                assert reply()["recording"]["num_events"] == len(batch)
 
     def test_client_refuses_a_version_1_server(self):
         """A version-1 server would misread binary frames: the client says so

@@ -39,6 +39,23 @@ def _batches(stream: EventStream, batch_us: int, shuffle_rng=None):
         yield batch
 
 
+def _observations(frames):
+    """The track observations of ``frames``, in frame order."""
+    return [observation for frame in frames for observation in frame.tracks]
+
+
+def _replay(session: SensorSession, batches) -> list:
+    """Feed ``batches`` into ``session``; return the frames they closed."""
+    return [frame for events in batches for frame in session.ingest(events)]
+
+
+def _resumed(session: SensorSession, config=None) -> SensorSession:
+    """A fresh session restored from ``session``'s migration envelope."""
+    resumed = SensorSession(session.sensor_id, config=config, reorder_slack_us=0)
+    resumed.restore_migration(session.export_migration())
+    return resumed
+
+
 def _assert_observations_equal(live_obs, batch_obs):
     assert len(live_obs) == len(batch_obs)
     for a, b in zip(live_obs, batch_obs):
@@ -57,9 +74,7 @@ class TestSessionEquivalence:
         batch = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
 
         session = SensorSession("s", reorder_slack_us=2_000)
-        for events in _batches(stream, 11_000):
-            session.ingest(events)
-        session.finish()
+        frames = _replay(session, _batches(stream, 11_000)) + session.finish()
         summary = session.summary()
 
         assert summary.num_frames == batch.num_frames
@@ -75,10 +90,8 @@ class TestSessionEquivalence:
             batch.mean_active_trackers
         )
         assert summary.num_track_observations > 0
-        _assert_observations_equal(
-            session.result.track_history.observations,
-            batch.track_history.observations,
-        )
+        assert summary.num_proposals == batch.total_proposals()
+        _assert_observations_equal(_observations(frames), batch.track_history.observations)
 
     def test_out_of_order_within_slack_matches_batch(self):
         """Disorder bounded by the slack lands in the correct EBBI window."""
@@ -89,28 +102,19 @@ class TestSessionEquivalence:
         session = SensorSession("s", reorder_slack_us=12_000)
         # Shuffling whole 11 ms batches produces disorder both within a
         # batch (always tolerated) and across adjacent window boundaries.
-        for events in _batches(stream, 11_000, shuffle_rng=rng):
-            session.ingest(events)
-        session.finish()
+        frames = _replay(session, _batches(stream, 11_000, shuffle_rng=rng)) + session.finish()
 
         assert session.late_events == 0
         assert session.frames_processed == batch.num_frames
-        _assert_observations_equal(
-            session.result.track_history.observations,
-            batch.track_history.observations,
-        )
+        _assert_observations_equal(_observations(frames), batch.track_history.observations)
 
     def test_single_giant_batch_matches_batch(self):
         stream = _moving_block_stream(seed=5)
         batch = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
         session = SensorSession("s")
-        session.ingest(stream.events)
-        session.finish()
+        frames = session.ingest(stream.events) + session.finish()
         assert session.frames_processed == batch.num_frames
-        _assert_observations_equal(
-            session.result.track_history.observations,
-            batch.track_history.observations,
-        )
+        _assert_observations_equal(_observations(frames), batch.track_history.observations)
 
 
 class TestSessionLifecycle:
@@ -131,73 +135,49 @@ class TestSessionLifecycle:
         assert summary.events_per_second == 0.0
 
     def test_snapshot_restore_round_trip(self):
-        """A restored session continues exactly like the original."""
+        """A session restored from an envelope into a fresh session continues
+        exactly like the original: the same frames and the same summary."""
         stream = _moving_block_stream(seed=9)
         batches = list(_batches(stream, 66_000))
         half = len(batches) // 2
 
         reference = SensorSession("s", reorder_slack_us=0)
         forked = SensorSession("s", reorder_slack_us=0)
-        for events in batches[:half]:
-            reference.ingest(events)
-            forked.ingest(events)
+        _replay(reference, batches[:half])
+        _replay(forked, batches[:half])
+        resumed = _resumed(forked)
+        assert resumed.frames_processed == reference.frames_processed > 0
 
-        checkpoint = forked.snapshot()
-        assert checkpoint.frames_processed == forked.frames_processed
-
-        # Corrupt the fork's tracker state, then restore the checkpoint.
-        forked.pipeline.tracker.reset()
-        forked.restore(checkpoint)
-
-        for events in batches[half:]:
-            reference.ingest(events)
-            forked.ingest(events)
-        reference.finish()
-        forked.finish()
-
-        ref_summary = reference.summary()
-        fork_summary = forked.summary()
-        assert fork_summary.num_frames == ref_summary.num_frames
-        assert fork_summary.mean_active_trackers == pytest.approx(
-            ref_summary.mean_active_trackers
-        )
-        # Track observations after the checkpoint must be identical.
-        ref_tail = [
-            o
-            for o in reference.result.track_history.observations
-            if o.t_us > checkpoint.frames_processed * 66_000
-        ]
-        fork_tail = [
-            o
-            for o in forked.result.track_history.observations
-            if o.t_us > checkpoint.frames_processed * 66_000
-        ]
-        _assert_observations_equal(fork_tail, ref_tail)
+        ref_tail = _replay(reference, batches[half:]) + reference.finish()
+        fork_tail = _replay(resumed, batches[half:]) + resumed.finish()
+        assert _observations(ref_tail)
+        _assert_observations_equal(_observations(fork_tail), _observations(ref_tail))
+        ref_summary, fork_summary = reference.summary().to_dict(), resumed.summary().to_dict()
+        for field in ("wall_time_s", "events_per_second", "realtime_factor"):
+            del ref_summary[field], fork_summary[field]
+        assert fork_summary == ref_summary
 
     def test_restore_rejects_foreign_snapshot(self):
         session_a = SensorSession("a")
         session_b = SensorSession("b")
-        with pytest.raises(ValueError):
-            session_b.restore(session_a.snapshot())
+        with pytest.raises(ValueError, match="belongs to sensor 'a'"):
+            session_b.restore_migration(session_a.export_migration())
 
 
 class TestBoundedHistory:
     def test_keep_history_off_keeps_summary_counts_correct(self):
+        """A session keeps counters, not frames or observations: its summary
+        counts what the frames it returned hold."""
         stream = _moving_block_stream(seed=11)
-        full = SensorSession("a", keep_history=True)
-        bounded = SensorSession("b", keep_history=False)
-        for events in _batches(stream, 33_000):
-            full.ingest(events)
-            bounded.ingest(events)
-        full.finish()
-        bounded.finish()
+        session = SensorSession("a")
+        frames = _replay(session, _batches(stream, 33_000)) + session.finish()
 
-        assert len(bounded.result.track_history) == 0  # constant memory
-        ref = full.summary()
-        bounded_summary = bounded.summary()
-        assert bounded_summary.num_track_observations == ref.num_track_observations
-        assert bounded_summary.num_tracks == ref.num_tracks
-        assert ref.num_track_observations == len(full.result.track_history)
+        summary = session.summary()
+        observations = _observations(frames)
+        assert summary.num_frames == len(frames) == session.frames_processed
+        assert summary.num_proposals == sum(len(frame.proposals) for frame in frames) > 0
+        assert summary.num_track_observations == len(observations) > 0
+        assert summary.num_tracks == len({o.track_id for o in observations})
 
 
 class TestNonDefaultBackends:
@@ -212,9 +192,7 @@ class TestNonDefaultBackends:
 
         session = SensorSession("s", config=config, reorder_slack_us=2_000)
         assert session.backend_name == backend
-        for events in _batches(stream, 11_000):
-            session.ingest(events)
-        session.finish()
+        frames = _replay(session, _batches(stream, 11_000)) + session.finish()
         summary = session.summary()
 
         assert summary.tracker == backend
@@ -222,14 +200,11 @@ class TestNonDefaultBackends:
         assert summary.mean_active_trackers == pytest.approx(
             batch.mean_active_trackers
         )
-        _assert_observations_equal(
-            session.result.track_history.observations,
-            batch.track_history.observations,
-        )
+        _assert_observations_equal(_observations(frames), batch.track_history.observations)
 
     @pytest.mark.parametrize("backend", ["kalman", "ebms"])
     def test_snapshot_restore_round_trip(self, backend):
-        """Satellite: snapshot/restore round-trips on the baseline backends."""
+        """Satellite: the envelope round-trips on the baseline backends."""
         stream = _moving_block_stream(seed=22)
         batches = list(_batches(stream, 66_000))
         half = len(batches) // 2
@@ -237,37 +212,20 @@ class TestNonDefaultBackends:
 
         reference = SensorSession("s", config=config, reorder_slack_us=0)
         forked = SensorSession("s", config=config, reorder_slack_us=0)
-        for events in batches[:half]:
-            reference.ingest(events)
-            forked.ingest(events)
+        _replay(reference, batches[:half])
+        _replay(forked, batches[:half])
+        envelope = forked.export_migration()
+        assert envelope.pipeline.tracker.backend == backend
+        resumed = _resumed(forked, config)
 
-        checkpoint = forked.snapshot()
-        assert checkpoint.pipeline.tracker.backend == backend
-        forked.pipeline.tracker.reset()
-        forked.restore(checkpoint)
-
-        for events in batches[half:]:
-            reference.ingest(events)
-            forked.ingest(events)
-        reference.finish()
-        forked.finish()
-
-        cutoff = checkpoint.frames_processed * 66_000
-        ref_tail = [
-            o
-            for o in reference.result.track_history.observations
-            if o.t_us > cutoff
-        ]
-        fork_tail = [
-            o
-            for o in forked.result.track_history.observations
-            if o.t_us > cutoff
-        ]
-        _assert_observations_equal(fork_tail, ref_tail)
+        ref_tail = _replay(reference, batches[half:]) + reference.finish()
+        fork_tail = _replay(resumed, batches[half:]) + resumed.finish()
+        assert _observations(ref_tail)
+        _assert_observations_equal(_observations(fork_tail), _observations(ref_tail))
+        assert resumed.summary().mean_active_trackers == reference.summary().mean_active_trackers
 
     def test_restore_rejects_other_backend_snapshot(self):
-        overlap = SensorSession("s")
-        checkpoint = overlap.snapshot()
+        envelope = SensorSession("s").export_migration()
         kalman = SensorSession("s", config=EbbiotConfig(tracker="kalman"))
         with pytest.raises(ValueError, match="cannot restore"):
-            kalman.restore(checkpoint)
+            kalman.restore_migration(envelope)

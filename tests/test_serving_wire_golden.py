@@ -11,10 +11,6 @@ Against the files in ``tests/golden/`` it pins:
   and each ``frame`` byte for byte, then the ``summary`` with its
   wall-clock fields left out.
 
-The same batches sent as protocol-version-1 JSON-list lines over a raw
-socket must get the identical server lines, so a hand-written legacy
-client gets the same answers.
-
 After a deliberate wire change, rewrite the files with
 ``PYTHONPATH=src python tests/test_serving_wire_golden.py`` and review the
 diff.
@@ -28,11 +24,10 @@ import threading
 from pathlib import Path
 from typing import List
 
-import numpy as np
 import pytest
 
 from repro.events.stream import EventStream
-from repro.events.types import EVENT_DTYPE, make_packet
+from repro.events.types import make_packet
 from repro.serving import AsyncTrackingServer, HubConfig, stream_recording
 from repro.serving.hub import TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
@@ -111,19 +106,6 @@ def _pump(source: socket.socket, sink: socket.socket, log: bytearray) -> None:
         pass
 
 
-def client_messages(data: bytes) -> List[dict]:
-    """Split a client byte stream into its messages (binary frames whole)."""
-    messages, start = [], 0
-    while start < len(data):
-        end = data.index(b"\n", start) + 1
-        header = decode_message(data[start:end])
-        if "count" in header:
-            end += header["count"] * EVENT_DTYPE.itemsize
-        messages.append(decode_message(data[start:end]))
-        start = end
-    return messages
-
-
 def server_lines(data: bytes) -> List[bytes]:
     """The server's lines, the summary's wall-clock fields left out."""
     lines = data.splitlines(keepends=True)
@@ -132,19 +114,6 @@ def server_lines(data: bytes) -> List[bytes]:
     for field in WALL_CLOCK:
         del summary["recording"][field]
     return lines[:-1] + [encode_message(summary)]
-
-
-def v1_lines(messages: List[dict]) -> bytes:
-    """The same session as protocol-version-1 lines: events as JSON lists."""
-    out = []
-    for message in messages:
-        if message["type"] == "hello":
-            message = dict(message, version=1)
-        elif message["type"] == "events":
-            packet = np.frombuffer(message["records"], dtype=EVENT_DTYPE)
-            message = {"type": "events", **{f: packet[f].tolist() for f in "xytp"}}
-        out.append(encode_message(message))
-    return b"".join(out)
 
 
 def capture(server: AsyncTrackingServer, sensor_id: str = "golden-cam"):
@@ -166,22 +135,6 @@ def test_wire_transcript_matches_golden(kind):
         sent, received = capture(server)
     assert sent == CLIENT_BYTES.read_bytes()
     assert received == golden
-
-
-@pytest.mark.parametrize("kind", sorted(HUBS))
-def test_v1_json_lists_get_the_same_replies(kind):
-    messages = client_messages(CLIENT_BYTES.read_bytes())
-    assert [m["type"] for m in messages[:2]] == ["hello", "events"]
-    assert messages[-1] == {"type": "finish"}
-    assert sum(m.get("count", 0) for m in messages) == len(golden_recording())
-    with AsyncTrackingServer(hub=HUBS[kind](HubConfig(num_workers=2))) as server:
-        with socket.create_connection(server.address, timeout=30) as raw:
-            raw.sendall(v1_lines(messages))
-            with raw.makefile("rb") as wire:
-                lines = []
-                while not lines or decode_message(lines[-1])["type"] != "summary":
-                    lines.append(wire.readline())
-    assert server_lines(b"".join(lines)) == SERVER_LINES.read_bytes().splitlines(keepends=True)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from repro.trackers import (
     available_backends,
     create_backend,
     ensure_backend_name,
-    register_backend,
 )
 
 
@@ -70,7 +69,7 @@ def _assert_observations_equal(left, right):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"overlap", "kalman", "ebms"}
+        assert available_backends() == ("ebms", "kalman", "overlap")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown tracker backend"):
@@ -82,10 +81,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown tracker backend"):
             EbbiotConfig(tracker="not-a-tracker")
         assert EbbiotConfig(tracker="kalman").tracker == "kalman"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("overlap", lambda config: None)
 
     def test_backend_flags(self):
         config = EbbiotConfig()
