@@ -98,6 +98,30 @@ class TestPipelineMechanics:
         eager = pipeline.process_stream(constant_velocity_stream)
         assert len(lazy_frames) == eager.num_frames
 
+    def test_reset_replaces_the_ebbi_builder(self, constant_velocity_stream):
+        """reset() starts a new EBBI builder, so alpha and the frame count
+        restart from zero and a reset pipeline replays a stream exactly like
+        a fresh one."""
+
+        def replay(pipeline):
+            return [
+                (frame.frame_index, frame.num_events, frame.proposals,
+                 [(o.track_id, o.t_us, o.box) for o in frame.tracks])
+                for frame in pipeline.iter_stream(constant_velocity_stream)
+            ]
+
+        pipeline = EbbiotPipeline(EbbiotConfig())
+        first = replay(pipeline)
+        builder = pipeline.ebbi_builder
+        assert builder.frames_built == len(first) > 0
+        pipeline.reset()
+        assert pipeline.ebbi_builder is not builder
+        assert pipeline.ebbi_builder.frames_built == pipeline.frames_processed == 0
+        assert replay(pipeline) == first
+        assert pipeline.ebbi_builder.mean_active_pixel_fraction == (
+            builder.mean_active_pixel_fraction
+        )
+
     def test_process_stream_resets_state(self, constant_velocity_stream):
         pipeline = EbbiotPipeline(EbbiotConfig())
         first = pipeline.process_stream(constant_velocity_stream)

@@ -172,6 +172,16 @@ class TestCsvHeaderDetection:
         assert loaded.resolution == (240, 180)
         assert len(loaded) == 1
 
+    def test_rows_after_comments_below_the_column_names_are_read(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text(
+            "# width=240 height=180\nx,y,t,p\n# a note\n\n1,2,3,1 # first\n4,5,6,-1\n"
+        )
+        loaded = _load_without_warnings(load_events_csv, path)
+        np.testing.assert_array_equal(
+            loaded.events, make_packet([1, 4], [2, 5], [3, 6], [1, -1])
+        )
+
 
 class TestArchiveValidation:
     def test_unsupported_format_version(self, tmp_path, sample_stream):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import EbbiotConfig, EbbiotPipeline
-from repro.evaluation.mot_metrics import MotSummary
+from repro.evaluation.mot_metrics import MotSummary, compute_mot_summary
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
 from repro.runtime import (
@@ -22,6 +22,7 @@ from repro.runtime import (
     merge_mot_summaries,
     run_recording,
 )
+from repro.simulation.ground_truth import GroundTruthBox, GroundTruthFrame
 
 
 def _moving_block_stream(seed: int, num_frames: int = 12) -> EventStream:
@@ -70,6 +71,27 @@ class TestRunRecording:
         )
         assert result.num_track_observations == direct.total_track_observations()
         assert result.mot is None
+
+    def test_ground_truth_is_scored_at_iou_0_3(self):
+        """Each ground-truth box sits beside a reported box at an IoU of 0.4:
+        the runner's CLEAR-MOT, at IoU 0.3, matches every one of them, where
+        a threshold of 0.5 would match none."""
+        stream = _jobs(1)[0].stream
+        observations = EbbiotPipeline(EbbiotConfig()).process_stream(
+            stream
+        ).track_history.observations
+        assert observations
+        frames = {}
+        for observation in observations:
+            box = observation.box.translated(3 * observation.box.width / 7, 0)
+            frame = frames.setdefault(observation.t_us, GroundTruthFrame(observation.t_us))
+            frame.boxes.append(GroundTruthBox(observation.track_id, "car", box))
+        ground_truth = list(frames.values())
+        job = RecordingJob(name="gt", stream=stream, ground_truth=ground_truth)
+        result = run_recording(job, RunnerConfig(executor="serial"))
+        assert result.mot == compute_mot_summary(observations, ground_truth, iou_threshold=0.3)
+        assert result.mot.num_matches == len(observations)
+        assert compute_mot_summary(observations, ground_truth, iou_threshold=0.5).num_matches == 0
 
     def test_per_job_config_overrides_shared_config(self):
         job = _jobs(1)[0]

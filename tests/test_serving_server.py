@@ -42,8 +42,11 @@ def _one_event_frame(x: int = 1, y: int = 1, p: int = 1) -> dict:
 #: Binary ``events`` frames the decoder must refuse on a 240x180 sensor.
 BAD_EVENTS = {
     "x_past_width": _one_event_frame(x=240),
+    "x_int16_min": _one_event_frame(x=-32768),  # 32768 through the unsigned view
+    "y_past_height": _one_event_frame(y=180),
     "y_negative": _one_event_frame(y=-1),
     "p_zero": _one_event_frame(p=0),
+    "p_two": _one_event_frame(p=2),
 }
 
 

@@ -163,6 +163,25 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError, match="belongs to sensor 'a'"):
             session_b.restore_migration(session_a.export_migration())
 
+    def test_restore_refuses_a_session_that_has_processed_data(self):
+        batches = list(_batches(_moving_block_stream(seed=3), 66_000))
+        source = SensorSession("s", reorder_slack_us=0)
+        _replay(source, batches[:4])
+        used = SensorSession("s", reorder_slack_us=0)
+        _replay(used, batches[:1])
+        ingested = used.events_ingested
+        with pytest.raises(RuntimeError, match="already processed data"):
+            used.restore_migration(source.export_migration())
+        assert used.events_ingested == ingested > 0
+        assert used.frames_processed == 0
+
+    def test_finished_session_has_nothing_to_migrate(self):
+        session = SensorSession("s")
+        session.ingest(_moving_block_stream().events[:10])
+        session.finish()
+        with pytest.raises(RuntimeError, match="nothing to migrate"):
+            session.export_migration()
+
 
 class TestBoundedHistory:
     def test_keep_history_off_keeps_summary_counts_correct(self):

@@ -11,6 +11,10 @@ Against the files in ``tests/golden/`` it pins:
   and each ``frame`` byte for byte, then the ``summary`` with its
   wall-clock fields left out.
 
+The same session with each ``events`` batch sent first as a
+protocol-version-1 line of JSON lists must get one ``error`` per such line
+and otherwise the golden lines: a refused line submits nothing.
+
 After a deliberate wire change, rewrite the files with
 ``PYTHONPATH=src python tests/test_serving_wire_golden.py`` and review the
 diff.
@@ -24,14 +28,16 @@ import threading
 from pathlib import Path
 from typing import List
 
+import numpy as np
 import pytest
 
 from repro.events.stream import EventStream
-from repro.events.types import make_packet
+from repro.events.types import EVENT_DTYPE, make_packet
 from repro.serving import AsyncTrackingServer, HubConfig, stream_recording
 from repro.serving.hub import TrackingHub
 from repro.serving.process_hub import ProcessTrackingHub
 from repro.serving.protocol import decode_message, encode_message
+from test_serving_server import list_message
 
 GOLDEN = Path(__file__).parent / "golden"
 CLIENT_BYTES = GOLDEN / "wire_v2_client.bin"
@@ -106,6 +112,19 @@ def _pump(source: socket.socket, sink: socket.socket, log: bytearray) -> None:
         pass
 
 
+def client_messages(data: bytes) -> List[dict]:
+    """Split a client byte stream into its messages (binary frames whole)."""
+    messages, start = [], 0
+    while start < len(data):
+        end = data.index(b"\n", start) + 1
+        header = decode_message(data[start:end])
+        if "count" in header:
+            end += header["count"] * EVENT_DTYPE.itemsize
+        messages.append(decode_message(data[start:end]))
+        start = end
+    return messages
+
+
 def server_lines(data: bytes) -> List[bytes]:
     """The server's lines, the summary's wall-clock fields left out."""
     lines = data.splitlines(keepends=True)
@@ -135,6 +154,30 @@ def test_wire_transcript_matches_golden(kind):
         sent, received = capture(server)
     assert sent == CLIENT_BYTES.read_bytes()
     assert received == golden
+
+
+@pytest.mark.parametrize("kind", sorted(HUBS))
+def test_version_1_lines_get_one_error_each_and_change_nothing(kind):
+    messages = client_messages(CLIENT_BYTES.read_bytes())
+    assert [m["type"] for m in messages[:2]] == ["hello", "events"]
+    assert messages[-1] == {"type": "finish"}
+    wire = bytearray()
+    for message in messages:
+        if message["type"] == "events":
+            wire += encode_message(list_message(np.frombuffer(message["records"], EVENT_DTYPE)))
+        wire += encode_message(message)
+    with AsyncTrackingServer(hub=HUBS[kind](HubConfig(num_workers=2))) as server:
+        with socket.create_connection(server.address, timeout=30) as raw:
+            raw.sendall(wire)
+            with raw.makefile("rb") as reader:
+                lines = []
+                while not lines or decode_message(lines[-1])["type"] != "summary":
+                    lines.append(reader.readline())
+    errors = [decode_message(line) for line in lines if b'"type":"error"' in line]
+    assert len(errors) == sum(m["type"] == "events" for m in messages)
+    assert all("must be a binary frame" in error["message"] for error in errors)
+    served = [line for line in lines if b'"type":"error"' not in line]
+    assert server_lines(b"".join(served)) == SERVER_LINES.read_bytes().splitlines(keepends=True)
 
 
 if __name__ == "__main__":

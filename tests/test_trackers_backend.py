@@ -28,6 +28,7 @@ from repro.trackers import (
     available_backends,
     create_backend,
     ensure_backend_name,
+    parse_backend_list,
 )
 
 
@@ -93,6 +94,20 @@ class TestRegistry:
         config = EbbiotConfig()
         backend = create_backend("kalman", config)
         assert create_backend(backend, config) is backend
+
+    def test_backend_list_keeps_order_and_drops_blank_items(self):
+        assert parse_backend_list(" kalman ,, overlap,") == ["kalman", "overlap"]
+        assert parse_backend_list("ebms") == ["ebms"]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("", "at least one"), (" , ,", "at least one"),
+         ("overlap,nope", "unknown tracker backend 'nope'")],
+        ids=["empty", "blank_items", "unknown_name"],
+    )
+    def test_backend_list_refuses(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_backend_list(spec)
 
     def test_max_trackers_propagates(self):
         config = EbbiotConfig(max_trackers=3)
