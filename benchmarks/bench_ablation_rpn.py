@@ -22,9 +22,7 @@ def _run_with_proposer(recording, proposer, config):
     builder = EbbiBuilder(config.width, config.height, config.median_patch_size)
     tracker = OverlapTracker(OverlapTrackerConfig(max_trackers=config.max_trackers))
     observations = []
-    for t_start, t_end, events in recording.stream.iter_frames(
-        config.frame_duration_us, align_to_zero=True
-    ):
+    for t_start, t_end, events in recording.stream.iter_frames(config.frame_duration_us):
         ebbi = builder.build(events, t_start, t_end)
         proposals = [
             p for p in proposer.propose(ebbi.filtered) if p.box.area >= config.min_proposal_area

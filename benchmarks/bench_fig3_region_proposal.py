@@ -36,7 +36,7 @@ def _build_sample_frame():
     # Pick a mid-recording frame where both objects are well inside the view.
     target_frame = 20
     for index, (t_start, t_end, events) in enumerate(
-        rendered.stream.iter_frames(pipeline_config.frame_duration_us, align_to_zero=True)
+        rendered.stream.iter_frames(pipeline_config.frame_duration_us)
     ):
         if index == target_frame:
             return builder.build(events, t_start, t_end)

@@ -38,9 +38,7 @@ def _measured_params(recording) -> ResourceParams:
     ebms = EbmsTracker()
     filtered_events = 0
     frames = 0
-    for t_start, t_end, events in recording.stream.iter_frames(
-        config.frame_duration_us, align_to_zero=True
-    ):
+    for t_start, t_end, events in recording.stream.iter_frames(config.frame_duration_us):
         kept = nn_filter.filter(events)
         filtered_events += len(kept)
         ebms.process_frame(kept, (t_start + t_end) // 2)

@@ -39,9 +39,7 @@ def run_ebbi_kf(recording, config):
     roe = RegionOfExclusion(boxes=recording.roe_boxes())
     tracker = KalmanFilterTracker()
     observations = []
-    for t_start, t_end, events in recording.stream.iter_frames(
-        config.frame_duration_us, align_to_zero=True
-    ):
+    for t_start, t_end, events in recording.stream.iter_frames(config.frame_duration_us):
         ebbi = builder.build(events, t_start, t_end)
         proposals = roe.filter_proposals(proposer.propose(ebbi.filtered))
         observations.extend(tracker.process_frame(proposals, ebbi.t_mid_us))
@@ -53,9 +51,7 @@ def run_nnfilt_ebms(recording, config):
     nn_filter = NearestNeighbourFilter(config.width, config.height)
     tracker = EbmsTracker()
     observations = []
-    for t_start, t_end, events in recording.stream.iter_frames(
-        config.frame_duration_us, align_to_zero=True
-    ):
+    for t_start, t_end, events in recording.stream.iter_frames(config.frame_duration_us):
         filtered = nn_filter.filter(events)
         observations.extend(tracker.process_frame(filtered, (t_start + t_end) // 2))
     return observations

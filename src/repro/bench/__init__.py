@@ -1,8 +1,8 @@
 """Benchmark harness (``python -m repro.bench``): two gated suites.
 
-The **event_path** suite runs named timed scenarios — the NN-filt and
-refractory filters, the end-to-end pipeline of each tracker backend
-(EBBIOT, EBBI+KF, NN-filt+EBMS), and the live serving sessions — against
+The **event_path** suite runs named timed scenarios — the NN-filt
+filter, the end-to-end pipeline of each tracker backend (EBBIOT, EBBI+KF,
+NN-filt+EBMS), and the live serving sessions — against
 the standard synthetic fleet, reporting throughput and speedup-vs-scalar
 for each.  The **serving_scale** suite replays the same fleet through the
 thread and process tracking hubs across sensor counts, reporting

@@ -25,6 +25,7 @@ from repro.bench.harness import (
     compare_reports,
     dump_report,
     load_report,
+    missing_scenarios,
 )
 from repro.bench.scenarios import SCENARIOS, parse_scenario_list
 
@@ -97,7 +98,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero when any compared metric regresses beyond the tolerance",
+        help="exit non-zero when any compared metric regresses beyond the "
+        "tolerance (1) or a baseline scenario the run was asked for is "
+        "missing from it (2)",
     )
     parser.add_argument(
         "--tolerance",
@@ -179,12 +182,26 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "baseline for tight tolerances"
             )
         comparisons = compare_reports(report, baseline, tolerance=args.tolerance)
-        if comparisons:
+        # A run narrowed by --scenarios reports every scenario it names, so
+        # only a full run can miss a baseline scenario.
+        missing = [] if args.scenarios else missing_scenarios(report, baseline)
+        if comparisons or missing:
             print()
             print(f"baseline: {baseline_path} (tolerance {args.tolerance:.0%})")
             for comparison in comparisons:
                 print(f"  {comparison.describe()}")
-            if args.check and any(c.regressed for c in comparisons):
+            for name in missing:
+                print(f"  {name}: MISSING from this run (present in baseline)")
+            if args.check and missing:
+                # Coverage loss outranks a metric regression: exit 2, like
+                # the other "the gate could not actually gate" conditions.
+                print(
+                    "error: baseline scenario(s) missing from this run: "
+                    + ", ".join(missing),
+                    file=sys.stderr,
+                )
+                exit_code = 2
+            elif args.check and any(c.regressed for c in comparisons):
                 exit_code = 1
         elif args.check:
             # A gate that has nothing to compare is not a passing gate:

@@ -139,8 +139,9 @@ def compare_reports(
     (speedups) — both are the shared
     :func:`~repro.bench.compare.compare_metric` with direction ``"up"``
     and a purely relative margin.  Scenarios or metrics missing from
-    either side are skipped — the check gates regressions, not coverage
-    (the CLI treats an empty comparison under ``--check`` as an error).
+    either side are skipped here — the check gates regressions; coverage
+    is :func:`missing_scenarios`' job (and the CLI treats an empty
+    comparison under ``--check`` as an error).
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
@@ -191,6 +192,16 @@ def compare_reports(
                     )
                 )
     return comparisons
+
+
+def missing_scenarios(current: dict, baseline: dict) -> List[str]:
+    """Baseline scenarios absent from the current report, in baseline order.
+
+    These make ``--check`` fail: a renamed or dropped scenario silently
+    shrinks the gate's coverage otherwise.
+    """
+    reported = current.get("scenarios", {})
+    return [name for name in baseline.get("scenarios", {}) if name not in reported]
 
 
 def load_report(path: str) -> Optional[dict]:

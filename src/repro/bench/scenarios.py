@@ -28,13 +28,13 @@ from repro.bench.harness import BenchProfile
 from repro.core.config import EbbiotConfig
 from repro.core.pipeline import EbbiotPipeline
 from repro.datasets.recorded import export_fleet
-from repro.events.filters import NearestNeighbourFilter, RefractoryFilter
+from repro.events.filters import NearestNeighbourFilter
 from repro.runtime.runner import RunnerConfig, StreamRunner
 from repro.runtime.scenes import build_scene_recordings, jobs_from_manifest
 from repro.serving.session import SensorSession
 from repro.utils.fastpath import force_scalar
 
-#: Events per packet when replaying a recording through the filters —
+#: Events per packet when replaying a recording through NN-filt —
 #: matches the order of magnitude of one busy 66 ms window.
 FILTER_PACKET_EVENTS = 5_000
 
@@ -68,15 +68,14 @@ def _time_filter(filter_obj, events: np.ndarray) -> float:
     return time.perf_counter() - started
 
 
-def _filter_scenario(
-    profile: BenchProfile, make_filter: Callable[[], object]
-) -> Dict[str, float]:
+def scenario_nn_filter(profile: BenchProfile) -> Dict[str, float]:
+    """NN-filt packet throughput, vectorized vs scalar reference."""
     events = _fleet_events(profile, profile.filter_events)
     scalar_events = events[: profile.filter_scalar_events]
     with force_scalar(False):
-        vector_s = _time_filter(make_filter(), events)
+        vector_s = _time_filter(NearestNeighbourFilter(240, 180), events)
     with force_scalar(True):
-        scalar_s = _time_filter(make_filter(), scalar_events)
+        scalar_s = _time_filter(NearestNeighbourFilter(240, 180), scalar_events)
     vector_throughput = len(events) / vector_s if vector_s > 0 else 0.0
     scalar_throughput = len(scalar_events) / scalar_s if scalar_s > 0 else 0.0
     return {
@@ -88,16 +87,6 @@ def _filter_scenario(
             vector_throughput / scalar_throughput if scalar_throughput else 0.0
         ),
     }
-
-
-def scenario_nn_filter(profile: BenchProfile) -> Dict[str, float]:
-    """NN-filt packet throughput, vectorized vs scalar reference."""
-    return _filter_scenario(profile, lambda: NearestNeighbourFilter(240, 180))
-
-
-def scenario_refractory(profile: BenchProfile) -> Dict[str, float]:
-    """Refractory-filter packet throughput, vectorized vs scalar reference."""
-    return _filter_scenario(profile, lambda: RefractoryFilter(240, 180))
 
 
 def _run_pipeline_fleet(recordings, tracker: str) -> Dict[str, float]:
@@ -357,7 +346,6 @@ def scenario_dataset_replay(profile: BenchProfile) -> Dict[str, float]:
 #: Registry of scenario name → callable, in default execution order.
 SCENARIOS: Dict[str, Callable[[BenchProfile], Dict[str, float]]] = {
     "nn_filter": scenario_nn_filter,
-    "refractory": scenario_refractory,
     "ebms_pipeline": scenario_ebms_pipeline,
     "overlap_pipeline": scenario_overlap_pipeline,
     "kalman_pipeline": scenario_kalman_pipeline,

@@ -55,8 +55,8 @@ class EbbiScratch:
     stacks hold a whole chunk, since the builder hands out every frame of
     it; the median's work arrays hold one block, since the builder filters
     block by block.  Frames handed out by the builder are then *views* into
-    these buffers, valid until the next build; ``EbbiFrames.detached()``
-    copies one out when it must outlive the chunk.
+    these buffers, valid until the next build; both callers consume each
+    frame before the next build.
     """
 
     def __init__(self) -> None:
@@ -194,26 +194,6 @@ class EbbiFrames:
         """Midpoint of the accumulation window."""
         return (self.t_start_us + self.t_end_us) // 2
 
-    def detached(self) -> "EbbiFrames":
-        """A copy that owns its frames.
-
-        Every frame an :class:`EbbiBuilder` hands out is a view into a
-        frame stack.  With ``reuse_buffers`` that is the builder's scratch,
-        which the next build overwrites; otherwise it is the build's own
-        stack, so a frame kept from a :meth:`~EbbiBuilder.build_batch` chunk
-        pins the whole chunk.  Call this before keeping a frame past the
-        next build.
-        """
-        if self.raw.base is None and self.filtered.base is None:
-            return self
-        return EbbiFrames(
-            raw=self.raw.copy(),
-            filtered=self.filtered.copy(),
-            t_start_us=self.t_start_us,
-            t_end_us=self.t_end_us,
-            num_events=self.num_events,
-        )
-
     @property
     def active_pixel_count(self) -> int:
         """Number of active pixels in the raw frame."""
@@ -238,10 +218,9 @@ class EbbiBuilder:
     reuse_buffers:
         Build frames into a persistent :class:`EbbiScratch` instead of
         fresh arrays.  Returned frames are then views valid only until the
-        next ``build``/``build_batch`` call — callers that retain a frame
-        must take ``EbbiFrames.detached()`` first.  The pipeline (which
-        consumes each frame before building the next) turns this on; the
-        default stays allocate-per-call for API compatibility.
+        next ``build``/``build_batch`` call.  The pipeline (which consumes
+        each frame before building the next) turns this on; the default
+        allocates fresh stacks per call.
 
     :meth:`build` (one window) and :meth:`build_batch` (a chunk of windows)
     run one body over a frame stack, walking it in blocks of as many frames

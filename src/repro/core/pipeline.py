@@ -248,12 +248,7 @@ class EbbiotPipeline:
 
     # -- whole-recording processing -------------------------------------------------------
 
-    def process_stream(
-        self,
-        stream: EventStream,
-        align_to_zero: bool = True,
-        collect_frames: bool = True,
-    ) -> PipelineResult:
+    def process_stream(self, stream: EventStream, collect_frames: bool = True) -> PipelineResult:
         """Run the pipeline over an entire event stream.
 
         Frame boundaries for the whole recording are resolved up front with
@@ -266,13 +261,15 @@ class EbbiotPipeline:
         window's true cost rather than an amortised chunk share; both
         sources give the same frames.
 
+        Frame windows start at ``t = 0`` (see
+        :meth:`~repro.events.stream.EventStream.frame_index`), so frame
+        midpoints line up with the simulator's ground-truth sampling
+        instants and with a live session's windows.
+
         Parameters
         ----------
         stream:
             The recording to process.
-        align_to_zero:
-            Start frame windows at ``t = 0`` so frame midpoints line up with
-            the simulator's ground-truth sampling instants.
         collect_frames:
             When ``False`` per-frame :class:`FrameResult` objects are
             dropped after their tracks are recorded, keeping long fleet runs
@@ -281,9 +278,9 @@ class EbbiotPipeline:
         """
         self.reset()
         if self.instrumentation is not None:
-            frames = self.iter_stream(stream, align_to_zero)
+            frames = self.iter_stream(stream)
         else:
-            index = stream.frame_index(self.config.frame_duration_us, align_to_zero)
+            index = stream.frame_index(self.config.frame_duration_us)
             frames = self._iter_chunks(index)
         result = PipelineResult()
         for frame_result in frames:
@@ -307,12 +304,10 @@ class EbbiotPipeline:
                 events = index.frame_events(frame_index) if self.tracker.requires_events else None
                 yield self._process_built_frame(ebbi, frame_index, events)
 
-    def iter_stream(
-        self, stream: EventStream, align_to_zero: bool = True
-    ) -> Iterator[FrameResult]:
+    def iter_stream(self, stream: EventStream) -> Iterator[FrameResult]:
         """Lazily process a stream frame by frame (no whole-recording state)."""
         for frame_index, (t_start, t_end, events) in enumerate(
-            stream.iter_frames(self.config.frame_duration_us, align_to_zero=align_to_zero)
+            stream.iter_frames(self.config.frame_duration_us)
         ):
             yield self.process_frame_events(events, t_start, t_end, frame_index)
 

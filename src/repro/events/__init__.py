@@ -7,7 +7,7 @@ the event data structures shared by the simulator, the EBBIOT pipeline and
 the event-driven baselines.
 """
 
-from repro.events.filters import NearestNeighbourFilter, RefractoryFilter
+from repro.events.filters import NearestNeighbourFilter
 from repro.events.io import (
     EVENT_FORMATS,
     EventFormat,
@@ -53,7 +53,6 @@ __all__ = [
     "BackgroundActivityNoise",
     "HotPixelNoise",
     "NearestNeighbourFilter",
-    "RefractoryFilter",
     "EVENT_FORMATS",
     "EventFormat",
     "load_events",

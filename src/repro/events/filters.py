@@ -1,28 +1,24 @@
-"""Event-level noise filters.
+"""The event-level noise filter of the event-driven baseline.
 
-These are the *event-driven* noise filters used by the fully event-based
-baseline pipeline (Section II-A of the paper):
+:class:`NearestNeighbourFilter` (NN-filt) is the front end of the fully
+event-based NN-filt + EBMS pipeline (Section II-A of the paper): it keeps an
+event only if another event occurred recently in its ``p x p`` spatial
+neighbourhood.  It needs a per-pixel timestamp memory of ``Bt`` bits, which
+is exactly the memory cost the paper's Eq. (2) charges against the
+event-driven approach.
 
-* :class:`NearestNeighbourFilter` (NN-filt) — keeps an event only if another
-  event occurred recently in its ``p x p`` spatial neighbourhood.  It needs a
-  per-pixel timestamp memory of ``Bt`` bits, which is exactly the memory cost
-  the paper's Eq. (2) charges against the event-driven approach.
-* :class:`RefractoryFilter` — suppresses events from a pixel that fired less
-  than a refractory period ago; a cheap companion filter commonly used with
-  DVS streams.
-
-Semantically both filters process events strictly in time order, one at a
-time, mirroring how they would run on an embedded event-driven processor.
-The ``process_scalar`` methods *are* that reference implementation.  The
-default ``process`` path reaches the same result in whole-packet vectorized
-passes: the packet is partitioned into maximal sub-chunks in which no pixel
-repeats (:func:`distinct_pixel_spans`), so each sub-chunk's per-pixel
-timestamp reads/writes have no intra-chunk write conflicts and the
-sequential update collapses to NumPy gathers plus one scatter per chunk.
-The two paths are bit-identical — keep-masks and the per-pixel timestamp
-memory agree exactly — which ``tests/test_event_path_parity.py`` asserts on
-adversarial packets.  ``REPRO_FORCE_SCALAR=1`` (or ``vectorized=False``)
-forces the reference path.
+Semantically the filter processes events strictly in time order, one at a
+time, mirroring how it would run on an embedded event-driven processor.
+:meth:`NearestNeighbourFilter.process_scalar` *is* that reference
+implementation.  The default ``process`` path reaches the same result in
+whole-packet vectorized passes: the packet is partitioned into maximal
+sub-chunks in which no pixel repeats (:func:`distinct_pixel_spans`), so each
+sub-chunk's per-pixel timestamp reads/writes have no intra-chunk write
+conflicts and the sequential update collapses to NumPy gathers plus one
+scatter per chunk.  The two paths are bit-identical — keep-masks and the
+per-pixel timestamp memory agree exactly — which
+``tests/test_event_path_parity.py`` asserts on adversarial packets.
+``REPRO_FORCE_SCALAR=1`` (or ``vectorized=False``) forces the reference path.
 """
 
 from __future__ import annotations
@@ -417,139 +413,3 @@ class NearestNeighbourFilter:
             )
         self._last_timestamp = np.array(snapshot, dtype=np.int64, copy=True)
 
-
-@dataclass
-class RefractoryFilter:
-    """Per-pixel refractory-period filter.
-
-    Drops an event if the same pixel fired less than ``refractory_us``
-    microseconds earlier.  Kept events update the pixel's last-fire time.
-
-    ``vectorized`` / ``REPRO_FORCE_SCALAR`` select between the distinct-
-    pixel-chunk fast path and the scalar reference, exactly as for
-    :class:`NearestNeighbourFilter`; within a chunk no pixel repeats, so
-    the keep decision depends only on the chunk-start memory and the kept
-    events scatter back without conflicts.
-    """
-
-    width: int
-    height: int
-    refractory_us: int = 1_000
-    vectorized: bool = True
-
-    _last_timestamp: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.refractory_us <= 0:
-            raise ValueError(f"refractory_us must be positive, got {self.refractory_us}")
-        self.reset()
-
-    def reset(self) -> None:
-        """Clear the per-pixel last-fire memory."""
-        self._last_timestamp = np.full(
-            (self.height, self.width), -(10**15), dtype=np.int64
-        )
-
-    def process(self, events: np.ndarray) -> np.ndarray:
-        """Return the boolean keep-mask for a time-sorted packet."""
-        if (
-            not self.vectorized
-            or len(events) < MIN_VECTOR_EVENTS
-            or scalar_forced()
-        ):
-            return self.process_scalar(events)
-        return self._process_vectorized(events)
-
-    def process_scalar(self, events: np.ndarray) -> np.ndarray:
-        """The sequential per-event reference implementation."""
-        keep = np.zeros(len(events), dtype=bool)
-        stamps = self._last_timestamp
-        for index in range(len(events)):
-            x = int(events["x"][index])
-            y = int(events["y"][index])
-            t = int(events["t"][index])
-            if t - stamps[y, x] >= self.refractory_us:
-                keep[index] = True
-                stamps[y, x] = t
-        return keep
-
-    def _process_vectorized(self, events: np.ndarray) -> np.ndarray:
-        """Distinct-pixel chunks: one gather + compare + masked scatter each.
-
-        Runs of short spans (same-pixel bursts) coalesce into a scalar sweep
-        over a flat-index list, mirroring the NN filter's hybrid strategy.
-        """
-        n = len(events)
-        keep = np.zeros(n, dtype=bool)
-        xs = events["x"].astype(np.int64)
-        ys = events["y"].astype(np.int64)
-        ts = events["t"].astype(np.int64)
-        pix = ys * self.width + xs
-        stamps_flat = self._last_timestamp.reshape(-1)
-        # Materialized lazily: only the short-span scalar-sweep fallback
-        # reads the Python lists, and a burst-free packet never needs them.
-        flat_lists = None
-
-        def sweep(lo: int, hi: int) -> None:
-            nonlocal flat_lists
-            if flat_lists is None:
-                flat_lists = (pix.tolist(), ts.tolist())
-            self._scalar_sweep(*flat_lists, lo, hi, keep)
-
-        pending_lo = -1
-        pending_hi = -1
-        for start, stop in distinct_pixel_spans(pix):
-            if stop - start < MIN_SPAN_VECTOR:
-                if pending_lo < 0:
-                    pending_lo = start
-                pending_hi = stop
-                continue
-            if pending_lo >= 0:
-                sweep(pending_lo, pending_hi)
-                pending_lo = -1
-            cpix = pix[start:stop]
-            cts = ts[start:stop]
-            kept = cts - stamps_flat[cpix] >= self.refractory_us
-            keep[start:stop] = kept
-            stamps_flat[cpix[kept]] = cts[kept]
-        if pending_lo >= 0:
-            sweep(pending_lo, pending_hi)
-        return keep
-
-    def _scalar_sweep(
-        self, pix, ts, lo: int, hi: int, keep: np.ndarray
-    ) -> None:
-        """Scalar kernel over ``[lo, hi)`` on pre-extracted flat-index lists.
-
-        Same integer comparisons as :meth:`process_scalar`; the vectorized
-        path's same-pixel burst runs fall back to it.
-        """
-        stamps_flat = self._last_timestamp.reshape(-1)
-        refractory = self.refractory_us
-        for index in range(lo, hi):
-            pixel = pix[index]
-            t = ts[index]
-            if t - stamps_flat[pixel] >= refractory:
-                keep[index] = True
-                stamps_flat[pixel] = t
-
-    def filter(self, events: np.ndarray) -> np.ndarray:
-        """Return only the events that pass the filter."""
-        return events[self.process(events)]
-
-    def state_snapshot(self) -> np.ndarray:
-        """Copy of the per-pixel last-fire memory (for checkpoint/restore).
-
-        Mirrors :meth:`NearestNeighbourFilter.state_snapshot` so a serving
-        session using the refractory filter checkpoints with full parity.
-        """
-        return self._last_timestamp.copy()
-
-    def restore_state(self, snapshot: np.ndarray) -> None:
-        """Reinstate a memory captured by :meth:`state_snapshot`."""
-        if snapshot.shape != (self.height, self.width):
-            raise ValueError(
-                f"snapshot shape {snapshot.shape} does not match the filter's "
-                f"{(self.height, self.width)}"
-            )
-        self._last_timestamp = np.array(snapshot, dtype=np.int64, copy=True)

@@ -4,7 +4,10 @@ The EBBIOT processor is interrupt driven: it wakes up every ``tF`` (66 ms in
 the paper) and reads out all events accumulated since the previous interrupt
 (Fig. 2).  :meth:`EventStream.frame_index` implements exactly that
 partitioning of an event stream into frame-duration windows, and
-:meth:`EventStream.iter_frames` iterates it.
+:meth:`EventStream.iter_frames` iterates it.  The window grid always starts
+at ``t = 0``: the simulator's ground-truth grid and the live
+:class:`~repro.serving.framer.OnlineFramer`'s grid, so batch replay and a
+live session frame a recording identically whenever it starts.
 """
 
 from __future__ import annotations
@@ -211,9 +214,7 @@ class EventStream:
         hi = np.searchsorted(self.events["t"], t_end, side="left")
         return EventStream(self.events[lo:hi].copy(), self.width, self.height)
 
-    def iter_frames(
-        self, frame_duration_us: int, align_to_zero: bool = False
-    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+    def iter_frames(self, frame_duration_us: int) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Iterate over the windows of :meth:`frame_index`.
 
         Yields ``(window_start, window_end, window_events)``: the window
@@ -222,33 +223,27 @@ class EventStream:
         empty array) so downstream framing stays in lockstep with
         wall-clock time.
         """
-        yield from self.frame_index(frame_duration_us, align_to_zero)
+        yield from self.frame_index(frame_duration_us)
 
-    def frame_index(
-        self, frame_duration_us: int, align_to_zero: bool = False
-    ) -> FrameIndex:
+    def frame_index(self, frame_duration_us: int) -> FrameIndex:
         """Precompute the full frame-window partition of the stream.
 
         The returned :class:`FrameIndex` resolves every window boundary with
         a single vectorised ``searchsorted``, so batched consumers (the
         pipeline's chunked path, the runtime layer) never touch the
-        per-window Python loop.  Every event falls in exactly one window,
-        and the last window ends past the last event; an empty stream has
-        no windows.
+        per-window Python loop.  Windows start at ``t = 0``, so a recording
+        that starts late begins with empty windows; every event at
+        ``t >= 0`` falls in exactly one window, and the last window ends
+        past the last event.  An empty stream has no windows.
 
         Parameters
         ----------
         frame_duration_us:
             The EBBIOT frame duration ``tF`` in microseconds; must be
             positive, also for an empty stream.
-        align_to_zero:
-            When ``True`` windows start at ``t = 0`` instead of the first
-            event timestamp, which keeps frame indices aligned with the
-            simulator's ground-truth sampling grid.
         """
-        t_start = 0 if align_to_zero else self.t_start
-        t_end = self.t_end + 1 if len(self.events) else t_start
-        edges, splits = frame_boundaries(self.events["t"], frame_duration_us, t_start, t_end)
+        t_end = self.t_end + 1 if len(self.events) else 0
+        edges, splits = frame_boundaries(self.events["t"], frame_duration_us, 0, t_end)
         return FrameIndex(self.events, edges, splits)
 
     # -- combination ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 One import surface for the three concerns every layer shares:
 
 * :mod:`repro.obs.metrics` — thread-safe Counter/Gauge/Histogram with
-  labels, a :class:`MetricsRegistry`, Prometheus text + JSON exporters;
+  labels, a :class:`MetricsRegistry`, the Prometheus text exporter and a
+  JSON state snapshot for cross-process merges;
 * :mod:`repro.obs.trace` — a bounded :class:`Tracer` exporting Chrome
   trace-event JSON (``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.instrument` — the opt-in :class:`Instrumentation`

@@ -57,7 +57,6 @@ class Instrumentation:
         metrics: Optional[MetricsRegistry] = None,
         labels: Optional[Dict[str, str]] = None,
         sample_every: int = 1,
-        stage_metric_name: str = STAGE_SECONDS_METRIC,
     ) -> None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
@@ -74,7 +73,7 @@ class Instrumentation:
         if metrics is not None:
             labelnames = tuple(sorted(self.labels)) + ("stage",)
             self._stage_family = metrics.counter(
-                stage_metric_name,
+                STAGE_SECONDS_METRIC,
                 "Cumulative wall-clock seconds spent per pipeline stage.",
                 labelnames=labelnames,
             )

@@ -11,8 +11,9 @@ hub) and exports them two ways:
   exposition format (version 0.0.4), what ``python -m repro.runtime
   --metrics FILE`` writes and what the serving protocol's ``metrics``
   command returns, so any Prometheus-compatible scraper can ingest it;
-* :meth:`MetricsRegistry.to_dict` — a JSON-serialisable document for
-  dashboards and tests.
+* :meth:`MetricsRegistry.state_dict` — the complete JSON-serialisable
+  state, which process shards ship to the hub and
+  :meth:`MetricsRegistry.merge_state` folds back together.
 
 Every child metric guards its state with its own lock; updates are a couple
 of float operations, so contention is negligible next to the pipeline work
@@ -568,37 +569,6 @@ class MetricsRegistry:
                         f"{format_value(child.value)}"
                     )
         return "\n".join(lines) + "\n" if lines else ""
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable snapshot of every family and sample."""
-        families = []
-        for family in self.families():
-            samples = []
-            for values, child in family.children():
-                labels = dict(zip(family.labelnames, values))
-                if isinstance(child, _HistogramValue):
-                    samples.append(
-                        {
-                            "labels": labels,
-                            "count": child.count,
-                            "sum": child.sum,
-                            "mean": child.mean,
-                            "p50": child.percentile(50),
-                            "p95": child.percentile(95),
-                            "p99": child.percentile(99),
-                        }
-                    )
-                else:
-                    samples.append({"labels": labels, "value": child.value})
-            families.append(
-                {
-                    "name": family.name,
-                    "kind": family.kind,
-                    "help": family.help,
-                    "samples": samples,
-                }
-            )
-        return {"metrics": families}
 
 
 # -- exposition parsing -----------------------------------------------------------------

@@ -10,8 +10,9 @@ cost of a ``time.perf_counter()`` pair and a dict append per span.
 Design points:
 
 * timestamps are microseconds relative to the tracer's construction, so
-  traces from one process line up on a shared clock; :func:`merge_chrome_traces`
-  re-bases nothing and instead separates sources by ``pid``;
+  traces from one process line up on a shared clock; every span carries
+  ``pid`` 0, and :func:`merge_chrome_traces` re-bases nothing and instead
+  assigns each source its own ``pid``;
 * thread idents are mapped to small consecutive ``tid`` integers in
   first-seen order, keeping the JSON stable and compact;
 * the buffer is bounded (default 200k events ≈ tens of MB of JSON); once
@@ -33,11 +34,10 @@ DEFAULT_BUFFER_LIMIT = 200_000
 class Tracer:
     """Collects Chrome trace-event duration spans for one process or hub."""
 
-    def __init__(self, buffer_limit: int = DEFAULT_BUFFER_LIMIT, pid: int = 0) -> None:
+    def __init__(self, buffer_limit: int = DEFAULT_BUFFER_LIMIT) -> None:
         if buffer_limit <= 0:
             raise ValueError(f"buffer_limit must be positive, got {buffer_limit}")
         self.buffer_limit = buffer_limit
-        self.pid = pid
         self._lock = threading.Lock()
         self._events: List[dict] = []
         self._dropped = 0
@@ -71,7 +71,7 @@ class Tracer:
             "ph": "X",
             "ts": start_us,
             "dur": duration_us,
-            "pid": self.pid,
+            "pid": 0,
             "tid": 0,
         }
         if args:
@@ -131,7 +131,7 @@ class Tracer:
                 {
                     "name": "process_name",
                     "ph": "M",
-                    "pid": self.pid,
+                    "pid": 0,
                     "tid": 0,
                     "args": {"name": process_name},
                 },

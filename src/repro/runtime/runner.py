@@ -78,9 +78,6 @@ class RunnerConfig:
         count (capped at 8 so a laptop run does not oversubscribe).
     pipeline_config:
         Shared pipeline configuration for jobs that do not bring their own.
-    align_to_zero:
-        Start frame windows at ``t = 0`` (keeps frame midpoints on the
-        simulator's ground-truth grid).
     instrument:
         Attach a per-job :class:`repro.obs.Instrumentation` so each
         recording's result carries its ``stage_seconds`` breakdown.  Runs
@@ -98,7 +95,6 @@ class RunnerConfig:
     executor: str = "thread"
     max_workers: Optional[int] = None
     pipeline_config: EbbiotConfig = field(default_factory=EbbiotConfig)
-    align_to_zero: bool = True
     instrument: bool = False
     trace: bool = False
     trace_sample_every: int = 1
@@ -144,11 +140,7 @@ def run_recording(job: RecordingJob, config: RunnerConfig) -> RecordingResult:
         )
     pipeline = EbbiotPipeline(pipeline_config, instrumentation=instrumentation)
     started = time.perf_counter()
-    result: PipelineResult = pipeline.process_stream(
-        job.stream,
-        align_to_zero=config.align_to_zero,
-        collect_frames=False,
-    )
+    result: PipelineResult = pipeline.process_stream(job.stream, collect_frames=False)
     wall_time_s = time.perf_counter() - started
     mot = None
     if job.ground_truth:

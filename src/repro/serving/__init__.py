@@ -52,7 +52,7 @@ from repro.serving.protocol import (
     trace_message,
 )
 from repro.serving.session import SensorSession
-from repro.serving.telemetry import LatencyWindow, SensorTelemetry, TelemetryRegistry
+from repro.serving.telemetry import SensorTelemetry, TelemetryRegistry
 from repro.serving.transport import RingFull, ShmRing
 
 #: Loadgen names are resolved lazily so ``python -m repro.serving.loadgen``
@@ -99,7 +99,6 @@ __all__ = [
     "ShardStats",
     "TelemetryRegistry",
     "SensorTelemetry",
-    "LatencyWindow",
     "AsyncTrackingServer",
     "SensorClient",
     "stream_recording",

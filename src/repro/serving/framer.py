@@ -15,10 +15,11 @@ windowing under those conditions:
   are dropped and counted — the explicit, bounded-loss policy a real
   ingestion node needs.
 
-With in-order input (or disorder within the slack) the sequence of closed
-windows is **identical** to what :meth:`EventStream.frame_index` produces
-for the completed recording, which is the property the serving equivalence
-tests assert.
+Windows start at ``t = 0``, the grid :meth:`EventStream.frame_index` uses
+too.  With in-order input (or disorder within the slack) the sequence of
+closed windows is therefore **identical** to what ``frame_index`` produces
+for the completed recording, whenever its first event arrives, which is the
+property the serving equivalence tests assert.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class FramerSnapshot:
 
     frame_duration_us: int
     reorder_slack_us: int
-    t_origin_us: int
     next_window_start: int
     next_frame_index: int
     late_events: int
@@ -71,6 +71,8 @@ class ClosedWindow:
 class OnlineFramer:
     """Turns an unordered live event feed into closed ``tF`` windows.
 
+    The first window starts at ``t = 0``, as in batch replay.
+
     Parameters
     ----------
     frame_duration_us:
@@ -79,17 +81,9 @@ class OnlineFramer:
         Maximum tolerated arrival disorder: an event may arrive this much
         (stream-time) after later-stamped events and still be framed
         correctly.  Larger slack delays window closure by the same amount.
-    t_origin_us:
-        Start of the first window; 0 aligns windows with the batch
-        pipeline's ``align_to_zero=True`` grid.
     """
 
-    def __init__(
-        self,
-        frame_duration_us: int = 66_000,
-        reorder_slack_us: int = 5_000,
-        t_origin_us: int = 0,
-    ) -> None:
+    def __init__(self, frame_duration_us: int = 66_000, reorder_slack_us: int = 5_000) -> None:
         if frame_duration_us <= 0:
             raise ValueError(
                 f"frame_duration_us must be positive, got {frame_duration_us}"
@@ -100,9 +94,8 @@ class OnlineFramer:
             )
         self.frame_duration_us = frame_duration_us
         self.reorder_slack_us = reorder_slack_us
-        self.t_origin_us = t_origin_us
         self._buffer = EventBuffer()
-        self._next_window_start = t_origin_us
+        self._next_window_start = 0
         self._next_frame_index = 0
         self._late_events = 0
         self._events_accepted = 0
@@ -169,7 +162,6 @@ class OnlineFramer:
         return FramerSnapshot(
             frame_duration_us=self.frame_duration_us,
             reorder_slack_us=self.reorder_slack_us,
-            t_origin_us=self.t_origin_us,
             next_window_start=self._next_window_start,
             next_frame_index=self._next_frame_index,
             late_events=self._late_events,
@@ -187,7 +179,6 @@ class OnlineFramer:
                 f"framer frame_duration_us {self.frame_duration_us}"
             )
         self.reorder_slack_us = snapshot.reorder_slack_us
-        self.t_origin_us = snapshot.t_origin_us
         self._next_window_start = snapshot.next_window_start
         self._next_frame_index = snapshot.next_frame_index
         self._late_events = snapshot.late_events

@@ -3,8 +3,9 @@
 Every sensor session tracked by a :class:`~repro.serving.hub.TrackingHub`
 gets one :class:`SensorTelemetry` record: ingestion counters (events,
 batches, drops), output counters (frames, track observations), a queue-depth
-gauge and a sliding window of per-frame latencies.  The whole registry
-exports two ways:
+gauge and the ``repro_sensor_frame_latency_seconds`` histogram of per-frame
+latencies, whose bounded window of recent samples gives the JSON
+percentiles.  The whole registry exports two ways:
 
 * :meth:`TelemetryRegistry.to_dict` — the JSON document
   (``python -m repro.serving --telemetry-json``) an operator dashboard or
@@ -32,7 +33,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 #: Latency histogram buckets (seconds) sized for per-frame serving latency:
 #: sub-millisecond ingest steps up to multi-second stalls.
@@ -50,69 +51,6 @@ LATENCY_BUCKETS = (
     1.0,
     2.5,
 )
-
-
-class LatencyWindow:
-    """Sliding window of recent latency samples with percentile queries.
-
-    Keeps the last ``capacity`` samples (seconds).  A bounded window makes
-    the percentiles reflect *recent* behaviour — exactly what a live
-    dashboard wants — and caps memory per sensor.  :attr:`count` and
-    :attr:`mean_s` are lifetime statistics (they keep growing after the
-    window wraps); the percentiles cover the retained window only.
-
-    Since the :mod:`repro.obs` cut-over this is a thin facade over a
-    histogram sample — standalone by default, or (as inside
-    :class:`SensorTelemetry`) a labelled child of a shared metrics
-    registry, so the same samples back both the JSON snapshot and the
-    Prometheus exposition.
-    """
-
-    def __init__(self, capacity: int = 4096, _sample=None) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if _sample is None:
-            _sample = Histogram(
-                "latency_window_seconds",
-                buckets=LATENCY_BUCKETS,
-                window=capacity,
-            ).labels()
-        self._sample = _sample
-
-    def record(self, seconds: float) -> None:
-        """Add one latency sample."""
-        self._sample.observe(seconds)
-
-    @property
-    def count(self) -> int:
-        """Samples recorded over the window's lifetime (not just retained)."""
-        return self._sample.count
-
-    @property
-    def mean_s(self) -> float:
-        """Lifetime mean latency in seconds (0.0 before the first sample)."""
-        return self._sample.mean
-
-    def percentile_s(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) over the retained window.
-
-        Uses linear interpolation between closest ranks (NumPy's default
-        ``np.percentile`` method), *not* nearest-rank — e.g. the p50 of the
-        samples ``1ms..100ms`` is 50.5 ms.  Edge cases are explicit: an
-        empty window returns ``0.0`` and a single retained sample is every
-        percentile of itself.
-        """
-        return self._sample.percentile(q)
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable summary (counts and key percentiles, ms)."""
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_s * 1e3,
-            "p50_ms": self.percentile_s(50) * 1e3,
-            "p95_ms": self.percentile_s(95) * 1e3,
-            "p99_ms": self.percentile_s(99) * 1e3,
-        }
 
 
 class SensorTelemetry:
@@ -172,14 +110,12 @@ class SensorTelemetry:
         self._queue_depth = gauge(
             "repro_sensor_queue_depth", "In-flight batches on the sensor's shard."
         )
-        self.frame_latency = LatencyWindow(
-            _sample=self.metrics.histogram(
-                "repro_sensor_frame_latency_seconds",
-                "Enqueue-to-frame-completion latency per closed frame.",
-                labelnames=("sensor",),
-                buckets=LATENCY_BUCKETS,
-            ).labels(**labels)
-        )
+        self.frame_latency = self.metrics.histogram(
+            "repro_sensor_frame_latency_seconds",
+            "Enqueue-to-frame-completion latency per closed frame.",
+            labelnames=("sensor",),
+            buckets=LATENCY_BUCKETS,
+        ).labels(**labels)
 
     # -- updates -------------------------------------------------------------------------
 
@@ -210,7 +146,7 @@ class SensorTelemetry:
             self._track_observations.inc(num_tracks)
             self._late_events.set(late_events)
             for _ in range(num_frames):
-                self.frame_latency.record(latency_s)
+                self.frame_latency.observe(latency_s)
 
     def set_queue_depth(self, depth: int) -> None:
         """Update the queue-depth gauge."""
@@ -257,7 +193,12 @@ class SensorTelemetry:
         return int(self._queue_depth.value)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable snapshot (key set stable across releases)."""
+        """JSON-serialisable snapshot (key set stable across releases).
+
+        ``frame_latency`` holds the lifetime sample count and mean plus the
+        p50/p95/p99 of the histogram's retained window, in milliseconds.
+        """
+        latency = self.frame_latency
         with self._lock:
             return {
                 "sensor_id": self.sensor_id,
@@ -270,7 +211,13 @@ class SensorTelemetry:
                 "dropped_batches": self.dropped_batches,
                 "dropped_events": self.dropped_events,
                 "queue_depth": self.queue_depth,
-                "frame_latency": self.frame_latency.to_dict(),
+                "frame_latency": {
+                    "count": latency.count,
+                    "mean_ms": latency.mean * 1e3,
+                    "p50_ms": latency.percentile(50) * 1e3,
+                    "p95_ms": latency.percentile(95) * 1e3,
+                    "p99_ms": latency.percentile(99) * 1e3,
+                },
             }
 
 

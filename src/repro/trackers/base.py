@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.utils.geometry import BoundingBox
 
@@ -74,13 +74,6 @@ class TrackHistory:
     def extend(self, observations: Sequence[TrackObservation]) -> None:
         """Add several observations."""
         self.observations.extend(observations)
-
-    def by_frame(self) -> Dict[int, List[TrackObservation]]:
-        """Group observations by their frame timestamp."""
-        frames: Dict[int, List[TrackObservation]] = {}
-        for observation in self.observations:
-            frames.setdefault(observation.t_us, []).append(observation)
-        return frames
 
     def track_ids(self) -> List[int]:
         """Distinct track ids present in the history."""

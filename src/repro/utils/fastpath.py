@@ -1,9 +1,9 @@
 """Scalar-vs-vectorized hot-path selection.
 
-The event-path hot loops (NN-filt, refractory filter, EBMS cluster
-assignment) each keep two implementations: a *scalar* per-event reference
-that mirrors how the algorithm would run on an embedded event processor,
-and a chunked/vectorized fast path that is bit-identical to it (asserted by
+The event-path hot loops (NN-filt and EBMS cluster assignment) each keep
+two implementations: a *scalar* per-event reference that mirrors how the
+algorithm would run on an embedded event processor, and a
+chunked/vectorized fast path that is bit-identical to it (asserted by
 ``tests/test_event_path_parity.py``).  The fast path is the default
 everywhere; this module is the one switch that forces the reference path:
 

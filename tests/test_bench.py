@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.bench import (
     parse_scenario_list,
 )
 from repro.bench.__main__ import main as bench_main
+from repro.bench.harness import missing_scenarios
 
 #: Tiny sizes so the whole module stays in test-suite time budget.
 TINY = BenchProfile(
@@ -27,6 +29,10 @@ TINY = BenchProfile(
     filter_scalar_events=1_500,
     serving_sensors=2,
 )
+
+
+#: The repository root, where the committed baselines live.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_report(scenarios):
@@ -41,12 +47,11 @@ def make_report(scenarios):
 
 class TestScenarios:
     def test_filter_scenarios_report_speedup(self):
-        for name in ("nn_filter", "refractory"):
-            metrics = SCENARIOS[name](TINY)
-            assert metrics["events_per_s"] > 0
-            assert metrics["scalar_events_per_s"] > 0
-            assert metrics["speedup_vs_scalar"] > 0
-            assert metrics["primary"] in metrics
+        metrics = SCENARIOS["nn_filter"](TINY)
+        assert metrics["events_per_s"] > 0
+        assert metrics["scalar_events_per_s"] > 0
+        assert metrics["speedup_vs_scalar"] > 0
+        assert metrics["primary"] in metrics
 
     def test_ebms_scenario_reports_speedup(self):
         metrics = SCENARIOS["ebms_pipeline"](TINY)
@@ -183,6 +188,23 @@ class TestCompareReports:
         current = make_report({"b": {"primary": "v", "v": 1.0}})
         assert compare_reports(current, baseline) == []
 
+    def test_missing_scenarios_named_in_baseline_order(self):
+        metrics = {"primary": "v", "v": 1.0}
+        baseline = make_report({"c": metrics, "a": metrics, "b": metrics})
+        current = make_report({"a": metrics, "d": metrics})
+        assert missing_scenarios(current, baseline) == ["c", "b"]
+        assert missing_scenarios(baseline, baseline) == []
+
+    @pytest.mark.parametrize(
+        "baseline_name", ["BENCH_event_path.json", "BENCH_event_path_quick.json"]
+    )
+    def test_committed_baseline_has_no_stale_scenarios(self, baseline_name):
+        # Every committed baseline row must be a registered scenario, or a
+        # full --check run against it exits 2.
+        baseline = load_report(str(REPO_ROOT / baseline_name))
+        assert baseline is not None and baseline["scenarios"]
+        assert missing_scenarios(make_report(dict(SCENARIOS)), baseline) == []
+
     def test_invalid_tolerance_rejected(self):
         report = make_report({})
         with pytest.raises(ValueError):
@@ -209,7 +231,7 @@ class TestCli:
                 "--quick",
                 "--check",
                 "--scenarios",
-                "refractory",
+                "nn_filter",
                 "--baseline",
                 str(tmp_path / "missing.json"),
                 "--output",
@@ -229,7 +251,7 @@ class TestCli:
                 "--quick",
                 "--check",
                 "--scenarios",
-                "refractory",
+                "nn_filter",
                 "--baseline",
                 str(baseline_path),
                 "--output",
@@ -274,3 +296,79 @@ class TestCli:
         assert out_path.exists()
         written = load_report(str(out_path))
         assert "nn_filter" in written["scenarios"]
+
+    def _check_against(
+        self, tmp_path, baseline_scenarios, extra_args=(), value=1e-9, check=True
+    ):
+        """Exit code of a tiny run against a baseline of these scenarios."""
+        baseline_path = tmp_path / "baseline.json"
+        # Near-zero baseline values by default: the comparison itself never
+        # regresses.
+        metrics = {"primary": "events_per_s", "events_per_s": value, "speedup_vs_scalar": value}
+        dump_report(
+            make_report({name: metrics for name in baseline_scenarios}), str(baseline_path)
+        )
+        return bench_main(
+            [
+                "--quick",
+                *(("--check",) if check else ()),
+                *extra_args,
+                "--baseline",
+                str(baseline_path),
+                "--output",
+                str(tmp_path / "report.json"),
+            ]
+        )
+
+    def test_check_fails_on_baseline_scenario_missing_from_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A baseline scenario the run no longer reports (say, a deleted
+        # one) must fail the gate by name, not pass on what remains.
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(cli, "QUICK_PROFILE", TINY)
+        monkeypatch.setattr(cli, "SCENARIOS", {"nn_filter": SCENARIOS["nn_filter"]})
+        assert self._check_against(tmp_path, ["nn_filter"]) == 0
+        capsys.readouterr()
+        assert self._check_against(tmp_path, ["nn_filter", "retired"]) == 2
+        captured = capsys.readouterr()
+        assert "retired: MISSING" in captured.out
+        assert "missing from this run: retired" in captured.err
+
+    def test_check_with_scenarios_ignores_baseline_scenarios_not_asked_for(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(cli, "QUICK_PROFILE", TINY)
+        code = self._check_against(
+            tmp_path, ["nn_filter", "retired"], ("--scenarios", "nn_filter")
+        )
+        assert code == 0
+
+    def test_missing_scenario_outranks_a_regression(self, tmp_path, capsys, monkeypatch):
+        # nn_filter regresses against an absurd baseline and "retired" is
+        # missing: the coverage loss decides the exit code.
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(cli, "QUICK_PROFILE", TINY)
+        monkeypatch.setattr(cli, "SCENARIOS", {"nn_filter": SCENARIOS["nn_filter"]})
+        assert self._check_against(tmp_path, ["nn_filter"], value=1e15) == 1
+        capsys.readouterr()
+        assert self._check_against(tmp_path, ["nn_filter", "retired"], value=1e15) == 2
+        captured = capsys.readouterr()
+        assert "REGRESSED" in captured.out
+        assert "missing from this run: retired" in captured.err
+
+    def test_missing_scenario_reported_but_not_gated_without_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(cli, "QUICK_PROFILE", TINY)
+        monkeypatch.setattr(cli, "SCENARIOS", {"nn_filter": SCENARIOS["nn_filter"]})
+        assert self._check_against(tmp_path, ["nn_filter", "retired"], check=False) == 0
+        captured = capsys.readouterr()
+        assert "retired: MISSING" in captured.out
+        assert captured.err == ""

@@ -287,32 +287,6 @@ class TestEbbiBuilderBatch:
             builder.build_batch(packet, np.array([0]), np.array([100]), np.array([0]))
 
 
-class TestEbbiFramesDetached:
-    def test_batch_frames_detach_to_owned_arrays(self):
-        builder = EbbiBuilder(32, 32)
-        packet = make_packet([1, 2], [1, 2], [0, 10], [1, 1])
-        frames = builder.build_batch(
-            packet, np.array([0]), np.array([100]), np.array([0, 2])
-        )
-        assert frames[0].raw.base is not None  # view into the chunk stack
-        detached = frames[0].detached()
-        assert detached.raw.base is None
-        assert detached.filtered.base is None
-        np.testing.assert_array_equal(detached.raw, frames[0].raw)
-
-    def test_owned_frames_detach_to_self(self):
-        from repro.core.ebbi import EbbiFrames
-
-        frame = EbbiFrames(
-            raw=np.zeros((32, 32), dtype=np.uint8),
-            filtered=np.zeros((32, 32), dtype=np.uint8),
-            t_start_us=0,
-            t_end_us=100,
-            num_events=0,
-        )
-        assert frame.detached() is frame
-
-
 def _window(num_events, seed, width=64, height=48):
     """One 66 ms window of random events (dense enough to survive filtering)."""
     rng = np.random.default_rng(seed)

@@ -301,7 +301,7 @@ class TestOneFrameStep:
             rng.integers(0, 240, size=len(t)), rng.integers(0, 180, size=len(t)), t, [1] * len(t)
         )
         stream = EventStream(packet, 240, 180)
-        windows = list(stream.iter_frames(66_000, align_to_zero=True))
+        windows = list(stream.iter_frames(66_000))
         active = sum(np.count_nonzero(events_to_binary_frame(w, 240, 180)) for _, _, w in windows)
         expected = active / (len(windows) * 240 * 180)
 
@@ -314,3 +314,69 @@ class TestOneFrameStep:
         session.finish()
         alphas.append(session.summary().mean_active_pixel_fraction)
         assert alphas == [expected] * 3
+
+
+def _shifted(stream: EventStream, shift_us: int) -> EventStream:
+    """``stream`` with every timestamp ``shift_us`` later."""
+    events = stream.events.copy()
+    events["t"] += shift_us
+    return EventStream(events, stream.width, stream.height)
+
+
+class TestWindowOrigin:
+    """Windows start at t = 0, whenever the recording's first event comes."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return build_scene_recordings(2, duration_s=3.0, base_seed=0)
+
+    @pytest.mark.parametrize("tracker", ["overlap", "kalman", "ebms"])
+    def test_whole_window_shift_only_delays_frames_and_tracks(self, scenes, tracker):
+        lead = 76
+        shift_us = lead * 66_000
+        for recording in scenes:
+            config = replace(EbbiotConfig(), tracker=tracker, roe_boxes=recording.roe_boxes())
+            base = EbbiotPipeline(config).process_stream(recording.stream)
+            shifted = EbbiotPipeline(config).process_stream(_shifted(recording.stream, shift_us))
+            assert shifted.num_frames == base.num_frames + lead
+            assert shifted.frames[0].t_start_us == 0
+            assert not any(
+                frame.num_events or frame.proposals or frame.tracks
+                for frame in shifted.frames[:lead]
+            )
+            for frame, moved in zip(base.frames, shifted.frames[lead:]):
+                assert moved.frame_index == frame.frame_index + lead
+                assert (moved.t_start_us, moved.t_end_us) == (
+                    frame.t_start_us + shift_us,
+                    frame.t_end_us + shift_us,
+                )
+                assert moved.num_events == frame.num_events
+                assert moved.proposals == frame.proposals
+            assert len(base.track_history.observations) > 0
+            assert [
+                (o.track_id, o.t_us - shift_us, o.box) for o in shifted.track_history.observations
+            ] == [(o.track_id, o.t_us, o.box) for o in base.track_history.observations]
+
+    @pytest.mark.parametrize(
+        "shift_us", [5_000_123, 17_000_123], ids=["late_start", "past_first_chunk"]
+    )
+    def test_late_start_chunked_lazy_and_instrumented_agree(self, scenes, shift_us):
+        # 17 s puts the first event past a whole chunk of empty windows.
+        recording = scenes[1]
+        stream = _shifted(recording.stream, shift_us)
+        config = replace(EbbiotConfig(), roe_boxes=recording.roe_boxes())
+        chunked = EbbiotPipeline(config).process_stream(stream)
+        instrumented = EbbiotPipeline(config, instrumentation=Instrumentation()).process_stream(
+            stream
+        )
+        lazy = list(EbbiotPipeline(config).iter_stream(stream))
+        assert chunked.frames[0].t_start_us == 0
+        assert chunked.num_frames == stream.t_end // 66_000 + 1
+        assert chunked.frames[stream.t_start // 66_000 - 1].num_events == 0
+        assert chunked.frames[stream.t_start // 66_000].num_events > 0
+        assert _frame_summary(instrumented) == _frame_summary(chunked)
+        assert [
+            (f.frame_index, f.t_start_us, f.t_end_us, f.num_events, f.proposals, f.tracks)
+            for f in lazy
+        ] == _frame_summary(chunked)
+        assert len(chunked.track_history.observations) > 0

@@ -1,14 +1,14 @@
 """Adversarial scalar-vs-vectorized parity tests for the event hot paths.
 
-The vectorized NN-filt / refractory / EBMS implementations must be
-*bit-identical* to their scalar references: same keep-masks, same per-pixel
-timestamp memories, same cluster state (centres, spreads, counts,
-histories, merges), same track observations.  These tests drive both paths
-over the adversarial packet shapes the chunked fast paths are most likely
-to get wrong: same-pixel bursts, timestamps exactly at the support /
-refractory boundaries, empty and single-event packets, and packets split at
-arbitrary boundaries (the vectorized state must be packet-split invariant
-because the scalar reference is).
+The vectorized NN-filt / EBMS implementations must be *bit-identical* to
+their scalar references: same keep-masks, same per-pixel timestamp
+memories, same cluster state (centres, spreads, counts, histories, merges),
+same track observations.  These tests drive both paths over the adversarial
+packet shapes the chunked fast paths are most likely to get wrong:
+same-pixel bursts, timestamps exactly at the support boundary, empty and
+single-event packets, and packets split at arbitrary boundaries (the
+vectorized state must be packet-split invariant because the scalar
+reference is).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.config import EbbiotConfig
 from repro.core.pipeline import EbbiotPipeline
 from repro.events.filters import (
     NearestNeighbourFilter,
-    RefractoryFilter,
     distinct_pixel_spans,
     previous_occurrence,
 )
@@ -178,45 +177,6 @@ class TestNnFilterParity:
         assert scalar_forced()
 
 
-class TestRefractoryParity:
-    @pytest.mark.parametrize("burst_fraction", [0.0, 0.5, 1.0])
-    def test_random_packets(self, burst_fraction):
-        packet = random_packet(3000, seed=5, burst_fraction=burst_fraction)
-        fast = RefractoryFilter(240, 180, refractory_us=2000)
-        reference = RefractoryFilter(240, 180, refractory_us=2000, vectorized=False)
-        assert (fast.process(packet) == reference.process(packet)).all()
-        assert (fast.state_snapshot() == reference.state_snapshot()).all()
-
-    def test_refractory_boundary_exact(self):
-        # Exactly refractory_us apart is kept (>=); one microsecond less is
-        # suppressed.
-        for gap, expected in [(1000, True), (999, False)]:
-            fast = RefractoryFilter(240, 180, refractory_us=1000)
-            reference = RefractoryFilter(240, 180, refractory_us=1000, vectorized=False)
-            packet = make_packet([5] * 20, [5] * 20, list(range(0, 20 * gap, gap)), [1] * 20)
-            keep_fast = fast.process(packet)
-            assert (keep_fast == reference.process(packet)).all()
-            assert bool(keep_fast[1]) is expected
-
-    def test_packet_split_invariance(self):
-        packet = random_packet(2000, seed=13, burst_fraction=0.4)
-        reference = RefractoryFilter(240, 180, refractory_us=3000, vectorized=False)
-        keep_reference = reference.process(packet)
-        fast = RefractoryFilter(240, 180, refractory_us=3000)
-        splits = [0, 3, 500, 501, 2000]
-        keep_fast = np.concatenate(
-            [fast.process(packet[lo:hi]) for lo, hi in zip(splits, splits[1:])]
-        )
-        assert (keep_fast == keep_reference).all()
-        assert (fast.state_snapshot() == reference.state_snapshot()).all()
-
-    def test_empty_and_single(self):
-        fast = RefractoryFilter(240, 180)
-        assert len(fast.process(empty_packet())) == 0
-        single = make_packet([3], [4], [100], [1])
-        assert fast.process(single)[0]
-
-
 class TestEbmsParity:
     CONFIGS = [
         EbmsConfig(),
@@ -325,18 +285,6 @@ class TestEndToEndParity:
 
 
 class TestBufferReuse:
-    def test_detached_frames_survive_buffer_reuse(self):
-        from repro.core.ebbi import EbbiBuilder
-
-        builder = EbbiBuilder(32, 24, 3, reuse_buffers=True)
-        first = builder.build(make_packet([1], [1], [10], [1]), 0, 66_000)
-        kept = first.detached()
-        raw_before = kept.raw.copy()
-        builder.build(make_packet([5, 6], [7, 7], [70_000, 70_001], [1, 1]), 66_000, 132_000)
-        assert (kept.raw == raw_before).all()
-        # Views into the scratch know they need copying.
-        assert first.raw.base is not None
-
     def test_reused_and_fresh_builders_agree(self):
         from repro.core.ebbi import EbbiBuilder
 

@@ -1,11 +1,11 @@
-"""Tests for the event-level noise filters (NN-filt and refractory)."""
+"""Tests for the event-level noise filter (NN-filt)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.events.filters import NearestNeighbourFilter, RefractoryFilter
+from repro.events.filters import NearestNeighbourFilter
 from repro.events.types import make_packet
 
 
@@ -94,44 +94,25 @@ class TestNearestNeighbourFilter:
         assert len(kept) == 1
         assert int(kept["x"][0]) == 11
 
-
-class TestRefractoryFilter:
-    def test_rapid_refires_suppressed(self):
-        refractory = RefractoryFilter(240, 180, refractory_us=1000)
-        packet = make_packet([5, 5, 5], [5, 5, 5], [0, 100, 2000], [1, 1, 1])
-        keep = refractory.process(packet)
-        assert list(keep) == [True, False, True]
-
-    def test_different_pixels_independent(self):
-        refractory = RefractoryFilter(240, 180, refractory_us=1000)
-        packet = make_packet([5, 6], [5, 5], [0, 100], [1, 1])
-        assert refractory.process(packet).all()
-
-    def test_reset(self):
-        refractory = RefractoryFilter(240, 180, refractory_us=10_000)
-        refractory.process(make_packet([5], [5], [0], [1]))
-        refractory.reset()
-        assert refractory.process(make_packet([5], [5], [100], [1]))[0]
-
-    def test_invalid_refractory_rejected(self):
-        with pytest.raises(ValueError):
-            RefractoryFilter(240, 180, refractory_us=0)
-
     def test_state_snapshot_round_trip(self):
-        # Same contract as the NN filter's snapshot: restoring the captured
-        # memory must continue exactly where the original left off.
-        refractory = RefractoryFilter(240, 180, refractory_us=10_000)
-        refractory.process(make_packet([5, 9], [5, 9], [0, 100], [1, 1]))
-        snapshot = refractory.state_snapshot()
-        # The snapshot is a copy: mutating the filter doesn't change it.
-        refractory.process(make_packet([5], [5], [20_000], [1]))
-        restored = RefractoryFilter(240, 180, refractory_us=10_000)
+        # The EBMS backend checkpoints the filter this way: restoring the
+        # captured memory must continue exactly where the original left off.
+        nn_filter = NearestNeighbourFilter(240, 180, support_time_us=5_000)
+        nn_filter.process(make_packet([100, 50], [100, 50], [0, 100], [1, 1]))
+        snapshot = nn_filter.state_snapshot()
+        # The snapshot is a copy: the filter moving on does not change it.
+        nn_filter.process(make_packet([101], [100], [20_000], [1]))
+        assert snapshot[100, 100] == 0
+        assert snapshot[100, 101] < 0
+        restored = NearestNeighbourFilter(240, 180, support_time_us=5_000)
         restored.restore_state(snapshot)
-        # Pixel (5, 5) last fired at t=0 in the snapshot: t=5000 suppressed.
-        assert not restored.process(make_packet([5], [5], [5000], [1]))[0]
-        assert restored.process(make_packet([5], [5], [10_000], [1]))[0]
+        # (100, 100) last fired at t = 0 and supports its neighbour at
+        # t = 4 000; (50, 50) fired at t = 100, too long before t = 6 000.
+        keep = restored.process(make_packet([101, 51], [100, 50], [4_000, 6_000], [1, 1]))
+        assert keep.tolist() == [True, False]
 
     def test_restore_state_rejects_wrong_shape(self):
-        refractory = RefractoryFilter(240, 180)
-        with pytest.raises(ValueError):
-            refractory.restore_state(np.zeros((10, 10), dtype=np.int64))
+        nn_filter = NearestNeighbourFilter(240, 180)
+        with pytest.raises(ValueError, match="snapshot shape"):
+            nn_filter.restore_state(np.zeros((10, 10), dtype=np.int64))
+

@@ -19,7 +19,7 @@ def _packet_spanning(duration_us: int, count: int):
 
 
 def _windows(packet, frame_duration_us: int):
-    """The unaligned frame windows of ``packet``, as ``(start, end, events)``."""
+    """The frame windows of ``packet``, as ``(start, end, events)``."""
     return list(EventStream(packet).iter_frames(frame_duration_us))
 
 
@@ -45,7 +45,6 @@ class TestFrameWindows:
 
     def test_empty_events_with_no_bounds(self):
         assert _windows(empty_packet(), 66_000) == []
-        assert list(EventStream(empty_packet()).iter_frames(66_000, align_to_zero=True)) == []
 
     def test_explicit_bounds(self):
         edges, splits = frame_boundaries(empty_packet()["t"], 100, 0, 350)
@@ -59,7 +58,7 @@ class TestFrameWindows:
                 with pytest.raises(ValueError, match="frame_duration_us must be positive"):
                     stream.frame_index(duration)
                 with pytest.raises(ValueError, match="frame_duration_us must be positive"):
-                    list(stream.iter_frames(duration, align_to_zero=True))
+                    list(stream.iter_frames(duration))
 
 
 class TestEventStream:
@@ -94,12 +93,16 @@ class TestEventStream:
         assert len(sliced) == 50
 
     def test_iter_frames_align_to_zero(self):
+        # Windows start at t = 0, not at the first event: a late start
+        # begins with empty windows on the same grid.
         packet = make_packet([1], [1], [150_000], [1])
         stream = EventStream(packet, 240, 180)
-        aligned = list(stream.iter_frames(66_000, align_to_zero=True))
-        assert aligned[0][0] == 0
-        unaligned = list(stream.iter_frames(66_000, align_to_zero=False))
-        assert unaligned[0][0] == 150_000
+        windows = list(stream.iter_frames(66_000))
+        assert [(start, end, len(events)) for start, end, events in windows] == [
+            (0, 66_000, 0),
+            (66_000, 132_000, 0),
+            (132_000, 198_000, 1),
+        ]
 
     def test_merged_with(self):
         a = EventStream(make_packet([1], [1], [100], [1]), 240, 180)
@@ -144,7 +147,7 @@ class TestStreamProperties:
     )
     def test_frame_partition_is_lossless(self, count, frame_duration):
         stream = EventStream(_packet_spanning(1_000_000, count), 240, 180)
-        windows = list(stream.iter_frames(frame_duration, align_to_zero=True))
+        windows = list(stream.iter_frames(frame_duration))
         assert sum(len(w[2]) for w in windows) == count
         # Windows tile the time axis without gaps.
         for (s1, e1, _), (s2, _, _) in zip(windows, windows[1:]):
@@ -168,21 +171,20 @@ class TestFrameBoundariesAndIndex:
     def test_frame_index_matches_iter_frames(self):
         packet = _packet_spanning(700_000, 81)
         stream = EventStream(packet)
-        for align in (False, True):
-            index = stream.frame_index(66_000, align_to_zero=align)
-            windows = list(stream.iter_frames(66_000, align_to_zero=align))
-            assert index.num_frames == len(windows)
-            for i, (t_start, t_end, events) in enumerate(windows):
-                assert index.starts[i] == t_start
-                assert index.ends[i] == t_end
-                np.testing.assert_array_equal(index.frame_events(i), events)
-            assert int(index.counts.sum()) == len(packet)
+        index = stream.frame_index(66_000)
+        windows = list(stream.iter_frames(66_000))
+        assert index.num_frames == len(windows)
+        for i, (t_start, t_end, events) in enumerate(windows):
+            assert index.starts[i] == t_start
+            assert index.ends[i] == t_end
+            np.testing.assert_array_equal(index.frame_events(i), events)
+        assert int(index.counts.sum()) == len(packet)
 
     def test_frame_index_iterates_like_iter_frames(self):
         packet = _packet_spanning(300_000, 20)
         stream = EventStream(packet)
-        iterated = list(stream.frame_index(66_000, align_to_zero=True))
-        direct = list(stream.iter_frames(66_000, align_to_zero=True))
+        iterated = list(stream.frame_index(66_000))
+        direct = list(stream.iter_frames(66_000))
         assert len(iterated) == len(direct)
         for (s1, e1, ev1), (s2, e2, ev2) in zip(iterated, direct):
             assert (s1, e1) == (s2, e2)
@@ -213,11 +215,10 @@ class TestFrameBoundariesAndIndex:
             np.ones(num_events, dtype=int),
         )
         index = EventStream(packet).frame_index(frame_duration)
-        # The windows tile [first event, last event] from the first event on.
-        t0 = int(ts[0])
-        assert index.num_frames == (int(ts[-1]) - t0) // frame_duration + 1
+        # The windows tile [0, last event] from t = 0 on.
+        assert index.num_frames == int(ts[-1]) // frame_duration + 1
         for i in range(index.num_frames):
-            t_start = t0 + i * frame_duration
+            t_start = i * frame_duration
             assert (index.starts[i], index.ends[i]) == (t_start, t_start + frame_duration)
             in_window = (ts >= t_start) & (ts < t_start + frame_duration)
             np.testing.assert_array_equal(index.frame_events(i), packet[in_window])

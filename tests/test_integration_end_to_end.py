@@ -33,9 +33,7 @@ def _run_kalman_baseline(recording, config):
     )
     tracker = KalmanFilterTracker()
     observations = []
-    for t_start, t_end, events in recording.stream.iter_frames(
-        config.frame_duration_us, align_to_zero=True
-    ):
+    for t_start, t_end, events in recording.stream.iter_frames(config.frame_duration_us):
         frames = builder.build(events, t_start, t_end)
         proposals = proposer.propose(frames.filtered)
         observations.extend(tracker.process_frame(proposals, frames.t_mid_us))
@@ -46,9 +44,7 @@ def _run_ebms_baseline(recording, config):
     nn_filter = NearestNeighbourFilter(config.width, config.height)
     tracker = EbmsTracker()
     observations = []
-    for t_start, t_end, events in recording.stream.iter_frames(
-        config.frame_duration_us, align_to_zero=True
-    ):
+    for t_start, t_end, events in recording.stream.iter_frames(config.frame_duration_us):
         filtered = nn_filter.filter(events)
         observations.extend(tracker.process_frame(filtered, (t_start + t_end) // 2))
     return observations

@@ -187,14 +187,6 @@ class TestMetricsRegistry:
         samples = parse_prometheus_text(registry.to_prometheus_text())
         assert sample_value(samples, "c_total", k=tricky) == 1
 
-    def test_to_dict_is_json_serialisable(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc(2)
-        registry.histogram("h_seconds").observe(0.01)
-        document = json.loads(json.dumps(registry.to_dict()))
-        names = {family["name"] for family in document["metrics"]}
-        assert names == {"c_total", "h_seconds"}
-
     def test_parse_rejects_malformed_lines(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_prometheus_text("this is not exposition\n")
@@ -217,6 +209,62 @@ class TestMetricsRegistry:
             thread.join()
         total = sum(child.value for _, child in counter.children())
         assert total == 8000
+
+
+def _record_shard(registry, sensor, events, depth, latencies):
+    """Write one sensor's counter, gauge and histogram samples."""
+    registry.counter("events_total", "Events seen.", labelnames=("sensor",)).labels(
+        sensor=sensor
+    ).inc(events)
+    registry.gauge("queue_depth", labelnames=("sensor",)).labels(sensor=sensor).set(depth)
+    histogram = registry.histogram(
+        "latency_seconds", labelnames=("sensor",), buckets=(0.1, 1.0), window=4
+    ).labels(sensor=sensor)
+    for value in latencies:
+        histogram.observe(value)
+    return registry
+
+
+class TestRegistryState:
+    """``state_dict``/``merge_state``: the JSON a process shard ships to the hub."""
+
+    def test_state_dict_json_round_trip_reproduces_exposition(self):
+        registry = _record_shard(MetricsRegistry(), "cam-0", 7, 2, [0.05, 0.5, 2.0, 0.2, 0.3])
+        state = json.loads(json.dumps(registry.state_dict()))
+        merged = MetricsRegistry()
+        merged.merge_state(state)
+        assert merged.to_prometheus_text() == registry.to_prometheus_text()
+        (family,) = [f for f in merged.families() if f.name == "latency_seconds"]
+        child = family.labels(sensor="cam-0")
+        assert child.count == 5  # lifetime count, past the window of 4
+        assert child.percentile(100) == 2.0
+        assert child.percentile(0) == 0.2
+
+    def test_merging_disjoint_shards_matches_one_shared_registry(self):
+        shared = MetricsRegistry()
+        _record_shard(shared, "cam-0", 7, 2, [0.05, 0.5])
+        _record_shard(shared, "cam-1", 3, 5, [1.5])
+        merged = MetricsRegistry()
+        for sensor, events, depth, latencies in (
+            ("cam-0", 7, 2, [0.05, 0.5]),
+            ("cam-1", 3, 5, [1.5]),
+        ):
+            shard = _record_shard(MetricsRegistry(), sensor, events, depth, latencies)
+            merged.merge_state(shard.state_dict())
+        assert merged.to_prometheus_text() == shared.to_prometheus_text()
+
+    def test_merge_adds_counters_and_histograms_but_sets_gauges(self):
+        state = _record_shard(MetricsRegistry(), "cam-0", 7, 2, [0.05, 0.5]).state_dict()
+        merged = MetricsRegistry()
+        merged.merge_state(state)
+        merged.merge_state(state)
+        samples = parse_prometheus_text(merged.to_prometheus_text())
+        assert sample_value(samples, "events_total", sensor="cam-0") == 14
+        assert sample_value(samples, "queue_depth", sensor="cam-0") == 2
+        assert sample_value(samples, "latency_seconds_count", sensor="cam-0") == 4
+        assert sample_value(samples, "latency_seconds_bucket", sensor="cam-0", le="0.1") == 2
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            merged.merge_state({"families": [dict(state["families"][0], kind="summary")]})
 
 
 class TestTracer:

@@ -54,7 +54,7 @@ class TestOnlineFramer:
             np.where(rng.random(2_000) < 0.5, 1, -1),
         )
         stream = EventStream(packet.copy())
-        index = stream.frame_index(FRAME_US, align_to_zero=True)
+        index = stream.frame_index(FRAME_US)
 
         framer = OnlineFramer(FRAME_US, reorder_slack_us=1_000)
         windows = []
@@ -70,6 +70,85 @@ class TestOnlineFramer:
             assert window.t_end_us == t_end
             assert window.num_events == len(events)
             assert sorted(window.events["t"].tolist()) == sorted(events["t"].tolist())
+
+    @pytest.mark.parametrize(
+        "first_t",
+        [5_000_123, 76 * FRAME_US - 1, 76 * FRAME_US],
+        ids=["mid_window", "last_us_of_window", "window_edge"],
+    )
+    def test_late_start_matches_frame_index(self, first_t):
+        # A recording whose first event comes ~5 s after t = 0: live framing
+        # and batch replay share one grid from t = 0, so both begin with the
+        # same empty windows and cut the recording at the same bounds.
+        rng = np.random.default_rng(1)
+        ts = np.sort(rng.integers(first_t, first_t + 700_000, size=3_000))
+        ts[0] = first_t
+        packet = make_packet(
+            rng.integers(0, 240, 3_000), rng.integers(0, 180, 3_000), ts,
+            np.where(rng.random(3_000) < 0.5, 1, -1),
+        )
+        index = EventStream(packet.copy()).frame_index(FRAME_US)
+
+        framer = OnlineFramer(FRAME_US, reorder_slack_us=1_000)
+        windows = []
+        for lo in range(first_t, int(ts[-1]) + 1, 20_000):
+            i0, i1 = np.searchsorted(packet["t"], [lo, lo + 20_000])
+            windows.extend(framer.append(packet[i0:i1]))
+        windows.extend(framer.flush())
+
+        assert index.starts[0] == 0
+        # The first event opens the window that contains it, after only
+        # empty ones.
+        assert int(index.counts[: first_t // FRAME_US].sum()) == 0
+        assert index.counts[first_t // FRAME_US] > 0
+        assert [(w.t_start_us, w.t_end_us) for w in windows] == list(
+            zip(index.starts.tolist(), index.ends.tolist())
+        )
+        assert [w.num_events for w in windows] == index.counts.tolist()
+        assert framer.late_events == 0
+
+    def test_snapshot_restore_resumes_identically(self):
+        # Snapshot a late-starting feed mid-recording, with events still
+        # spooled, and resume it in a fresh framer: the windows, and the
+        # counters, are those of a framer that never stopped.
+        rng = np.random.default_rng(4)
+        ts = np.sort(rng.integers(5_000_123, 5_500_000, size=2_000))
+        packet = make_packet(
+            rng.integers(0, 240, 2_000), rng.integers(0, 180, 2_000), ts, np.ones(2_000, int)
+        )
+        # Each batch arrives newest first: the spool is unordered.
+        batches = [batch[::-1] for batch in np.array_split(packet, 25)]
+
+        reference = OnlineFramer(FRAME_US, reorder_slack_us=2_000)
+        expected = [w for batch in batches for w in reference.append(batch)]
+        expected += reference.flush()
+
+        first = OnlineFramer(FRAME_US, reorder_slack_us=2_000)
+        windows = [w for batch in batches[:12] for w in first.append(batch)]
+        snapshot = first.snapshot()
+        assert len(snapshot.pending_events) > 0
+        resumed = OnlineFramer(FRAME_US)
+        resumed.restore(snapshot)
+        assert resumed.reorder_slack_us == 2_000
+        windows += [w for batch in batches[12:] for w in resumed.append(batch)]
+        windows += resumed.flush()
+
+        assert len(windows) == len(expected) == reference.frames_closed
+        for window, want in zip(windows, expected):
+            assert (window.frame_index, window.t_start_us, window.t_end_us) == (
+                want.frame_index,
+                want.t_start_us,
+                want.t_end_us,
+            )
+            np.testing.assert_array_equal(window.events, want.events)
+        assert resumed.frames_closed == reference.frames_closed
+        assert resumed.events_accepted == reference.events_accepted == 2_000
+        assert resumed.late_events == reference.late_events == 0
+
+    def test_restore_rejects_other_frame_duration(self):
+        snapshot = OnlineFramer(FRAME_US).snapshot()
+        with pytest.raises(ValueError, match="frame_duration_us"):
+            OnlineFramer(FRAME_US // 2).restore(snapshot)
 
     def test_window_closes_only_past_watermark(self):
         framer = OnlineFramer(FRAME_US, reorder_slack_us=10_000)

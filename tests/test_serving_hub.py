@@ -20,8 +20,9 @@ import pytest
 from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
+from repro.obs.metrics import DEFAULT_PERCENTILE_WINDOW
 from repro.serving import HubConfig, ProtocolError, SensorSession, TrackingHub
-from repro.serving.telemetry import LatencyWindow, TelemetryRegistry
+from repro.serving.telemetry import TelemetryRegistry
 from repro.serving.transport import RingFull, ShardDown
 
 
@@ -371,26 +372,32 @@ class TestCloseAndRemove(CloseContract):
 
 class TestTelemetry:
     def test_latency_window_percentiles(self):
-        window = LatencyWindow(capacity=100)
+        record = TelemetryRegistry().sensor("cam")
         for ms in range(1, 101):
-            window.record(ms * 1e-3)
-        assert window.count == 100
-        assert window.percentile_s(50) == pytest.approx(0.0505, abs=1e-3)
-        assert window.percentile_s(95) == pytest.approx(0.09505, abs=1e-3)
-        assert window.to_dict()["p50_ms"] == pytest.approx(50.5, abs=1.0)
+            record.record_frames(num_frames=1, num_tracks=0, latency_s=ms * 1e-3, late_events=0)
+        assert record.frame_latency.count == 100
+        assert record.frame_latency.percentile(50) == pytest.approx(0.0505, abs=1e-3)
+        assert record.frame_latency.percentile(95) == pytest.approx(0.09505, abs=1e-3)
+        assert record.to_dict()["frame_latency"]["p50_ms"] == pytest.approx(50.5, abs=1.0)
 
     def test_latency_window_empty(self):
-        window = LatencyWindow()
-        assert window.percentile_s(95) == 0.0
-        assert window.mean_s == 0.0
+        record = TelemetryRegistry().sensor("cam")
+        assert record.frame_latency.percentile(95) == 0.0
+        assert record.frame_latency.mean == 0.0
 
     def test_latency_window_bounded_retention(self):
-        window = LatencyWindow(capacity=10)
-        for _ in range(50):
-            window.record(1.0)
-        window.record(2.0)
-        assert window.count == 51  # lifetime count keeps growing
-        assert window.percentile_s(100) == 2.0
+        record = TelemetryRegistry().sensor("cam")
+        record.record_frames(
+            num_frames=DEFAULT_PERCENTILE_WINDOW + 50, num_tracks=0, latency_s=1.0, late_events=0
+        )
+        record.record_frames(num_frames=1, num_tracks=0, latency_s=2.0, late_events=0)
+        latency = record.to_dict()["frame_latency"]
+        assert latency["count"] == DEFAULT_PERCENTILE_WINDOW + 51  # lifetime count
+        assert record.frame_latency.percentile(100) == 2.0
+        # The window retains only the last DEFAULT_PERCENTILE_WINDOW samples.
+        state = record.metrics.state_dict()["families"]
+        (family,) = [f for f in state if f["name"] == "repro_sensor_frame_latency_seconds"]
+        assert len(family["children"][0]["window"]) == DEFAULT_PERCENTILE_WINDOW
 
     def test_registry_roundtrip(self):
         registry = TelemetryRegistry()

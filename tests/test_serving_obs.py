@@ -23,7 +23,7 @@ from repro.serving import (
     scrape_metrics,
     stream_recording,
 )
-from repro.serving.telemetry import LatencyWindow, TelemetryRegistry
+from repro.serving.telemetry import TelemetryRegistry
 
 
 def _moving_block_stream(seed: int = 0, frames: int = 12) -> EventStream:
@@ -41,12 +41,14 @@ def _moving_block_stream(seed: int = 0, frames: int = 12) -> EventStream:
 
 
 class TestLatencyWindowEdgeCases:
+    """A sensor's frame-latency window: its histogram child and its JSON."""
+
     def test_empty_window(self):
-        window = LatencyWindow()
-        assert window.count == 0
-        assert window.mean_s == 0.0
-        assert window.percentile_s(50) == 0.0
-        assert window.to_dict() == {
+        record = TelemetryRegistry().sensor("cam")
+        assert record.frame_latency.count == 0
+        assert record.frame_latency.mean == 0.0
+        assert record.frame_latency.percentile(50) == 0.0
+        assert record.to_dict()["frame_latency"] == {
             "count": 0,
             "mean_ms": 0.0,
             "p50_ms": 0.0,
@@ -55,21 +57,24 @@ class TestLatencyWindowEdgeCases:
         }
 
     def test_single_sample_is_every_percentile(self):
-        window = LatencyWindow()
-        window.record(0.033)
-        assert window.count == 1
-        assert window.mean_s == pytest.approx(0.033)
+        record = TelemetryRegistry().sensor("cam")
+        record.record_frames(num_frames=1, num_tracks=0, latency_s=0.033, late_events=0)
+        assert record.frame_latency.count == 1
+        assert record.frame_latency.mean == pytest.approx(0.033)
         for q in (0, 1, 50, 95, 99, 100):
-            assert window.percentile_s(q) == pytest.approx(0.033)
+            assert record.frame_latency.percentile(q) == pytest.approx(0.033)
+        latency = record.to_dict()["frame_latency"]
+        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
+            assert latency[key] == pytest.approx(33.0)
 
     def test_linear_interpolation_documented_and_used(self):
-        """percentile_s interpolates between closest ranks (NumPy default)."""
-        window = LatencyWindow()
-        samples = [i / 1000.0 for i in range(1, 101)]
-        for value in samples:
-            window.record(value)
-        assert window.percentile_s(50) == pytest.approx(0.0505)
-        assert "linear interpolation" in type(window).percentile_s.__doc__
+        """Percentiles interpolate between closest ranks (NumPy default)."""
+        record = TelemetryRegistry().sensor("cam")
+        for value in [i / 1000.0 for i in range(1, 101)]:
+            record.record_frames(num_frames=1, num_tracks=0, latency_s=value, late_events=0)
+        assert record.frame_latency.percentile(50) == pytest.approx(0.0505)
+        assert record.to_dict()["frame_latency"]["p50_ms"] == pytest.approx(50.5)
+        assert "linear interpolation" in type(record.frame_latency).percentile.__doc__
 
 
 class TestTelemetryConcurrency:

@@ -108,6 +108,35 @@ class TestSessionEquivalence:
         assert session.frames_processed == batch.num_frames
         _assert_observations_equal(_observations(frames), batch.track_history.observations)
 
+    @pytest.mark.parametrize(
+        "first_t", [5_000_123, 76 * 66_000], ids=["mid_window", "window_edge"]
+    )
+    def test_late_start_matches_process_stream(self, first_t):
+        """A recording starting ~5 s after t = 0 frames on the same grid live."""
+        stream = _moving_block_stream(seed=9)
+        stream.events["t"] += first_t - stream.t_start
+        assert stream.t_start == first_t
+        batch = EbbiotPipeline(EbbiotConfig()).process_stream(stream)
+
+        session = SensorSession("s", reorder_slack_us=2_000)
+        events = stream.events
+        frames = []
+        for lo in range(stream.t_start, stream.t_end + 1, 11_000):
+            i0, i1 = np.searchsorted(events["t"], [lo, lo + 11_000])
+            frames.extend(session.ingest(events[i0:i1].copy()))
+        frames.extend(session.finish())
+
+        assert batch.frames[0].t_start_us == 0
+        assert session.late_events == 0
+
+        def frame_key(frame):
+            boxes = [proposal.box for proposal in frame.proposals]
+            return frame.frame_index, frame.t_start_us, frame.t_end_us, frame.num_events, boxes
+
+        assert [frame_key(f) for f in frames] == [frame_key(f) for f in batch.frames]
+        assert len(batch.track_history.observations) > 0
+        _assert_observations_equal(_observations(frames), batch.track_history.observations)
+
     def test_single_giant_batch_matches_batch(self):
         stream = _moving_block_stream(seed=5)
         batch = EbbiotPipeline(EbbiotConfig()).process_stream(stream)

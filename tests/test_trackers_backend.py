@@ -143,9 +143,7 @@ class TestOverlapParity:
             )
         )
         reference = []
-        for t_start, t_end, events in stream.iter_frames(
-            config.frame_duration_us, align_to_zero=True
-        ):
+        for t_start, t_end, events in stream.iter_frames(config.frame_duration_us):
             ebbi = builder.build(events, t_start, t_end)
             proposals = [
                 p
@@ -177,9 +175,7 @@ class TestKalmanParity:
         roe = RegionOfExclusion(boxes=[])
         tracker = KalmanFilterTracker()
         reference = []
-        for t_start, t_end, events in stream.iter_frames(
-            config.frame_duration_us, align_to_zero=True
-        ):
+        for t_start, t_end, events in stream.iter_frames(config.frame_duration_us):
             ebbi = builder.build(events, t_start, t_end)
             proposals = roe.filter_proposals(proposer.propose(ebbi.filtered))
             reference.extend(tracker.process_frame(proposals, ebbi.t_mid_us))
@@ -200,9 +196,7 @@ class TestEbmsParity:
         nn_filter = NearestNeighbourFilter(config.width, config.height)
         tracker = EbmsTracker()
         reference = []
-        for t_start, t_end, events in stream.iter_frames(
-            config.frame_duration_us, align_to_zero=True
-        ):
+        for t_start, t_end, events in stream.iter_frames(config.frame_duration_us):
             filtered = nn_filter.filter(events)
             reference.extend(tracker.process_frame(filtered, (t_start + t_end) // 2))
 
@@ -227,7 +221,7 @@ class TestSnapshotRestore:
     def test_round_trip_resumes_identically(self, backend_name):
         """ISSUE satellite: snapshot/restore round-trips on every backend."""
         stream = _moving_blocks_stream(seed=5)
-        frames = list(stream.iter_frames(66_000, align_to_zero=True))
+        frames = list(stream.iter_frames(66_000))
         half = len(frames) // 2
 
         original = EbbiotPipeline(EbbiotConfig(tracker=backend_name))
@@ -257,7 +251,7 @@ class TestSnapshotRestore:
     def test_snapshot_is_isolated_from_live_state(self, backend_name):
         """Mutating the live tracker after snapshot leaves the capture intact."""
         stream = _moving_blocks_stream(seed=6, num_frames=10)
-        frames = list(stream.iter_frames(66_000, align_to_zero=True))
+        frames = list(stream.iter_frames(66_000))
         pipeline = EbbiotPipeline(EbbiotConfig(tracker=backend_name))
         for i, (t_start, t_end, events) in enumerate(frames[:5]):
             pipeline.process_frame_events(events, t_start, t_end, i)
@@ -271,7 +265,7 @@ class TestSnapshotRestore:
 
     def test_cross_backend_restore_rejected(self):
         stream = _moving_blocks_stream(seed=7, num_frames=6)
-        frames = list(stream.iter_frames(66_000, align_to_zero=True))
+        frames = list(stream.iter_frames(66_000))
         ebms = EbbiotPipeline(EbbiotConfig(tracker="ebms"))
         for i, (t_start, t_end, events) in enumerate(frames):
             ebms.process_frame_events(events, t_start, t_end, i)
@@ -284,7 +278,7 @@ class TestSnapshotRestore:
         import pickle
 
         stream = _moving_blocks_stream(seed=8, num_frames=6)
-        frames = list(stream.iter_frames(66_000, align_to_zero=True))
+        frames = list(stream.iter_frames(66_000))
         for backend_name in available_backends():
             pipeline = EbbiotPipeline(EbbiotConfig(tracker=backend_name))
             for i, (t_start, t_end, events) in enumerate(frames):
