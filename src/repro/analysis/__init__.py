@@ -3,7 +3,7 @@
 This package is correctness tooling *for this repository*: every analyzer
 encodes an invariant some earlier PR established by convention and review —
 lock ordering and publication discipline in the serving layer (PR 2/8),
-snapshot/restore completeness of the per-backend state envelopes (PR 2/3),
+snapshot/restore completeness of the pipeline and session checkpoints,
 the scalar-reference parity contract behind ``utils/fastpath.py`` (PR 4),
 and the CLI/metrics documentation surface (PR 1/7).  Instead of trusting
 each future PR's reviewer to re-check those invariants by hand, the rules

@@ -9,14 +9,16 @@ after a migration, which is exactly the class of bug a human reviewer
 misses.
 
 The rule finds classes that expose a snapshot-style method
-(``snapshot``/``state_snapshot``/``export_migration``) *and* a
-restore-style method (``restore``/``restore_state``/``restore_migration``)
-and reports every mutable attribute — one assigned, augmented,
-subscript-stored, or mutated via a known container method (``append``,
-``update``, ...) outside ``__init__`` — that is not mentioned in at least
-one method of each side.  One level of local aliasing is tracked, so
-``stamps = self._last_timestamp; stamps[y, x] = t`` still counts as a
-mutation of ``_last_timestamp`` (the nearest-neighbour filter's idiom).
+(``snapshot``/``export_migration``) *and* a restore-style method
+(``restore``/``restore_migration``) and reports every mutable attribute —
+one assigned, augmented, subscript-stored, or mutated via a known container
+method (``append``, ``update``, ...) outside ``__init__`` — that is not
+mentioned in at least one method of each side.  One level of local
+aliasing is tracked, so ``stamps = self._last_timestamp; stamps[y, x] = t``
+still counts as a mutation of ``_last_timestamp``.  Trackers, filters and
+the framer are checkpointed as deep copies and have no pair to check; the
+pairs left are the pipeline's (``EbbiotPipeline``, whose counters sit next
+to the backend copy) and the session's migration envelope.
 
 Attributes whose names mark them as non-state (locks, callbacks,
 configuration captured in ``__init__``) are skipped by construction: only
@@ -32,8 +34,8 @@ from repro.analysis.engine import rule
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.index import CodeIndex
 
-SNAPSHOT_METHODS = {"snapshot", "state_snapshot", "export_migration"}
-RESTORE_METHODS = {"restore", "restore_state", "restore_migration"}
+SNAPSHOT_METHODS = {"snapshot", "export_migration"}
+RESTORE_METHODS = {"restore", "restore_migration"}
 
 #: Methods whose attribute writes are construction, not evolving state.
 CONSTRUCTION_METHODS = {"__init__", "__post_init__"}
@@ -56,7 +58,7 @@ MUTATOR_METHODS = {
 }
 
 #: Default scan scope on the real tree: the stateful pipeline layers.
-STATEFUL_PREFIXES = ("repro.events", "repro.trackers", "repro.serving")
+STATEFUL_PREFIXES = ("repro.core", "repro.events", "repro.trackers", "repro.serving")
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:

@@ -31,7 +31,7 @@ from repro.core.histogram_rpn import (
     frame_histograms,
 )
 from repro.core.median_filter import binary_median_filter, binary_median_filter_stack
-from repro.core.overlap_tracker import OverlapTracker, OverlapTrackerConfig, TrackerState
+from repro.core.overlap_tracker import OverlapTracker, OverlapTrackerConfig
 from repro.core.pipeline import (
     EbbiotPipeline,
     FrameResult,
@@ -56,7 +56,6 @@ __all__ = [
     "frame_histograms",
     "OverlapTracker",
     "OverlapTrackerConfig",
-    "TrackerState",
     "RegionOfExclusion",
     "EbbiotPipeline",
     "FrameResult",

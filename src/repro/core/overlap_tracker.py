@@ -24,7 +24,7 @@ the paper's claim that the tracker state fits in well under 0.5 kB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.histogram_rpn import RegionProposal
@@ -109,25 +109,6 @@ class _TrackerSlot:
         )
 
 
-@dataclass(frozen=True)
-class TrackerState:
-    """Immutable snapshot of an :class:`OverlapTracker`'s full state.
-
-    Mirrors the paper's point that the whole tracker state is tiny (well
-    under 0.5 kB): a handful of slots plus counters.  Produced by
-    :meth:`OverlapTracker.snapshot` and consumed by
-    :meth:`OverlapTracker.restore`; the serving layer uses it to
-    checkpoint/migrate live sensor sessions.
-    """
-
-    slots: Tuple[_TrackerSlot, ...]
-    next_track_id: int
-    frames_processed: int
-    total_active_trackers: int
-    occlusions_detected: int
-    merges_performed: int
-
-
 class OverlapTracker:
     """The EBBIOT overlap-based multi-object tracker."""
 
@@ -155,26 +136,6 @@ class OverlapTracker:
     def num_active_tracks(self) -> int:
         """Number of allocated tracker slots."""
         return len(self._slots)
-
-    def snapshot(self) -> TrackerState:
-        """Capture the complete tracker state (slots deep-copied)."""
-        return TrackerState(
-            slots=tuple(replace(slot) for slot in self._slots.values()),
-            next_track_id=self._next_track_id,
-            frames_processed=self._frames_processed,
-            total_active_trackers=self._total_active_trackers,
-            occlusions_detected=self._occlusions_detected,
-            merges_performed=self._merges_performed,
-        )
-
-    def restore(self, state: TrackerState) -> None:
-        """Reinstate a previously captured :class:`TrackerState`."""
-        self._slots = {slot.track_id: replace(slot) for slot in state.slots}
-        self._next_track_id = state.next_track_id
-        self._frames_processed = state.frames_processed
-        self._total_active_trackers = state.total_active_trackers
-        self._occlusions_detected = state.occlusions_detected
-        self._merges_performed = state.merges_performed
 
     @property
     def free_slots(self) -> int:

@@ -19,6 +19,7 @@ the paper's Fig. 4/5 pipelines.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Union
 
@@ -29,7 +30,7 @@ from repro.core.ebbi import EbbiBuilder, EbbiFrames, untimed_stage
 from repro.core.histogram_rpn import HistogramRegionProposer, RegionProposal
 from repro.core.roe import RegionOfExclusion
 from repro.events.stream import EventStream, FrameIndex
-from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
+from repro.trackers.backend import TrackerBackend, TrackerFrame
 from repro.trackers.base import TrackHistory, TrackObservation
 
 #: Windows per EBBI build on :meth:`EbbiotPipeline.process_stream`'s chunked
@@ -40,18 +41,18 @@ CHUNK_FRAMES = 256
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Snapshot of an :class:`EbbiotPipeline`'s incremental state.
+    """Checkpoint of an :class:`EbbiotPipeline` between frames.
 
     Everything a live session needs to checkpoint and later resume (or
-    migrate to another worker): the tracker backend's state envelope and the
-    running summary statistics.  Deliberately tiny — the EBBI frames
-    themselves are per-window scratch and never part of the state.  The
-    :class:`~repro.trackers.backend.BackendState` is tagged with its backend
-    name, so restoring a checkpoint into a pipeline running a different
-    tracker fails loudly.
+    migrate to another worker): a deep copy of the tracker backend object
+    itself, so every field a tracker keeps is carried without checkpoint
+    code of its own, plus the EBBI builder's and the pipeline's running
+    counters.  The EBBI frames are per-window scratch and never part of the
+    state.  Only the backend is copied, never the pipeline, whose
+    instrumentation may hold locks: the state stays picklable.
     """
 
-    tracker: BackendState
+    tracker: TrackerBackend
     ebbi_stats: tuple
     total_events: int
     frames_processed: int
@@ -325,9 +326,11 @@ class EbbiotPipeline:
 
         Valid only at frame boundaries (after a :meth:`process_frame_events`
         call returns), which is the only time a live session checkpoints.
+        The backend is deep-copied, so the pipeline moving on leaves the
+        checkpoint unchanged.
         """
         return PipelineState(
-            tracker=self.tracker.snapshot(),
+            tracker=copy.deepcopy(self.tracker),
             ebbi_stats=self.ebbi_builder.stats_snapshot(),
             total_events=self._total_events,
             frames_processed=self._frames_processed,
@@ -336,10 +339,17 @@ class EbbiotPipeline:
     def restore(self, state: PipelineState) -> None:
         """Reinstate a state captured by :meth:`snapshot`.
 
-        The backend rejects a snapshot taken under a different tracker, so
-        a checkpoint can never silently resume on the wrong algorithm.
+        The pipeline runs on a fresh copy of the checkpoint's backend, so
+        one checkpoint can be restored more than once.  A checkpoint taken
+        under another tracker backend raises :class:`ValueError`, so it can
+        never silently resume on the wrong algorithm.
         """
-        self.tracker.restore(state.tracker)
+        if state.tracker.name != self.tracker.name:
+            raise ValueError(
+                f"cannot restore a {state.tracker.name!r} checkpoint into a "
+                f"{self.tracker.name!r} pipeline"
+            )
+        self.tracker = copy.deepcopy(state.tracker)
         self.ebbi_builder.restore_stats(state.ebbi_stats)
         self._total_events = state.total_events
         self._frames_processed = state.frames_processed

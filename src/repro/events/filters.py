@@ -399,17 +399,3 @@ class NearestNeighbourFilter:
     def filter(self, events: np.ndarray) -> np.ndarray:
         """Return only the events that pass the filter."""
         return events[self.process(events)]
-
-    def state_snapshot(self) -> np.ndarray:
-        """Copy of the per-pixel timestamp memory (for checkpoint/restore)."""
-        return self._last_timestamp.copy()
-
-    def restore_state(self, snapshot: np.ndarray) -> None:
-        """Reinstate a memory captured by :meth:`state_snapshot`."""
-        if snapshot.shape != (self.height, self.width):
-            raise ValueError(
-                f"snapshot shape {snapshot.shape} does not match the filter's "
-                f"{(self.height, self.width)}"
-            )
-        self._last_timestamp = np.array(snapshot, dtype=np.int64, copy=True)
-

@@ -21,7 +21,6 @@ from repro.events.types import (
     concatenate_packets,
     empty_packet,
     is_time_sorted,
-    make_packet,
     normalize_packet,
     validate_packet,
 )
@@ -95,11 +94,6 @@ class FrameIndex:
         """Window end times (length ``num_frames``)."""
         return self.edges[1:]
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Events per window (length ``num_frames``)."""
-        return np.diff(self.splits)
-
     def frame_events(self, index: int) -> np.ndarray:
         """The events of window ``index`` (a view, not a copy)."""
         return self.events[self.splits[index] : self.splits[index + 1]]
@@ -120,7 +114,10 @@ class EventStream:
     ----------
     events:
         Structured event array (dtype :data:`repro.events.types.EVENT_DTYPE`).
-        Sorted by timestamp on construction if needed.
+        Sorted by timestamp on construction if needed.  Stamps must be
+        non-negative: frame windows start at ``t = 0``, so an event before
+        it would belong to no window, and construction raises
+        :class:`ValueError` instead.
     width, height:
         Sensor resolution (``A x B`` in the paper; 240 x 180 for DAVIS).
     """
@@ -135,34 +132,13 @@ class EventStream:
         if not is_time_sorted(self.events):
             order = np.argsort(self.events["t"], kind="stable")
             self.events = self.events[order]
-
-    @classmethod
-    def from_arrays(
-        cls,
-        x,
-        y,
-        t,
-        p=None,
-        width: int = 240,
-        height: int = 180,
-    ) -> "EventStream":
-        """Build a stream from parallel coordinate/timestamp/polarity arrays.
-
-        Parameters
-        ----------
-        x, y:
-            Pixel coordinates.
-        t:
-            Timestamps in microseconds.
-        p:
-            Polarities (``+1`` / ``-1``); defaults to all-ON when omitted,
-            which is fine for the polarity-blind EBBIOT path.
-        width, height:
-            Sensor resolution.
-        """
-        if p is None:
-            p = np.ones(len(np.asarray(t)), dtype=np.int8)
-        return cls(make_packet(x, y, t, p), width, height)
+        if len(self.events) and self.events["t"][0] < 0:
+            t = self.events["t"]
+            num_negative = int(np.searchsorted(t, 0, side="left"))
+            raise ValueError(
+                f"{num_negative} event(s) stamped before t = 0 (earliest "
+                f"{int(t[0])} us): frame windows start at t = 0"
+            )
 
     # -- basic properties ----------------------------------------------------------
 
@@ -206,13 +182,7 @@ class EventStream:
             return 0.0
         return self.num_events / self.duration_s
 
-    # -- slicing and iteration -----------------------------------------------------
-
-    def time_slice(self, t_start: int, t_end: int) -> "EventStream":
-        """Sub-stream with ``t_start <= t < t_end``."""
-        lo = np.searchsorted(self.events["t"], t_start, side="left")
-        hi = np.searchsorted(self.events["t"], t_end, side="left")
-        return EventStream(self.events[lo:hi].copy(), self.width, self.height)
+    # -- iteration -----------------------------------------------------------------
 
     def iter_frames(self, frame_duration_us: int) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Iterate over the windows of :meth:`frame_index`.
@@ -232,9 +202,9 @@ class EventStream:
         a single vectorised ``searchsorted``, so batched consumers (the
         pipeline's chunked path, the runtime layer) never touch the
         per-window Python loop.  Windows start at ``t = 0``, so a recording
-        that starts late begins with empty windows; every event at
-        ``t >= 0`` falls in exactly one window, and the last window ends
-        past the last event.  An empty stream has no windows.
+        that starts late begins with empty windows; every event (none is
+        stamped before ``t = 0``) falls in exactly one window, and the last
+        window ends past the last event.  An empty stream has no windows.
 
         Parameters
         ----------
@@ -245,37 +215,6 @@ class EventStream:
         t_end = self.t_end + 1 if len(self.events) else 0
         edges, splits = frame_boundaries(self.events["t"], frame_duration_us, 0, t_end)
         return FrameIndex(self.events, edges, splits)
-
-    # -- combination ---------------------------------------------------------------
-
-    def merged_with(self, other: "EventStream") -> "EventStream":
-        """Merge two streams from the same sensor into one sorted stream."""
-        if other.resolution != self.resolution:
-            raise ValueError(
-                f"cannot merge streams with different resolutions "
-                f"{self.resolution} and {other.resolution}"
-            )
-        merged = concatenate_packets([self.events, other.events])
-        return EventStream(merged, self.width, self.height)
-
-    def filtered(self, mask: np.ndarray) -> "EventStream":
-        """Stream containing only events where ``mask`` is ``True``."""
-        if len(mask) != len(self.events):
-            raise ValueError(
-                f"mask length {len(mask)} does not match event count {len(self.events)}"
-            )
-        return EventStream(self.events[mask].copy(), self.width, self.height)
-
-    def split(self, num_parts: int) -> List["EventStream"]:
-        """Split the stream into ``num_parts`` equal-duration sub-streams."""
-        if num_parts <= 0:
-            raise ValueError(f"num_parts must be positive, got {num_parts}")
-        if len(self.events) == 0:
-            return [EventStream(empty_packet(), self.width, self.height)] * num_parts
-        edges = np.linspace(self.t_start, self.t_end + 1, num_parts + 1).astype(np.int64)
-        return [
-            self.time_slice(int(edges[i]), int(edges[i + 1])) for i in range(num_parts)
-        ]
 
 
 class EventBuffer:
@@ -312,11 +251,6 @@ class EventBuffer:
     def max_seen_t(self) -> Optional[int]:
         """Largest event timestamp ever appended (``None`` before any)."""
         return self._max_seen_t
-
-    @property
-    def is_ordered(self) -> bool:
-        """Whether buffered packets form one globally time-sorted run."""
-        return self._ordered
 
     def append(self, events: np.ndarray) -> None:
         """Buffer one batch of events (any order, canonical-izable dtype)."""
@@ -372,39 +306,3 @@ class EventBuffer:
         drained = out[0] if len(out) == 1 else np.concatenate(out)
         self._num_pending -= len(drained)
         return drained
-
-    def restore(
-        self,
-        pending: np.ndarray,
-        max_seen_t: Optional[int],
-        ordered: bool = True,
-    ) -> None:
-        """Reset the buffer to a snapshotted state (see :meth:`pending_packet`).
-
-        ``max_seen_t`` is restored explicitly because the watermark can sit
-        past every pending event (e.g. after a drain), which a plain
-        re-append could not reproduce.
-        """
-        self._packets = [normalize_packet(pending)] if len(pending) else []
-        self._num_pending = len(pending)
-        self._max_seen_t = max_seen_t
-        self._ordered = ordered
-
-    def pending_packet(self) -> np.ndarray:
-        """Concatenate the buffered (undrained) events without sorting.
-
-        Used by migration snapshots: restoring via a single :meth:`append`
-        of this packet (with :attr:`is_ordered` carried alongside) rebuilds a
-        buffer whose future drains are byte-identical to the original's.
-        """
-        if not self._packets:
-            return empty_packet()
-        if len(self._packets) == 1:
-            return self._packets[0].copy()
-        return np.concatenate(self._packets)
-
-    def drain_all(self) -> np.ndarray:
-        """Remove and return everything buffered, time-sorted."""
-        if self._max_seen_t is None:
-            return empty_packet()
-        return self.drain_until(self._max_seen_t + 1)

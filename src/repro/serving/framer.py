@@ -20,6 +20,10 @@ too.  With in-order input (or disorder within the slack) the sequence of
 closed windows is therefore **identical** to what ``frame_index`` produces
 for the completed recording, whenever its first event arrives, which is the
 property the serving equivalence tests assert.
+
+A framer has no checkpoint code of its own: a session's migration envelope
+holds a deep copy of the whole framer, spool included (see
+:meth:`~repro.serving.session.SensorSession.export_migration`).
 """
 
 from __future__ import annotations
@@ -31,26 +35,6 @@ import numpy as np
 
 from repro.events.stream import EventBuffer, frame_boundaries
 from repro.events.types import empty_packet, normalize_packet
-
-
-@dataclass(frozen=True)
-class FramerSnapshot:
-    """Complete live state of an :class:`OnlineFramer` at a batch boundary.
-
-    It captures the spool too, so a migrated session resumes with
-    byte-identical output: pending events, watermark position, window
-    cursor, and loss counters.
-    """
-
-    frame_duration_us: int
-    reorder_slack_us: int
-    next_window_start: int
-    next_frame_index: int
-    late_events: int
-    events_accepted: int
-    max_seen_t: Optional[int]
-    pending_events: np.ndarray
-    pending_ordered: bool
 
 
 @dataclass(frozen=True)
@@ -154,40 +138,6 @@ class OnlineFramer:
         if max_seen is None or max_seen < self._next_window_start:
             return []
         return self._close_through(max_seen + 1, force=True)
-
-    # -- migration -----------------------------------------------------------------------
-
-    def snapshot(self) -> FramerSnapshot:
-        """Capture the full live state (spool included) for migration."""
-        return FramerSnapshot(
-            frame_duration_us=self.frame_duration_us,
-            reorder_slack_us=self.reorder_slack_us,
-            next_window_start=self._next_window_start,
-            next_frame_index=self._next_frame_index,
-            late_events=self._late_events,
-            events_accepted=self._events_accepted,
-            max_seen_t=self._buffer.max_seen_t,
-            pending_events=self._buffer.pending_packet(),
-            pending_ordered=self._buffer.is_ordered,
-        )
-
-    def restore(self, snapshot: FramerSnapshot) -> None:
-        """Resume from a :meth:`snapshot`; future output is byte-identical."""
-        if snapshot.frame_duration_us != self.frame_duration_us:
-            raise ValueError(
-                f"snapshot frame_duration_us {snapshot.frame_duration_us} != "
-                f"framer frame_duration_us {self.frame_duration_us}"
-            )
-        self.reorder_slack_us = snapshot.reorder_slack_us
-        self._next_window_start = snapshot.next_window_start
-        self._next_frame_index = snapshot.next_frame_index
-        self._late_events = snapshot.late_events
-        self._events_accepted = snapshot.events_accepted
-        self._buffer.restore(
-            snapshot.pending_events,
-            snapshot.max_seen_t,
-            ordered=snapshot.pending_ordered,
-        )
 
     # -- internals -----------------------------------------------------------------------
 

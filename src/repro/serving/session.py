@@ -13,7 +13,9 @@ Sessions are single-threaded by design: the hub shards sensors across
 workers and each session only ever runs on its shard's worker, so no locks
 are needed here.  :meth:`~SensorSession.export_migration` /
 :meth:`~SensorSession.restore_migration` are a session's one checkpoint
-(shard-to-shard migration).
+(shard-to-shard migration): deep copies of the tracker backend and the
+framer plus the running counters, so no tracker, filter or framer needs
+checkpoint code of its own.
 
 A session keeps counters only (frames, proposals, track observations and
 distinct track ids): frames leave it only as the return values of
@@ -30,6 +32,7 @@ windows.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -39,7 +42,7 @@ import numpy as np
 from repro.core.config import EbbiotConfig
 from repro.core.pipeline import EbbiotPipeline, FrameResult, PipelineState
 from repro.runtime.aggregate import RecordingResult
-from repro.serving.framer import FramerSnapshot, OnlineFramer
+from repro.serving.framer import OnlineFramer
 
 
 @dataclass(frozen=True)
@@ -48,17 +51,18 @@ class MigrationEnvelope:
     shards mid-stream.
 
     It carries the pipeline's :class:`~repro.core.pipeline.PipelineState`
-    (the tracker backend's state and the running statistics), the framer's
-    full state -- spooled events included, via :class:`FramerSnapshot` --
-    and the summary counters, so the restored session's future frames
-    **and** its final summary are identical to an unmigrated run.
-    Envelopes are plain picklable data: process shards ship them over their
-    control pipes.
+    (a copy of the tracker backend and the running statistics), a deep copy
+    of the session's :class:`~repro.serving.framer.OnlineFramer`, spooled
+    events included, and the summary counters, so the restored session's
+    future frames **and** its final summary are identical to an unmigrated
+    run.  It copies the backend and the framer, never the pipeline or the
+    session, whose instrumentation may hold locks: envelopes stay
+    picklable, and process shards ship them over their control pipes.
     """
 
     sensor_id: str
     pipeline: PipelineState
-    framer: FramerSnapshot
+    framer: OnlineFramer
     busy_s: float
     proposal_count: int
     num_observations: int
@@ -158,8 +162,9 @@ class SensorSession:
     def export_migration(self) -> MigrationEnvelope:
         """Package the complete live state for a shard-to-shard hand-off.
 
-        Call with the session drained (no concurrent :meth:`ingest`); the
-        source session must not be used afterwards.
+        Call with the session drained (no concurrent :meth:`ingest`).  The
+        envelope holds copies, so the source session moving on leaves it
+        unchanged.
         """
         if self._finished:
             raise RuntimeError(
@@ -168,7 +173,7 @@ class SensorSession:
         return MigrationEnvelope(
             sensor_id=self.sensor_id,
             pipeline=self.pipeline.snapshot(),
-            framer=self.framer.snapshot(),
+            framer=copy.deepcopy(self.framer),
             busy_s=self._busy_s,
             proposal_count=self._proposal_count,
             num_observations=self._num_observations,
@@ -181,8 +186,11 @@ class SensorSession:
 
         The receiving session must be freshly constructed for the same
         sensor with the same pipeline configuration (the hub guarantees
-        both).  Another sensor's envelope raises :class:`ValueError`, and
-        so does the pipeline checkpoint of another tracker backend.
+        both).  It resumes on copies of the envelope's backend and framer,
+        so one envelope can be restored more than once.  Another sensor's
+        envelope, the pipeline checkpoint of another tracker backend and a
+        framer with another frame duration raise :class:`ValueError` and
+        leave the session as it was.
         """
         if envelope.sensor_id != self.sensor_id:
             raise ValueError(
@@ -194,8 +202,14 @@ class SensorSession:
                 f"cannot restore a migration onto session {self.sensor_id!r} "
                 "that has already processed data"
             )
+        frame_duration_us = envelope.framer.frame_duration_us
+        if frame_duration_us != self.framer.frame_duration_us:
+            raise ValueError(
+                f"envelope frame_duration_us {frame_duration_us} != "
+                f"session frame_duration_us {self.framer.frame_duration_us}"
+            )
         self.pipeline.restore(envelope.pipeline)
-        self.framer.restore(envelope.framer)
+        self.framer = copy.deepcopy(envelope.framer)
         self._busy_s = envelope.busy_s
         self._proposal_count = envelope.proposal_count
         self._num_observations = envelope.num_observations

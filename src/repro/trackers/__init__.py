@@ -18,15 +18,11 @@ throughout the core pipeline, the batch runtime and the live serving layer.
 """
 
 from repro.trackers.association import greedy_overlap_assignment, iou_assignment
-from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
+from repro.trackers.backend import TrackerBackend, TrackerFrame
 from repro.trackers.base import TrackObservation, TrackState
-from repro.trackers.ebms import EbmsCluster, EbmsConfig, EbmsState, EbmsTracker
+from repro.trackers.ebms import EbmsCluster, EbmsConfig, EbmsTracker
 from repro.trackers.kalman import ConstantVelocityKalmanFilter
-from repro.trackers.kalman_tracker import (
-    KalmanFilterTracker,
-    KalmanTrackerConfig,
-    KalmanTrackerState,
-)
+from repro.trackers.kalman_tracker import KalmanFilterTracker, KalmanTrackerConfig
 from repro.trackers.registry import (
     EbmsBackend,
     KalmanBackend,
@@ -45,14 +41,11 @@ __all__ = [
     "ConstantVelocityKalmanFilter",
     "KalmanFilterTracker",
     "KalmanTrackerConfig",
-    "KalmanTrackerState",
     "EbmsTracker",
     "EbmsCluster",
     "EbmsConfig",
-    "EbmsState",
     "TrackerBackend",
     "TrackerFrame",
-    "BackendState",
     "OverlapBackend",
     "KalmanBackend",
     "EbmsBackend",

@@ -9,15 +9,16 @@ swap a one-line configuration change everywhere in the system:
 * :class:`TrackerFrame` — the per-window input bundle a pipeline hands to a
   backend: the region proposals (for frame-driven trackers) *and* the raw
   window events (for event-driven trackers such as EBMS).
-* :class:`TrackerBackend` — the incremental ``step`` / ``reset`` /
-  ``snapshot`` / ``restore`` protocol.  ``step`` consumes one
-  :class:`TrackerFrame` and returns the frame's
+* :class:`TrackerBackend` — the incremental ``step`` / ``reset`` protocol.
+  ``step`` consumes one :class:`TrackerFrame` and returns the frame's
   :class:`~repro.trackers.base.TrackObservation` list, so the core pipeline,
   the batch runtime and the live serving layer can drive any tracker the
   same way.
-* :class:`BackendState` — the opaque, picklable state envelope produced by
-  ``snapshot`` and consumed by ``restore``; tagged with the backend name so
-  a checkpoint can never be restored into the wrong tracker.
+
+A backend has no checkpoint code of its own: a pipeline checkpoint
+(:meth:`~repro.core.pipeline.EbbiotPipeline.snapshot`) holds a deep copy of
+the backend object, so every field a tracker keeps is carried.  Backends
+therefore keep plain, picklable state (no locks, files or callbacks).
 
 Concrete adapters for the three paper trackers live in
 :mod:`repro.trackers.registry` under the names ``"overlap"``, ``"kalman"``
@@ -64,20 +65,6 @@ class TrackerFrame:
         return (self.t_start_us + self.t_end_us) // 2
 
 
-@dataclass(frozen=True)
-class BackendState:
-    """Opaque snapshot of a tracker backend, tagged with its backend name.
-
-    ``payload`` is whatever the backend needs to resume exactly — for the
-    overlap backend the paper's sub-0.5 kB slot table, for the EBMS backend
-    the cluster set plus the NN filter's per-pixel timestamp memory.  It is
-    picklable, so serving-layer checkpoints can cross process boundaries.
-    """
-
-    backend: str
-    payload: object
-
-
 class TrackerBackend(abc.ABC):
     """Incremental tracker interface shared by core, runtime and serving.
 
@@ -106,14 +93,6 @@ class TrackerBackend(abc.ABC):
     def reset(self) -> None:
         """Clear all tracker state and statistics."""
 
-    @abc.abstractmethod
-    def snapshot(self) -> BackendState:
-        """Capture the complete incremental state (valid at frame boundaries)."""
-
-    @abc.abstractmethod
-    def restore(self, state: BackendState) -> None:
-        """Reinstate a state captured by :meth:`snapshot`."""
-
     @property
     @abc.abstractmethod
     def num_active_tracks(self) -> int:
@@ -125,14 +104,6 @@ class TrackerBackend(abc.ABC):
         """Mean active tracks per frame (the paper's ``NT`` statistic)."""
 
     # -- shared helpers -------------------------------------------------------------------
-
-    def _check_state(self, state: BackendState) -> None:
-        """Reject snapshots produced by a different backend."""
-        if state.backend != self.name:
-            raise ValueError(
-                f"cannot restore a {state.backend!r} snapshot into a "
-                f"{self.name!r} backend"
-            )
 
     def _require_events(self, frame: TrackerFrame) -> np.ndarray:
         """The frame's events, or a clear error if the pipeline withheld them."""

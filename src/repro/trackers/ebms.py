@@ -153,38 +153,6 @@ class EbmsCluster:
         return (cov_tx / var_t, cov_ty / var_t)
 
 
-@dataclass(frozen=True)
-class EbmsState:
-    """Immutable snapshot of an :class:`EbmsTracker`'s full state.
-
-    Clusters are deep-copied (their position-history deques included) so the
-    live tracker can keep mutating without disturbing the checkpoint.
-    """
-
-    clusters: Tuple[EbmsCluster, ...]
-    next_cluster_id: int
-    events_processed: int
-    merges: int
-    frames_processed: int
-    total_visible_clusters: int
-
-
-def _copy_cluster(cluster: EbmsCluster) -> EbmsCluster:
-    """Deep copy of one cluster (fresh deque, same entries)."""
-    copied = EbmsCluster(
-        cluster_id=cluster.cluster_id,
-        cx=cluster.cx,
-        cy=cluster.cy,
-        last_update_us=cluster.last_update_us,
-        event_count=cluster.event_count,
-        visible=cluster.visible,
-        spread_x=cluster.spread_x,
-        spread_y=cluster.spread_y,
-    )
-    copied.position_history.extend(cluster.position_history)
-    return copied
-
-
 class EbmsTracker:
     """Event-based mean-shift cluster tracker.
 
@@ -248,30 +216,6 @@ class EbmsTracker:
         if self._frames_processed == 0:
             return 0.0
         return self._total_visible_clusters / self._frames_processed
-
-    def snapshot(self) -> EbmsState:
-        """Capture the complete tracker state (clusters deep-copied)."""
-        return EbmsState(
-            clusters=tuple(_copy_cluster(c) for c in self._clusters.values()),
-            next_cluster_id=self._next_cluster_id,
-            events_processed=self._events_processed,
-            merges=self._merges,
-            frames_processed=self._frames_processed,
-            total_visible_clusters=self._total_visible_clusters,
-        )
-
-    def restore(self, state: EbmsState) -> None:
-        """Reinstate a previously captured :class:`EbmsState`."""
-        self._clusters = {
-            cluster.cluster_id: _copy_cluster(cluster) for cluster in state.clusters
-        }
-        self._next_cluster_id = state.next_cluster_id
-        self._events_processed = state.events_processed
-        self._merges = state.merges
-        self._frames_processed = state.frames_processed
-        self._total_visible_clusters = state.total_visible_clusters
-        # The snapshot does not track merge-pass residue; assume the worst.
-        self._merge_residual = True
 
     # -- event-driven operation ------------------------------------------------------------------
 

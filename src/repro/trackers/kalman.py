@@ -135,21 +135,6 @@ class ConstantVelocityKalmanFilter:
         self.covariance = (identity - kalman_gain @ measurement_matrix) @ self.covariance
         return (float(self.state[0]), float(self.state[1]))
 
-    # -- state capture ----------------------------------------------------------------------
-
-    def state_snapshot(self) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """Copy of the full filter state ``(state, covariance, initialised)``."""
-        return (self.state.copy(), self.covariance.copy(), self._initialised)
-
-    def restore_state(
-        self, snapshot: Tuple[np.ndarray, np.ndarray, bool]
-    ) -> None:
-        """Reinstate a state captured by :meth:`state_snapshot`."""
-        state, covariance, initialised = snapshot
-        self.state = np.array(state, dtype=np.float64, copy=True)
-        self.covariance = np.array(covariance, dtype=np.float64, copy=True)
-        self._initialised = bool(initialised)
-
     # -- accessors --------------------------------------------------------------------------
 
     @property

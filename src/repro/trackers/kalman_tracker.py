@@ -11,7 +11,7 @@ centroid distance, as in the composite-vision tracker the paper cites
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 
 from repro.core.histogram_rpn import RegionProposal
@@ -83,34 +83,6 @@ class _KalmanTrack:
         return BoundingBox.from_center(cx, cy, self.width, self.height)
 
 
-@dataclass(frozen=True)
-class _KalmanTrackSnapshot:
-    """Picklable capture of one track, filter state included."""
-
-    track_id: int
-    filter_state: tuple
-    width: float
-    height: float
-    age_frames: int
-    missed_frames: int
-    hits: int
-
-
-@dataclass(frozen=True)
-class KalmanTrackerState:
-    """Immutable snapshot of a :class:`KalmanFilterTracker`'s full state.
-
-    Produced by :meth:`KalmanFilterTracker.snapshot`, consumed by
-    :meth:`KalmanFilterTracker.restore`; the serving layer checkpoints it
-    through the tracker-backend protocol.
-    """
-
-    tracks: Tuple[_KalmanTrackSnapshot, ...]
-    next_track_id: int
-    frames_processed: int
-    total_active_tracks: int
-
-
 class KalmanFilterTracker:
     """Constant-velocity Kalman-filter multi-object tracker."""
 
@@ -141,48 +113,6 @@ class KalmanFilterTracker:
         if self._frames_processed == 0:
             return 0.0
         return self._total_active_tracks / self._frames_processed
-
-    def snapshot(self) -> KalmanTrackerState:
-        """Capture the complete tracker state (filters deep-copied)."""
-        return KalmanTrackerState(
-            tracks=tuple(
-                _KalmanTrackSnapshot(
-                    track_id=track.track_id,
-                    filter_state=track.filter.state_snapshot(),
-                    width=track.width,
-                    height=track.height,
-                    age_frames=track.age_frames,
-                    missed_frames=track.missed_frames,
-                    hits=track.hits,
-                )
-                for track in self._tracks.values()
-            ),
-            next_track_id=self._next_track_id,
-            frames_processed=self._frames_processed,
-            total_active_tracks=self._total_active_tracks,
-        )
-
-    def restore(self, state: KalmanTrackerState) -> None:
-        """Reinstate a previously captured :class:`KalmanTrackerState`."""
-        self._tracks = {}
-        for captured in state.tracks:
-            kalman_filter = ConstantVelocityKalmanFilter(
-                process_noise=self.config.process_noise,
-                measurement_noise=self.config.measurement_noise,
-            )
-            kalman_filter.restore_state(captured.filter_state)
-            self._tracks[captured.track_id] = _KalmanTrack(
-                track_id=captured.track_id,
-                filter=kalman_filter,
-                width=captured.width,
-                height=captured.height,
-                age_frames=captured.age_frames,
-                missed_frames=captured.missed_frames,
-                hits=captured.hits,
-            )
-        self._next_track_id = state.next_track_id
-        self._frames_processed = state.frames_processed
-        self._total_active_tracks = state.total_active_tracks
 
     def process_frame(
         self, proposals: Sequence[RegionProposal], t_us: int

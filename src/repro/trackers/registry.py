@@ -21,7 +21,9 @@ the :class:`~repro.trackers.backend.TrackerBackend` protocol:
 The registry is a fixed mapping of these three names.  Each backend is
 built from the full :class:`~repro.core.config.EbbiotConfig`, mapping the
 shared knobs (``max_trackers``, lifecycle frames, sensor geometry) onto its
-own configuration.
+own configuration.  An adapter has no checkpoint code: a pipeline
+checkpoint is a deep copy of the adapter, the wrapped tracker and the EBMS
+backend's filter memory included.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from typing import List, Tuple, Union
 
 from repro.events.filters import NearestNeighbourFilter
-from repro.trackers.backend import BackendState, TrackerBackend, TrackerFrame
+from repro.trackers.backend import TrackerBackend, TrackerFrame
 from repro.trackers.base import TrackObservation
 from repro.trackers.ebms import EbmsConfig, EbmsTracker
 from repro.trackers.kalman_tracker import KalmanFilterTracker, KalmanTrackerConfig
@@ -112,13 +114,6 @@ class OverlapBackend(TrackerBackend):
     def reset(self) -> None:
         self.tracker.reset()
 
-    def snapshot(self) -> BackendState:
-        return BackendState(backend=self.name, payload=self.tracker.snapshot())
-
-    def restore(self, state: BackendState) -> None:
-        self._check_state(state)
-        self.tracker.restore(state.payload)
-
     @property
     def num_active_tracks(self) -> int:
         return self.tracker.num_active_tracks
@@ -163,13 +158,6 @@ class KalmanBackend(TrackerBackend):
     def reset(self) -> None:
         self.tracker.reset()
 
-    def snapshot(self) -> BackendState:
-        return BackendState(backend=self.name, payload=self.tracker.snapshot())
-
-    def restore(self, state: BackendState) -> None:
-        self._check_state(state)
-        self.tracker.restore(state.payload)
-
     @property
     def num_active_tracks(self) -> int:
         return self.tracker.num_active_tracks
@@ -203,18 +191,6 @@ class EbmsBackend(TrackerBackend):
     def reset(self) -> None:
         self.nn_filter.reset()
         self.tracker.reset()
-
-    def snapshot(self) -> BackendState:
-        return BackendState(
-            backend=self.name,
-            payload=(self.tracker.snapshot(), self.nn_filter.state_snapshot()),
-        )
-
-    def restore(self, state: BackendState) -> None:
-        self._check_state(state)
-        tracker_state, nn_state = state.payload
-        self.tracker.restore(tracker_state)
-        self.nn_filter.restore_state(nn_state)
 
     @property
     def num_active_tracks(self) -> int:

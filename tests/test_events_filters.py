@@ -94,25 +94,3 @@ class TestNearestNeighbourFilter:
         assert len(kept) == 1
         assert int(kept["x"][0]) == 11
 
-    def test_state_snapshot_round_trip(self):
-        # The EBMS backend checkpoints the filter this way: restoring the
-        # captured memory must continue exactly where the original left off.
-        nn_filter = NearestNeighbourFilter(240, 180, support_time_us=5_000)
-        nn_filter.process(make_packet([100, 50], [100, 50], [0, 100], [1, 1]))
-        snapshot = nn_filter.state_snapshot()
-        # The snapshot is a copy: the filter moving on does not change it.
-        nn_filter.process(make_packet([101], [100], [20_000], [1]))
-        assert snapshot[100, 100] == 0
-        assert snapshot[100, 101] < 0
-        restored = NearestNeighbourFilter(240, 180, support_time_us=5_000)
-        restored.restore_state(snapshot)
-        # (100, 100) last fired at t = 0 and supports its neighbour at
-        # t = 4 000; (50, 50) fired at t = 100, too long before t = 6 000.
-        keep = restored.process(make_packet([101, 51], [100, 50], [4_000, 6_000], [1, 1]))
-        assert keep.tolist() == [True, False]
-
-    def test_restore_state_rejects_wrong_shape(self):
-        nn_filter = NearestNeighbourFilter(240, 180)
-        with pytest.raises(ValueError, match="snapshot shape"):
-            nn_filter.restore_state(np.zeros((10, 10), dtype=np.int64))
-

@@ -80,6 +80,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="resolution"):
             load_events_csv(path)
 
+    def test_negative_stamp_is_refused(self, tmp_path):
+        path = tmp_path / "early.csv"
+        path.write_text("# width=240 height=180\nx,y,t,p\n1,2,-3,1\n4,5,6,-1\n")
+        with pytest.raises(ValueError, match=r"^1 event\(s\) stamped before t = 0"):
+            load_events(path)
+
     def test_empty_csv_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
         save_events_csv(path, EventStream(empty_packet(), 240, 180))

@@ -87,11 +87,6 @@ class TestEventStream:
         assert stream.mean_event_rate == 0.0
         assert stream.frame_index(66_000).num_frames == 0
 
-    def test_time_slice(self):
-        stream = EventStream(_packet_spanning(1_000_000, 100), 240, 180)
-        sliced = stream.time_slice(0, 500_000)
-        assert len(sliced) == 50
-
     def test_iter_frames_align_to_zero(self):
         # Windows start at t = 0, not at the first event: a late start
         # begins with empty windows on the same grid.
@@ -104,40 +99,20 @@ class TestEventStream:
             (132_000, 198_000, 1),
         ]
 
-    def test_merged_with(self):
-        a = EventStream(make_packet([1], [1], [100], [1]), 240, 180)
-        b = EventStream(make_packet([2], [2], [50], [1]), 240, 180)
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-        assert list(merged.events["t"]) == [50, 100]
+    def test_rejects_events_stamped_before_zero(self):
+        # Windows start at t = 0: an earlier event would fall in no window,
+        # so the stream refuses it, naming the count and the earliest stamp.
+        packet = make_packet([1, 2, 3], [1, 2, 3], [-5_000, -1_000, 70_000], [1, 1, 1])
+        with pytest.raises(ValueError) as refused:
+            EventStream(packet, 240, 180)
+        assert str(refused.value).startswith(
+            "2 event(s) stamped before t = 0 (earliest -5000 us)"
+        )
 
-    def test_merged_with_mismatched_resolution_raises(self):
-        a = EventStream(empty_packet(), 240, 180)
-        b = EventStream(empty_packet(), 128, 128)
-        with pytest.raises(ValueError):
-            a.merged_with(b)
-
-    def test_filtered_by_mask(self):
-        stream = EventStream(_packet_spanning(100_000, 10), 240, 180)
-        mask = np.zeros(10, dtype=bool)
-        mask[::2] = True
-        assert len(stream.filtered(mask)) == 5
-
-    def test_filtered_wrong_mask_length(self):
-        stream = EventStream(_packet_spanning(100_000, 10), 240, 180)
-        with pytest.raises(ValueError):
-            stream.filtered(np.zeros(3, dtype=bool))
-
-    def test_split_preserves_events(self):
-        stream = EventStream(_packet_spanning(1_000_000, 100), 240, 180)
-        parts = stream.split(4)
-        assert len(parts) == 4
-        assert sum(len(p) for p in parts) == 100
-
-    def test_split_invalid(self):
-        stream = EventStream(empty_packet(), 240, 180)
-        with pytest.raises(ValueError):
-            stream.split(0)
+    def test_rejects_a_stream_of_only_negative_stamps(self):
+        packet = make_packet([1, 2], [1, 2], [-1, -7], [1, 1])
+        with pytest.raises(ValueError, match=r"^2 event\(s\) .*\(earliest -7 us\)"):
+            EventStream(packet, 240, 180)
 
 
 class TestStreamProperties:
@@ -178,7 +153,7 @@ class TestFrameBoundariesAndIndex:
             assert index.starts[i] == t_start
             assert index.ends[i] == t_end
             np.testing.assert_array_equal(index.frame_events(i), events)
-        assert int(index.counts.sum()) == len(packet)
+        assert int(index.splits[-1] - index.splits[0]) == len(packet)
 
     def test_frame_index_iterates_like_iter_frames(self):
         packet = _packet_spanning(300_000, 20)
@@ -224,23 +199,13 @@ class TestFrameBoundariesAndIndex:
             np.testing.assert_array_equal(index.frame_events(i), packet[in_window])
 
 
-class TestFromArraysAndNormalization:
-    def test_from_arrays_round_trip(self):
-        stream = EventStream.from_arrays(
-            [10, 20], [30, 40], [100, 50], [1, -1], width=240, height=180
-        )
+class TestPacketNormalization:
+    def test_packet_round_trip(self):
+        stream = EventStream(make_packet([10, 20], [30, 40], [100, 50], [1, -1]), 240, 180)
         # Sorted by timestamp on construction.
         assert stream.events["t"].tolist() == [50, 100]
         assert stream.events["x"].tolist() == [20, 10]
         assert len(stream) == 2
-
-    def test_from_arrays_defaults_polarity_to_on(self):
-        stream = EventStream.from_arrays([1, 2], [3, 4], [10, 20])
-        assert stream.events["p"].tolist() == [1, 1]
-
-    def test_from_arrays_validates_bounds(self):
-        with pytest.raises(ValueError):
-            EventStream.from_arrays([999], [0], [0], width=240, height=180)
 
     def test_reordered_dtype_accepted(self):
         reordered_dtype = np.dtype(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import EbbiotConfig, EbbiotPipeline
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
+from repro.obs import Instrumentation, MetricsRegistry, Tracer
 from repro.serving import SensorSession
 
 
@@ -54,6 +57,14 @@ def _resumed(session: SensorSession, config=None) -> SensorSession:
     resumed = SensorSession(session.sensor_id, config=config, reorder_slack_us=0)
     resumed.restore_migration(session.export_migration())
     return resumed
+
+
+def _summary_without_wall_time(session: SensorSession) -> dict:
+    """``session``'s summary, less the fields that time the host."""
+    summary = session.summary().to_dict()
+    for field in ("wall_time_s", "events_per_second", "realtime_factor", "stage_seconds"):
+        summary.pop(field, None)
+    return summary
 
 
 def _assert_observations_equal(live_obs, batch_obs):
@@ -263,7 +274,7 @@ class TestNonDefaultBackends:
         _replay(reference, batches[:half])
         _replay(forked, batches[:half])
         envelope = forked.export_migration()
-        assert envelope.pipeline.tracker.backend == backend
+        assert envelope.pipeline.tracker.name == backend
         resumed = _resumed(forked, config)
 
         ref_tail = _replay(reference, batches[half:]) + reference.finish()
@@ -277,3 +288,83 @@ class TestNonDefaultBackends:
         kalman = SensorSession("s", config=EbbiotConfig(tracker="kalman"))
         with pytest.raises(ValueError, match="cannot restore"):
             kalman.restore_migration(envelope)
+
+
+class TestCopyCheckpoint:
+    """The envelope holds deep copies of the tracker backend and the framer."""
+
+    @pytest.mark.parametrize("backend", ["overlap", "kalman", "ebms"])
+    def test_instrumented_export_resumes_twice_after_pickling(self, backend):
+        # The source is instrumented (its pipeline holds locks and does not
+        # pickle) and its spool holds out-of-order events at the export.
+        # The source moves on after the export, and one unpickled envelope
+        # is restored twice, one resumed session running its tail before
+        # the other restores: if any of them shared objects, a tail would
+        # differ from the unmigrated session's.
+        config = EbbiotConfig(tracker=backend)
+        shuffle_rng = np.random.default_rng(5)
+        batches = list(_batches(_moving_block_stream(seed=22), 4_000, shuffle_rng))
+        cut = len(batches) // 2
+
+        reference = SensorSession("s", config=config, reorder_slack_us=8_000)
+        _replay(reference, batches[:cut])
+        ref_tail = _replay(reference, batches[cut:]) + reference.finish()
+        assert _observations(ref_tail)
+
+        instrumentation = Instrumentation(
+            tracer=Tracer(), metrics=MetricsRegistry(), labels={"sensor": "s"}
+        )
+        source = SensorSession(
+            "s", config=config, reorder_slack_us=8_000, instrumentation=instrumentation
+        )
+        _replay(source, batches[:cut])
+        spooled = np.concatenate(source.framer._buffer._packets)["t"]
+        assert (np.diff(spooled) < 0).any()
+        envelope = source.export_migration()
+        source_tail = _replay(source, batches[cut:]) + source.finish()
+        assert source_tail == ref_tail
+
+        envelope = pickle.loads(pickle.dumps(envelope))
+        for _ in range(2):
+            resumed = SensorSession("s", config=config)
+            resumed.restore_migration(envelope)
+            assert resumed.framer.reorder_slack_us == 8_000
+            assert _replay(resumed, batches[cut:]) + resumed.finish() == ref_tail
+            assert resumed.late_events == reference.late_events == 0
+            assert _summary_without_wall_time(resumed) == _summary_without_wall_time(reference)
+        assert _summary_without_wall_time(source) == _summary_without_wall_time(reference)
+
+    def test_snapshot_restore_resumes_identically(self):
+        # Export a late-starting feed mid-recording, with events still
+        # spooled, and resume it in a fresh session with another slack: the
+        # frames, and the counters, are those of a session that never moved.
+        rng = np.random.default_rng(4)
+        ts = np.sort(rng.integers(5_000_123, 5_500_000, size=2_000))
+        packet = make_packet(
+            rng.integers(0, 240, 2_000), rng.integers(0, 180, 2_000), ts, np.ones(2_000, int)
+        )
+        # Each batch arrives newest first: the spool is unordered.
+        batches = [batch[::-1] for batch in np.array_split(packet, 25)]
+
+        reference = SensorSession("s", reorder_slack_us=2_000)
+        expected = _replay(reference, batches) + reference.finish()
+
+        source = SensorSession("s", reorder_slack_us=2_000)
+        frames = _replay(source, batches[:12])
+        assert source.framer.events_pending > 0
+        resumed = SensorSession("s")
+        resumed.restore_migration(source.export_migration())
+        assert resumed.framer.reorder_slack_us == 2_000
+        frames += _replay(resumed, batches[12:]) + resumed.finish()
+
+        assert frames == expected
+        assert resumed.frames_processed == reference.frames_processed == len(expected)
+        assert resumed.events_ingested == reference.events_ingested == 2_000
+        assert resumed.late_events == reference.late_events == 0
+
+    def test_restore_rejects_other_frame_duration(self):
+        envelope = SensorSession("s").export_migration()
+        other = SensorSession("s", config=EbbiotConfig(frame_duration_us=33_000))
+        with pytest.raises(ValueError, match="frame_duration_us"):
+            other.restore_migration(envelope)
+        assert other.framer.frame_duration_us == 33_000

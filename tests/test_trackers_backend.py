@@ -3,7 +3,8 @@
 Covers the refactor's acceptance bar: the ``"overlap"`` backend is
 frame-for-frame identical to the pre-refactor hard-wired pipeline, the
 ``"kalman"`` and ``"ebms"`` backends reproduce their historical bespoke
-evaluation loops, and every backend's snapshot/restore round-trips exactly.
+evaluation loops, and a pipeline checkpoint round-trips exactly on every
+backend.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.events.filters import NearestNeighbourFilter
 from repro.events.stream import EventStream
 from repro.events.types import make_packet
 from repro.trackers import (
-    BackendState,
     EbmsTracker,
     KalmanFilterTracker,
     TrackerBackend,
@@ -228,8 +228,9 @@ class TestSnapshotRestore:
         for i, (t_start, t_end, events) in enumerate(frames[:half]):
             original.process_frame_events(events, t_start, t_end, i)
         checkpoint = original.snapshot()
-        assert isinstance(checkpoint.tracker, BackendState)
-        assert checkpoint.tracker.backend == backend_name
+        assert isinstance(checkpoint.tracker, TrackerBackend)
+        assert checkpoint.tracker.name == backend_name
+        assert checkpoint.tracker is not original.tracker
 
         tail_original = [
             original.process_frame_events(events, t_start, t_end, i)
@@ -290,41 +291,55 @@ class TestSnapshotRestore:
             assert fresh.frames_processed == pipeline.frames_processed
 
 
+class _CountingBackend(TrackerBackend):
+    """An injected backend with no checkpoint code of its own."""
+
+    name = "counting"
+    requires_events = False
+    requires_proposals = True
+
+    def __init__(self):
+        self.steps = 0
+
+    def step(self, frame):
+        self.steps += 1
+        return []
+
+    def reset(self):
+        self.steps = 0
+
+    @property
+    def num_active_tracks(self):
+        return 0
+
+    @property
+    def mean_active_trackers(self):
+        return 0.0
+
+
 class TestCustomBackendInjection:
     def test_pipeline_accepts_backend_instance(self):
-        class CountingBackend(TrackerBackend):
-            name = "counting"
-            requires_events = False
-            requires_proposals = True
-
-            def __init__(self):
-                self.steps = 0
-
-            def step(self, frame):
-                self.steps += 1
-                return []
-
-            def reset(self):
-                self.steps = 0
-
-            def snapshot(self):
-                return BackendState(backend=self.name, payload=self.steps)
-
-            def restore(self, state):
-                self._check_state(state)
-                self.steps = state.payload
-
-            @property
-            def num_active_tracks(self):
-                return 0
-
-            @property
-            def mean_active_trackers(self):
-                return 0.0
-
-        backend = CountingBackend()
+        backend = _CountingBackend()
         stream = _moving_blocks_stream(seed=9, num_frames=5)
         pipeline = EbbiotPipeline(tracker=backend)
         result = pipeline.process_stream(stream)
         assert pipeline.backend_name == "counting"
         assert backend.steps == result.num_frames > 0
+
+    def test_checkpoint_carries_every_field_of_a_backend(self):
+        # A checkpoint copies the backend object, so a field no checkpoint
+        # code names still resumes, and restoring twice shares nothing.
+        frames = list(_moving_blocks_stream(seed=9, num_frames=5).iter_frames(66_000))
+        assert len(frames) == 5
+        pipeline = EbbiotPipeline(tracker=_CountingBackend())
+        for i, (t_start, t_end, events) in enumerate(frames):
+            pipeline.process_frame_events(events, t_start, t_end, i)
+        checkpoint = pipeline.snapshot()
+        pipeline.tracker.steps = -1
+
+        resumed = [EbbiotPipeline(tracker=_CountingBackend()) for _ in range(2)]
+        for target in resumed:
+            target.restore(checkpoint)
+        resumed[0].tracker.steps += 100
+        assert [target.tracker.steps for target in resumed] == [105, 5]
+        assert checkpoint.tracker.steps == 5
