@@ -114,6 +114,19 @@ class TestEventStream:
         with pytest.raises(ValueError, match=r"^2 event\(s\) .*\(earliest -7 us\)"):
             EventStream(packet, 240, 180)
 
+    def test_rejects_a_negative_stamp_behind_later_ones(self):
+        # The check runs on the sorted events, so an early stamp is found
+        # wherever it sits in the input.
+        packet = make_packet([1, 2, 3], [1, 2, 3], [70_000, 5, -1_000], [1, 1, 1])
+        with pytest.raises(ValueError, match=r"^1 event\(s\) .*\(earliest -1000 us\)"):
+            EventStream(packet, 240, 180)
+
+    def test_accepts_an_event_stamped_at_zero(self):
+        packet = make_packet([1, 2], [1, 2], [66_000, 0], [1, 1])
+        index = EventStream(packet, 240, 180).frame_index(66_000)
+        assert np.diff(index.splits).tolist() == [1, 1]
+        assert index.frame_events(0)["t"].tolist() == [0]
+
 
 class TestStreamProperties:
     @given(

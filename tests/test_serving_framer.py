@@ -126,6 +126,15 @@ class TestOnlineFramer:
         assert windows[0].events["t"].tolist() == [60_000]
         assert framer.late_events == 0
 
+    def test_events_before_zero_are_counted_late(self):
+        # A batch stream refuses stamps before t = 0; the live framer takes
+        # them like any event whose window has closed: dropped and counted.
+        framer = OnlineFramer(FRAME_US, reorder_slack_us=1_000)
+        windows = framer.append(_packet([-5_000, -1_000, 70_000]))
+        windows += framer.flush()
+        assert framer.late_events == 2
+        assert [(w.t_start_us, w.num_events) for w in windows] == [(0, 0), (FRAME_US, 1)]
+
     def test_event_beyond_slack_is_dropped_and_counted(self):
         framer = OnlineFramer(FRAME_US, reorder_slack_us=1_000)
         framer.append(_packet([100_000]))  # closes window 0 (watermark 99k)

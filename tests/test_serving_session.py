@@ -368,3 +368,42 @@ class TestCopyCheckpoint:
         with pytest.raises(ValueError, match="frame_duration_us"):
             other.restore_migration(envelope)
         assert other.framer.frame_duration_us == 33_000
+
+    @pytest.mark.parametrize(
+        ("source_id", "source_config", "refusal"),
+        [
+            ("other", EbbiotConfig(), "belongs to sensor 'other'"),
+            ("s", EbbiotConfig(tracker="kalman"), "cannot restore"),
+            ("s", EbbiotConfig(frame_duration_us=33_000), "frame_duration_us"),
+        ],
+        ids=["other_sensor", "other_backend", "other_frame_duration"],
+    )
+    def test_refused_envelope_leaves_the_session_as_it_was(
+        self, source_id, source_config, refusal
+    ):
+        # The refused envelope comes from a session with tracks and spooled
+        # events, so a refusal raised after any part of it was restored
+        # would show in the target's objects or counters.
+        batches = list(_batches(_moving_block_stream(seed=23), 66_000))
+        cut = len(batches) // 2
+        refused_source = SensorSession(source_id, config=source_config)
+        _replay(refused_source, batches[:cut])
+        assert refused_source.pipeline.tracker.num_active_tracks > 0
+
+        target = SensorSession("s")
+        tracker, framer = target.pipeline.tracker, target.framer
+        with pytest.raises(ValueError, match=refusal):
+            target.restore_migration(refused_source.export_migration())
+        assert target.pipeline.tracker is tracker
+        assert target.framer is framer
+        assert target.pipeline.frames_processed == target.frames_processed == 0
+        assert tracker.num_active_tracks == 0 and framer.events_pending == 0
+
+        # The session still takes the right envelope and resumes exactly.
+        reference = SensorSession("s")
+        _replay(reference, batches[:cut])
+        target.restore_migration(reference.export_migration())
+        ref_tail = _replay(reference, batches[cut:]) + reference.finish()
+        assert _observations(ref_tail)
+        assert _replay(target, batches[cut:]) + target.finish() == ref_tail
+        assert _summary_without_wall_time(target) == _summary_without_wall_time(reference)
