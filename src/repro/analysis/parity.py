@@ -12,9 +12,9 @@ halves this rule pair checks:
   A new gated module that nobody wired into the harness is a fast path
   with no equivalence proof.
 * **PARITY002** — a class that exposes a ``vectorized`` switch (the
-  repository's naming convention for dual-path implementations, e.g.
-  ``NearestNeighbourFilter(vectorized=False)``) must live in a module
-  that consults :func:`scalar_forced`.  A ``vectorized`` flag without the
+  naming convention for a per-instance dual-path pick, e.g. a
+  ``Filter(vectorized=False)`` argument) must live in a module that
+  consults :func:`scalar_forced`.  A ``vectorized`` flag without the
   global gate means ``REPRO_FORCE_SCALAR=1`` silently stops covering that
   class, breaking the bench suite's ``speedup_vs_scalar`` methodology.
 """

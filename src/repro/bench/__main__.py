@@ -6,7 +6,7 @@ Examples::
     PYTHONPATH=src python -m repro.bench --quick              # CI smoke sizes
     PYTHONPATH=src python -m repro.bench --scenarios nn_filter,ebms_pipeline
     PYTHONPATH=src python -m repro.bench --quick --check \\
-        --baseline BENCH_event_path.json --tolerance 0.30     # regression gate
+        --baseline BENCH_event_path.json --tolerance 0.30     # regression gate (writes no report)
     PYTHONPATH=src python -m repro.bench --suite serving_scale  # thread vs process hub
 """
 
@@ -86,14 +86,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where to write the JSON report ('-' for stdout only; default: "
         "the suite's committed artifact name, e.g. BENCH_event_path.json or "
         "BENCH_serving_scale.json, with a _quick variant under --quick, "
-        "so each profile round-trips against its own committed baseline)",
+        "so each profile round-trips against its own committed baseline; "
+        "under --check no report is written unless --output is given)",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
         help="baseline report to compare against (default: the --output path, "
-        "read before it is overwritten)",
+        "or the profile's committed artifact without --output; read before "
+        "any report is written)",
     )
     parser.add_argument(
         "--check",
@@ -126,10 +128,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    if args.output is None:
-        full_output, quick_output = SUITES[args.suite]
-        args.output = quick_output if args.quick else full_output
-    baseline_path = args.baseline or (args.output if args.output != "-" else None)
+    full_output, quick_output = SUITES[args.suite]
+    artifact = args.output or (quick_output if args.quick else full_output)
+    baseline_path = args.baseline or (artifact if artifact != "-" else None)
+    # A checked run compares against the committed artifact but never
+    # rewrites it: it writes a report only where --output says.
+    output = args.output if args.check else artifact
     baseline = load_report(baseline_path) if baseline_path else None
 
     calibration = calibrate()
@@ -220,11 +224,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         exit_code = 2
 
-    if args.output == "-":
+    if output == "-":
         print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        dump_report(report, args.output)
-        print(f"\nwrote JSON report to {args.output}")
+    elif output is not None:
+        dump_report(report, output)
+        print(f"\nwrote JSON report to {output}")
     return exit_code
 
 

@@ -3,7 +3,7 @@
 Examples::
 
     PYTHONPATH=src python -m repro.scenarios                  # full matrix, write baseline artifact
-    PYTHONPATH=src python -m repro.scenarios --quick --check  # CI quality gate
+    PYTHONPATH=src python -m repro.scenarios --quick --check  # CI quality gate (writes no report)
     PYTHONPATH=src python -m repro.scenarios --matrix quick --list
     PYTHONPATH=src python -m repro.scenarios --quick --check \\
         --set overlap_threshold=0.9                           # perturbation study
@@ -65,14 +65,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where to write the JSON report ('-' for stdout only; default: "
         "QUALITY_scenario_matrix.json, or QUALITY_scenario_matrix_quick.json "
         "for the quick matrix, so each matrix round-trips against its own "
-        "committed baseline)",
+        "committed baseline; under --check no report is written unless "
+        "--output is given)",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
         help="baseline report to compare against (default: the --output path, "
-        "read before it is overwritten)",
+        "or the matrix's committed artifact without --output; read before "
+        "any report is written)",
     )
     parser.add_argument(
         "--check",
@@ -141,9 +143,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         logger.error("error: %s", error)
         return 2
 
-    if args.output is None:
-        args.output = DEFAULT_OUTPUTS[matrix.name]
-    baseline_path = args.baseline or (args.output if args.output != "-" else None)
+    artifact = args.output or DEFAULT_OUTPUTS[matrix.name]
+    baseline_path = args.baseline or (artifact if artifact != "-" else None)
+    # A checked run compares against the committed artifact but never
+    # rewrites it: it writes a report only where --output says.
+    output = args.output if args.check else artifact
     baseline = load_report(baseline_path) if baseline_path else None
 
     print(
@@ -215,11 +219,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         exit_code = 2
 
-    if args.output == "-":
+    if output == "-":
         print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        dump_report(report, args.output)
-        print(f"\nwrote JSON report to {args.output}")
+    elif output is not None:
+        dump_report(report, output)
+        print(f"\nwrote JSON report to {output}")
     return exit_code
 
 

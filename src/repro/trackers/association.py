@@ -16,15 +16,9 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.utils.geometry import BoundingBox, boxes_iou
-
-try:  # scipy is an optional accelerator for optimal assignment.
-    from scipy.optimize import linear_sum_assignment
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is installed in this environment
-    _HAVE_SCIPY = False
 
 
 def overlap_score_matrix(
@@ -77,14 +71,9 @@ def iou_assignment(
     detections: Sequence[BoundingBox],
     min_iou: float = 1e-9,
 ) -> List[Tuple[int, int]]:
-    """Optimal one-to-one assignment maximising total IoU.
-
-    Falls back to the greedy assignment when scipy is unavailable.
-    """
+    """Optimal one-to-one assignment maximising total IoU."""
     if not tracks or not detections:
         return []
-    if not _HAVE_SCIPY:
-        return greedy_overlap_assignment(tracks, detections, min_score=min_iou)
     matrix = overlap_score_matrix(tracks, detections)
     row_indices, col_indices = linear_sum_assignment(-matrix)
     pairs = [

@@ -21,9 +21,9 @@ event processor would run it), and the default
 :meth:`EbmsTracker.process_events` is a screened fast path that reaches
 bit-identical cluster state — same centres, spreads, counts, histories,
 merges and decays — by skipping only work the reference provably would not
-do (see the method docstring).  ``REPRO_FORCE_SCALAR=1`` or
-``EbmsTracker(vectorized=False)`` pins the reference path;
-``tests/test_event_path_parity.py`` asserts the equivalence.
+do (see the method docstring).  ``REPRO_FORCE_SCALAR=1`` pins the
+reference path; ``tests/test_event_path_parity.py`` asserts the
+equivalence.
 """
 
 from __future__ import annotations
@@ -156,16 +156,13 @@ class EbmsCluster:
 class EbmsTracker:
     """Event-based mean-shift cluster tracker.
 
-    ``vectorized=False`` pins this instance to the scalar reference loop
-    (the ``REPRO_FORCE_SCALAR`` environment variable overrides all
-    instances); both paths produce bit-identical cluster state.
+    The ``REPRO_FORCE_SCALAR`` environment variable pins every instance to
+    the scalar reference loop; both paths produce bit-identical cluster
+    state.
     """
 
-    def __init__(
-        self, config: Optional[EbmsConfig] = None, vectorized: bool = True
-    ) -> None:
+    def __init__(self, config: Optional[EbmsConfig] = None) -> None:
         self.config = config or EbmsConfig()
-        self.vectorized = vectorized
         self._clusters: Dict[int, EbmsCluster] = {}
         self._next_cluster_id = 1
         self._events_processed = 0
@@ -225,7 +222,7 @@ class EbmsTracker:
         Dispatches to the screened fast path unless the scalar reference is
         forced; the resulting cluster state is bit-identical either way.
         """
-        if not self.vectorized or len(events) < 2 or scalar_forced():
+        if len(events) < 2 or scalar_forced():
             return self.process_events_scalar(events)
         return self._process_events_fast(events)
 

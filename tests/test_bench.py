@@ -260,6 +260,25 @@ class TestCli:
         )
         assert code == 2
 
+    def test_check_without_output_leaves_the_baseline_untouched(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # With no --output, --check compares against the profile's artifact
+        # in the working directory and writes nothing over it.
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(cli, "QUICK_PROFILE", TINY)
+        monkeypatch.chdir(tmp_path)
+        baseline_path = tmp_path / "BENCH_event_path_quick.json"
+        metrics = {"primary": "events_per_s", "events_per_s": 1e-9, "speedup_vs_scalar": 1e-9}
+        # Compact JSON: any report written over it would change its bytes.
+        baseline_path.write_text(json.dumps(make_report({"nn_filter": metrics})))
+        before = baseline_path.read_bytes()
+        assert bench_main(["--quick", "--check", "--scenarios", "nn_filter"]) == 0
+        assert baseline_path.read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == [baseline_path.name]
+        assert "wrote JSON report" not in capsys.readouterr().out
+
     def test_check_fails_on_regression(self, tmp_path, capsys, monkeypatch):
         # Fabricate an absurdly fast committed baseline, then run a real
         # tiny benchmark against it: the check must fail.

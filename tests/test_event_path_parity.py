@@ -14,16 +14,18 @@ reference is).
 from __future__ import annotations
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EbbiotConfig
 from repro.core.pipeline import EbbiotPipeline
 from repro.events.filters import (
+    MAX_FILTER_CHUNK,
+    MIN_VECTOR_EVENTS,
     NearestNeighbourFilter,
-    distinct_pixel_spans,
-    previous_occurrence,
 )
 from repro.events.types import empty_packet, make_packet
 from repro.trackers.ebms import EbmsConfig, EbmsTracker
@@ -83,27 +85,30 @@ def ebms_state(tracker):
     )
 
 
-class TestSpanPartition:
-    def test_previous_occurrence(self):
-        pix = np.array([5, 7, 5, 5, 9, 7])
-        assert previous_occurrence(pix).tolist() == [-1, -1, 0, 2, -1, 1]
+@st.composite
+def sliced_streams(draw):
+    """A time-sorted stream on a small sensor, its packet cuts and a filter.
 
-    def test_spans_have_no_repeats_and_cover(self):
-        rng = np.random.default_rng(0)
-        pix = rng.integers(0, 50, 2000)
-        spans = list(distinct_pixel_spans(pix, max_chunk=128))
-        assert spans[0][0] == 0
-        assert spans[-1][1] == len(pix)
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
-            assert a_hi == b_lo
-        for lo, hi in spans:
-            assert hi - lo <= 128
-            chunk = pix[lo:hi]
-            assert len(np.unique(chunk)) == len(chunk)
-
-    def test_all_same_pixel_degenerates_to_singletons(self):
-        pix = np.zeros(10, dtype=np.int64)
-        assert list(distinct_pixel_spans(pix)) == [(i, i + 1) for i in range(10)]
+    Gaps mix exact ties, short steps, exactly the support time, one
+    microsecond past it and several support times, so packets span many
+    support times and slices of every length occur; a hot pixel adds
+    same-pixel bursts.
+    """
+    support = draw(st.sampled_from([1, 500, 66_000]) | st.integers(1, 66_000))
+    neighbourhood = draw(st.sampled_from([1, 3, 5]))
+    num_events = draw(st.integers(0, 1500))
+    burst_fraction = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 16, num_events)
+    y = rng.integers(0, 12, num_events)
+    burst = rng.random(num_events) < burst_fraction
+    x[burst] = 5
+    y[burst] = 6
+    gap_kinds = [0, 1, max(1, support // 64), support, support + 1, 5 * support]
+    gaps = rng.choice(gap_kinds, num_events, p=rng.dirichlet(np.ones(len(gap_kinds))))
+    packet = make_packet(x, y, np.cumsum(gaps), np.ones(num_events, dtype=int))
+    cuts = sorted(draw(st.lists(st.integers(0, num_events), max_size=5)))
+    return packet, [0, *cuts, num_events], neighbourhood, support
 
 
 class TestNnFilterParity:
@@ -111,49 +116,102 @@ class TestNnFilterParity:
     def test_random_packets(self, burst_fraction):
         packet = random_packet(3000, seed=7, burst_fraction=burst_fraction)
         fast = NearestNeighbourFilter(240, 180)
-        reference = NearestNeighbourFilter(240, 180, vectorized=False)
-        assert (fast.process(packet) == reference.process(packet)).all()
+        reference = NearestNeighbourFilter(240, 180)
+        assert (fast.process(packet) == reference.process_scalar(packet)).all()
         assert (fast._last_timestamp == reference._last_timestamp).all()
 
-    def test_long_span_packet_uses_span_path(self):
-        # Packet span far exceeds the support time, so intra-packet
-        # predecessors can be stale: exercises the distinct-pixel-span path.
-        packet = random_packet(3000, seed=3, time_step=200)
-        assert int(packet["t"][-1] - packet["t"][0]) > 66_000
+    @pytest.mark.parametrize(
+        "num_events, time_step",
+        [(3000, 200), (2 * MAX_FILTER_CHUNK + 100, 1)],
+        ids=["over_support_time", "over_chunk_cap"],
+    )
+    def test_long_packet_is_sliced(self, num_events, time_step):
+        # A packet that spans more than the support time (intra-packet
+        # predecessors can be stale) or holds more than MAX_FILTER_CHUNK
+        # events is cut into slices; support crosses each cut through the
+        # per-pixel memory.
+        packet = random_packet(num_events, seed=3, time_step=time_step)
+        assert (
+            int(packet["t"][-1] - packet["t"][0]) > 66_000
+            or num_events > MAX_FILTER_CHUNK
+        )
         fast = NearestNeighbourFilter(240, 180)
-        reference = NearestNeighbourFilter(240, 180, vectorized=False)
-        assert (fast.process(packet) == reference.process(packet)).all()
+        reference = NearestNeighbourFilter(240, 180)
+        assert (fast.process(packet) == reference.process_scalar(packet)).all()
         assert (fast._last_timestamp == reference._last_timestamp).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sliced_streams())
+    def test_any_stream_any_cuts_match_the_reference(self, case):
+        packet, bounds, neighbourhood, support = case
+        fast = NearestNeighbourFilter(16, 12, neighbourhood, support)
+        reference = NearestNeighbourFilter(16, 12, neighbourhood, support)
+        keep_fast = [fast.process(packet[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        keep_reference = reference.process_scalar(packet)
+        assert (np.concatenate(keep_fast) == keep_reference).all()
+        assert (fast._last_timestamp == reference._last_timestamp).all()
+
+    @pytest.mark.parametrize("support", [1, 500, 66_000])
+    def test_slice_edges_at_the_support_time(self, support):
+        # Two slices of at least MIN_VECTOR_EVENTS events each.  The first
+        # spans exactly the support time; the second starts one microsecond
+        # later, so its first events see the first slice only through the
+        # per-pixel memory.
+        row = list(range(10, 10 + MIN_VECTOR_EVENTS))
+        far = list(range(60, 60 + MIN_VECTOR_EVENTS))
+        xs = row + [40, 10, 25, 41] + far
+        ys = [10] * len(row) + [10, 11, 11, 11] + [60] * len(far)
+        ts = [0] * len(row) + [1, support, support + 1, support + 1]
+        ts += [support + 1] * len(far)
+        packet = make_packet(xs, ys, ts, [1] * len(xs))
+        fast = NearestNeighbourFilter(240, 180, support_time_us=support)
+        reference = NearestNeighbourFilter(240, 180, support_time_us=support)
+        keep = fast.process(packet)
+        assert (keep == reference.process_scalar(packet)).all()
+        assert (fast._last_timestamp == reference._last_timestamp).all()
+        first = len(row)
+        # Same slice, neighbour exactly support_time_us old: supported.
+        assert bool(keep[first + 1]) is True
+        # Next slice, neighbours support_time_us + 1 old: not supported.
+        assert bool(keep[first + 2]) is False
+        # Next slice, neighbour exactly support_time_us old, via memory.
+        assert bool(keep[first + 3]) is True
+
+    def test_state_is_the_timestamp_memory_alone(self):
+        # No per-packet scratch outlives a vectorized packet, so none
+        # travels in a checkpoint.
+        used = NearestNeighbourFilter(240, 180)
+        used.process(random_packet(3000, seed=5))
+        fresh = NearestNeighbourFilter(240, 180)
+        assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
 
     def test_support_time_boundary_exact(self):
         # A neighbour exactly support_time_us old still supports (>=);
         # one microsecond older does not.
         for age, expected in [(66_000, True), (66_001, False)]:
             fast = NearestNeighbourFilter(240, 180, support_time_us=66_000)
-            reference = NearestNeighbourFilter(
-                240, 180, support_time_us=66_000, vectorized=False
-            )
+            reference = NearestNeighbourFilter(240, 180, support_time_us=66_000)
             packet = make_packet([100, 101], [90, 90], [0, age], [1, 1])
             keep_fast = fast.process(packet)
-            keep_reference = reference.process(packet)
+            keep_reference = reference.process_scalar(packet)
             assert (keep_fast == keep_reference).all()
             assert bool(keep_fast[1]) is expected
 
     def test_empty_and_single_event_packets(self):
         fast = NearestNeighbourFilter(240, 180)
-        reference = NearestNeighbourFilter(240, 180, vectorized=False)
+        reference = NearestNeighbourFilter(240, 180)
         assert len(fast.process(empty_packet())) == 0
-        assert len(reference.process(empty_packet())) == 0
+        assert len(reference.process_scalar(empty_packet())) == 0
         single = make_packet([10], [10], [5], [1])
-        assert (fast.process(single) == reference.process(single)).all()
+        assert (fast.process(single) == reference.process_scalar(single)).all()
         assert (fast._last_timestamp == reference._last_timestamp).all()
 
     def test_packet_split_invariance(self):
         # Cutting the stream into arbitrary packets (as the pipeline's
         # chunking does) must not change any keep decision.
         packet = random_packet(4000, seed=11, burst_fraction=0.3)
-        reference = NearestNeighbourFilter(240, 180, vectorized=False)
-        keep_reference = reference.process(packet)
+        reference = NearestNeighbourFilter(240, 180)
+        keep_reference = reference.process_scalar(packet)
         fast = NearestNeighbourFilter(240, 180)
         splits = [0, 1, 17, 1000, 1001, 2500, 4000]
         keep_fast = np.concatenate(
@@ -168,8 +226,8 @@ class TestNnFilterParity:
         ys = [0, 0, 1, 179, 179, 178, 179]
         packet = make_packet(xs, ys, list(range(0, 700, 100)), [1] * 7)
         fast = NearestNeighbourFilter(240, 180)
-        reference = NearestNeighbourFilter(240, 180, vectorized=False)
-        assert (fast.process(packet) == reference.process(packet)).all()
+        reference = NearestNeighbourFilter(240, 180)
+        assert (fast.process(packet) == reference.process_scalar(packet)).all()
 
     def test_env_var_forces_scalar(self, monkeypatch):
         monkeypatch.setenv(SCALAR_ENV, "1")
@@ -196,7 +254,7 @@ class TestEbmsParity:
         config = self.CONFIGS[config_index]
         packet = blob_packet(15_000, seed=config_index)
         fast = EbmsTracker(config)
-        reference = EbmsTracker(config, vectorized=False)
+        reference = EbmsTracker(config)
         # Arbitrary packet boundaries, including empty and single-event.
         splits = [0, 0, 1, 137, 5000, 5001, 15_000]
         for lo, hi in zip(splits, splits[1:]):
@@ -207,16 +265,15 @@ class TestEbmsParity:
     def test_observations_bit_identical(self):
         packet = blob_packet(12_000, seed=42)
         fast = EbmsTracker(EbmsConfig(support_threshold_events=20))
-        reference = EbmsTracker(
-            EbmsConfig(support_threshold_events=20), vectorized=False
-        )
+        reference = EbmsTracker(EbmsConfig(support_threshold_events=20))
         window = 66_000
         for frame in range(30):
             lo = np.searchsorted(packet["t"], frame * window)
             hi = np.searchsorted(packet["t"], (frame + 1) * window)
             t_mid = frame * window + window // 2
             obs_fast = fast.process_frame(packet[lo:hi], t_mid)
-            obs_reference = reference.process_frame(packet[lo:hi], t_mid)
+            with force_scalar(True):
+                obs_reference = reference.process_frame(packet[lo:hi], t_mid)
             assert [
                 (o.track_id, o.t_us, o.box, o.velocity) for o in obs_fast
             ] == [(o.track_id, o.t_us, o.box, o.velocity) for o in obs_reference]
@@ -235,7 +292,6 @@ class TestEbmsParity:
         fast.process_events(packet[:5000])
         resumed_fast = copy.deepcopy(fast)
         resumed_reference = copy.deepcopy(fast)
-        resumed_reference.vectorized = False
         resumed_fast.process_events(packet[5000:])
         resumed_reference.process_events_scalar(packet[5000:])
         assert ebms_state(resumed_fast) == ebms_state(resumed_reference)

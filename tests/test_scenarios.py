@@ -437,6 +437,21 @@ class TestScenariosCli:
         assert "occlusion-cross/overlap.mota" in out
         assert "REGRESSED" in out
 
+    def test_check_without_output_leaves_the_baseline_untouched(
+        self, tiny_cli, capsys
+    ):
+        assert cli.main(["--quick"]) == 0
+        report_path = tiny_cli / "QUALITY_scenario_matrix_quick.json"
+        # Compact JSON: any report written over it would change its bytes.
+        report_path.write_text(json.dumps(json.loads(report_path.read_text())))
+        before = report_path.read_bytes()
+        capsys.readouterr()
+
+        assert cli.main(["--quick", "--check"]) == 0
+        assert report_path.read_bytes() == before
+        assert [path.name for path in tiny_cli.iterdir()] == [report_path.name]
+        assert "wrote JSON report" not in capsys.readouterr().out
+
     def test_missing_baseline_cell_exits_2(self, tiny_cli, capsys):
         assert cli.main(["--quick"]) == 0
         report_path = tiny_cli / "QUALITY_scenario_matrix_quick.json"
