@@ -149,10 +149,21 @@ def find_runs_above_threshold(
     """
     if histogram.ndim != 1:
         raise ValueError("histogram must be 1-D")
-    padded = np.zeros(len(histogram) + 2, dtype=bool)
-    padded[1:-1] = histogram >= threshold
-    changes = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-    return list(zip(changes[0::2], changes[1::2]))
+    # One pass over the bins as Python numbers: at 240x180 with (s1, s2) =
+    # (6, 3) the histograms have 40 and 60 bins, too few for array calls
+    # to pay their overhead.
+    runs: List[Tuple[int, int]] = []
+    start = -1
+    for index, value in enumerate(histogram.tolist()):
+        if value >= threshold:
+            if start < 0:
+                start = index
+        elif start >= 0:
+            runs.append((start, index))
+            start = -1
+    if start >= 0:
+        runs.append((start, len(histogram)))
+    return runs
 
 
 class HistogramRegionProposer:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.histogram_rpn import RegionProposal
-from repro.trackers.base import TrackObservation, TrackState
-from repro.utils.geometry import BoundingBox, merge_boxes
+from repro.trackers.base import TrackObservation
+from repro.utils.geometry import BoundingBox
 
 
 @dataclass
@@ -54,8 +54,8 @@ class OverlapTrackerConfig:
         Number of future frames ``n`` over which predicted trajectories are
         extrapolated when testing for dynamic occlusion.
     min_track_age_frames:
-        Trackers younger than this are reported as tentative and excluded
-        from the confirmed output, which suppresses one-frame noise tracks.
+        Trackers younger than this many frames are not reported, which
+        suppresses one-frame noise tracks.
     max_missed_frames:
         Consecutive unmatched frames after which a tracker is freed.
     size_smoothing:
@@ -91,26 +91,42 @@ class OverlapTrackerConfig:
             raise ValueError("max_missed_frames must be non-negative")
 
 
-@dataclass
 class _TrackerSlot:
-    """Internal state of one tracker slot (the ``Ti`` position vector)."""
+    """One tracker slot: the paper's ``Ti`` position vector and its counters.
 
-    track_id: int
-    box: BoundingBox
-    velocity: Tuple[float, float] = (0.0, 0.0)
-    age_frames: int = 0
-    missed_frames: int = 0
-    hits: int = 1
+    The box is kept as plain floats (bottom-left corner ``x, y`` and extents
+    ``w, h``) with the velocity ``vx, vy`` in pixels per frame; a
+    :class:`BoundingBox` is built only for a reported observation.
+    """
 
-    def predicted_box(self, frames_ahead: int = 1) -> BoundingBox:
-        """Predicted box ``frames_ahead`` frames into the future."""
-        return self.box.translated(
-            self.velocity[0] * frames_ahead, self.velocity[1] * frames_ahead
-        )
+    __slots__ = ("track_id", "x", "y", "w", "h", "vx", "vy", "age_frames", "missed_frames")
+
+    def __init__(self, track_id: int, x: float, y: float, w: float, h: float) -> None:
+        self.track_id = track_id
+        self.x = x
+        self.y = y
+        self.w = w
+        self.h = h
+        self.vx = 0.0
+        self.vy = 0.0
+        self.age_frames = 0
+        self.missed_frames = 0
+
+
+#: A proposal as ``(x, y, x2, y2, width, height)``, its box's fields read once.
+_Edges = Tuple[float, float, float, float, float, float]
 
 
 class OverlapTracker:
-    """The EBBIOT overlap-based multi-object tracker."""
+    """The EBBIOT overlap-based multi-object tracker.
+
+    The per-frame arithmetic runs on plain floats, with the operations of
+    :mod:`repro.utils.geometry` in the same order: a right edge is
+    ``x + width``, an overlap is ``min`` of the right edges less ``max`` of
+    the left edges, and a merge is ``BoundingBox.from_corners`` over the
+    min/max edges.  One frame ahead, the predicted corner is ``x + vx``
+    (``vx * 1`` is ``vx`` exactly).
+    """
 
     def __init__(self, config: Optional[OverlapTrackerConfig] = None) -> None:
         self.config = config or OverlapTrackerConfig()
@@ -187,99 +203,107 @@ class OverlapTracker:
             One observation per confirmed tracker after the update.
         """
         self._frames_processed += 1
-        proposal_boxes = [p.box for p in proposals]
+        config = self.config
+        edges: List[_Edges] = []
+        for proposal in proposals:
+            box = proposal.box
+            x, y, width, height = box.x, box.y, box.width, box.height
+            edges.append((x, y, x + width, y + height, width, height))
 
-        # Step 1: predict all valid trackers one frame ahead.
-        predictions: Dict[int, BoundingBox] = {
-            track_id: slot.predicted_box(1) for track_id, slot in self._slots.items()
-        }
+        # Steps 1-2: predict each valid tracker one frame ahead and match the
+        # prediction against the proposals by overlap: a match needs the
+        # overlap area to reach a fraction of either box's area.
+        threshold = config.overlap_threshold
+        matches_by_proposal: List[List[_TrackerSlot]] = [[] for _ in edges]
+        matches_by_tracker: List[Tuple[_TrackerSlot, List[int]]] = []
+        for slot in self._slots.values():
+            px = slot.x + slot.vx
+            py = slot.y + slot.vy
+            px2 = px + slot.w
+            py2 = py + slot.h
+            own_share = threshold * (slot.w * slot.h)
+            matched: List[int] = []
+            for index, (bx, by, bx2, by2, bw, bh) in enumerate(edges):
+                overlap_w = (bx2 if bx2 < px2 else px2) - (bx if bx > px else px)
+                if overlap_w <= 0:
+                    continue
+                overlap_h = (by2 if by2 < py2 else py2) - (by if by > py else py)
+                if overlap_h <= 0:
+                    continue
+                overlap = overlap_w * overlap_h
+                if overlap > 0 and (overlap >= own_share or overlap >= threshold * (bw * bh)):
+                    matched.append(index)
+                    matches_by_proposal[index].append(slot)
+            matches_by_tracker.append((slot, matched))
 
-        # Step 2: overlap matching between predictions and proposals.
-        matches_by_tracker: Dict[int, List[int]] = {tid: [] for tid in self._slots}
-        matches_by_proposal: Dict[int, List[int]] = {
-            index: [] for index in range(len(proposal_boxes))
-        }
-        for track_id, predicted in predictions.items():
-            for index, proposal_box in enumerate(proposal_boxes):
-                if self._is_match(predicted, proposal_box):
-                    matches_by_tracker[track_id].append(index)
-                    matches_by_proposal[index].append(track_id)
-
-        handled_trackers: Set[int] = set()
-        handled_proposals: Set[int] = set()
+        handled: Set[_TrackerSlot] = set()
+        consumed: Set[int] = set()
 
         # Step 5 first: proposals matched by multiple trackers — occlusion or
         # earlier fragmentation.  Handling these before step 4 keeps each
         # tracker updated exactly once per frame.
-        for index, tracker_ids in matches_by_proposal.items():
-            involved = [tid for tid in tracker_ids if tid not in handled_trackers]
+        for index, matching_slots in enumerate(matches_by_proposal):
+            involved = [slot for slot in matching_slots if slot not in handled]
             if len(involved) < 2:
                 continue
             if self._predicts_occlusion(involved):
                 self._occlusions_detected += 1
-                for track_id in involved:
-                    self._coast_on_prediction(track_id)
-                    handled_trackers.add(track_id)
-                # The proposal is consumed by the occluded pair; do not seed
-                # a new tracker from it.
-                handled_proposals.add(index)
+                for slot in involved:
+                    slot.x += slot.vx
+                    slot.y += slot.vy
             else:
-                survivor = self._merge_trackers(involved, proposal_boxes[index])
-                handled_trackers.update(involved)
-                handled_proposals.add(index)
+                x, y, _, _, width, height = edges[index]
+                self._merge_trackers(involved, x, y, width, height)
                 self._merges_performed += len(involved) - 1
-                # The surviving tracker has been updated from this proposal.
-                handled_trackers.add(survivor)
+            handled.update(involved)
+            # The occluded pair or the merged survivor consumed the proposal;
+            # it seeds no new tracker.
+            consumed.add(index)
 
-        # Step 4: trackers matched to one or more proposals.
-        for track_id, proposal_indices in matches_by_tracker.items():
-            if track_id in handled_trackers:
+        # Step 4: trackers matched to one or more proposals take their
+        # merged box; the others coast on their prediction, and a tracker
+        # matched by nothing accumulates a miss and is freed after too many.
+        max_missed = config.max_missed_frames
+        for slot, matched in matches_by_tracker:
+            if slot in handled:
                 continue
-            available = [i for i in proposal_indices if i not in handled_proposals]
-            if not available:
-                if proposal_indices:
-                    # All its proposals were consumed by an occlusion group.
-                    self._coast_on_prediction(track_id)
-                    handled_trackers.add(track_id)
+            available = [index for index in matched if index not in consumed]
+            if available:
+                self._update_from_proposal(slot, *_enclosing(edges, available))
+                consumed.update(available)
                 continue
-            merged_proposal = merge_boxes([proposal_boxes[i] for i in available])
-            self._update_from_proposal(track_id, merged_proposal)
-            handled_trackers.add(track_id)
-            handled_proposals.update(available)
+            if not matched:
+                slot.missed_frames += 1
+                if slot.missed_frames > max_missed:
+                    del self._slots[slot.track_id]
+                    continue
+            slot.x += slot.vx
+            slot.y += slot.vy
 
-        # Unmatched trackers coast on their prediction and accumulate misses.
-        for track_id in list(self._slots.keys()):
-            if track_id in handled_trackers:
+        # Step 3: seed new trackers from the proposals no tracker matched.
+        for index, matching_slots in enumerate(matches_by_proposal):
+            if matching_slots:
                 continue
-            slot = self._slots[track_id]
-            slot.missed_frames += 1
-            if slot.missed_frames > self.config.max_missed_frames:
-                del self._slots[track_id]
-            else:
-                self._coast_on_prediction(track_id, count_missed=False)
-
-        # Step 3: seed new trackers from unmatched proposals.
-        for index, proposal_box in enumerate(proposal_boxes):
-            if index in handled_proposals or matches_by_proposal[index]:
-                continue
-            if len(self._slots) >= self.config.max_trackers:
+            if len(self._slots) >= config.max_trackers:
                 break
-            self._seed_tracker(proposal_box)
+            x, y, _, _, width, height = edges[index]
+            self._slots[self._next_track_id] = _TrackerSlot(
+                self._next_track_id, x, y, width, height
+            )
+            self._next_track_id += 1
 
-        # Age bookkeeping and output.
+        # Age bookkeeping and output of the confirmed trackers.
         observations: List[TrackObservation] = []
+        min_age = config.min_track_age_frames
         for slot in self._slots.values():
             slot.age_frames += 1
-            confirmed = slot.age_frames >= self.config.min_track_age_frames
-            state = TrackState.CONFIRMED if confirmed else TrackState.TENTATIVE
-            if confirmed:
+            if slot.age_frames >= min_age:
                 observations.append(
                     TrackObservation(
-                        track_id=slot.track_id,
-                        box=slot.box,
-                        t_us=t_us,
-                        velocity=slot.velocity,
-                        state=state,
+                        slot.track_id,
+                        BoundingBox(slot.x, slot.y, slot.w, slot.h),
+                        t_us,
+                        (slot.vx, slot.vy),
                     )
                 )
         self._total_active_trackers += len(self._slots)
@@ -287,17 +311,7 @@ class OverlapTracker:
 
     # -- internals -------------------------------------------------------------------------
 
-    def _is_match(self, predicted: BoundingBox, proposal: BoundingBox) -> bool:
-        """Overlap test: overlap area vs a fraction of either box's area."""
-        overlap = predicted.intersection_area(proposal)
-        if overlap <= 0:
-            return False
-        threshold = self.config.overlap_threshold
-        return (
-            overlap >= threshold * predicted.area or overlap >= threshold * proposal.area
-        )
-
-    def _predicts_occlusion(self, tracker_ids: Sequence[int]) -> bool:
+    def _predicts_occlusion(self, slots: Sequence[_TrackerSlot]) -> bool:
         """``True`` when any pair of trackers is predicted to overlap soon.
 
         The paper extrapolates the predicted trajectories up to ``n = 2``
@@ -306,74 +320,68 @@ class OverlapTracker:
         (nearly) stationary relative to each other are treated as fragments.
         """
         lookahead = self.config.occlusion_lookahead_frames
-        for i in range(len(tracker_ids)):
-            for j in range(i + 1, len(tracker_ids)):
-                slot_i = self._slots[tracker_ids[i]]
-                slot_j = self._slots[tracker_ids[j]]
-                relative_speed = abs(slot_i.velocity[0] - slot_j.velocity[0]) + abs(
-                    slot_i.velocity[1] - slot_j.velocity[1]
-                )
+        for i, a in enumerate(slots):
+            for b in slots[i + 1:]:
+                relative_speed = abs(a.vx - b.vx) + abs(a.vy - b.vy)
                 if relative_speed < 0.5:
                     # Moving together: almost certainly fragments of one object.
                     continue
                 for step in range(1, lookahead + 1):
-                    box_i = slot_i.predicted_box(step)
-                    box_j = slot_j.predicted_box(step)
-                    if box_i.intersection_area(box_j) > 0:
+                    ax = a.x + a.vx * step
+                    bx = b.x + b.vx * step
+                    ax2 = ax + a.w
+                    bx2 = bx + b.w
+                    overlap_w = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+                    if overlap_w <= 0:
+                        continue
+                    ay = a.y + a.vy * step
+                    by = b.y + b.vy * step
+                    ay2 = ay + a.h
+                    by2 = by + b.h
+                    overlap_h = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+                    if overlap_h > 0 and overlap_w * overlap_h > 0:
                         return True
         return False
 
-    def _coast_on_prediction(self, track_id: int, count_missed: bool = False) -> None:
-        """Update a tracker entirely from its prediction (occlusion case)."""
-        slot = self._slots[track_id]
-        slot.box = slot.predicted_box(1)
-        if count_missed:
-            slot.missed_frames += 1
-
-    def _update_from_proposal(self, track_id: int, proposal: BoundingBox) -> None:
+    def _update_from_proposal(
+        self, slot: _TrackerSlot, x: float, y: float, width: float, height: float
+    ) -> None:
         """Blend prediction and proposal into the corrected tracker state."""
-        slot = self._slots[track_id]
-        predicted = slot.predicted_box(1)
         weight = self.config.prediction_weight
-        new_x = weight * predicted.x + (1 - weight) * proposal.x
-        new_y = weight * predicted.y + (1 - weight) * proposal.y
+        new_x = weight * (slot.x + slot.vx) + (1 - weight) * x
+        new_y = weight * (slot.y + slot.vy) + (1 - weight) * y
         size_weight = self.config.size_smoothing
-        new_w = size_weight * slot.box.width + (1 - size_weight) * proposal.width
-        new_h = size_weight * slot.box.height + (1 - size_weight) * proposal.height
-        new_box = BoundingBox(new_x, new_y, new_w, new_h)
-
-        observed_velocity = (new_box.x - slot.box.x, new_box.y - slot.box.y)
+        new_w = size_weight * slot.w + (1 - size_weight) * width
+        new_h = size_weight * slot.h + (1 - size_weight) * height
         smoothing = self.config.velocity_smoothing
-        slot.velocity = (
-            smoothing * slot.velocity[0] + (1 - smoothing) * observed_velocity[0],
-            smoothing * slot.velocity[1] + (1 - smoothing) * observed_velocity[1],
-        )
-        slot.box = new_box
+        slot.vx = smoothing * slot.vx + (1 - smoothing) * (new_x - slot.x)
+        slot.vy = smoothing * slot.vy + (1 - smoothing) * (new_y - slot.y)
+        slot.x, slot.y, slot.w, slot.h = new_x, new_y, new_w, new_h
         slot.missed_frames = 0
-        slot.hits += 1
 
-    def _merge_trackers(self, tracker_ids: Sequence[int], proposal: BoundingBox) -> int:
-        """Merge fragmented trackers into the oldest one; free the rest.
-
-        Returns the id of the surviving tracker.
-        """
-        survivor_id = max(
-            tracker_ids, key=lambda tid: (self._slots[tid].age_frames, -tid)
-        )
+    def _merge_trackers(
+        self, slots: Sequence[_TrackerSlot], x: float, y: float, width: float, height: float
+    ) -> None:
+        """Merge fragmented trackers into the oldest one and free the rest."""
+        survivor = max(slots, key=lambda slot: (slot.age_frames, -slot.track_id))
         # Average the velocities of the merged trackers (they belong to the
         # same physical object).
-        vx = sum(self._slots[tid].velocity[0] for tid in tracker_ids) / len(tracker_ids)
-        vy = sum(self._slots[tid].velocity[1] for tid in tracker_ids) / len(tracker_ids)
-        survivor = self._slots[survivor_id]
-        survivor.velocity = (vx, vy)
-        self._update_from_proposal(survivor_id, proposal)
-        for track_id in tracker_ids:
-            if track_id != survivor_id:
-                del self._slots[track_id]
-        return survivor_id
+        survivor.vx = sum(slot.vx for slot in slots) / len(slots)
+        survivor.vy = sum(slot.vy for slot in slots) / len(slots)
+        self._update_from_proposal(survivor, x, y, width, height)
+        for slot in slots:
+            if slot is not survivor:
+                del self._slots[slot.track_id]
 
-    def _seed_tracker(self, proposal: BoundingBox) -> None:
-        """Seed a new tracker slot from an unmatched proposal."""
-        slot = _TrackerSlot(track_id=self._next_track_id, box=proposal)
-        self._slots[slot.track_id] = slot
-        self._next_track_id += 1
+
+def _enclosing(
+    edges: Sequence[_Edges], indices: Sequence[int]
+) -> Tuple[float, float, float, float]:
+    """``merge_boxes`` of the proposals at ``indices`` as ``(x, y, width, height)``."""
+    x1 = min(edges[index][0] for index in indices)
+    y1 = min(edges[index][1] for index in indices)
+    x2 = max(edges[index][2] for index in indices)
+    y2 = max(edges[index][3] for index in indices)
+    left, right = min(x1, x2), max(x1, x2)
+    bottom, top = min(y1, y2), max(y1, y2)
+    return left, bottom, right - left, top - bottom

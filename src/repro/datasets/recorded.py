@@ -26,6 +26,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -98,6 +99,13 @@ class RecordingEntry:
                 raise ValueError(
                     f"recording {self.name!r}: roe_boxes rows must be "
                     f"[x, y, width, height], got {list(row)}"
+                )
+            # json reads NaN and Infinity.  The ROE's clipping keeps the other
+            # edge wherever one is NaN, so a NaN x would exclude a whole band.
+            if not all(math.isfinite(value) for value in row):
+                raise ValueError(
+                    f"recording {self.name!r}: roe_boxes rows must be finite, "
+                    f"got {list(row)}"
                 )
 
     def roe_bounding_boxes(self) -> List[BoundingBox]:
@@ -320,7 +328,13 @@ class DatasetManifest:
                     f"missing annotations file {annotations_path}"
                 )
             with open(annotations_path, "r", encoding="utf-8") as handle:
-                annotations = RecordingAnnotations.from_dict(json.load(handle))
+                try:
+                    annotations = RecordingAnnotations.from_dict(json.load(handle))
+                except ValueError as error:
+                    raise ValueError(
+                        f"dataset {self.name!r}: recording {entry.name!r}: "
+                        f"{annotations_path}: {error}"
+                    ) from None
         return LoadedRecording(
             name=entry.name,
             stream=stream,

@@ -8,7 +8,7 @@ from typing import List, Sequence, Tuple
 from repro.simulation.ground_truth import GroundTruthBox
 from repro.trackers.base import TrackObservation
 from repro.trackers.association import iou_assignment
-from repro.utils.geometry import BoundingBox, boxes_iou
+from repro.utils.geometry import BoundingBox
 
 
 @dataclass
@@ -76,12 +76,8 @@ def match_frame(
     )
     if not tracker_boxes or not ground_truth_boxes:
         return result
-    pairs = iou_assignment(list(tracker_boxes), list(ground_truth_boxes))
-    for tracker_index, ground_truth_index in pairs:
-        iou = boxes_iou(tracker_boxes[tracker_index], ground_truth_boxes[ground_truth_index])
-        result.matched_pairs.append((tracker_index, ground_truth_index, iou))
-        if iou > iou_threshold:
-            result.true_positives.append((tracker_index, ground_truth_index, iou))
+    result.matched_pairs = iou_assignment(list(tracker_boxes), list(ground_truth_boxes))
+    result.true_positives = [pair for pair in result.matched_pairs if pair[2] > iou_threshold]
     return result
 
 

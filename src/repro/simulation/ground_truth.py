@@ -9,6 +9,7 @@ produces the same kind of annotation directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -37,13 +38,18 @@ class GroundTruthBox:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundTruthBox":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; refuses a non-finite coordinate or extent."""
+        fields = {name: float(data[name]) for name in ("x", "y", "width", "height")}
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"ground-truth box of track {data['track_id']}: {name} must be "
+                    f"finite, got {value}"
+                )
         return cls(
             track_id=int(data["track_id"]),
             object_class=str(data["object_class"]),
-            box=BoundingBox(
-                float(data["x"]), float(data["y"]), float(data["width"]), float(data["height"])
-            ),
+            box=BoundingBox(**fields),
         )
 
 

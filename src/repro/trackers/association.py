@@ -13,24 +13,26 @@ ground-truth boxes.  Two strategies are provided:
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.utils.geometry import BoundingBox, boxes_iou
 
+#: Pairs whose IoU falls below this are not matched by :func:`iou_assignment`:
+#: a zero-overlap pair is no match, however the solver placed it.
+MIN_IOU = 1e-9
+
 
 def overlap_score_matrix(
-    tracks: Sequence[BoundingBox],
-    detections: Sequence[BoundingBox],
-    score: Callable[[BoundingBox, BoundingBox], float] = boxes_iou,
+    tracks: Sequence[BoundingBox], detections: Sequence[BoundingBox]
 ) -> np.ndarray:
-    """Pairwise score matrix, ``shape = (len(tracks), len(detections))``."""
+    """Pairwise IoU matrix, ``shape = (len(tracks), len(detections))``."""
     matrix = np.zeros((len(tracks), len(detections)))
     for i, track_box in enumerate(tracks):
         for j, detection_box in enumerate(detections):
-            matrix[i, j] = score(track_box, detection_box)
+            matrix[i, j] = boxes_iou(track_box, detection_box)
     return matrix
 
 
@@ -38,18 +40,17 @@ def greedy_overlap_assignment(
     tracks: Sequence[BoundingBox],
     detections: Sequence[BoundingBox],
     min_score: float = 1e-9,
-    score: Callable[[BoundingBox, BoundingBox], float] = boxes_iou,
 ) -> List[Tuple[int, int]]:
-    """Greedy one-to-one assignment by descending score.
+    """Greedy one-to-one assignment by descending IoU.
 
     Returns
     -------
     list of (track_index, detection_index)
-        Matched pairs with score >= ``min_score``.
+        Matched pairs with IoU >= ``min_score``.
     """
     if not tracks or not detections:
         return []
-    matrix = overlap_score_matrix(tracks, detections, score)
+    matrix = overlap_score_matrix(tracks, detections)
     pairs: List[Tuple[int, int]] = []
     used_tracks: set = set()
     used_detections: set = set()
@@ -67,21 +68,26 @@ def greedy_overlap_assignment(
 
 
 def iou_assignment(
-    tracks: Sequence[BoundingBox],
-    detections: Sequence[BoundingBox],
-    min_iou: float = 1e-9,
-) -> List[Tuple[int, int]]:
-    """Optimal one-to-one assignment maximising total IoU."""
+    tracks: Sequence[BoundingBox], detections: Sequence[BoundingBox]
+) -> List[Tuple[int, int, float]]:
+    """Optimal one-to-one assignment maximising total IoU.
+
+    Returns
+    -------
+    list of (track_index, detection_index, iou)
+        Assigned pairs with IoU >= :data:`MIN_IOU`, each with the IoU the
+        solver was given.
+    """
     if not tracks or not detections:
         return []
     matrix = overlap_score_matrix(tracks, detections)
     row_indices, col_indices = linear_sum_assignment(-matrix)
-    pairs = [
-        (int(i), int(j))
-        for i, j in zip(row_indices, col_indices)
-        if matrix[i, j] >= min_iou
+    scores = matrix[row_indices, col_indices].tolist()
+    return [
+        (int(i), int(j), iou)
+        for i, j, iou in zip(row_indices, col_indices, scores)
+        if iou >= MIN_IOU
     ]
-    return pairs
 
 
 def unmatched_indices(

@@ -18,7 +18,6 @@ from repro.utils.geometry import BoundingBox
 class TrackState(str, Enum):
     """Lifecycle state of a track."""
 
-    TENTATIVE = "tentative"
     CONFIRMED = "confirmed"
     LOST = "lost"
 

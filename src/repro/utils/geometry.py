@@ -169,11 +169,8 @@ class BoundingBox:
 
 def boxes_intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     """Area of the intersection of two boxes (0.0 when disjoint)."""
-    overlap_w = min(a.x2, b.x2) - max(a.x, b.x)
-    overlap_h = min(a.y2, b.y2) - max(a.y, b.y)
-    if overlap_w <= 0 or overlap_h <= 0:
-        return 0.0
-    return overlap_w * overlap_h
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    return _overlap_area(ax, ay, ax + a.width, ay + a.height, bx, by, bx + b.width, by + b.height)
 
 
 def boxes_union_area(a: BoundingBox, b: BoundingBox) -> float:
@@ -188,17 +185,37 @@ def boxes_union_area(a: BoundingBox, b: BoundingBox) -> float:
     with itself *is* its edge area, and monotone rounding keeps any
     intersection at or below either edge area).
     """
-    area_a = (a.x2 - a.x) * (a.y2 - a.y)
-    area_b = (b.x2 - b.x) * (b.y2 - b.y)
-    return area_a + area_b - boxes_intersection_area(a, b)
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    ax2, ay2, bx2, by2 = ax + a.width, ay + a.height, bx + b.width, by + b.height
+    intersection = _overlap_area(ax, ay, ax2, ay2, bx, by, bx2, by2)
+    return (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - intersection
 
 
 def boxes_iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes (Eq. (9) of the paper)."""
-    union = boxes_union_area(a, b)
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    ax2, ay2, bx2, by2 = ax + a.width, ay + a.height, bx + b.width, by + b.height
+    intersection = _overlap_area(ax, ay, ax2, ay2, bx, by, bx2, by2)
+    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - intersection
     if union <= 0:
         return 0.0
-    return boxes_intersection_area(a, b) / union
+    return intersection / union
+
+
+def _overlap_area(
+    ax: float, ay: float, ax2: float, ay2: float,
+    bx: float, by: float, bx2: float, by2: float,
+) -> float:
+    """Overlap of ``[ax, ax2] x [ay, ay2]`` and ``[bx, bx2] x [by, by2]``.
+
+    ``min`` of the right edges less ``max`` of the left edges, as
+    conditional expressions that keep ``min``/``max``'s choice on ties.
+    """
+    overlap_w = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+    overlap_h = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+    if overlap_w <= 0 or overlap_h <= 0:
+        return 0.0
+    return overlap_w * overlap_h
 
 
 def clip_box(box: BoundingBox, width: int, height: int) -> Optional[BoundingBox]:

@@ -108,6 +108,8 @@ class TestHistogramsAndRuns:
             assert start < end
             covered[start:end] = True
         np.testing.assert_array_equal(covered, histogram >= threshold)
+        # Maximal runs, in order: a gap of at least one bin between neighbours.
+        assert all(end < start for (_, end), (start, _) in zip(runs, runs[1:]))
 
 
 class TestHistogramRegionProposer:

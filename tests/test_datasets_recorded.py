@@ -179,6 +179,31 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match="stale or truncated"):
             dataset.load_entry(entry)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_roe_row_rejected(self, dataset, bad):
+        # A NaN edge would pass every ROE comparison and drop a whole band
+        # of proposals; json reads both NaN and Infinity.
+        manifest_path = dataset.root / MANIFEST_NAME
+        data = json.loads(manifest_path.read_text())
+        data["recordings"][0]["roe_boxes"] = [[bad, 139.4, 54.8, 41.6]]
+        manifest_path.write_text(json.dumps(data))
+        name = data["recordings"][0]["name"]
+        with pytest.raises(ValueError, match=f"recording '{name}': roe_boxes rows must be finite"):
+            DatasetManifest.load(dataset.root)
+
+    @pytest.mark.parametrize("field", ["x", "height"])
+    def test_non_finite_annotation_box_rejected(self, dataset, field):
+        entry = next(e for e in dataset.recordings if e.annotations_file)
+        annotations_path = dataset.root / entry.annotations_file
+        data = json.loads(annotations_path.read_text())
+        box = {"track_id": 1, "object_class": "car", "x": 10.0, "y": 20.0,
+               "width": 30.0, "height": 15.0}
+        box[field] = float("nan")
+        data["frames"][0]["boxes"].append(box)
+        annotations_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"{entry.name}.*{field} must be finite"):
+            dataset.load_entry(entry)
+
     def test_unknown_entry_name(self, dataset):
         with pytest.raises(KeyError, match="no recording"):
             dataset.entry("nope")

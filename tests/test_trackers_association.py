@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.trackers.association import (
+    MIN_IOU,
     greedy_overlap_assignment,
     iou_assignment,
     overlap_score_matrix,
     unmatched_indices,
 )
-from repro.utils.geometry import BoundingBox
+from repro.utils.geometry import BoundingBox, boxes_iou
 
 
 def box(x, y, w=10, h=10):
@@ -62,10 +63,21 @@ class TestIouAssignment:
         tracks = [box(0, 0, 10, 10), box(4, 0, 10, 10)]
         detections = [box(2, 0, 10, 10), box(8, 0, 10, 10)]
         optimal = iou_assignment(tracks, detections)
-        assert sorted(optimal) == [(0, 0), (1, 1)]
+        assert sorted((i, j) for i, j, _ in optimal) == [(0, 0), (1, 1)]
 
     def test_min_iou_respected(self):
-        assert iou_assignment([box(0, 0)], [box(50, 50)], min_iou=0.1) == []
+        # The solver must assign the lone pair; its zero IoU is cut.
+        assert iou_assignment([box(0, 0)], [box(50, 50)]) == []
+        assert MIN_IOU > 0.0
+
+    def test_pairs_carry_the_iou_the_solver_was_given(self):
+        tracks = [box(0, 0), box(100, 100), box(0.1, 1e6, 1e-6, 3)]
+        detections = [box(103, 101), box(1, 0), box(0.1, 1e6, 2e-6, 3)]
+        pairs = iou_assignment(tracks, detections)
+        assert sorted(pairs) == sorted(
+            (i, j, boxes_iou(tracks[i], detections[j])) for i, j in [(0, 1), (1, 0), (2, 2)]
+        )
+        assert all(type(iou) is float for _, _, iou in pairs)
 
     def test_empty(self):
         assert iou_assignment([], []) == []
@@ -97,8 +109,8 @@ class TestAssignmentProperties:
             greedy_overlap_assignment(tracks, detections),
             iou_assignment(tracks, detections),
         ):
-            track_indices = [i for i, _ in pairs]
-            detection_indices = [j for _, j in pairs]
+            track_indices = [pair[0] for pair in pairs]
+            detection_indices = [pair[1] for pair in pairs]
             assert len(track_indices) == len(set(track_indices))
             assert len(detection_indices) == len(set(detection_indices))
             assert len(pairs) <= min(len(tracks), len(detections))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.utils.geometry import (
     BoundingBox,
@@ -187,3 +187,96 @@ class TestGeometryProperties:
             assert merged.y <= box.y + 1e-9
             assert merged.x2 >= box.x2 - 1e-9
             assert merged.y2 >= box.y2 - 1e-9
+
+
+# -- the overlap functions against their property form ----------------------------------
+
+
+def _reference_intersection(a, b):
+    overlap_w = min(a.x + a.width, b.x + b.width) - max(a.x, b.x)
+    overlap_h = min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
+    if overlap_w <= 0 or overlap_h <= 0:
+        return 0.0
+    return overlap_w * overlap_h
+
+
+def _reference_union(a, b):
+    area_a = ((a.x + a.width) - a.x) * ((a.y + a.height) - a.y)
+    area_b = ((b.x + b.width) - b.x) * ((b.y + b.height) - b.y)
+    return area_a + area_b - _reference_intersection(a, b)
+
+
+def _reference_iou(a, b):
+    union = _reference_union(a, b)
+    if union <= 0:
+        return 0.0
+    return _reference_intersection(a, b) / union
+
+
+@st.composite
+def rounding_pairs(draw):
+    """Box pairs with touching edges, zero extents, and coordinates 1e-6 and
+    1e6 apart, where ``x + width`` rounds away from ``x``."""
+    coordinate = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-6, 0.1, 3.0, 1e6, -1e6, 1e6 + 0.1]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    extent = st.one_of(
+        st.sampled_from([0.0, 1e-6, 0.1, 3.0, 1e6]), st.floats(0.0, 1e6, allow_nan=False)
+    )
+    box = st.builds(BoundingBox, coordinate, coordinate, extent, extent)
+    a = draw(box)
+    relation = draw(st.sampled_from(["free", "touching", "same", "same corner", "nested"]))
+    if relation == "free":
+        b = draw(box)
+    elif relation == "touching":
+        b = BoundingBox(a.x + a.width, a.y + draw(extent), draw(extent), a.height)
+    elif relation == "same":
+        b = a
+    elif relation == "same corner":
+        b = BoundingBox(a.x, a.y, draw(extent), draw(extent))
+    else:
+        share = st.floats(0.0, 1.0)
+        b = BoundingBox(
+            a.x + draw(share) * a.width, a.y + draw(share) * a.height,
+            draw(share) * a.width, draw(share) * a.height,
+        )
+    return a, b
+
+
+#: A small box inside a large one: ``area_a + area_b`` rounds, so the union
+#: depends on the order of its sum and difference.
+NESTED = (BoundingBox(0.0, 0.0, 1e6, 1e6), BoundingBox(0.1, 0.1, 0.3, 0.7))
+
+
+class TestSameFloatsAsThePropertyForm:
+    """Each function returns exactly the float of ``x + width``, then the differences."""
+
+    @settings(max_examples=300)
+    @given(rounding_pairs())
+    @example(NESTED)
+    def test_intersection_area(self, pair):
+        a, b = pair
+        assert boxes_intersection_area(a, b).hex() == _reference_intersection(a, b).hex()
+        assert a.intersection_area(b).hex() == _reference_intersection(a, b).hex()
+
+    @settings(max_examples=300)
+    @given(rounding_pairs())
+    @example(NESTED)
+    def test_union_area(self, pair):
+        a, b = pair
+        assert boxes_union_area(a, b).hex() == _reference_union(a, b).hex()
+
+    @settings(max_examples=300)
+    @given(rounding_pairs())
+    @example(NESTED)
+    def test_iou(self, pair):
+        a, b = pair
+        assert boxes_iou(a, b).hex() == _reference_iou(a, b).hex()
+        assert boxes_iou(b, a).hex() == _reference_iou(b, a).hex()
+
+    def test_x_plus_width_can_round(self):
+        # 1e6 + 1e-6 rounds: its edge difference is not the width.
+        box = BoundingBox(1e6, 0.0, 1e-6, 1.0)
+        assert (box.x + box.width) - box.x != box.width
+        assert boxes_iou(box, box) == 1.0
