@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.events.types import EVENT_DTYPE, make_packet
+from repro.events.types import EVENT_DTYPE, make_packet, sort_packet
 
 
 @dataclass
@@ -76,9 +76,7 @@ class BackgroundActivityNoise:
         y = rng.integers(0, height, size=count)
         t = rng.integers(t_start_us, t_end_us, size=count)
         p = np.where(rng.random(count) < self.on_fraction, 1, -1)
-        packet = make_packet(x, y, t, p)
-        packet.sort(order="t")
-        return packet
+        return sort_packet(make_packet(x, y, t, p))
 
 
 @dataclass
@@ -132,6 +130,4 @@ class HotPixelNoise:
         y = np.repeat(positions[:, 1], per_pixel)
         t = rng.integers(t_start_us, t_end_us, size=total)
         p = np.where(rng.random(total) < 0.5, 1, -1)
-        packet = make_packet(x, y, t, p)
-        packet.sort(order="t")
-        return packet
+        return sort_packet(make_packet(x, y, t, p))

@@ -130,8 +130,7 @@ class EventStream:
         self.events = normalize_packet(self.events)
         validate_packet(self.events, self.width, self.height)
         if not is_time_sorted(self.events):
-            order = np.argsort(self.events["t"], kind="stable")
-            self.events = self.events[order]
+            self.events = np.take(self.events, np.argsort(self.events["t"], kind="stable"))
         if len(self.events) and self.events["t"][0] < 0:
             t = self.events["t"]
             num_negative = int(np.searchsorted(t, 0, side="left"))

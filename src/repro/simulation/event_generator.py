@@ -25,11 +25,11 @@ counts per frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.events.types import EVENT_DTYPE, make_packet
+from repro.events.types import EVENT_DTYPE, make_packet, sort_packet
 from repro.simulation.objects import SceneObject
 from repro.utils.geometry import BoundingBox, clip_box
 
@@ -68,18 +68,52 @@ class ObjectEventGenerator:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Events emitted by one object during ``[t_start_us, t_end_us)``."""
-        if t_end_us <= t_start_us:
+        return self.generate_for_objects([scene_object], t_start_us, t_end_us, rng)
+
+    def generate_for_objects(
+        self,
+        scene_objects: List[SceneObject],
+        t_start_us: int,
+        t_end_us: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Events from all objects over the interval, merged and time sorted.
+
+        Objects draw from ``rng`` in list order, region by region; their
+        columns are packed into one packet, sorted once by ``(t, x, y, p)``.
+        """
+        columns = [
+            self._sample_region(region, density, t_start_us, t_end_us, rng)
+            for scene_object in scene_objects
+            for region, density in self._regions(scene_object, t_start_us, t_end_us, rng)
+        ]
+        columns = [c for c in columns if c is not None]
+        if not columns:
             return np.empty(0, dtype=EVENT_DTYPE)
+        return sort_packet(make_packet(*(np.concatenate(field) for field in zip(*columns))))
+
+    # -- internals --------------------------------------------------------------------
+
+    def _regions(
+        self,
+        scene_object: SceneObject,
+        t_start_us: int,
+        t_end_us: int,
+        rng: np.random.Generator,
+    ) -> List[Tuple[BoundingBox, float]]:
+        """The ``(region, events per pixel)`` pairs one object emits from."""
+        if t_end_us <= t_start_us:
+            return []
         if not (
             scene_object.is_active(t_start_us) or scene_object.is_active(t_end_us - 1)
         ):
-            return np.empty(0, dtype=EVENT_DTYPE)
+            return []
 
         t_mid = (t_start_us + t_end_us) // 2
         box = scene_object.bounding_box(t_mid)
         visible = clip_box(box, self.width, self.height)
         if visible is None:
-            return np.empty(0, dtype=EVENT_DTYPE)
+            return []
 
         # Distance moved during the interval controls overall event activity.
         start_box = scene_object.bounding_box(max(t_start_us, scene_object.trajectory.t_start_us))
@@ -89,7 +123,7 @@ class ObjectEventGenerator:
         activity = max(min(displacement, 8.0), self.min_edge_activity)
 
         template = scene_object.template
-        regions: List[tuple] = []
+        regions: List[Tuple[BoundingBox, float]] = []
 
         # Leading and trailing vertical edges (strongest event sources).
         edge_w = min(self.edge_thickness_px, box.width / 2.0)
@@ -121,41 +155,8 @@ class ObjectEventGenerator:
                 regions.append((region, template.edge_event_density * activity * 0.6))
 
         # Plain body interior: very low density -> fragmentation of big vehicles.
-        interior = clip_box(box, self.width, self.height)
-        if interior is not None:
-            regions.append((interior, template.body_event_density * activity * 0.3))
-
-        packets = [
-            self._sample_region(region, density, t_start_us, t_end_us, rng)
-            for region, density in regions
-        ]
-        packets = [p for p in packets if len(p)]
-        if not packets:
-            return np.empty(0, dtype=EVENT_DTYPE)
-        merged = np.concatenate(packets)
-        merged.sort(order="t")
-        return merged
-
-    def generate_for_objects(
-        self,
-        scene_objects: List[SceneObject],
-        t_start_us: int,
-        t_end_us: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Events from all objects over the interval, merged and time sorted."""
-        packets = [
-            self.generate_for_object(obj, t_start_us, t_end_us, rng)
-            for obj in scene_objects
-        ]
-        packets = [p for p in packets if len(p)]
-        if not packets:
-            return np.empty(0, dtype=EVENT_DTYPE)
-        merged = np.concatenate(packets)
-        merged.sort(order="t")
-        return merged
-
-    # -- internals --------------------------------------------------------------------
+        regions.append((visible, template.body_event_density * activity * 0.3))
+        return regions
 
     def _sample_region(
         self,
@@ -164,21 +165,24 @@ class ObjectEventGenerator:
         t_start_us: int,
         t_end_us: int,
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Sample Poisson events uniformly over a rectangular region."""
+    ) -> Optional[Tuple[np.ndarray, ...]]:
+        """Sample Poisson events uniformly over a rectangular region.
+
+        Returns the ``x, y, t, p`` columns, or ``None`` when no event falls.
+        """
         if events_per_pixel <= 0 or region.area <= 0:
-            return np.empty(0, dtype=EVENT_DTYPE)
+            return None
         expected = events_per_pixel * region.area
         count = int(rng.poisson(expected))
         if count == 0:
-            return np.empty(0, dtype=EVENT_DTYPE)
+            return None
         x = rng.uniform(region.x, region.x2, size=count)
         y = rng.uniform(region.y, region.y2, size=count)
         x = np.clip(np.floor(x), 0, self.width - 1).astype(np.int64)
         y = np.clip(np.floor(y), 0, self.height - 1).astype(np.int64)
         t = rng.integers(t_start_us, t_end_us, size=count)
         p = np.where(rng.random(count) < self.on_fraction, 1, -1)
-        return make_packet(x, y, t, p)
+        return x, y, t, p
 
 
 @dataclass
@@ -225,6 +229,4 @@ class FoliageDistractor:
         ).astype(np.int64)
         t = rng.integers(t_start_us, t_end_us, size=count)
         p = np.where(rng.random(count) < 0.5, 1, -1)
-        packet = make_packet(x, y, t, p)
-        packet.sort(order="t")
-        return packet
+        return sort_packet(make_packet(x, y, t, p))

@@ -14,12 +14,17 @@ import numpy as np
 
 from repro.events.noise import BackgroundActivityNoise, HotPixelNoise
 from repro.events.stream import EventStream
-from repro.events.types import EVENT_DTYPE
+from repro.events.types import empty_packet, sort_packet
 from repro.sensor.davis import SensorGeometry
 from repro.simulation.event_generator import FoliageDistractor, ObjectEventGenerator
 from repro.simulation.ground_truth import GroundTruthFrame, sample_ground_truth
 from repro.simulation.objects import SceneObject
 from repro.utils.geometry import BoundingBox
+
+#: Rendering chunk size.  Events are generated chunk by chunk so object
+#: motion within a chunk is small; 8 ms gives sub-pixel motion for all
+#: realistic traffic speeds while keeping the Python loop short.
+CHUNK_DURATION_US = 8_000
 
 
 @dataclass
@@ -36,10 +41,6 @@ class SceneConfig:
         Optional hot-pixel noise model.
     distractors:
         Static foliage-like distractor regions.
-    chunk_duration_us:
-        Rendering chunk size.  Events are generated chunk by chunk so object
-        motion within a chunk is small; 8 ms gives sub-pixel motion for all
-        realistic traffic speeds while keeping the Python loop short.
     seed:
         Seed of the scene's random generator.
     """
@@ -50,14 +51,7 @@ class SceneConfig:
     )
     hot_pixels: Optional[HotPixelNoise] = None
     distractors: List[FoliageDistractor] = field(default_factory=list)
-    chunk_duration_us: int = 8_000
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.chunk_duration_us <= 0:
-            raise ValueError(
-                f"chunk_duration_us must be positive, got {self.chunk_duration_us}"
-            )
 
 
 @dataclass
@@ -152,10 +146,9 @@ class Scene:
 
         packets: List[np.ndarray] = []
         t_end_us = t_start_us + duration_us
-        chunk = self.config.chunk_duration_us
         chunk_start = t_start_us
         while chunk_start < t_end_us:
-            chunk_end = min(chunk_start + chunk, t_end_us)
+            chunk_end = min(chunk_start + CHUNK_DURATION_US, t_end_us)
             active = [
                 o
                 for o in self.objects
@@ -187,11 +180,7 @@ class Scene:
             )
 
         packets = [p for p in packets if len(p)]
-        if packets:
-            events = np.concatenate(packets)
-            events.sort(order="t", kind="stable")
-        else:
-            events = np.empty(0, dtype=EVENT_DTYPE)
+        events = sort_packet(np.concatenate(packets)) if packets else empty_packet()
         stream = EventStream(events, geometry.width, geometry.height)
 
         # Ground truth sampled at frame midpoints so annotations line up with

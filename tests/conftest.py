@@ -11,7 +11,7 @@ from repro.events.types import make_packet
 from repro.sensor.davis import SensorGeometry
 from repro.simulation.objects import OBJECT_TEMPLATES, ObjectClass, SceneObject
 from repro.simulation.scene import Scene, SceneConfig
-from repro.simulation.trajectories import ConstantVelocityTrajectory, crossing_trajectory
+from repro.simulation.trajectories import crossing_trajectory
 from repro.events.noise import BackgroundActivityNoise
 
 # The analyzer's fixture trees contain deliberately-broken modules and a

@@ -4,16 +4,30 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.events.stream import EventStream
 from repro.events.types import (
     EVENT_DTYPE,
     concatenate_packets,
     empty_packet,
     is_time_sorted,
     make_packet,
+    sort_packet,
     validate_packet,
 )
+
+
+def tie_heavy_packets(low: int = -2):
+    """Packets of 0 to 60 events on a 4x4 pixel patch over 4 timestamps.
+
+    The ranges are so small that most events share their stamp, and many
+    their stamp and pixel, with either polarity; ``low`` is the least
+    coordinate and timestamp.
+    """
+    value = st.integers(low, low + 3)
+    events = st.lists(st.tuples(value, value, value, st.sampled_from([1, -1])), max_size=60)
+    return events.map(lambda rows: make_packet(*(zip(*rows) if rows else ([],) * 4)))
 
 
 class TestMakePacket:
@@ -127,6 +141,34 @@ class TestPacketProperties:
         merged = concatenate_packets([packet[:half], packet[half:]])
         assert len(merged) == len(packet)
         assert is_time_sorted(merged)
+
+
+class TestSortPacket:
+    """``sort_packet`` gives the bytes of NumPy's structured sort on ``t``."""
+
+    @settings(max_examples=300)
+    @given(tie_heavy_packets())
+    @example(empty_packet())
+    @example(make_packet([3], [1], [7], [-1]))
+    def test_same_bytes_as_structured_sort(self, packet):
+        before = packet.tobytes()
+        expected = packet.copy()
+        expected.sort(order="t")
+        result = sort_packet(packet)
+        assert result.dtype == EVENT_DTYPE
+        assert result.tobytes() == expected.tobytes()
+        assert packet.tobytes() == before
+
+    @settings(max_examples=300)
+    @given(tie_heavy_packets(low=0), st.integers(0, 2**32 - 1))
+    def test_reorders_like_fancy_indexing(self, packet, seed):
+        """``EventStream`` and ``concatenate_packets`` keep their stable ``t`` order."""
+        shuffled = packet[np.random.default_rng(seed).permutation(len(packet))]
+        expected = shuffled[np.argsort(shuffled["t"], kind="stable")]
+        assert EventStream(shuffled, 4, 4).events.tobytes() == expected.tobytes()
+        half = len(shuffled) // 2
+        merged = concatenate_packets([shuffled[:half], shuffled[half:]])
+        assert merged.tobytes() == expected.tobytes()
 
 
 class TestNormalizePacket:

@@ -14,7 +14,6 @@ from repro.scenarios.compare import (
 from repro.scenarios.library import (
     MATRICES,
     SCENARIO_LIBRARY,
-    DutyCycleSpec,
     MatrixSpec,
     NoiseRegime,
     ScenarioSpec,

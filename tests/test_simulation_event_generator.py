@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.ebbi import events_to_binary_frame
 from repro.events.types import is_time_sorted
 from repro.simulation.event_generator import FoliageDistractor, ObjectEventGenerator

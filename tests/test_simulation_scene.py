@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.events.noise import BackgroundActivityNoise
-from repro.sensor.davis import SensorGeometry
 from repro.simulation.event_generator import FoliageDistractor
 from repro.simulation.objects import OBJECT_TEMPLATES, ObjectClass, SceneObject
 from repro.simulation.scene import Scene, SceneConfig
@@ -27,10 +26,6 @@ class TestSceneConstruction:
         second = single_car_scene.allocate_object_id()
         assert first != second
         assert first > 0  # id 0 is taken by the fixture's car
-
-    def test_invalid_chunk_duration(self):
-        with pytest.raises(ValueError):
-            SceneConfig(chunk_duration_us=0)
 
     def test_roe_boxes_from_distractors(self):
         config = SceneConfig(

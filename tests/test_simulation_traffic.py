@@ -7,7 +7,6 @@ import pytest
 from repro.sensor.davis import SensorGeometry
 from repro.simulation.objects import ObjectClass
 from repro.simulation.traffic import (
-    DEFAULT_CLASS_MIX,
     TrafficScenarioConfig,
     build_traffic_scene,
     default_foliage,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
