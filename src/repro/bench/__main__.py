@@ -7,7 +7,13 @@ Examples::
     PYTHONPATH=src python -m repro.bench --scenarios nn_filter,ebms_pipeline
     PYTHONPATH=src python -m repro.bench --quick --check \\
         --baseline BENCH_event_path.json --tolerance 0.30     # regression gate (writes no report)
+    PYTHONPATH=src python -m repro.bench --quick --check \\
+        --output checked.json             # gate against BENCH_event_path_quick.json, keep the report
     PYTHONPATH=src python -m repro.bench --suite serving_scale  # thread vs process hub
+
+Under ``--check`` the baseline is the profile's committed artifact unless
+``--baseline`` names another; ``--output`` only says where the checked
+run's report goes.
 """
 
 from __future__ import annotations
@@ -93,9 +99,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--baseline",
         default=None,
         metavar="PATH",
-        help="baseline report to compare against (default: the --output path, "
-        "or the profile's committed artifact without --output; read before "
-        "any report is written)",
+        help="baseline report to compare against (default: under --check, "
+        "the profile's committed artifact, whatever --output says; "
+        "otherwise the --output path, or the committed artifact without "
+        "--output; read before any report is written)",
     )
     parser.add_argument(
         "--check",
@@ -129,10 +136,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     full_output, quick_output = SUITES[args.suite]
-    artifact = args.output or (quick_output if args.quick else full_output)
-    baseline_path = args.baseline or (artifact if artifact != "-" else None)
-    # A checked run compares against the committed artifact but never
-    # rewrites it: it writes a report only where --output says.
+    committed = quick_output if args.quick else full_output
+    artifact = args.output or committed
+    # A checked run compares against the committed artifact, wherever its
+    # own report goes, but never rewrites it: it writes a report only where
+    # --output says.  An unchecked run compares against the report it is
+    # about to overwrite.
+    baseline_path = args.baseline or (
+        committed if args.check else (artifact if artifact != "-" else None)
+    )
     output = args.output if args.check else artifact
     baseline = load_report(baseline_path) if baseline_path else None
 

@@ -51,12 +51,14 @@ class EbbiScratch:
     ``process_stream`` and the live serving sessions build one frame stack
     per chunk (or per window) forever; with a scratch the stacks — and the
     median filter's work arrays — are allocated once and recycled, removing
-    every per-frame allocation from the hot path.  The raw and filtered
-    stacks hold a whole chunk, since the builder hands out every frame of
-    it; the median's work arrays hold one block, since the builder filters
-    block by block.  Frames handed out by the builder are then *views* into
-    these buffers, valid until the next build; both callers consume each
-    frame before the next build.
+    every per-frame allocation from the hot path.  The raw stack holds each
+    frame inside the zero border that the median filter reads, so the
+    builder accumulates straight into it and the raw frames are views of
+    its interior.  The raw and filtered stacks hold a whole chunk, since
+    the builder hands out every frame of it; the median's work arrays hold
+    one block, since the builder filters block by block.  Frames handed out
+    by the builder are then *views* into these buffers, valid until the
+    next build; both callers consume each frame before the next build.
     """
 
     def __init__(self) -> None:
@@ -65,18 +67,25 @@ class EbbiScratch:
         self.median = MedianScratch()
 
     def stacks(
-        self, num_frames: int, height: int, width: int
+        self, num_frames: int, height: int, width: int, border: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Raw + filtered uint8 stacks with at least ``num_frames`` slots."""
+        """Bordered raw + filtered uint8 stacks with at least ``num_frames`` slots.
+
+        The raw stack is ``(num_frames, height + 2 border, width + 2 border)``,
+        the filtered one ``(num_frames, height, width)``.
+        """
+        bordered = (height + 2 * border, width + 2 * border)
         if (
             self._raw is None
+            or self._filtered is None
             or self._raw.shape[0] < num_frames
-            or self._raw.shape[1:] != (height, width)
+            or self._raw.shape[1:] != bordered
+            or self._filtered.shape[1:] != (height, width)
         ):
             capacity = num_frames
-            if self._raw is not None and self._raw.shape[1:] == (height, width):
+            if self._raw is not None and self._raw.shape[1:] == bordered:
                 capacity = max(num_frames, 2 * self._raw.shape[0])
-            self._raw = np.zeros((capacity, height, width), dtype=np.uint8)
+            self._raw = np.zeros((capacity,) + bordered, dtype=np.uint8)
             self._filtered = np.zeros((capacity, height, width), dtype=np.uint8)
         return self._raw[:num_frames], self._filtered[:num_frames]
 
@@ -120,10 +129,11 @@ def events_to_binary_frame_batch(
     points come from :func:`repro.events.stream.frame_boundaries`).  All
     windows are scattered into the output stack with one flat index
     assignment.  The index is built in place from one contiguous ``intp``
-    copy each of ``y`` and ``x``, which the bounds check reads too; each
-    window's frame offset is added only when there is more than one.
+    copy each of ``y`` and ``x``, which the bounds check reads too, with
+    one unsigned max each; each window's frame offset is added only when
+    there is more than one.
     :class:`EbbiBuilder` calls this once per block of a chunk, with the
-    block's slice of its raw stack as ``out``.
+    block's slice of its bordered raw stack as ``out``.
 
     Parameters
     ----------
@@ -135,14 +145,19 @@ def events_to_binary_frame_batch(
     width, height:
         Sensor resolution ``A x B``.
     out:
-        Optional ``(num_frames, height, width)`` uint8 stack to fill in
-        place (zeroed first) and return — the buffer-reuse path.
+        Optional C-contiguous uint8 stack to fill in place — the
+        buffer-reuse path: ``(num_frames, height + 2 b, width + 2 b)`` for
+        a border ``b >= 0``.  It is zeroed, border included, and each frame
+        is written into its interior, so a bordered ``out`` is the
+        zero-bordered stack that :func:`binary_median_filter_stack` reads
+        in place.
 
     Returns
     -------
     numpy.ndarray
         ``(num_frames, height, width)`` uint8 stack with 1 where at least
-        one event occurred in that window (``out`` if it was given).
+        one event occurred in that window (the interior of ``out`` if it
+        was given).
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"events must have dtype {EVENT_DTYPE}, got {events.dtype}")
@@ -151,32 +166,38 @@ def events_to_binary_frame_batch(
         raise ValueError("splits must be a 1-D array with at least one entry")
     num_frames = len(splits) - 1
     if out is None:
-        frames = np.zeros((num_frames, height, width), dtype=np.uint8)
-    else:
-        if out.shape != (num_frames, height, width) or out.dtype != np.uint8:
-            raise ValueError(
-                f"out must be a uint8 array of shape {(num_frames, height, width)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        frames = out
-        frames[:] = 0
+        out = np.empty((num_frames, height, width), dtype=np.uint8)
+    border = (out.shape[-1] - width) // 2
+    padded_height, padded_width = height + 2 * border, width + 2 * border
+    if out.shape != (num_frames, padded_height, padded_width) or border < 0 or (
+        out.dtype != np.uint8 or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            "out must be a C-contiguous uint8 array of shape "
+            f"{(num_frames, height, width)} or that with an equal border, "
+            f"got {out.dtype} {out.shape}"
+        )
+    out.fill(0)
+    interior = out[:, border : border + height, border : border + width] if border else out
     window_events = events[splits[0] : splits[-1]]
     if len(window_events) == 0:
-        return frames
+        return interior
     y = window_events["y"].astype(np.intp)
     x = window_events["x"].astype(np.intp)
-    if x.min() < 0 or x.max() >= width or y.min() < 0 or y.max() >= height:
+    # Read unsigned, a negative coordinate is past every frame edge.
+    if x.view(np.uintp).max() >= width or y.view(np.uintp).max() >= height:
         raise ValueError("event coordinates fall outside the frame")
     flat = y
-    flat *= width
+    flat *= padded_width
     flat += x
     if num_frames > 1:
-        frame_size = height * width
+        frame_size = padded_height * padded_width
         flat += np.repeat(
             np.arange(0, num_frames * frame_size, frame_size, dtype=np.intp), np.diff(splits)
         )
-    frames.reshape(-1)[flat] = 1
-    return frames
+    # Index from the first interior pixel, so (y, x) needs no border offset.
+    out.reshape(-1)[border * padded_width + border :][flat] = 1
+    return interior
 
 
 @dataclass
@@ -203,6 +224,22 @@ class EbbiFrames:
     def active_pixel_fraction(self) -> float:
         """Fraction of active pixels in the raw frame (the paper's ``alpha``)."""
         return self.active_pixel_count / self.raw.size
+
+
+class EbbiBatch(List[EbbiFrames]):
+    """The frames of one :meth:`EbbiBuilder.build_batch`, with the stacks they view.
+
+    A list of :class:`EbbiFrames`, one per window, whose ``raw`` and
+    ``filtered`` arrays are the frames of the ``raw`` and ``filtered``
+    attributes: ``(num_frames, height, width)`` stacks, so a consumer can
+    run a stage over the whole chunk at once (the filtered stack is
+    C-contiguous; the raw frames are views of a bordered stack's interior).
+    """
+
+    def __init__(self, frames: List[EbbiFrames], raw: np.ndarray, filtered: np.ndarray) -> None:
+        super().__init__(frames)
+        self.raw = raw
+        self.filtered = filtered
 
 
 class EbbiBuilder:
@@ -265,36 +302,41 @@ class EbbiBuilder:
 
         Built into the scratch with ``reuse_buffers`` (else fresh arrays),
         one block at a time: the block is accumulated into its slice of the
-        raw stack, median-filtered into its slice of the filtered stack and
-        its active pixels counted while it is still in cache.  A disabled
-        filter is a ``1 x 1`` patch, i.e. a copy of the raw stack.  An empty
-        build still runs one empty block, so a wrong dtype is refused there
-        too; the statistics change only once every block is built.
+        bordered raw stack, median-filtered from there into its slice of
+        the filtered stack, and its active pixels counted while it is still
+        in cache.  The border is ``p // 2`` pixels wide, none for a disabled
+        filter, which is a ``1 x 1`` patch, i.e. a copy of the raw stack.
+        An empty build still runs one empty block, so a wrong dtype is
+        refused there too; the statistics change only once every block is
+        built.
         """
         num_frames = len(splits) - 1
+        patch_size = max(self.median_patch_size, 1)
+        border = patch_size // 2
         if self._scratch is not None:
-            raw, filtered = self._scratch.stacks(num_frames, self.height, self.width)
+            bordered, filtered = self._scratch.stacks(num_frames, self.height, self.width, border)
             median_scratch = self._scratch.median
         else:
-            raw = np.empty((num_frames, self.height, self.width), dtype=np.uint8)
-            filtered = np.empty_like(raw)
+            shape = (num_frames, self.height + 2 * border, self.width + 2 * border)
+            bordered = np.empty(shape, dtype=np.uint8)
+            filtered = np.empty((num_frames, self.height, self.width), dtype=np.uint8)
             median_scratch = MedianScratch()
         stage = untimed_stage if self.instrumentation is None else self.instrumentation.stage
-        patch_size = max(self.median_patch_size, 1)
         active = 0
         for lo in range(0, max(num_frames, 1), self._block_frames):
             hi = min(lo + self._block_frames, num_frames)
             with stage("ebbi"):
                 events_to_binary_frame_batch(
-                    events, splits[lo : hi + 1], self.width, self.height, out=raw[lo:hi]
+                    events, splits[lo : hi + 1], self.width, self.height, out=bordered[lo:hi]
                 )
             with stage("median"):
                 binary_median_filter_stack(
-                    raw[lo:hi], patch_size, out=filtered[lo:hi], scratch=median_scratch
+                    bordered[lo:hi], patch_size, out=filtered[lo:hi], scratch=median_scratch
                 )
-            active += np.count_nonzero(raw[lo:hi])
+            active += np.count_nonzero(bordered[lo:hi])
         self._frames_built += num_frames
         self._active_pixels += active
+        raw = bordered[:, border : border + self.height, border : border + self.width]
         return raw, filtered
 
     def build(
@@ -315,7 +357,7 @@ class EbbiBuilder:
         starts: np.ndarray,
         ends: np.ndarray,
         splits: np.ndarray,
-    ) -> List[EbbiFrames]:
+    ) -> EbbiBatch:
         """Accumulate and filter a chunk of windows, one block at a time.
 
         Equivalent to calling :meth:`build` once per window, but the raw
@@ -342,7 +384,7 @@ class EbbiBuilder:
             )
         raw, filtered = self._build_stacks(events, splits)
         counts = np.diff(np.asarray(splits, dtype=np.int64))
-        return [
+        frames = [
             EbbiFrames(
                 raw=raw[i],
                 filtered=filtered[i],
@@ -352,6 +394,7 @@ class EbbiBuilder:
             )
             for i in range(len(starts))
         ]
+        return EbbiBatch(frames, raw, filtered)
 
     @property
     def frames_built(self) -> int:

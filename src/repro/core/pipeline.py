@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import EbbiotConfig
 from repro.core.ebbi import EbbiBuilder, EbbiFrames, untimed_stage
-from repro.core.histogram_rpn import HistogramRegionProposer, RegionProposal
+from repro.core.histogram_rpn import HistogramRegionProposer, RegionProposal, Span
 from repro.core.roe import RegionOfExclusion
 from repro.events.stream import EventStream, FrameIndex
 from repro.trackers.backend import TrackerBackend, TrackerFrame
@@ -216,12 +216,15 @@ class EbbiotPipeline:
         ebbi: EbbiFrames,
         frame_index: int,
         events: Optional[np.ndarray] = None,
+        spans: Optional[Tuple[List[Span], List[Span]]] = None,
     ) -> FrameResult:
         """RPN + ROE + tracker stages for an already-built EBBI frame.
 
         ``events`` is the window's raw packet; event-driven backends
         (``requires_events``) consume it, and proposal-free backends
         (``not requires_proposals``) skip the RPN + ROE stages entirely.
+        ``spans`` are the frame's candidate spans when the chunked path
+        found them for its whole chunk (else the RPN finds them here).
         The stages are timed through the attached instrumentation, or run in
         the shared no-op context of :func:`~repro.core.ebbi.untimed_stage`.
         """
@@ -229,7 +232,7 @@ class EbbiotPipeline:
         proposals: List[RegionProposal] = []
         if self.tracker.requires_proposals:
             with stage("rpn"):
-                proposals = self.region_proposer.propose(ebbi.filtered)
+                proposals = self.region_proposer.propose(ebbi.filtered, spans)
                 proposals = [p for p in proposals if p.box.area >= self.config.min_proposal_area]
             with stage("roe"):
                 proposals = self.roe.filter_proposals(proposals)
@@ -292,7 +295,12 @@ class EbbiotPipeline:
         return result
 
     def _iter_chunks(self, index: FrameIndex) -> Iterator[FrameResult]:
-        """Process the windows of ``index``, building EBBI :data:`CHUNK_FRAMES` at a time."""
+        """Process the windows of ``index``, building EBBI :data:`CHUNK_FRAMES` at a time.
+
+        The RPN's histograms and runs are found for each chunk's whole
+        filtered stack at once (:meth:`HistogramRegionProposer.candidate_spans`),
+        so per frame only the candidates' validation is left to it.
+        """
         for chunk_start in range(0, index.num_frames, CHUNK_FRAMES):
             chunk_stop = min(chunk_start + CHUNK_FRAMES, index.num_frames)
             batch = self.ebbi_builder.build_batch(
@@ -301,9 +309,16 @@ class EbbiotPipeline:
                 index.ends[chunk_start:chunk_stop],
                 index.splits[chunk_start : chunk_stop + 1],
             )
-            for frame_index, ebbi in enumerate(batch, chunk_start):
+            spans: List[Optional[Tuple[List[Span], List[Span]]]] = (
+                list(self.region_proposer.candidate_spans(batch.filtered))
+                if self.tracker.requires_proposals
+                else [None] * len(batch)
+            )
+            for frame_index, ebbi, frame_spans in zip(
+                range(chunk_start, chunk_stop), batch, spans
+            ):
                 events = index.frame_events(frame_index) if self.tracker.requires_events else None
-                yield self._process_built_frame(ebbi, frame_index, events)
+                yield self._process_built_frame(ebbi, frame_index, events, frame_spans)
 
     def iter_stream(self, stream: EventStream) -> Iterator[FrameResult]:
         """Lazily process a stream frame by frame (no whole-recording state)."""

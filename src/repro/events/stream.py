@@ -12,6 +12,7 @@ live session frame a recording identically whenever it starts.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -34,9 +35,14 @@ def frame_boundaries(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compute all fixed-duration window edges and event split points at once.
 
-    One vectorised :func:`numpy.searchsorted` over the full edge array
-    replaces the per-window pair of searches the per-frame loop needs, which
-    is what makes long-recording framing cheap.
+    One search over the full edge array (:func:`_left_bounds`, vectorised
+    once there are more than a few edges) replaces the per-window pair of
+    searches the per-frame loop needs: that is what makes long-recording
+    framing cheap.  It is a bisection, which reads only the
+    ~``log2(len(timestamps))`` stamps it probes per edge, so the ``t``
+    field of an event packet (a strided view) is searched in place, where
+    :func:`numpy.searchsorted` would first copy the whole column, 8 bytes
+    an event.  The splits equal ``np.searchsorted``'s.
 
     Parameters
     ----------
@@ -62,8 +68,38 @@ def frame_boundaries(
         return edges, np.zeros(1, dtype=np.int64)
     num_windows = -(-(t_end - t_start) // frame_duration_us)
     edges = t_start + frame_duration_us * np.arange(num_windows + 1, dtype=np.int64)
-    splits = np.searchsorted(timestamps, edges, side="left").astype(np.int64)
-    return edges, splits
+    return edges, _left_bounds(timestamps, edges)
+
+
+#: Up to this many targets, :func:`_left_bounds` bisects for each one in
+#: Python (~0.2 us a probe); past it, for all at once in NumPy (~5 us a
+#: probe round, whatever the number of targets).
+_SCALAR_TARGETS = 32
+
+
+def _left_bounds(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values, targets, side="left")`` without copying ``values``.
+
+    A bisection reads only the values it probes, so ``values`` may be any
+    strided view.  Few targets are placed one by one with
+    :func:`bisect.bisect_left`; many are placed at once by a branch-free
+    bisection in which each step halves the interval ``[base, base +
+    size]`` holding every target's answer, gathering one probe per target.
+    """
+    if len(targets) <= _SCALAR_TARGETS:
+        return np.array(
+            [bisect.bisect_left(values, target) for target in targets.tolist()], dtype=np.int64
+        )
+    base = np.zeros(len(targets), dtype=np.int64)
+    size = len(values)
+    if size == 0:
+        return base
+    while size > 1:
+        half = size // 2
+        base += (values[base + half] < targets) * half
+        size -= half
+    base += values[base] < targets
+    return base
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,25 @@ def sort_packet(packet: np.ndarray) -> np.ndarray:
     """Return a copy of ``packet`` sorted by ``t``, ties broken by ``x``, ``y``, ``p``.
 
     The same bytes as ``packet.sort(order="t")``, which breaks ties on the
-    remaining fields in dtype order, but one ``lexsort`` of the columns and
-    one ``np.take`` cost a tenth of NumPy's record-by-record structured sort.
+    remaining fields in dtype order.  Each field less its minimum is packed
+    into one int64 key, ``t`` in the highest bits, whenever the four widths
+    add up to at most 63 bits (an 8 ms chunk of the simulator needs 31):
+    one ``argsort`` of the key and one ``np.take`` then cost under half of
+    a ``lexsort`` of the four columns.  Equal keys are identical records,
+    so the order among them does not change the bytes.  Wider packets take
+    the ``lexsort``.
     """
-    return np.take(packet, np.lexsort((packet["p"], packet["y"], packet["x"], packet["t"])))
+    fields = [packet[name] for name in ("t", "x", "y", "p")]
+    if len(packet) > 1:
+        lows = [int(field.min()) for field in fields]
+        widths = [(int(field.max()) - low).bit_length() for field, low in zip(fields, lows)]
+        if sum(widths) <= 63:
+            key = fields[0].astype(np.int64) - lows[0]
+            for field, low, width in zip(fields[1:], lows[1:], widths[1:]):
+                key <<= width
+                key |= field.astype(np.int64) - low
+            return np.take(packet, np.argsort(key))
+    return np.take(packet, np.lexsort(fields[::-1]))
 
 
 def concatenate_packets(packets: Sequence[np.ndarray]) -> np.ndarray:

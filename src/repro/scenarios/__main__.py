@@ -7,6 +7,12 @@ Examples::
     PYTHONPATH=src python -m repro.scenarios --matrix quick --list
     PYTHONPATH=src python -m repro.scenarios --quick --check \\
         --set overlap_threshold=0.9                           # perturbation study
+    PYTHONPATH=src python -m repro.scenarios --quick --check \\
+        --output checked.json      # gate against QUALITY_scenario_matrix_quick.json, keep the report
+
+Under ``--check`` the baseline is the matrix's committed artifact unless
+``--baseline`` names another; ``--output`` only says where the checked
+run's report goes.
 """
 
 from __future__ import annotations
@@ -72,9 +78,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--baseline",
         default=None,
         metavar="PATH",
-        help="baseline report to compare against (default: the --output path, "
-        "or the matrix's committed artifact without --output; read before "
-        "any report is written)",
+        help="baseline report to compare against (default: under --check, "
+        "the matrix's committed artifact, whatever --output says; "
+        "otherwise the --output path, or the committed artifact without "
+        "--output; read before any report is written)",
     )
     parser.add_argument(
         "--check",
@@ -143,10 +150,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         logger.error("error: %s", error)
         return 2
 
-    artifact = args.output or DEFAULT_OUTPUTS[matrix.name]
-    baseline_path = args.baseline or (artifact if artifact != "-" else None)
-    # A checked run compares against the committed artifact but never
-    # rewrites it: it writes a report only where --output says.
+    committed = DEFAULT_OUTPUTS[matrix.name]
+    artifact = args.output or committed
+    # A checked run compares against the committed artifact, wherever its
+    # own report goes, but never rewrites it: it writes a report only where
+    # --output says.  An unchecked run compares against the report it is
+    # about to overwrite.
+    baseline_path = args.baseline or (
+        committed if args.check else (artifact if artifact != "-" else None)
+    )
     output = args.output if args.check else artifact
     baseline = load_report(baseline_path) if baseline_path else None
 

@@ -82,8 +82,8 @@ RECORD_BYTES = EVENT_DTYPE.itemsize
 #: EVENT_DTYPE with its byte order pinned to the wire's (little-endian).
 _WIRE_DTYPE = EVENT_DTYPE.newbyteorder("<")
 
-#: Offset of the polarity byte within a record.
-_P_OFFSET = EVENT_DTYPE.fields["p"][1]
+#: Offsets of the x and y coordinates and of the polarity byte within a record.
+_X_OFFSET, _Y_OFFSET, _P_OFFSET = (EVENT_DTYPE.fields[name][1] for name in "xyp")
 
 #: The fields of a protocol-version-1 ``events`` line, refused beside a ``count``.
 _LIST_FIELDS = frozenset("xytp")
@@ -199,8 +199,8 @@ def packet_from_events_message(message: dict, width: int, height: int) -> np.nda
     """Validate a binary ``events`` frame against the ``hello`` geometry; return its packet.
 
     The frame's records become a zero-copy view, checked with one max over
-    an unsigned view of the x/y pairs (a negative int16 reads as 32768 or
-    more) and one pass over the polarity bytes.  Raises
+    an unsigned 1-D view of each of x and y (a negative int16 reads as
+    32768 or more) and one pass over the polarity bytes.  Raises
     :class:`ProtocolError` wherever ``make_packet`` + ``validate_packet``
     raise, and on a message that is not a binary frame: one without a
     ``count``, or one that also carries x/y/t/p fields.
@@ -215,8 +215,8 @@ def packet_from_events_message(message: dict, width: int, height: int) -> np.nda
     packet = np.frombuffer(records, dtype=_WIRE_DTYPE)
     if not len(packet):
         return packet
-    pairs = np.ndarray((len(packet), 2), "<u2", records, 0, (RECORD_BYTES, 2))
-    x_max, y_max = pairs.max(0).tolist()
+    x_max = int(np.ndarray(len(packet), "<u2", records, _X_OFFSET, RECORD_BYTES).max())
+    y_max = int(np.ndarray(len(packet), "<u2", records, _Y_OFFSET, RECORD_BYTES).max())
     if x_max >= width or y_max >= height:
         x, y = packet["x"], packet["y"]
         raise ProtocolError(f"events outside the {width}x{height} sensor: "

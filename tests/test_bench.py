@@ -279,6 +279,26 @@ class TestCli:
         assert [path.name for path in tmp_path.iterdir()] == [baseline_path.name]
         assert "wrote JSON report" not in capsys.readouterr().out
 
+    def test_check_with_output_compares_against_the_committed_baseline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # --output only says where a checked run's report goes: the gate
+        # still reads the profile's committed artifact, here an absurdly
+        # fast one that the tiny run must fail against.
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(cli, "QUICK_PROFILE", TINY)
+        monkeypatch.chdir(tmp_path)
+        metrics = {"primary": "events_per_s", "events_per_s": 1e15, "speedup_vs_scalar": 1e6}
+        dump_report(make_report({"nn_filter": metrics}), "BENCH_event_path_quick.json")
+        output = tmp_path / "checked_report.json"
+        code = bench_main(
+            ["--quick", "--check", "--scenarios", "nn_filter", "--output", str(output)]
+        )
+        assert code == 1
+        assert "baseline: BENCH_event_path_quick.json" in capsys.readouterr().out
+        assert load_report(str(output))["scenarios"]["nn_filter"]["events_per_s"] < 1e15
+
     def test_check_fails_on_regression(self, tmp_path, capsys, monkeypatch):
         # Fabricate an absurdly fast committed baseline, then run a real
         # tiny benchmark against it: the check must fail.

@@ -12,6 +12,8 @@ from repro.core.histogram_rpn import (
     compute_histograms,
     downsample_binary_frame,
     find_runs_above_threshold,
+    stack_histograms,
+    stack_runs,
 )
 
 
@@ -236,6 +238,20 @@ class TestFrameHistograms:
             frame_histograms(np.zeros(10, dtype=np.uint8), 1, 1)
 
 
+def _scan_runs(values, threshold):
+    """Pure-Python reference: maximal runs of ``values`` at or above ``threshold``."""
+    runs, start = [], None
+    for index, value in enumerate(values):
+        if value >= threshold and start is None:
+            start = index
+        elif value < threshold and start is not None:
+            runs.append((start, index))
+            start = None
+    if start is not None:
+        runs.append((start, len(values)))
+    return runs
+
+
 def _reference_propose(proposer: HistogramRegionProposer, frame: np.ndarray):
     """The seed's per-candidate loop, kept as the behavioural reference."""
     from repro.utils.geometry import BoundingBox
@@ -245,8 +261,8 @@ def _reference_propose(proposer: HistogramRegionProposer, frame: np.ndarray):
         frame, proposer.downsample_x, proposer.downsample_y
     )
     histogram_x, histogram_y = compute_histograms(downsampled)
-    x_runs = find_runs_above_threshold(histogram_x, proposer.threshold)
-    y_runs = find_runs_above_threshold(histogram_y, proposer.threshold)
+    x_runs = _scan_runs(histogram_x.tolist(), proposer.threshold)
+    y_runs = _scan_runs(histogram_y.tolist(), proposer.threshold)
     if not x_runs or not y_runs:
         return []
     proposals = []
@@ -348,3 +364,84 @@ class TestVectorizedProposeEquivalence:
         )
         assert candidates >= min_candidates
         assert proposer.propose(frame) == _reference_propose(proposer, frame)
+
+
+@st.composite
+def binary_stacks(draw):
+    """``(frames, s1, s2)``: 1-20 binary frames, some empty and some full,
+    whose sides are not multiples of ``s1`` and ``s2`` (past 1)."""
+    s1, s2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    height = s2 * draw(st.integers(1, 8)) + draw(st.integers(min(1, s2 - 1), s2 - 1))
+    width = s1 * draw(st.integers(1, 8)) + draw(st.integers(min(1, s1 - 1), s1 - 1))
+    num_frames = draw(st.integers(1, 20))
+    frames = draw(
+        hnp.arrays(np.uint8, (num_frames, height, width), elements=st.integers(0, 1))
+    )
+    for frame, kind in zip(frames, draw(st.lists(
+        st.sampled_from(["drawn", "empty", "full"]), min_size=num_frames, max_size=num_frames
+    ))):
+        if kind != "drawn":
+            frame[...] = kind == "full"
+    return frames, s1, s2
+
+
+class TestStackHistogramsAndRuns:
+    """The stack calls against the paper's order and a pure-Python scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(binary_stacks(), st.integers(1, 4), st.sampled_from([np.uint8, np.bool_]))
+    # Counts past uint8 (258 rows, 342 columns) on a stack, whose sums take einsum.
+    @example(
+        (np.stack([np.ones((260, 346), np.uint8), np.zeros((260, 346), np.uint8)]), 6, 3),
+        1,
+        np.uint8,
+    )
+    def test_match_downsample_then_sum_then_scan(self, stack, threshold, dtype):
+        frames, s1, s2 = stack
+        frames = frames.astype(dtype)
+        bins = stack_histograms(frames, s1, s2)
+        out_width, out_height = frames.shape[2] // s1, frames.shape[1] // s2
+        assert bins.shape == (len(frames), out_width + 1 + out_height)
+        assert bins.dtype == np.int64
+        runs = stack_runs(bins, threshold)
+        assert len(runs) == len(frames)
+        for frame, row, frame_runs in zip(frames, bins, runs):
+            expected_x, expected_y = compute_histograms(downsample_binary_frame(frame, s1, s2))
+            np.testing.assert_array_equal(row[:out_width], expected_x)
+            assert row[out_width] == 0
+            np.testing.assert_array_equal(row[out_width + 1 :], expected_y)
+            y_first = out_width + 1
+            assert frame_runs == _scan_runs(expected_x.tolist(), threshold) + [
+                (start + y_first, end + y_first)
+                for start, end in _scan_runs(expected_y.tolist(), threshold)
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_stacks(), st.integers(1, 4), st.sampled_from([1.0, 2.0, 7.5]))
+    def test_stack_spans_propose_like_one_frame_at_a_time(self, stack, threshold, min_side):
+        frames, s1, s2 = stack
+        proposer = HistogramRegionProposer(s1, s2, threshold, min_region_side_px=min_side)
+        spans = proposer.candidate_spans(frames)
+        assert len(spans) == len(frames)
+        for frame, frame_spans in zip(frames, spans):
+            assert frame_spans == proposer.candidate_spans(frame[np.newaxis])[0]
+            expected = _reference_propose(proposer, frame)
+            assert proposer.propose(frame, frame_spans) == expected
+            assert proposer.propose(frame) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(1, 30)), elements=st.integers(0, 5)),
+        st.integers(1, 4),
+    )
+    def test_runs_of_every_row(self, bins, threshold):
+        runs = stack_runs(bins, threshold)
+        assert runs == [_scan_runs(row.tolist(), threshold) for row in bins]
+        for row, row_runs in zip(bins, runs):
+            assert find_runs_above_threshold(row, threshold) == row_runs
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="3-D"):
+            stack_histograms(np.zeros((4, 4), dtype=np.uint8), 1, 1)
+        with pytest.raises(ValueError, match="too large"):
+            stack_histograms(np.zeros((2, 4, 4), dtype=np.uint8), 8, 1)

@@ -162,6 +162,44 @@ class TestBinaryMedianFilterStack:
             for got, frame in zip(out, frames):
                 np.testing.assert_array_equal(got, _naive_majority_filter(frame, patch))
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([1, 3, 5, 7]),
+        # Frames from 1x1 up, so many are smaller than the patch.
+        hnp.arrays(
+            dtype=np.uint8,
+            shape=st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12)),
+            elements=st.integers(0, 1),
+        ),
+    )
+    def test_plain_and_bordered_stacks_match_naive(self, patch, frames):
+        expected = [_naive_majority_filter(frame, patch) for frame in frames]
+        plain = binary_median_filter_stack(frames, patch)
+        # The builder's layout: the frames inside a zero border p // 2 wide,
+        # read in place into a caller's output stack.
+        num_frames, height, width = frames.shape
+        border = patch // 2
+        bordered = np.zeros((num_frames, height + 2 * border, width + 2 * border), np.uint8)
+        bordered[:, border : border + height, border : border + width] = frames
+        before = bordered.copy()
+        out = np.full(frames.shape, 9, dtype=np.uint8)
+        assert binary_median_filter_stack(bordered, patch, out=out, scratch=MedianScratch()) is out
+        np.testing.assert_array_equal(bordered, before)
+        for got_plain, got_bordered, want in zip(plain, out, expected):
+            np.testing.assert_array_equal(got_plain, want)
+            np.testing.assert_array_equal(got_bordered, want)
+
+    def test_bordered_stack_must_fit_out(self):
+        frames = np.zeros((2, 8, 8), dtype=np.uint8)
+        for bordered in (
+            np.zeros((2, 9, 10), dtype=np.uint8),  # a border of 1 on one axis only
+            np.zeros((2, 12, 12), dtype=np.uint8),  # a border of 2 for p = 3
+            np.zeros((2, 10, 10), dtype=np.int32),  # not uint8
+            np.zeros((2, 10, 20), dtype=np.uint8)[:, :, ::2],  # not contiguous
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                binary_median_filter_stack(bordered, 3, out=frames)
+
     def test_stack_empty(self):
         out = binary_median_filter_stack(np.zeros((0, 8, 8), dtype=np.uint8), 3)
         assert out.shape == (0, 8, 8)

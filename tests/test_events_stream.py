@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.events.stream import EventStream, frame_boundaries
+from repro.events.stream import _SCALAR_TARGETS, EventStream, _left_bounds, frame_boundaries
 from repro.events.types import empty_packet, make_packet
 
 
@@ -143,6 +145,55 @@ class TestStreamProperties:
 
 
 class TestFrameBoundariesAndIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2_000), max_size=150),
+        st.integers(1, 400),
+        st.integers(0, 2_100),
+        st.integers(1, 2_100),
+    )
+    @example([], 66, 0, 300)  # an empty stream
+    @example([5], 66, 0, 6)  # a single event
+    @example([0, 66, 66, 132, 199], 66, 0, 200)  # stamps on window edges
+    @example([1_999, 2_000, 2_000], 100, 0, 2_001)  # every event in the last window
+    @example(list(range(0, 2_000, 7)), 1, 0, 2_001)  # thousands of windows
+    def test_splits_equal_searchsorted(self, stamps, duration, t_start, span):
+        """On the strided ``t`` field of a packet and on a contiguous copy."""
+        t_end = t_start + span
+        packet = make_packet(
+            [0] * len(stamps), [0] * len(stamps), sorted(stamps), [1] * len(stamps)
+        )
+        for timestamps in (packet["t"], np.ascontiguousarray(packet["t"])):
+            edges, splits = frame_boundaries(timestamps, duration, t_start, t_end)
+            assert splits.dtype == np.int64
+            expected = np.searchsorted(np.ascontiguousarray(timestamps), edges, side="left")
+            np.testing.assert_array_equal(splits, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), max_size=80),
+        st.lists(st.integers(-60, 60), min_size=1, max_size=3 * _SCALAR_TARGETS),
+    )
+    def test_left_bounds_equal_searchsorted_for_few_and_many_targets(self, values, targets):
+        values = np.sort(np.array(values, dtype=np.int64))
+        targets = np.array(targets, dtype=np.int64)
+        np.testing.assert_array_equal(
+            _left_bounds(values, targets), np.searchsorted(values, targets, side="left")
+        )
+
+    def test_boundaries_copy_no_column(self):
+        # The t field of 200,000 events would be a 1.6 MB copy.
+        packet = _packet_spanning(10_000_000, 200_000)
+        tracemalloc.start()
+        try:
+            edges, splits = frame_boundaries(packet["t"], 66_000, 0, 10_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(edges) > _SCALAR_TARGETS
+        assert peak < 100_000
+        np.testing.assert_array_equal(splits, np.searchsorted(packet["t"], edges))
+
     def test_boundaries_match_frame_windows(self):
         packet = _packet_spanning(1_000_000, 137)
         edges, splits = frame_boundaries(packet["t"], 66_000, 0, 1_000_000)

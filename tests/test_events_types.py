@@ -171,6 +171,51 @@ class TestSortPacket:
         assert merged.tobytes() == expected.tobytes()
 
 
+@st.composite
+def spread_packets(draw):
+    """Packets of 0 to 80 events whose stamps span up to 2^62 us.
+
+    Coordinates cover the whole int16 range, so their two widths take up
+    to 32 bits and a stamp span past ~2^29 us leaves no room for one
+    63-bit key: the lexsort takes over.
+    """
+    t_bits = draw(st.sampled_from([0, 3, 20, 40, 62]))
+    t_low = draw(st.integers(-(2**62), 2**62 - 2**t_bits))
+    xy = st.integers(-(2**15), 2**15 - 1)
+    rows = draw(st.lists(
+        st.tuples(xy, xy, st.integers(t_low, t_low + 2**t_bits), st.sampled_from([1, -1])),
+        max_size=80,
+    ))
+    return make_packet(*(zip(*rows) if rows else ([],) * 4))
+
+
+class TestSortPacketKey:
+    """The packed-key sort against the four-column ``lexsort`` it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tie_heavy_packets(), spread_packets()))
+    # Packed widths 8 + 16 + 16 + 2: the int64 key with room to spare.
+    @example(make_packet([-32768, 32767, 0, 0], [5, -32768, 32767, 5], [255, 0, 0, 255], [1, -1, 1, -1]))
+    # A stamp span of 2^63: t alone needs 64 bits, so the lexsort must sort it.
+    @example(make_packet([1, 0, 1, 0], [0, 0, 0, 0], [2**62, -(2**62), 0, 0], [1, 1, -1, 1]))
+    def test_same_bytes_as_lexsort(self, packet):
+        expected = np.take(
+            packet, np.lexsort((packet["p"], packet["y"], packet["x"], packet["t"]))
+        )
+        assert sort_packet(packet).tobytes() == expected.tobytes()
+
+    def test_wide_packets_fall_back_to_the_lexsort(self, monkeypatch):
+        narrow = make_packet([2, 1], [0, 0], [5, 5], [1, 1])
+        wide = make_packet([2, 1], [0, 0], [2**62, 0], [1, 1])  # 63 + 1 bits
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        assert sort_packet(narrow)["x"].tolist() == [1, 2]
+        assert calls == []
+        assert sort_packet(wide)["t"].tolist() == [0, 2**62]
+        assert calls == [1]
+
+
 class TestNormalizePacket:
     def test_canonical_dtype_is_returned_unchanged(self):
         from repro.events.types import normalize_packet

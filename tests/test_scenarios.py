@@ -451,6 +451,19 @@ class TestScenariosCli:
         assert [path.name for path in tiny_cli.iterdir()] == [report_path.name]
         assert "wrote JSON report" not in capsys.readouterr().out
 
+    def test_check_with_output_compares_against_the_committed_baseline(
+        self, tiny_cli, capsys
+    ):
+        # --output only says where a checked run's report goes: the gate
+        # still reads the matrix's committed artifact, not that fresh path.
+        assert cli.main(["--quick"]) == 0
+        capsys.readouterr()
+        output = tiny_cli / "checked_report.json"
+
+        assert cli.main(["--quick", "--check", "--output", str(output)]) == 0
+        assert "baseline: QUALITY_scenario_matrix_quick.json" in capsys.readouterr().out
+        assert sorted(json.loads(output.read_text())["cells"]) == ["occlusion-cross/overlap"]
+
     def test_missing_baseline_cell_exits_2(self, tiny_cli, capsys):
         assert cli.main(["--quick"]) == 0
         report_path = tiny_cli / "QUALITY_scenario_matrix_quick.json"

@@ -4,6 +4,7 @@ frames), the client and the serving CLI."""
 from __future__ import annotations
 
 import json
+import re
 import socket
 
 import numpy as np
@@ -146,6 +147,24 @@ class TestProtocol:
         frame = encode_message(_one_event_frame(x=-1))
         with pytest.raises(ProtocolError, match="outside"):
             packet_from_events_message(decode_message(frame), 70_000, 180)
+
+    @pytest.mark.parametrize("field, value", [("x", 240), ("y", -1)], ids=["x-at-width", "y-negative"])
+    def test_coalesced_run_refused_for_its_last_record_alone(self, field, value):
+        # The door checks a run of frames' records as one packet, so the
+        # bounds check must reach a run's very last record: here the only
+        # one out of range, past the edge or below 0 (read unsigned).
+        events = _moving_block_stream(0).events
+        bad = make_packet([5], [7], [int(events["t"][-1])], [1])
+        bad[field] = value
+        frames = [events_message(batch) for batch in np.array_split(events, 40)]
+        records = b"".join(frame["records"] for frame in frames)
+        good = {"type": "events", "count": len(events), "records": records}
+        assert packet_from_events_message(good, 240, 180).tobytes() == events.tobytes()
+        run = dict(good, count=len(events) + 1, records=records + events_message(bad)["records"])
+        both = np.concatenate([events, bad])
+        ranges = ", ".join(f"{name} in [{both[name].min()}, {both[name].max()}]" for name in "xy")
+        with pytest.raises(ProtocolError, match=re.escape(f"outside the 240x180 sensor: {ranges}")):
+            packet_from_events_message(run, 240, 180)
 
     @settings(max_examples=200, deadline=None)
     @given(_valid_batches())
