@@ -10,9 +10,10 @@ median-filtered frames, exactly the two-frame memory budget of Eq. (1)
 Every frame is built on one path: :func:`events_to_binary_frame_batch`
 scatters a stack of consecutive windows, and :class:`EbbiBuilder` runs it
 and the median filter over a chunk of windows one cache-sized block
-(:data:`BLOCK_BYTES`) at a time.  One window is a one-frame stack:
-:func:`events_to_binary_frame` and :meth:`EbbiBuilder.build` are the
-one-window calls of that path.
+(:data:`BLOCK_BYTES`) at a time, the blocks split into one contiguous share
+per usable CPU (:func:`repro.utils.shares.run_shares`).  One window is a
+one-frame stack: :func:`events_to_binary_frame` and
+:meth:`EbbiBuilder.build` are the one-window calls of that path.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro.core.median_filter import MedianScratch, binary_median_filter_stack
 from repro.events.types import EVENT_DTYPE
+from repro.utils.shares import run_shares
 
 _UNTIMED = nullcontext()
 
@@ -34,6 +36,11 @@ _UNTIMED = nullcontext()
 #: block is accumulated, filtered and counted; a 256-frame chunk at once
 #: spills it.  Larger frames get fewer frames per block, at least one.
 BLOCK_BYTES = 8 * 240 * 180
+
+
+def frames_per_block(frame_pixels: int) -> int:
+    """Frames of ``frame_pixels`` pixels in one :data:`BLOCK_BYTES` block, at least one."""
+    return max(1, BLOCK_BYTES // max(frame_pixels, 1))
 
 
 def untimed_stage(name: str) -> ContextManager[None]:
@@ -56,15 +63,27 @@ class EbbiScratch:
     builder accumulates straight into it and the raw frames are views of
     its interior.  The raw and filtered stacks hold a whole chunk, since
     the builder hands out every frame of it; the median's work arrays hold
-    one block, since the builder filters block by block.  Frames handed out
-    by the builder are then *views* into these buffers, valid until the
-    next build; both callers consume each frame before the next build.
+    one block per share of a build, since each share filters block by
+    block.  Frames handed out by the builder are then *views* into these
+    buffers, valid until the next build; both callers consume each frame
+    before the next build.
     """
 
     def __init__(self) -> None:
         self._raw: Optional[np.ndarray] = None
         self._filtered: Optional[np.ndarray] = None
-        self.median = MedianScratch()
+        self._medians: List[MedianScratch] = []
+
+    def median(self, share: int) -> MedianScratch:
+        """The median filter's work arrays of share ``share`` of a build.
+
+        Shares of one build run on their own threads; each asks only for
+        its own index, and an entry once made is never replaced, so no two
+        shares are handed the same arrays.
+        """
+        while len(self._medians) <= share:
+            self._medians.append(MedianScratch())
+        return self._medians[share]
 
     def stacks(
         self, num_frames: int, height: int, width: int, border: int
@@ -130,8 +149,8 @@ def events_to_binary_frame_batch(
     windows are scattered into the output stack with one flat index
     assignment.  The index is built in place from one contiguous ``intp``
     copy each of ``y`` and ``x``, which the bounds check reads too, with
-    one unsigned max each; each window's frame offset is added only when
-    there is more than one.
+    one unsigned max each; each window after the first then gets its frame
+    offset added to its own slice of the index.
     :class:`EbbiBuilder` calls this once per block of a chunk, with the
     block's slice of its bordered raw stack as ``out``.
 
@@ -140,8 +159,8 @@ def events_to_binary_frame_batch(
     events:
         Structured event array; polarity is ignored.
     splits:
-        ``num_frames + 1`` monotonically non-decreasing split indices into
-        ``events``.
+        ``num_frames + 1`` non-decreasing split indices into ``events``,
+        from ``0`` up to ``len(events)``; others raise ``ValueError``.
     width, height:
         Sensor resolution ``A x B``.
     out:
@@ -164,6 +183,14 @@ def events_to_binary_frame_batch(
     splits = np.asarray(splits, dtype=np.int64)
     if splits.ndim != 1 or len(splits) < 1:
         raise ValueError("splits must be a 1-D array with at least one entry")
+    bounds = splits.tolist()
+    if bounds[0] < 0 or bounds[-1] > len(events) or any(
+        start > stop for start, stop in zip(bounds, bounds[1:])
+    ):
+        raise ValueError(
+            f"splits must be non-decreasing indices from 0 to {len(events)}, "
+            f"the number of events; got {bounds}"
+        )
     num_frames = len(splits) - 1
     if out is None:
         out = np.empty((num_frames, height, width), dtype=np.uint8)
@@ -179,7 +206,8 @@ def events_to_binary_frame_batch(
         )
     out.fill(0)
     interior = out[:, border : border + height, border : border + width] if border else out
-    window_events = events[splits[0] : splits[-1]]
+    first = bounds[0]
+    window_events = events[first : bounds[-1]]
     if len(window_events) == 0:
         return interior
     y = window_events["y"].astype(np.intp)
@@ -190,11 +218,9 @@ def events_to_binary_frame_batch(
     flat = y
     flat *= padded_width
     flat += x
-    if num_frames > 1:
-        frame_size = padded_height * padded_width
-        flat += np.repeat(
-            np.arange(0, num_frames * frame_size, frame_size, dtype=np.intp), np.diff(splits)
-        )
+    frame_size = padded_height * padded_width
+    for frame in range(1, num_frames):
+        flat[bounds[frame] - first : bounds[frame + 1] - first] += frame * frame_size
     # Index from the first interior pixel, so (y, x) needs no border offset.
     out.reshape(-1)[border * padded_width + border :][flat] = 1
     return interior
@@ -263,7 +289,10 @@ class EbbiBuilder:
     run one body over a frame stack, walking it in blocks of as many frames
     as fit :data:`BLOCK_BYTES` (8 at 240x180): each block is accumulated,
     median-filtered and counted before the next, so its frames stay in
-    cache and the median's work arrays are one block long.  An optional
+    cache and the median's work arrays are one block long.  A stack of
+    more than one block is split into contiguous shares of blocks, one per
+    usable CPU, which run at once on helper threads; the outputs are the
+    same for any number of shares.  An optional
     :class:`repro.obs.Instrumentation` can be attached as the
     ``instrumentation`` attribute; both then time accumulation and
     filtering of each block as the ``ebbi`` and ``median`` stages, so a
@@ -291,7 +320,7 @@ class EbbiBuilder:
         self.reuse_buffers = reuse_buffers
         self.instrumentation = None
         self._scratch = EbbiScratch() if reuse_buffers else None
-        self._block_frames = max(1, BLOCK_BYTES // (width * height))
+        self._block_frames = frames_per_block(width * height)
         self._frames_built = 0
         self._active_pixels = 0
 
@@ -304,36 +333,49 @@ class EbbiBuilder:
         one block at a time: the block is accumulated into its slice of the
         bordered raw stack, median-filtered from there into its slice of
         the filtered stack, and its active pixels counted while it is still
-        in cache.  The border is ``p // 2`` pixels wide, none for a disabled
-        filter, which is a ``1 x 1`` patch, i.e. a copy of the raw stack.
-        An empty build still runs one empty block, so a wrong dtype is
-        refused there too; the statistics change only once every block is
-        built.
+        in cache.  The blocks are split into contiguous shares, one per
+        usable CPU (:func:`~repro.utils.shares.run_shares`), each with its
+        own median work arrays; an instrumented builder runs every share on
+        the caller's thread, as its stage timers are not thread-safe.  The
+        border is ``p // 2`` pixels wide, none for a disabled filter, which
+        is a ``1 x 1`` patch, i.e. a copy of the raw stack.  An empty build
+        still runs one empty block, so a wrong dtype is refused there too;
+        the statistics change only once every share is built.
         """
         num_frames = len(splits) - 1
         patch_size = max(self.median_patch_size, 1)
         border = patch_size // 2
-        if self._scratch is not None:
-            bordered, filtered = self._scratch.stacks(num_frames, self.height, self.width, border)
-            median_scratch = self._scratch.median
+        scratch = self._scratch
+        if scratch is not None:
+            bordered, filtered = scratch.stacks(num_frames, self.height, self.width, border)
         else:
             shape = (num_frames, self.height + 2 * border, self.width + 2 * border)
             bordered = np.empty(shape, dtype=np.uint8)
             filtered = np.empty((num_frames, self.height, self.width), dtype=np.uint8)
-            median_scratch = MedianScratch()
-        stage = untimed_stage if self.instrumentation is None else self.instrumentation.stage
-        active = 0
-        for lo in range(0, max(num_frames, 1), self._block_frames):
-            hi = min(lo + self._block_frames, num_frames)
-            with stage("ebbi"):
-                events_to_binary_frame_batch(
-                    events, splits[lo : hi + 1], self.width, self.height, out=bordered[lo:hi]
-                )
-            with stage("median"):
-                binary_median_filter_stack(
-                    bordered[lo:hi], patch_size, out=filtered[lo:hi], scratch=median_scratch
-                )
-            active += np.count_nonzero(bordered[lo:hi])
+        instrumentation = self.instrumentation
+        stage = untimed_stage if instrumentation is None else instrumentation.stage
+        block = self._block_frames
+
+        def build_share(share: int, start: int, stop: int) -> int:
+            median_scratch = MedianScratch() if scratch is None else scratch.median(share)
+            active = 0
+            for lo in range(start, max(stop, 1), block):
+                hi = min(lo + block, stop)
+                with stage("ebbi"):
+                    events_to_binary_frame_batch(
+                        events, splits[lo : hi + 1], self.width, self.height, out=bordered[lo:hi]
+                    )
+                with stage("median"):
+                    binary_median_filter_stack(
+                        bordered[lo:hi], patch_size, out=filtered[lo:hi], scratch=median_scratch
+                    )
+                active += np.count_nonzero(bordered[lo:hi])
+            return active
+
+        if instrumentation is None:
+            active = sum(run_shares(build_share, num_frames, block))
+        else:
+            active = build_share(0, 0, num_frames)
         self._frames_built += num_frames
         self._active_pixels += active
         raw = bordered[:, border : border + self.height, border : border + self.width]
@@ -364,7 +406,7 @@ class EbbiBuilder:
         accumulation (:func:`events_to_binary_frame_batch`) and the median
         filter (:func:`binary_median_filter_stack`) each run once per
         cache-sized block of windows (see :data:`BLOCK_BYTES`), not once
-        per window.
+        per window, with the blocks shared out over the usable CPUs.
 
         Parameters
         ----------

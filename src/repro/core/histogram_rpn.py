@@ -11,18 +11,22 @@ discarded — the "check in the original image" the paper describes.
 Histograms and runs are found for a whole stack of frames at once
 (:func:`stack_histograms`, :func:`stack_runs`,
 :meth:`HistogramRegionProposer.candidate_spans`): the chunked pipeline
-makes one such call per chunk, and a single frame is a one-frame stack.
-Only the validation is done frame by frame.
+makes one such call per chunk, whose histograms are taken in one
+contiguous share of the stack per usable CPU, and a single frame is a
+one-frame stack.  Only the validation is done frame by frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.ebbi import frames_per_block
 from repro.utils.geometry import BoundingBox
+from repro.utils.shares import run_shares
 
 #: A ``[start, end)`` pixel interval along one axis of a frame.
 Span = Tuple[int, int]
@@ -261,11 +265,13 @@ class HistogramRegionProposer:
     def candidate_spans(self, frames: np.ndarray) -> List[Tuple[List[Span], List[Span]]]:
         """Every frame's X and Y candidate spans, for a stack of frames at once.
 
-        The histograms of the whole stack come from :func:`stack_histograms`
-        and all their above-threshold runs from one :func:`stack_runs`;
-        each run becomes a ``[start, end)`` pixel span, kept when it is at
-        least ``min_region_side_px`` long.  Only complete blocks are binned,
-        so a span never passes the frame edge.
+        The histograms of the whole stack come from :func:`stack_histograms`,
+        run on contiguous shares of the stack's EBBI blocks, one per usable
+        CPU (:func:`~repro.utils.shares.run_shares`), and all their
+        above-threshold runs from one :func:`stack_runs`; each run becomes
+        a ``[start, end)`` pixel span, kept when it is at least
+        ``min_region_side_px`` long.  Only complete blocks are binned, so a
+        span never passes the frame edge.
 
         Parameters
         ----------
@@ -280,7 +286,12 @@ class HistogramRegionProposer:
             in increasing order: what :meth:`propose` takes as ``spans``.
         """
         s1, s2 = self.downsample_x, self.downsample_y
-        bins = stack_histograms(frames, s1, s2)
+        share_bins = run_shares(
+            lambda share, start, stop: stack_histograms(frames[start:stop], s1, s2),
+            len(frames),
+            frames_per_block(math.prod(frames.shape[1:])),
+        )
+        bins = share_bins[0] if len(share_bins) == 1 else np.concatenate(share_bins)
         y_first = frames.shape[2] // s1 + 1
         min_side = self.min_region_side_px
         spans: List[Tuple[List[Span], List[Span]]] = []

@@ -32,6 +32,7 @@ from repro.core.roe import RegionOfExclusion
 from repro.events.stream import EventStream, FrameIndex
 from repro.trackers.backend import TrackerBackend, TrackerFrame
 from repro.trackers.base import TrackHistory, TrackObservation
+from repro.utils.shares import counted_thread
 
 #: Windows per EBBI build on :meth:`EbbiotPipeline.process_stream`'s chunked
 #: path: the raw and filtered stacks are ``CHUNK_FRAMES x height x width``
@@ -260,10 +261,13 @@ class EbbiotPipeline:
         frames are accumulated and median-filtered :data:`CHUNK_FRAMES`
         windows at a time (:meth:`~repro.core.ebbi.EbbiBuilder.build_batch`);
         only the inherently sequential RPN + tracker stages run frame by
-        frame.  An instrumented pipeline builds window by window instead
-        (:meth:`iter_stream`), so the ``ebbi``/``median`` spans reflect each
-        window's true cost rather than an amortised chunk share; both
-        sources give the same frames.
+        frame.  Each chunk's front end runs in per-CPU shares
+        (:mod:`repro.utils.shares`), and the calling thread counts as busy
+        on one CPU for the whole replay, so concurrent replays, one per
+        CPU, leave no CPU spare for helpers.  An instrumented pipeline
+        builds window by window instead (:meth:`iter_stream`), so the
+        ``ebbi``/``median`` spans reflect each window's true cost rather
+        than an amortised chunk share; both sources give the same frames.
 
         Frame windows start at ``t = 0`` (see
         :meth:`~repro.events.stream.EventStream.frame_index`), so frame
@@ -287,8 +291,9 @@ class EbbiotPipeline:
             index = stream.frame_index(self.config.frame_duration_us)
             frames = self._iter_chunks(index)
         result = PipelineResult()
-        for frame_result in frames:
-            result.add_frame(frame_result, keep=collect_frames)
+        with counted_thread():
+            for frame_result in frames:
+                result.add_frame(frame_result, keep=collect_frames)
         result.mean_active_pixel_fraction = self.ebbi_builder.mean_active_pixel_fraction
         result.mean_events_per_frame = self.mean_events_per_frame
         result.mean_active_trackers = self.tracker.mean_active_trackers

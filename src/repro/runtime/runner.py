@@ -29,6 +29,7 @@ from repro.evaluation.mot_metrics import compute_mot_summary
 from repro.events.stream import EventStream
 from repro.runtime.aggregate import BatchResult, RecordingResult
 from repro.simulation.ground_truth import GroundTruthFrame
+from repro.utils.shares import share_cpus_among
 
 #: Executor kinds understood by :class:`RunnerConfig`.
 EXECUTORS = ("serial", "thread", "process")
@@ -72,7 +73,14 @@ class RunnerConfig:
         the NumPy-heavy pipeline (kernels drop the GIL) and need no
         pickling; processes sidestep the GIL entirely at the cost of
         shipping each job's events to the worker; serial is the reference
-        and debugging mode.
+        and debugging mode.  Within a recording, each chunk's EBBI build
+        and RPN histograms run as one share per usable CPU on helper
+        threads (:mod:`repro.utils.shares`), but helpers only take CPUs
+        that no replay or other helper holds, so with one recording per
+        CPU on the thread executor a chunk gets helpers only while no
+        other worker is replaying.  Each worker process of the process
+        executor counts only its part of the CPUs (their number divided
+        by the worker count).
     max_workers:
         Worker count for the concurrent executors; defaults to the CPU
         count (capped at 8 so a laptop run does not oversubscribe).
@@ -206,5 +214,7 @@ class StreamRunner:
     def _make_executor(self, num_jobs: int) -> Executor:
         workers = self.config.resolved_max_workers(num_jobs)
         if self.config.executor == "process":
-            return ProcessPoolExecutor(max_workers=workers)
+            return ProcessPoolExecutor(
+                max_workers=workers, initializer=share_cpus_among, initargs=(workers,)
+            )
         return ThreadPoolExecutor(max_workers=workers)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.core.ebbi as ebbi
 from repro.core.ebbi import (
     BLOCK_BYTES,
     EbbiBuilder,
@@ -15,6 +19,7 @@ from repro.core.ebbi import (
 )
 from repro.core.median_filter import binary_median_filter
 from repro.events.types import make_packet
+from repro.utils import shares
 
 
 class TestEventsToBinaryFrame:
@@ -156,6 +161,22 @@ class TestEventsToBinaryFrameBatch:
         with pytest.raises(TypeError):
             events_to_binary_frame_batch(np.zeros(3), np.array([0, 3]), 240, 180)
 
+    @pytest.mark.parametrize(
+        "splits",
+        [
+            [0, 20],  # one frame past the last event
+            [3, 2],  # one frame ending before it starts
+            [-1, 5],  # one frame starting before the first event
+            [0, 4, 2, 10],  # a frame ending before it starts
+            [0, 5, 11],  # the last frame past the last event
+            [-2, 3, 10],  # the first frame starting before the first event
+        ],
+    )
+    def test_batch_refuses_malformed_splits(self, splits):
+        packet = self._random_packet(10, 1_000, seed=1)
+        with pytest.raises(ValueError, match=re.escape(f"got {splits}")):
+            events_to_binary_frame_batch(packet, np.array(splits), 240, 180)
+
 
 class TestEbbiBuilderBatch:
     def test_build_batch_matches_sequential_builds(self):
@@ -229,8 +250,13 @@ class TestEbbiBuilderBatch:
             assert batched.frames_built == sequential.frames_built
             assert batched.mean_active_pixel_fraction == sequential.mean_active_pixel_fraction
 
-    def test_reused_build_batch_holds_the_chunk_stacks_and_one_block_of_work(self):
-        """A chunk build's work arrays are sized by a block, not by the chunk."""
+    def test_reused_build_batch_holds_the_chunk_stacks_and_one_block_of_work(self, monkeypatch):
+        """A chunk build's work arrays are sized by a block per share, not by the chunk.
+
+        The build is split into two shares whatever the host, so the bounds
+        mean the same on every host.
+        """
+        monkeypatch.setattr(shares, "usable_cpus", lambda: 2)
         width, height, num_windows, per_window = 240, 180, 256, 3000
         rng = np.random.default_rng(3)
         n = num_windows * per_window
@@ -285,6 +311,91 @@ class TestEbbiBuilderBatch:
         packet = make_packet([1], [1], [0], [1])
         with pytest.raises(ValueError):
             builder.build_batch(packet, np.array([0]), np.array([100]), np.array([0]))
+
+    @pytest.mark.parametrize("reuse_buffers", [False, True])
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_shares_build_what_one_share_builds(self, cpus, reuse_buffers, monkeypatch):
+        """Two, three and more shares than blocks give the one-share stacks and alpha."""
+        counts = np.random.default_rng(5).integers(0, 3000, size=43)
+        windows = [_window(int(n), seed=i, width=240, height=180) for i, n in enumerate(counts)]
+        packet = np.concatenate(windows)
+        splits = np.concatenate([[0], np.cumsum(counts)])
+        starts = np.arange(len(windows)) * 66_000
+        threads = set()
+        accumulate = ebbi.events_to_binary_frame_batch
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(ebbi, "events_to_binary_frame_batch", recorded)
+        builds = {}
+        for cpu_count in (1, cpus):
+            monkeypatch.setattr(shares, "usable_cpus", lambda: cpu_count)
+            builder = EbbiBuilder(240, 180, reuse_buffers=reuse_buffers)
+            # An empty build, one block, one full block, an uneven last block.
+            for num_windows in (0, 1, 8, 9, 43):
+                threads.clear()
+                batch = builder.build_batch(
+                    packet, starts[:num_windows], starts[:num_windows] + 66_000,
+                    splits[: num_windows + 1],
+                )
+                builds[cpu_count, num_windows] = (
+                    batch.raw.copy(),
+                    batch.filtered.copy(),
+                    [frames.num_events for frames in batch],
+                    builder.stats_snapshot(),
+                    builder.mean_active_pixel_fraction,
+                )
+            # The last build's 43 windows are 6 blocks: one share per CPU, at most one per block.
+            assert len(threads) == min(cpu_count, 6)
+        for num_windows in (0, 1, 8, 9, 43):
+            one, many = builds[1, num_windows], builds[cpus, num_windows]
+            np.testing.assert_array_equal(one[0], many[0])
+            np.testing.assert_array_equal(one[1], many[1])
+            assert one[2:] == many[2:]
+
+    def test_bad_event_in_the_last_share_raises_once_every_share_stopped(self, monkeypatch):
+        monkeypatch.setattr(shares, "usable_cpus", lambda: 3)
+        windows = [_window(300, seed=i, width=240, height=180) for i in range(24)]
+        splits = np.arange(25) * 300
+        starts = np.arange(24) * 66_000
+        bad = np.concatenate(windows)
+        bad["x"][-1] = 240  # in the last of three blocks, so in the last of three shares
+        first = np.concatenate(windows[:8]), starts[:8], starts[:8] + 66_000, splits[:9]
+        builder = EbbiBuilder(240, 180, reuse_buffers=True)
+        builder.build_batch(*first)
+        before = builder.stats_snapshot(), builder.mean_active_pixel_fraction
+        filtering = [0]
+        lock = threading.Lock()
+        median = ebbi.binary_median_filter_stack
+
+        def slow_on_helpers(*args, **kwargs):
+            # The middle share still filters long after the last one failed.
+            with lock:
+                filtering[0] += 1
+            try:
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.2)
+                return median(*args, **kwargs)
+            finally:
+                with lock:
+                    filtering[0] -= 1
+
+        monkeypatch.setattr(ebbi, "binary_median_filter_stack", slow_on_helpers)
+        with pytest.raises(ValueError, match="outside the frame"):
+            builder.build_batch(bad, starts, starts + 66_000, splits)
+        assert filtering[0] == 0
+        assert not [t for t in threading.enumerate() if t.name.startswith("front-end-share-")]
+        assert (builder.stats_snapshot(), builder.mean_active_pixel_fraction) == before
+        good = np.concatenate(windows)
+        batch = builder.build_batch(good, starts, starts + 66_000, splits)
+        fresh = EbbiBuilder(240, 180)
+        fresh.build_batch(*first)
+        expected = fresh.build_batch(good, starts, starts + 66_000, splits)
+        np.testing.assert_array_equal(batch.raw, expected.raw)
+        np.testing.assert_array_equal(batch.filtered, expected.filtered)
+        assert builder.stats_snapshot() == fresh.stats_snapshot()
 
 
 def _window(num_events, seed, width=64, height=48):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.core.histogram_rpn as histogram_rpn
 from repro.core.histogram_rpn import (
     HistogramRegionProposer,
     compute_histograms,
@@ -15,6 +18,7 @@ from repro.core.histogram_rpn import (
     stack_histograms,
     stack_runs,
 )
+from repro.utils import shares
 
 
 def _frame_with_block(x, y, w, h, width=240, height=180):
@@ -439,6 +443,31 @@ class TestStackHistogramsAndRuns:
         assert runs == [_scan_runs(row.tolist(), threshold) for row in bins]
         for row, row_runs in zip(bins, runs):
             assert find_runs_above_threshold(row, threshold) == row_runs
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_shares_find_the_one_share_spans(self, cpus, monkeypatch):
+        """Two, three and more shares than blocks give every frame's one-frame spans."""
+        rng = np.random.default_rng(cpus)
+        density = rng.random((43, 1, 1)) * 0.01
+        frames = (rng.random((43, 180, 240)) < density).astype(np.uint8)
+        frames[3] = 0
+        frames[4, 20:90, 30:200] = 1
+        proposer = HistogramRegionProposer()
+        expected = [proposer.candidate_spans(frame[np.newaxis])[0] for frame in frames]
+        threads = set()
+        histograms = histogram_rpn.stack_histograms
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return histograms(*args, **kwargs)
+
+        monkeypatch.setattr(histogram_rpn, "stack_histograms", recorded)
+        monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
+        # No frame, one block, one full block, an uneven last block.
+        for num_frames in (0, 1, 8, 9, 43):
+            assert proposer.candidate_spans(frames[:num_frames]) == expected[:num_frames]
+        # 43 frames of 240x180 are 6 blocks: one share per CPU, at most one per block.
+        assert len(threads) == min(cpus, 6)
 
     def test_rejects_bad_stacks(self):
         with pytest.raises(ValueError, match="3-D"):

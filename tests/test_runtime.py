@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.runtime import (
     run_recording,
 )
 from repro.simulation.ground_truth import GroundTruthBox, GroundTruthFrame
+from repro.utils.shares import usable_cpus
 
 
 def _moving_block_stream(seed: int, num_frames: int = 12) -> EventStream:
@@ -146,6 +148,15 @@ class TestStreamRunner:
             assert a.mean_active_pixel_fraction == pytest.approx(
                 b.mean_active_pixel_fraction
             )
+
+    def test_process_workers_count_their_part_of_the_cpus(self):
+        # Worker processes replay side by side, so none takes helpers on
+        # the CPUs the others use.
+        runner = StreamRunner(RunnerConfig(executor="process", max_workers=2))
+        with runner._make_executor(2) as executor:
+            cpus = executor.submit(usable_cpus).result(timeout=60)
+        assert cpus == max(1, len(os.sched_getaffinity(0)) // 2)
+        assert usable_cpus() == len(os.sched_getaffinity(0))
 
     def test_results_keep_submission_order(self):
         jobs = _jobs(5)
